@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
 """Run every verification over every corpus spec and print a summary.
 
-Covers the zero-replacement vanishing check, the product formula with
-its two polynomial routes, the fold-down epimorphism certificate, and
-the per-region fraction decomposition. Exits nonzero if anything fails.
+Drives the same pipeline as ``symunion verify``: each union is built
+once, then the zero-replacement vanishing check, the product formula with
+its two polynomial routes, the fold-down epimorphism certificate, and the
+per-region fraction decomposition run against it. Exits nonzero if
+anything fails.
 """
 
 import sys
 import time
 
 from symunion import corpus
-from symunion.construct import build_all_zero_replacement
-from symunion.group import certify_epimorphism
-from symunion.invariant import (
-    alexander_region,
-    verify_fraction_region,
-    verify_product_formula,
-)
+from symunion.cli import verify_reports
 
 
 def main() -> int:
@@ -24,28 +20,12 @@ def main() -> int:
     t_start = time.time()
     for name, spec in sorted(corpus.SPEC_FIXTURES.items()):
         t0 = time.time()
-        lines = []
-
-        flat = build_all_zero_replacement(spec)
-        vanishes = alexander_region(flat).is_zero()
-        lines.append(("zero replacement vanishes", vanishes))
-
-        prod = verify_product_formula(spec)
-        lines.append(("product formula", prod.passed))
-
-        cert = certify_epimorphism(spec)
-        lines.append(("epimorphism certificate", cert.passed))
-
-        for i in range(1, len(spec.tangles) + 1):
-            frac = verify_fraction_region(spec, i)
-            lines.append((f"fraction decomposition, region {i}", frac.passed))
-
+        reports = verify_reports(spec)
         elapsed = time.time() - t0
-        all_ok = all(ok for _, ok in lines)
-        failures += 0 if all_ok else 1
+        failures += 0 if all(r.passed for r in reports) else 1
         print(f"{name} ({elapsed:.2f}s)")
-        for label, ok in lines:
-            print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
+        for r in reports:
+            print(f"  [{'PASS' if r.passed else 'FAIL'}] {r.title}")
 
     print(f"\n{len(corpus.SPEC_FIXTURES)} specs in {time.time() - t_start:.1f}s, "
           f"{failures} with failures")

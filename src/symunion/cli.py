@@ -18,13 +18,14 @@ from typing import Sequence
 from . import corpus
 from .construct import (
     ConstructError,
-    build_all_zero_replacement,
+    SymUnionSpec,
     build_symmetric_union,
+    built_union,
     parse_spec,
     to_spec_doc,
 )
 from .diagram import DiagramError, PlanarDiagram, parse_pd, to_doc, to_text
-from .group import GroupError, certify_epimorphism
+from .group import GroupError, certify_epimorphism, wirtinger
 from .invariant import (
     Cancelled,
     TooLarge,
@@ -34,8 +35,8 @@ from .invariant import (
     jones,
     verify_fraction_region,
     verify_product_formula,
+    verify_zero_replacement,
 )
-from .group import wirtinger
 from .poly import PolyError, conway_from_alexander, normalize_alexander
 from .report import VerificationReport
 from .tangle import TangleError, to_tangle_doc
@@ -84,6 +85,10 @@ def cmd_invariants(args) -> int:
     lines = [f"crossings: {len(d.crossings)}"]
     knot = d.component_count() == 1
 
+    def emit(rc: int) -> int:
+        _emit("\n".join(lines) if args.format == "text" else _dump(doc), args.output)
+        return rc
+
     if args.alexander or args.conway or run_all:
         a = alexander_region(d)
         doc["alexander"] = a.text()
@@ -95,9 +100,7 @@ def cmd_invariants(args) -> int:
             lines.append(f"alexander (fox calculus):  {b.text()}")
             lines.append(f"methods agree: {'yes' if a == b else 'NO'}")
             if a != b:
-                _emit("\n".join(lines) if args.format == "text" else _dump(doc),
-                      args.output)
-                return 1
+                return emit(1)
         if args.conway or run_all:
             if knot:
                 c = conway_from_alexander(a, knot=True)
@@ -111,35 +114,36 @@ def cmd_invariants(args) -> int:
         v = jones(d)
         doc["jones"] = v.text()
         lines.append(f"jones: {v.text()}")
-
-    _emit("\n".join(lines) if args.format == "text" else _dump(doc), args.output)
-    return 0
+    return emit(0)
 
 
-def _verify_reports(spec, args) -> list[VerificationReport]:
-    run_all = not (args.theorem1 or args.theorem2 or args.lemma or args.fraction)
+# The certificates verify runs, in report order; each names its CLI flag.
+CERTIFICATES = ("lemma", "theorem1", "theorem2", "fraction")
+
+
+def verify_reports(
+    union: SymUnionSpec | PlanarDiagram, selected: Sequence[str] = CERTIFICATES
+) -> list[VerificationReport]:
+    """Run the selected certificates against one built union (a spec is
+    built first). The union is built once and every certificate reads the
+    polynomials and presentations the others already computed from it."""
+    k = built_union(union)
     reports: list[VerificationReport] = []
-    if args.lemma or run_all:
-        rep = VerificationReport("zero replacement collapses the polynomial")
-        flat = build_all_zero_replacement(spec)
-        a = alexander_region(flat)
-        rep.record("components", flat.component_count())
-        rep.record("alexander of replacement", a.text())
-        rep.add("alexander polynomial vanishes", a.is_zero())
-        reports.append(rep)
-    if args.theorem1 or run_all:
-        reports.append(verify_product_formula(spec))
-    if args.theorem2 or run_all:
-        reports.append(certify_epimorphism(spec))
-    if args.fraction or run_all:
-        for i in range(1, len(spec.tangles) + 1):
-            reports.append(verify_fraction_region(spec, i))
+    if "lemma" in selected:
+        reports.append(verify_zero_replacement(k))
+    if "theorem1" in selected:
+        reports.append(verify_product_formula(k))
+    if "theorem2" in selected:
+        reports.append(certify_epimorphism(k))
+    if "fraction" in selected:
+        for i in range(1, len(k.meta.spec.tangles) + 1):
+            reports.append(verify_fraction_region(k, i))
     return reports
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
-    reports = _verify_reports(spec, args)
+    selected = [c for c in CERTIFICATES if getattr(args, c)] or CERTIFICATES
+    reports = verify_reports(_load_spec(args.spec), selected)
     if args.format == "text":
         text = "\n\n".join(r.human(include_timings=args.timings) for r in reports)
     else:

@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Mapping, TypeVar
 
 from .diagram import (
     Crossing,
     PlanarDiagram,
     DiagramError,
+    over_arcs,
     parse_pd,
     renumber_edges,
     to_doc,
     validate_planarity,
 )
-from .group import wirtinger
 from .tangle import (
     CORNERS,
-    OrientationMismatch,
     Tangle,
     is_even_type,
     parse_tangle,
@@ -57,10 +56,6 @@ class UnknownRegion(ConstructError):
 
 
 class NotPlanarInsertion(ConstructError):
-    pass
-
-
-class BoundaryMismatch(ConstructError):
     pass
 
 
@@ -100,7 +95,6 @@ class RegionInfo:
 @dataclass(frozen=True)
 class UnionMeta:
     spec: SymUnionSpec
-    axis_edges: tuple[int, int]
     regions: tuple[RegionInfo, ...]
     origins: tuple[tuple, ...]
     attach_bits: tuple[int, ...] = ()
@@ -115,7 +109,7 @@ def _validate_inputs(spec: SymUnionSpec, require_even: bool) -> None:
     if not d.crossings or d.component_count() != 1:
         raise NotAKnot("partial diagram must be a one-component diagram "
                        "with at least one crossing")
-    arcs = wirtinger(d).arc_of_edge
+    arcs = {e: i for i, arc in enumerate(over_arcs(d)) for e in arc}
     seen = {}
     for e in spec.marked_arcs:
         if e not in arcs:
@@ -164,23 +158,57 @@ def _assemble(
     raise first_err
 
 
+class _Halves:
+    """The partial diagram d beside its mirror image, as PD rows with
+    provisional edge ids (d keeps 1..E, the mirror gets E+1..2E, fresh ids
+    follow), and the axis arc cut and rejoined across the halves: d's
+    outgoing stub meets the mirror's incoming stub as a0, and vice versa
+    as a1."""
+
+    def __init__(self, d: PlanarDiagram, axis: int):
+        E = d.edge_count
+        self.d = d
+        self.rows = [list(x) for x in d.crossings]
+        self.rows += [[x.c + E, x.b + E, x.a + E, x.d + E] for x in d.crossings]
+        self.flags = list(d.over_from_d) + [not f for f in d.over_from_d]
+        self.next_id = 2 * E + 1
+        self.a0, self.a1 = self.fresh(), self.fresh()
+        self._rewire(axis, (self.a0, self.a1), (self.a0, self.a1))
+
+    def fresh(self) -> int:
+        self.next_id += 1
+        return self.next_id - 1
+
+    def _rewire(self, m: int, host: tuple[int, int], mirror: tuple[int, int]) -> None:
+        """Give the (tail, head) ends of edge m new ids in each half."""
+        c = len(self.d.crossings)
+        for (ci, s), h, ms in zip((self.d.tail_of[m], self.d.head_of[m]), host, mirror):
+            self.rows[ci][s] = h
+            self.rows[c + ci][_SIGMA[s]] = ms
+
+    def cut(self, m: int) -> tuple[int, int, int, int]:
+        """Open marked arc m on both halves. Returns the new stubs: the
+        host's outgoing and incoming ends, then the mirror's, whose roles
+        are reversed."""
+        u, v, us, vs = (self.fresh() for _ in range(4))
+        self._rewire(m, (u, v), (vs, us))
+        return u, v, us, vs
+
+
+def _compact(rows: list[list[int]]) -> tuple[list[list[int]], dict[int, int]]:
+    """Rows renumbered onto 1..n in the order of their ids, and the map."""
+    used = sorted({e for row in rows for e in row})
+    compact = {e: j + 1 for j, e in enumerate(used)}
+    return [[compact[e] for e in row] for row in rows], compact
+
+
 def _assemble_with_bits(
     spec: SymUnionSpec, bits: tuple[int, ...], *, require_knot: bool
 ) -> PlanarDiagram:
     d = spec.partial
     c = len(d.crossings)
     E = d.edge_count
-
-    rows = [list(x) for x in d.crossings]
-    rows += [[x.c + E, x.b + E, x.a + E, x.d + E] for x in d.crossings]
-    flags = list(d.over_from_d) + [not f for f in d.over_from_d]
     origins = [("D", j) for j in range(c)] + [("D*", j) for j in range(c)]
-
-    def put(ci: int, s: int, eid: int, star: bool) -> None:
-        if star:
-            rows[c + ci][_SIGMA[s]] = eid
-        else:
-            rows[ci][s] = eid
 
     labels: dict[int, str] = {}
     for j in range(1, E + 1):
@@ -188,44 +216,23 @@ def _assemble_with_bits(
             labels[j] = f"x{j}"
             labels[j + E] = f"x{j}*"
 
-    next_id = 2 * E + 1
+    h = _Halves(d, spec.marked_arcs[0])
+    rows, flags = h.rows, h.flags
+    labels[h.a0], labels[h.a1] = "a0", "a1"
 
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    # the axis: D's outgoing stub meets the mirror's incoming stub and
-    # vice versa
-    m0 = spec.marked_arcs[0]
-    a0, a1 = fresh(), fresh()
-    put(*d.tail_of[m0], a0, star=False)
-    put(*d.tail_of[m0], a0, star=True)
-    put(*d.head_of[m0], a1, star=False)
-    put(*d.head_of[m0], a1, star=True)
-    labels[a0], labels[a1] = "a0", "a1"
-
-    parent: dict[int, int] = {}
+    # a crossingless strand joins two stubs of one box; the pairs are
+    # disjoint, and each merged pair keeps its lower id
+    alias: dict[int, int] = {}
 
     def find(e: int) -> int:
-        while parent.get(e, e) != e:
-            parent[e] = parent.get(parent[e], parent[e])
-            e = parent[e]
-        return e
+        return alias.get(e, e)
 
-    region_corner_ids: list[dict[str, int]] = []
     region_ranges: list[tuple[int, int]] = []
 
     for i, tangle in enumerate(spec.tangles, start=1):
-        m = spec.marked_arcs[i]
         bit = bits[i - 1]
         t = _oriented_for_box(tangle, bit)
-        u, v = fresh(), fresh()      # host stubs: outgoing, incoming
-        us, vs = fresh(), fresh()    # mirror stubs
-        put(*d.tail_of[m], u, star=False)
-        put(*d.head_of[m], v, star=False)
-        put(*d.head_of[m], us, star=True)   # reversed roles in the mirror
-        put(*d.tail_of[m], vs, star=True)
+        u, v, us, vs = h.cut(spec.marked_arcs[i])
         if bit == 0:
             at_corner = {"NW": u, "SW": v, "NE": vs, "SE": us}
         else:
@@ -235,15 +242,13 @@ def _assemble_with_bits(
         for corner in CORNERS:
             te = t.boundary[corner]
             if te in emap:
-                parent[max(emap[te], at_corner[corner])] = min(
-                    emap[te], at_corner[corner]
-                )
+                alias[max(emap[te], at_corner[corner])] = min(emap[te], at_corner[corner])
             else:
                 emap[te] = at_corner[corner]
         k = 5
         for te in range(1, t.edge_count + 1):
             if te not in emap:
-                emap[te] = fresh()
+                emap[te] = h.fresh()
                 labels[emap[te]] = f"s{k}_{i}"
                 k += 1
         for corner, kk in (("NW", 1), ("NE", 2), ("SW", 3), ("SE", 4)):
@@ -257,12 +262,8 @@ def _assemble_with_bits(
         flags.extend(t.over_from_d)
         origins.extend(("T", i, j) for j in range(len(t.crossings)))
         region_ranges.append((start, len(rows)))
-        region_corner_ids.append({cn: find(at_corner[cn]) for cn in CORNERS})
 
-    rows = [[find(e) for e in row] for row in rows]
-    used = sorted({e for row in rows for e in row})
-    compact = {e: j + 1 for j, e in enumerate(used)}
-    rows = [[compact[e] for e in row] for row in rows]
+    rows, compact = _compact([[find(e) for e in row] for row in rows])
     labels = {compact[e]: lbl for e, lbl in labels.items() if find(e) == e and e in compact}
 
     try:
@@ -270,8 +271,6 @@ def _assemble_with_bits(
             tuple(Crossing(*row) for row in rows), tuple(flags), labels=labels
         )
         validate_planarity(built)
-    except ConstructError:
-        raise
     except DiagramError as exc:
         raise NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
 
@@ -280,7 +279,7 @@ def _assemble_with_bits(
             f"result has {built.component_count()} components, expected a knot"
         )
 
-    built = renumber_edges(built, start_edge=compact[a0])
+    built = renumber_edges(built, start_edge=compact[h.a0])
     by_label = {lbl: e for e, lbl in (built.labels or {}).items()}
 
     regions = []
@@ -298,7 +297,6 @@ def _assemble_with_bits(
 
     meta = UnionMeta(
         spec=spec,
-        axis_edges=(by_label["a0"], by_label["a1"]),
         regions=tuple(regions),
         origins=tuple(origins),
         attach_bits=tuple(bits),
@@ -321,40 +319,69 @@ def build_all_zero_replacement(spec: SymUnionSpec) -> PlanarDiagram:
     return _assemble(flat, require_even=False, require_knot=False)
 
 
+# -- the built union --------------------------------------------------------------
+
+_T = TypeVar("_T")
+
+
+def _meta_of(k: PlanarDiagram) -> UnionMeta:
+    if not isinstance(k.meta, UnionMeta):
+        raise ConstructError("diagram carries no construction metadata")
+    return k.meta
+
+
+def built_union(union: SymUnionSpec | PlanarDiagram) -> PlanarDiagram:
+    """The built union a certificate works on: a spec is built here, a
+    diagram must already carry construction metadata. Building once and
+    passing the result to every certificate lets them share what they
+    compute from it (see derived)."""
+    if isinstance(union, SymUnionSpec):
+        return build_symmetric_union(union)
+    _meta_of(union)
+    return union
+
+
+def derived(d: PlanarDiagram, key: Hashable, compute: Callable[[], _T]) -> _T:
+    """compute(), kept with d, so that every certificate run against the
+    same built union computes it once; the value lives as long as d does."""
+    if key not in d.computed:
+        d.computed[key] = compute()
+    return d.computed[key]
+
+
+def region_tangle(k: PlanarDiagram, i: int) -> Tangle:
+    """The tangle inserted at region i of the built union k."""
+    tangles = _meta_of(k).spec.tangles
+    if not 1 <= i <= len(tangles):
+        raise UnknownRegion(f"region {i} not in 1..{len(tangles)}")
+    return tangles[i - 1]
+
+
+def _with_tangle(k: PlanarDiagram, i: int, r: Tangle) -> tuple[UnionMeta, SymUnionSpec]:
+    """k's metadata, and its spec with region i holding r instead."""
+    region_tangle(k, i)
+    meta = k.meta
+    spec = meta.spec
+    tangles = list(spec.tangles)
+    tangles[i - 1] = r
+    return meta, SymUnionSpec(spec.partial, spec.marked_arcs, tangles)
+
+
 def _rebuild_region(
     k: PlanarDiagram, i: int, r: Tangle, *, require_knot: bool
 ) -> PlanarDiagram:
     """Rebuild with region i holding r, keeping the attachment orientation
     vector of k. Pinning the bits keeps the complement of region i the same
     tangle across rebuilds, which the decomposition checks rely on."""
-    meta = k.meta
-    if not isinstance(meta, UnionMeta):
-        raise ConstructError("diagram carries no construction metadata")
-    spec = meta.spec
-    if not 1 <= i <= len(spec.tangles):
-        raise UnknownRegion(f"region {i} not in 1..{len(spec.tangles)}")
-    tangles = list(spec.tangles)
-    tangles[i - 1] = r
-    flat = SymUnionSpec(spec.partial, spec.marked_arcs, tuple(tangles))
-    _validate_inputs(flat, require_even=False)
-    return _assemble_with_bits(flat, meta.attach_bits, require_knot=require_knot)
+    meta, spec = _with_tangle(k, i, r)
+    _validate_inputs(spec, require_even=False)
+    return _assemble_with_bits(spec, meta.attach_bits, require_knot=require_knot)
 
 
 def replace_tangle(k: PlanarDiagram, i: int, r: Tangle) -> PlanarDiagram:
     """Rebuild the union with region i holding r instead. The diagram must
     carry construction metadata."""
-    meta = k.meta
-    if not isinstance(meta, UnionMeta):
-        raise ConstructError("diagram carries no construction metadata")
-    spec = meta.spec
-    if not 1 <= i <= len(spec.tangles):
-        raise UnknownRegion(f"region {i} not in 1..{len(spec.tangles)}")
-    tangles = list(spec.tangles)
-    tangles[i - 1] = r
-    try:
-        return build_symmetric_union(SymUnionSpec(spec.partial, spec.marked_arcs, tangles))
-    except OrientationMismatch as exc:
-        raise BoundaryMismatch(str(exc)) from exc
+    return build_symmetric_union(_with_tangle(k, i, r)[1])
 
 
 def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:
@@ -364,38 +391,12 @@ def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:
     the union."""
     spec = SymUnionSpec(partial, (e0, e1), (rational_tangle([]),))
     _validate_inputs(spec, require_even=False)
-    d = spec.partial
-    c = len(d.crossings)
-    E = d.edge_count
-
-    rows = [list(x) for x in d.crossings]
-    rows += [[x.c + E, x.b + E, x.a + E, x.d + E] for x in d.crossings]
-    flags = list(d.over_from_d) + [not f for f in d.over_from_d]
-
-    def put(ci: int, s: int, eid: int, star: bool) -> None:
-        if star:
-            rows[c + ci][_SIGMA[s]] = eid
-        else:
-            rows[ci][s] = eid
-
-    a0, a1 = 2 * E + 1, 2 * E + 2
-    put(*d.tail_of[e0], a0, star=False)
-    put(*d.tail_of[e0], a0, star=True)
-    put(*d.head_of[e0], a1, star=False)
-    put(*d.head_of[e0], a1, star=True)
-
-    u, v, us, vs = 2 * E + 3, 2 * E + 4, 2 * E + 5, 2 * E + 6
-    put(*d.tail_of[e1], u, star=False)
-    put(*d.head_of[e1], v, star=False)
-    put(*d.head_of[e1], us, star=True)
-    put(*d.tail_of[e1], vs, star=True)
-
-    used = sorted({e for row in rows for e in row})
-    compact = {e: j + 1 for j, e in enumerate(used)}
-    rows = [[compact[e] for e in row] for row in rows]
+    h = _Halves(partial, e0)
+    u, v, us, vs = h.cut(e1)
+    rows, compact = _compact(h.rows)
     boundary = {"NW": compact[v], "SW": compact[u], "NE": compact[us], "SE": compact[vs]}
     flows = {"NW": "in", "SW": "out", "NE": "out", "SE": "in"}
-    return Tangle(tuple(Crossing(*row) for row in rows), tuple(flags), boundary, flows)
+    return Tangle(tuple(Crossing(*row) for row in rows), tuple(h.flags), boundary, flows)
 
 
 # -- spec documents -------------------------------------------------------------------
@@ -410,10 +411,14 @@ def to_spec_doc(spec: SymUnionSpec) -> dict:
 
 
 def parse_spec(doc: Mapping) -> SymUnionSpec:
+    if not isinstance(doc, Mapping):
+        raise ConstructError(f"spec document must be an object, not {type(doc).__name__}")
     try:
         partial = parse_pd(doc["partial"])
         marked = tuple(int(e) for e in doc["marked_arcs"])
         tangles = tuple(parse_tangle(t) for t in doc["tangles"])
     except KeyError as exc:
         raise ConstructError(f"spec document is missing {exc}") from exc
+    except TypeError as exc:
+        raise ConstructError(f"malformed spec document: {exc}") from exc
     return SymUnionSpec(partial, marked, tangles)

@@ -41,35 +41,31 @@ KT_PARTIAL_3 = numerator(KT_TANGLE_3)
 KT_PARTIAL_4 = numerator(KT_TANGLE_4)
 
 
-def _spec(partial, marked, tangles) -> SymUnionSpec:
-    return SymUnionSpec(partial, tuple(marked), tuple(tangles))
-
-
 SPEC_FIXTURES: dict[str, SymUnionSpec] = {
     # 12 crossings, trivial Alexander polynomial; the classical example of
     # an 11-crossing knot invisible to the Alexander polynomial.
-    "kt_knot": _spec(KT_PARTIAL_3, (5, 1), (vertical_twists(2),)),
+    "kt_knot": SymUnionSpec(KT_PARTIAL_3, (5, 1), (vertical_twists(2),)),
     # One, two, and three kt-tangle regions over unknot partials. Each has
     # trivial Alexander polynomial; their Jones polynomials are pinned.
-    "kt_union_1": _spec(KT_PARTIAL_3, (5, 8), (KT_TANGLE_3,)),
-    "kt_union_2": _spec(KT_PARTIAL_3, (5, 8, 1), (KT_TANGLE_3, KT_TANGLE_3)),
-    "kt_union_3": _spec(
+    "kt_union_1": SymUnionSpec(KT_PARTIAL_3, (5, 8), (KT_TANGLE_3,)),
+    "kt_union_2": SymUnionSpec(KT_PARTIAL_3, (5, 8, 1), (KT_TANGLE_3, KT_TANGLE_3)),
+    "kt_union_3": SymUnionSpec(
         KT_PARTIAL_4, (6, 1, 9, 10), (KT_TANGLE_3, KT_TANGLE_3, KT_TANGLE_3)
     ),
     # Two rational regions over a trefoil partial, and the same knot with
     # the two tangles stacked into a single region. Both give the identical
     # Alexander polynomial (and in fact the same Jones polynomial).
-    "trefoil_union_2": _spec(
+    "trefoil_union_2": SymUnionSpec(
         TREFOIL, (1, 3, 4), (rational_tangle([1, 1, 1]), rational_tangle([1, 1, 2]))
     ),
-    "trefoil_union_merged": _spec(
+    "trefoil_union_merged": SymUnionSpec(
         TREFOIL,
         (1, 3),
         (vertical_stack(rational_tangle([1, 1, 1]), rational_tangle([1, 1, 2])),),
     ),
     # One figure-eight-numerator region over a figure-eight partial; the
     # Alexander polynomial is the cube of the figure-eight polynomial.
-    "fig8_union_1": _spec(FIGURE_EIGHT, (1, 4), (rational_tangle([1, 1, 2]),)),
+    "fig8_union_1": SymUnionSpec(FIGURE_EIGHT, (1, 4), (rational_tangle([1, 1, 2]),)),
 }
 
 DIAGRAM_FIXTURES: dict[str, PlanarDiagram] = {

@@ -85,6 +85,9 @@ class PlanarDiagram:
     free_loops: int = 0
     labels: Mapping[int, str] = field(default_factory=dict)
     meta: object = field(default=None, compare=False)
+    # values other layers derive from this diagram and keep with it; only
+    # construct.derived writes here
+    computed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.crossings and self.free_loops == 0:
@@ -94,30 +97,7 @@ class PlanarDiagram:
         if len(self.over_from_d) != len(self.crossings):
             raise MalformedPD("one over flag per crossing required")
         n = 2 * len(self.crossings)
-        seen: dict[int, int] = {}
-        for x in self.crossings:
-            for e in x:
-                if not isinstance(e, int) or e < 1 or e > n:
-                    raise InconsistentEdges(f"edge id {e} outside 1..{n}")
-                seen[e] = seen.get(e, 0) + 1
-        for e in range(1, n + 1):
-            if seen.get(e, 0) != 2:
-                raise InconsistentEdges(
-                    f"edge {e} appears {seen.get(e, 0)} times, expected 2"
-                )
-        heads: dict[int, int] = {}
-        tails: dict[int, int] = {}
-        for i, x in enumerate(self.crossings):
-            hs = (0, 3) if self.over_from_d[i] else (0, 1)
-            for s in range(4):
-                bucket = heads if s in hs else tails
-                bucket[x[s]] = bucket.get(x[s], 0) + 1
-        for e in range(1, n + 1):
-            if heads.get(e, 0) != 1 or tails.get(e, 0) != 1:
-                raise OrientationError(
-                    f"edge {e} has {heads.get(e, 0)} heads and "
-                    f"{tails.get(e, 0)} tails"
-                )
+        check_ends(self.crossings, self.over_from_d, n)
         for e in self.labels:
             if not (1 <= e <= n):
                 raise MalformedPD(f"label on unknown edge {e}")
@@ -237,6 +217,46 @@ class PlanarDiagram:
         return to_text(self)
 
 
+def check_ends(
+    crossings: Sequence[Crossing],
+    over_from_d: Sequence[bool],
+    n: int,
+    corners: Iterable[tuple[int, str]] = (),
+) -> None:
+    """Raise InconsistentEdges unless the edge ids are exactly 1..n with two
+    ends each, and OrientationError unless every edge has one head and one
+    tail. corners lists the extra (edge, flow) ends on a tangle's boundary;
+    an "in" corner is its edge's tail."""
+    ends: dict[int, int] = {}
+    heads: dict[int, int] = {}
+    for i, x in enumerate(crossings):
+        hs = (0, 3) if over_from_d[i] else (0, 1)
+        for s, e in enumerate(x):
+            if not isinstance(e, int) or e < 1 or e > n:
+                raise InconsistentEdges(f"edge id {e} outside 1..{n}")
+            ends[e] = ends.get(e, 0) + 1
+            heads[e] = heads.get(e, 0) + (s in hs)
+    for e, flow in corners:
+        ends[e] = ends.get(e, 0) + 1
+        heads[e] = heads.get(e, 0) + (flow == "out")
+    for e in range(1, n + 1):
+        if ends.get(e, 0) != 2:
+            raise InconsistentEdges(f"edge {e} has {ends.get(e, 0)} ends, expected 2")
+    for e in range(1, n + 1):
+        if heads[e] != 1:
+            raise OrientationError(
+                f"edge {e} has {heads[e]} heads and {2 - heads[e]} tails"
+            )
+
+
+def find_root(parent: dict[int, int], e: int) -> int:
+    """Root of e in a union-find forest, compressing the path."""
+    while parent[e] != e:
+        parent[e] = parent[parent[e]]
+        e = parent[e]
+    return e
+
+
 def unknot() -> PlanarDiagram:
     """The crossing-free round unknot."""
     return PlanarDiagram((), (), free_loops=1)
@@ -245,66 +265,72 @@ def unknot() -> PlanarDiagram:
 # -- orientation resolution ----------------------------------------------------
 
 
-def resolve_orientation(crossings: Sequence[Crossing]) -> tuple[bool, ...]:
+def resolve_orientation(
+    crossings: Sequence[Crossing],
+    boundary: Mapping[str, int] | None = None,
+    flows: Mapping[str, str] | None = None,
+) -> tuple[tuple[bool, ...], dict[str, str]]:
     """Recover the per-crossing over-strand directions from the tuples.
 
     Propagates the one-head-one-tail constraint per edge from the fixed
-    under slots. Components that never pass under are genuinely ambiguous;
-    those fall back to a deterministic numbering rule.
+    under slots and from the given flows at the boundary corners of a
+    tangle ("in" makes the corner its edge's tail); a diagram is the case
+    with no corners. A corner left open is taken to enter. Strands that
+    never pass under are genuinely ambiguous; those fall back to a
+    deterministic numbering rule. Returns the flags and the flow at every
+    corner.
     """
-    n = 2 * len(crossings)
-    incs: dict[int, list[tuple[int, int]]] = {}
-    for i, x in enumerate(crossings):
-        for s in range(4):
-            incs.setdefault(x[s], []).append((i, s))
+    boundary = boundary or {}
+    # an incidence is a (crossing, slot) pair or a corner name
+    edge_at: dict = {(i, s): e for i, x in enumerate(crossings) for s, e in enumerate(x)}
+    edge_at.update(boundary)
+    incs: dict[int, list] = {}
+    for inc, e in edge_at.items():
+        incs.setdefault(e, []).append(inc)
     for e, v in incs.items():
         if len(v) != 2:
-            raise InconsistentEdges(f"edge {e} appears {len(v)} times, expected 2")
+            raise InconsistentEdges(f"edge {e} has {len(v)} ends, expected 2")
 
-    role: dict[tuple[int, int], str] = {}
+    role: dict = {}
     flags: list[bool | None] = [None] * len(crossings)
-    queue: list[tuple[int, int]] = []
+    queue: list = []
 
-    def set_role(inc: tuple[int, int], r: str) -> None:
+    def set_role(inc, r: str) -> None:
         cur = role.get(inc)
-        if cur is not None:
-            if cur != r:
-                raise OrientationError(f"conflicting orientation at {inc}")
-            return
-        role[inc] = r
-        queue.append(inc)
+        if cur is None:
+            role[inc] = r
+            queue.append(inc)
+        elif cur != r:
+            raise OrientationError(f"conflicting orientation at {inc}")
 
     def set_flag(i: int, f: bool) -> None:
-        if flags[i] is not None:
-            if flags[i] != f:
-                raise OrientationError(f"conflicting over direction at crossing {i}")
-            return
-        flags[i] = f
-        x = crossings[i]
-        if f:
-            set_role((i, 3), "h")
-            set_role((i, 1), "t")
-        else:
-            set_role((i, 1), "h")
-            set_role((i, 3), "t")
-
-    for i in range(len(crossings)):
-        set_role((i, 0), "h")
-        set_role((i, 2), "t")
+        if flags[i] is None:
+            flags[i] = f
+            set_role((i, 3 if f else 1), "h")
+            set_role((i, 1 if f else 3), "t")
+        elif flags[i] != f:
+            raise OrientationError(f"conflicting over direction at crossing {i}")
 
     def drain() -> None:
         while queue:
             inc = queue.pop()
-            i, s = inc
             r = role[inc]
-            if s in (1, 3) and flags[i] is None:
-                set_flag(i, (s == 3) == (r == "h"))
-            e = crossings[i][s]
-            p, q = incs[e]
-            other = q if inc == p else p
-            set_role(other, "t" if r == "h" else "h")
+            if isinstance(inc, tuple) and inc[1] in (1, 3) and flags[inc[0]] is None:
+                set_flag(inc[0], (inc[1] == 3) == (r == "h"))
+            p, q = incs[edge_at[inc]]
+            set_role(q if inc == p else p, "t" if r == "h" else "h")
 
+    for i in range(len(crossings)):
+        set_role((i, 0), "h")
+        set_role((i, 2), "t")
+    for c, f in (flows or {}).items():
+        set_role(c, "t" if f == "in" else "h")
     drain()
+    for c in boundary:
+        if c not in role:
+            set_role(c, "t")
+            drain()
+    n = len(incs)
     for i, x in enumerate(crossings):
         if flags[i] is None:
             b, d = x[1], x[3]
@@ -315,7 +341,8 @@ def resolve_orientation(crossings: Sequence[Crossing]) -> tuple[bool, ...]:
             else:
                 set_flag(i, b > d)
             drain()
-    return tuple(flags)  # type: ignore[arg-type]
+    corner_flows = {c: ("in" if role[c] == "t" else "out") for c in boundary}
+    return tuple(flags), corner_flows  # type: ignore[return-value]
 
 
 def diagram_from_tuples(
@@ -327,7 +354,7 @@ def diagram_from_tuples(
 ) -> PlanarDiagram:
     xs = tuple(Crossing(*map(int, t)) for t in tuples)
     if flags is None:
-        flags = resolve_orientation(xs)
+        flags, _ = resolve_orientation(xs)
     return PlanarDiagram(xs, tuple(flags), free_loops, dict(labels or {}), meta)
 
 
@@ -364,15 +391,16 @@ def parse_pd(source) -> PlanarDiagram:
 def _parse_doc(doc: Mapping) -> PlanarDiagram:
     if "crossings" not in doc:
         raise MalformedPD("document lacks 'crossings'")
-    tuples = []
-    for row in doc["crossings"]:
-        if len(row) != 4:
-            raise MalformedPD(f"crossing {row!r} is not a 4-tuple")
-        tuples.append(tuple(int(v) for v in row))
-    labels = {}
-    for k, v in (doc.get("labels") or {}).items():
-        labels[int(k)] = str(v)
-    free_loops = int(doc.get("free_loops", 0))
+    try:
+        tuples = []
+        for row in doc["crossings"]:
+            if len(row) != 4:
+                raise MalformedPD(f"crossing {row!r} is not a 4-tuple")
+            tuples.append(tuple(int(v) for v in row))
+        labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}
+        free_loops = int(doc.get("free_loops", 0))
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise MalformedPD(f"malformed diagram document: {exc}") from exc
     if not tuples and free_loops == 0:
         raise MalformedPD("empty diagram document")
     return diagram_from_tuples(tuples, free_loops=free_loops, labels=labels)
@@ -393,6 +421,23 @@ def to_doc(d: PlanarDiagram) -> dict:
     if d.free_loops:
         doc["free_loops"] = d.free_loops
     return doc
+
+
+# -- arcs ----------------------------------------------------------------------
+
+
+def over_arcs(d: PlanarDiagram) -> tuple[tuple[int, ...], ...]:
+    """The arcs of d: maximal runs of edges joined where they pass over a
+    crossing, each as its sorted edge ids, in order of lowest id."""
+    parent = {e: e for e in range(1, d.edge_count + 1)}
+    for x in d.crossings:
+        ra, rb = find_root(parent, x.b), find_root(parent, x.d)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for e in parent:
+        groups.setdefault(find_root(parent, e), []).append(e)
+    return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
 
 
 # -- faces ---------------------------------------------------------------------

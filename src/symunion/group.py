@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagram import NoCrossings, PlanarDiagram
+from .construct import built_union, derived
+from .diagram import NoCrossings, PlanarDiagram, over_arcs
 from .report import VerificationReport
 
 GroupWord = tuple[tuple[str, int], ...]
@@ -91,10 +92,9 @@ class WirtingerPresentation:
     generators: tuple[str, ...]
     relators: tuple[GroupWord, ...]
     meridian: str
-    # diagram bookkeeping; None when parsed from a document
+    # diagram bookkeeping; None for a presentation written by hand
     arcs: tuple[tuple[int, ...], ...] | None = None
     arc_of_edge: Mapping[int, int] | None = None
-    relator_crossings: tuple[int, ...] | None = None
 
     def generator_of_edge(self, e: int) -> str:
         if self.arc_of_edge is None:
@@ -110,23 +110,7 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
     if not d.crossings:
         raise NoCrossings("wirtinger needs at least one crossing")
 
-    parent = {e: e for e in range(1, d.edge_count + 1)}
-
-    def find(e: int) -> int:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for x in d.crossings:
-        ra, rb = find(x.b), find(x.d)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for e in range(1, d.edge_count + 1):
-        groups.setdefault(find(e), []).append(e)
-    arcs = tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
+    arcs = over_arcs(d)
     arc_of_edge = {e: i for i, arc in enumerate(arcs) for e in arc}
 
     names: list[str] = []
@@ -158,8 +142,13 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
         meridian,
         arcs=arcs,
         arc_of_edge=arc_of_edge,
-        relator_crossings=tuple(range(len(d.crossings))),
     )
+
+
+def presentation(d: PlanarDiagram) -> WirtingerPresentation:
+    """wirtinger(d); a built union computes it once and keeps it, so the
+    certificates that read it share one copy."""
+    return derived(d, "wirtinger", lambda: wirtinger(d))
 
 
 def abelianization_rank(p: WirtingerPresentation) -> int:
@@ -190,25 +179,6 @@ def abelianization_rank(p: WirtingerPresentation) -> int:
     return rank
 
 
-def presentation_doc(p: WirtingerPresentation) -> dict:
-    return {
-        "generators": list(p.generators),
-        "relators": [word_text(r) for r in p.relators],
-        "meridian": p.meridian,
-    }
-
-
-def parse_presentation(doc: Mapping) -> WirtingerPresentation:
-    gens = tuple(str(g) for g in doc["generators"])
-    rels = tuple(parse_word(r) for r in doc["relators"])
-    known = set(gens)
-    for r in rels:
-        for g, _ in r:
-            if g not in known:
-                raise ValueError(f"relator uses unknown generator {g}")
-    return WirtingerPresentation(gens, rels, str(doc["meridian"]))
-
-
 # -- the longitude word of a symmetric union --------------------------------------
 
 
@@ -233,7 +203,7 @@ def longitude_word(d: PlanarDiagram) -> GroupWord:
     lets the image of the whole word cancel freely. The total exponent sum
     is zero, so the word has zero linking with the knot.
     """
-    p = wirtinger(d)
+    p = presentation(d)
     e_start = _labeled_edge(d, "a0")
     e_stop = _labeled_edge(d, "a1")
     pred = {v: k for k, v in d.succ.items()}
@@ -296,7 +266,7 @@ def build_epimorphism(spec, k: PlanarDiagram, khat: WirtingerPresentation) -> Gr
         raise MissingMetadata("diagram carries no construction labels")
     if khat.arc_of_edge is None:
         raise MissingMetadata("target presentation carries no arc data")
-    src = wirtinger(k)
+    src = presentation(k)
 
     def target_of_label(lbl: str) -> str:
         if lbl in ("a0", "a1"):
@@ -370,16 +340,14 @@ def meridian_image(
     return free_reduce(apply_map(phi, ((src.meridian, 1),)))
 
 
-def certify_epimorphism(spec, k: PlanarDiagram | None = None) -> VerificationReport:
-    """Run the whole certificate for the fold-down map of a built union:
-    relator images are relations, the map is onto, the meridian goes to a
-    meridian, and the longitude word dies in the free group. Builds the
-    union itself unless a built diagram is passed in."""
-    from .construct import build_symmetric_union
-
-    if k is None:
-        k = build_symmetric_union(spec)
-    src = wirtinger(k)
+def certify_epimorphism(union) -> VerificationReport:
+    """Run the whole certificate for the fold-down map of a built union
+    (or of the union a spec builds): relator images are relations, the
+    map is onto, the meridian goes to a meridian, and the longitude word
+    dies in the free group."""
+    k = built_union(union)
+    spec = k.meta.spec
+    src = presentation(k)
     dst = wirtinger(spec.partial)
     phi = build_epimorphism(spec, k, dst)
 

@@ -23,7 +23,14 @@ from .diagram import (
     validate_planarity,
     writhe,
 )
-from .group import WirtingerPresentation, wirtinger
+from .construct import (
+    _rebuild_region,
+    build_all_zero_replacement,
+    built_union,
+    derived,
+    region_tangle,
+)
+from .group import WirtingerPresentation, presentation
 from .poly import (
     ConwayPoly,
     LaurentPoly,
@@ -359,19 +366,17 @@ def _greedy_order(d: PlanarDiagram) -> list[int]:
     return order
 
 
-def kauffman_bracket(
-    d: PlanarDiagram, cancel: CancelToken | None = None, naive: bool = False
-) -> LaurentPoly:
+def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
     """Bracket polynomial in the variable A (free loops excluded; the
     caller handles those)."""
     if not d.crossings:
         raise NoCrossings("bracket of a crossing-free diagram is handled upstream")
-    if naive:
-        return _bracket_naive(d, cancel)
     return _bracket_frontier(d, cancel)
 
 
 def _bracket_naive(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPoly:
+    """The bracket as the plain sum over all 2^n states: the test suite's
+    oracle for the frontier state sum, capped at _NAIVE_LIMIT crossings."""
     n = len(d.crossings)
     if n > _NAIVE_LIMIT:
         raise TooLarge(f"naive bracket limited to {_NAIVE_LIMIT} crossings")
@@ -545,38 +550,69 @@ def jones(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
 # -- formula verifications ----------------------------------------------------
 
 
-def _conway_closure(d: PlanarDiagram, cancel: CancelToken | None) -> ConwayPoly:
-    """Conway polynomial of a tangle closure. Knots convert exactly; a
-    multi-component closure is accepted only when its Alexander polynomial
-    vanishes, which forces the Conway contribution to zero."""
-    delta = alexander_region(d, cancel)
-    if d.component_count() == 1:
+def _conway(delta: LaurentPoly, components: int) -> ConwayPoly:
+    """Conway polynomial of a closure from its Alexander polynomial. Knots
+    convert exactly; a multi-component closure is accepted only when its
+    Alexander polynomial vanishes, which forces the Conway contribution to
+    zero."""
+    if components == 1:
         return conway_from_alexander(delta, knot=True)
     if delta.is_zero():
         return ConwayPoly.zero()
     raise UnsupportedLinkCase(
-        f"{d.component_count()}-component closure with nonvanishing "
+        f"{components}-component closure with nonvanishing "
         "alexander polynomial is outside the conway conversion"
     )
 
 
-def verify_product_formula(
-    spec, cancel: CancelToken | None = None
-) -> VerificationReport:
-    """The Alexander polynomial of the built union must factor as the
-    product of the tangle numerator-closure polynomials times the square
-    of the partial diagram's polynomial (all compared in canonical form).
+def _conway_closure(d: PlanarDiagram, cancel: CancelToken | None) -> ConwayPoly:
+    return _conway(alexander_region(d, cancel), d.component_count())
+
+
+def _shared_alexander(
+    k: PlanarDiagram, key, make, cancel: CancelToken | None
+) -> tuple[LaurentPoly, int]:
+    """Alexander polynomial (region route) and component count of a
+    diagram that both the product formula and the fraction rule read: the
+    union k itself or a numerator closure of one of its tangles. make()
+    gives the diagram; both values are computed once per union."""
+
+    def compute() -> tuple[LaurentPoly, int]:
+        d = make()
+        return alexander_region(d, cancel), d.component_count()
+
+    return derived(k, ("alexander", key), compute)
+
+
+def verify_zero_replacement(union) -> VerificationReport:
+    """Replacing every inserted tangle by the crossingless west-to-east
+    tangle splits the union and kills its Alexander polynomial."""
+    k = built_union(union)
+    rep = VerificationReport("zero replacement collapses the polynomial")
+    flat = build_all_zero_replacement(k.meta.spec)
+    a = alexander_region(flat)
+    rep.record("components", flat.component_count())
+    rep.record("alexander of replacement", a.text())
+    rep.add("alexander polynomial vanishes", a.is_zero())
+    return rep
+
+
+def verify_product_formula(union, cancel: CancelToken | None = None) -> VerificationReport:
+    """The Alexander polynomial of the built union (or of the union a spec
+    builds) must factor as the product of the tangle numerator-closure
+    polynomials times the square of the partial diagram's polynomial (all
+    compared in canonical form).
 
     The union's polynomial is computed by both routes, which must agree.
     """
-    from .construct import build_symmetric_union
-
-    k = build_symmetric_union(spec)
+    k = built_union(union)
+    spec = k.meta.spec
     rep = VerificationReport("alexander product formula")
     rep.record("union crossings", len(k.crossings))
 
-    via_region = normalize_alexander(alexander_region(k, cancel))
-    via_fox = normalize_alexander(alexander_fox(wirtinger(k), cancel))
+    delta, _ = _shared_alexander(k, "union", lambda: k, cancel)
+    via_region = normalize_alexander(delta)
+    via_fox = normalize_alexander(alexander_fox(presentation(k), cancel))
     rep.record("alexander of union", via_region.text())
     rep.add(
         "region and fox routes agree",
@@ -588,7 +624,8 @@ def verify_product_formula(
     rep.record("partial factor", half.text())
     prod = half * half
     for i, t in enumerate(spec.tangles, start=1):
-        f = normalize_alexander(alexander_region(numerator(t), cancel))
+        delta, _ = _shared_alexander(k, i, lambda: numerator(t), cancel)
+        f = normalize_alexander(delta)
         rep.record(f"numerator factor {i}", f.text())
         prod = prod * f
     prod = normalize_alexander(prod)
@@ -597,8 +634,34 @@ def verify_product_formula(
     return rep
 
 
+def _sum_rule(rep: VerificationReport, lhs, n1, d0, n0, d1) -> VerificationReport:
+    """Check nabla(lhs) = nabla(n1) nabla(d0) + nabla(d1) nabla(n0) into rep.
+    Each argument is a (report key, thunk giving the Conway polynomial)
+    pair. A second factor is evaluated only when its partner is nonzero,
+    so a vanishing closure on one side spares the other side's polynomial
+    from needing a conway form at all."""
+
+    def value(entry) -> ConwayPoly:
+        key, thunk = entry
+        v = thunk()
+        rep.record(key, v.text())
+        return v
+
+    left = value(lhs)
+    right = ConwayPoly.zero()
+    for first, second in ((n1, d0), (n0, d1)):
+        f = value(first)
+        if f.is_zero():
+            rep.record(second[0], "skipped: factor is zero")
+        else:
+            right = right + f * value(second)
+    rep.record("sum of products", right.text())
+    rep.add("fraction formula holds", left == right)
+    return rep
+
+
 def verify_fraction_region(
-    spec, region: int = 1, cancel: CancelToken | None = None
+    union, region: int = 1, cancel: CancelToken | None = None
 ) -> VerificationReport:
     """Decompose the union at one tangle box: the whole diagram is the
     numerator closure of (inserted tangle + everything else), so the sum
@@ -606,46 +669,27 @@ def verify_fraction_region(
     rebuilds that put a crossingless tangle in the box. The vertical
     trivial tangle closes the complement's denominator, the horizontal one
     its numerator (which splits the diagram and vanishes)."""
-    from .construct import _rebuild_region, build_symmetric_union
-
-    k = build_symmetric_union(spec)
-    t = spec.tangles[region - 1]
+    k = built_union(union)
+    t = region_tangle(k, region)
     rep = VerificationReport(f"fraction decomposition at region {region}")
     rep.record("union crossings", len(k.crossings))
 
-    lhs = _conway_closure(k, cancel)
-    rep.record("conway of union", lhs.text())
+    def shared(key, make):
+        return lambda: _conway(*_shared_alexander(k, key, make, cancel))
 
-    n1 = _conway_closure(numerator(t), cancel)
-    rep.record("numerator of tangle", n1.text())
-    if n1.is_zero():
-        term1 = ConwayPoly.zero()
-        rep.record("denominator of complement", "skipped: factor is zero")
-    else:
-        d0 = _conway_closure(
-            _rebuild_region(k, region, vertical_twists(0), require_knot=True),
-            cancel,
+    def complement(r: Tangle, knot: bool):
+        return lambda: _conway_closure(
+            _rebuild_region(k, region, r, require_knot=knot), cancel
         )
-        rep.record("denominator of complement", d0.text())
-        term1 = n1 * d0
 
-    n0 = _conway_closure(
-        _rebuild_region(k, region, rational_tangle([]), require_knot=False),
-        cancel,
+    return _sum_rule(
+        rep,
+        ("conway of union", shared("union", lambda: k)),
+        ("numerator of tangle", shared(region, lambda: numerator(t))),
+        ("denominator of complement", complement(vertical_twists(0), True)),
+        ("numerator of complement", complement(rational_tangle([]), False)),
+        ("denominator of tangle", lambda: _conway_closure(denominator(t), cancel)),
     )
-    rep.record("numerator of complement", n0.text())
-    if n0.is_zero():
-        term2 = ConwayPoly.zero()
-        rep.record("denominator of tangle", "skipped: factor is zero")
-    else:
-        d1 = _conway_closure(denominator(t), cancel)
-        rep.record("denominator of tangle", d1.text())
-        term2 = d1 * n0
-
-    rhs = term1 + term2
-    rep.record("sum of products", rhs.text())
-    rep.add("fraction formula holds", lhs == rhs)
-    return rep
 
 
 def verify_fraction_formula(
@@ -655,35 +699,16 @@ def verify_fraction_formula(
 
         nabla(N(t1 + t0)) = nabla(N(t1)) nabla(D(t0))
                           + nabla(D(t1)) nabla(N(t0))
-
-    Factors are evaluated lazily so that a vanishing closure on one side
-    spares the other side's polynomial from needing a conway form at all.
     """
-    rep = VerificationReport("conway fraction formula")
-    lhs = _conway_closure(numerator(tangle_sum(t1, t0)), cancel)
-    rep.record("numerator of sum", lhs.text())
 
-    n1 = _conway_closure(numerator(t1), cancel)
-    rep.record("numerator of first", n1.text())
-    if n1.is_zero():
-        term1 = ConwayPoly.zero()
-        rep.record("denominator of second", "skipped: factor is zero")
-    else:
-        d0 = _conway_closure(denominator(t0), cancel)
-        rep.record("denominator of second", d0.text())
-        term1 = n1 * d0
+    def closure(close, t: Tangle):
+        return lambda: _conway_closure(close(t), cancel)
 
-    n0 = _conway_closure(numerator(t0), cancel)
-    rep.record("numerator of second", n0.text())
-    if n0.is_zero():
-        term2 = ConwayPoly.zero()
-        rep.record("denominator of first", "skipped: factor is zero")
-    else:
-        d1 = _conway_closure(denominator(t1), cancel)
-        rep.record("denominator of first", d1.text())
-        term2 = d1 * n0
-
-    rhs = term1 + term2
-    rep.record("sum of products", rhs.text())
-    rep.add("fraction formula holds", lhs == rhs)
-    return rep
+    return _sum_rule(
+        VerificationReport("conway fraction formula"),
+        ("numerator of sum", closure(numerator, tangle_sum(t1, t0))),
+        ("numerator of first", closure(numerator, t1)),
+        ("denominator of second", closure(denominator, t0)),
+        ("numerator of second", closure(numerator, t0)),
+        ("denominator of first", closure(denominator, t1)),
+    )

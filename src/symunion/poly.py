@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class PolyError(Exception):
@@ -39,14 +39,14 @@ def _check_int(v: object, what: str) -> int:
     return v
 
 
-class LaurentPoly:
-    """Polynomial in t and 1/t with integer coefficients.
-
-    Immutable; equality and hashing go by the coefficient map. Zero
-    coefficients are never stored.
-    """
+class _IntPoly:
+    """Ring code shared by the two polynomial types: a sparse map from
+    exponent to nonzero integer coefficient. Immutable; equality and
+    hashing go by the coefficient map, and the two types never compare
+    equal or mix in arithmetic."""
 
     __slots__ = ("_c",)
+    _VAR = ""
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         c: dict[int, int] = {}
@@ -59,18 +59,12 @@ class LaurentPoly:
         self._c = c
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
+    def one(cls):
         return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._c
@@ -81,8 +75,71 @@ class LaurentPoly:
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._c.items()))
 
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
+    def __add__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            return NotImplemented
+        c = dict(self._c)
+        for e, v in other._c.items():
+            w = c.get(e, 0) + v
+            if w:
+                c[e] = w
+            else:
+                c.pop(e, None)
+        out = cls.__new__(cls)
+        out._c = c
+        return out
+
+    def __mul__(self, other):
+        cls = type(self)
+        if isinstance(other, int) and not isinstance(other, bool):
+            other = cls({0: other})
+        if type(other) is not cls:
+            return NotImplemented
+        c: dict[int, int] = {}
+        for e1, v1 in self._c.items():
+            for e2, v2 in other._c.items():
+                e = e1 + e2
+                w = c.get(e, 0) + v1 * v2
+                if w:
+                    c[e] = w
+                else:
+                    c.pop(e, None)
+        out = cls.__new__(cls)
+        out._c = c
+        return out
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash((self._VAR, frozenset(self._c.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text()!r})"
+
+    def text(self) -> str:
+        return _terms_text(self.items(), self._VAR)
+
+
+class LaurentPoly(_IntPoly):
+    """Polynomial in t and 1/t with integer coefficients."""
+
+    __slots__ = ()
+    _VAR = "t"
+
+    @classmethod
+    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
+        return cls({exp: coeff})
+
+    # -- structure ---------------------------------------------------------
 
     def min_exp(self) -> int:
         if not self._c:
@@ -94,24 +151,7 @@ class LaurentPoly:
             raise ZeroPolynomial("zero polynomial has no exponents")
         return max(self._c)
 
-    def span(self) -> int:
-        return self.max_exp() - self.min_exp()
-
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -122,26 +162,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {e: -v for e, v in self._c.items()}
         return out
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         _check_int(n, "power")
@@ -155,20 +175,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.text()!r})"
 
     # -- transforms --------------------------------------------------------
 
@@ -198,9 +204,6 @@ class LaurentPoly:
         if acc.denominator == 1:
             return int(acc)
         return acc
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; raises if the division
@@ -237,112 +240,19 @@ class LaurentPoly:
             out[e + sh - oh] = int(v)
         return LaurentPoly(out)
 
-    # -- text form ---------------------------------------------------------
 
-    def text(self, var: str = "t") -> str:
-        return _terms_text(self.items(), var)
-
-
-class ConwayPoly:
+class ConwayPoly(_IntPoly):
     """Polynomial in z with integer coefficients and exponents >= 0."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _VAR = "z"
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c: dict[int, int] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                _check_int(e, "exponent")
-                _check_int(v, "coefficient")
-                if e < 0:
-                    raise ValueError("Conway polynomials have no negative powers")
-                if v:
-                    c[e] = v
-        self._c = c
+        super().__init__(coeffs)
+        if any(e < 0 for e in self._c):
+            raise ValueError("Conway polynomials have no negative powers")
 
-    @classmethod
-    def zero(cls) -> "ConwayPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "ConwayPoly":
-        return cls({0: 1})
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def coeff(self, exp: int) -> int:
-        return self._c.get(exp, 0)
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._c.items()))
-
-    def degree(self) -> int:
-        if not self._c:
-            raise ZeroPolynomial("zero polynomial has no degree")
-        return max(self._c)
-
-    def __add__(self, other: "ConwayPoly") -> "ConwayPoly":
-        if not isinstance(other, ConwayPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = ConwayPoly.__new__(ConwayPoly)
-        out._c = c
-        return out
-
-    def __mul__(self, other: "ConwayPoly") -> "ConwayPoly":
-        if not isinstance(other, ConwayPoly):
-            return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = ConwayPoly.__new__(ConwayPoly)
-        out._c = c
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConwayPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(("z", frozenset(self._c.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __repr__(self) -> str:
-        return f"ConwayPoly({self.text()!r})"
-
-    def text(self) -> str:
-        return _terms_text(self.items(), "z")
-
-
-# -- spec'd functional aliases ----------------------------------------------
-
-
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def neg(a: LaurentPoly) -> LaurentPoly:
-    return -a
+# -- products ----------------------------------------------------------------
 
 
 def product(polys) -> LaurentPoly:
@@ -405,10 +315,6 @@ def is_monic(p: LaurentPoly) -> bool:
 _ZSQ = LaurentPoly({1: 1, 0: -2, -1: 1})  # the image of z^2
 
 
-def _zsq_power(k: int) -> LaurentPoly:
-    return _ZSQ**k
-
-
 def conway_from_alexander(p: LaurentPoly, knot: bool = True) -> ConwayPoly:
     """The unique even-power z-form with p(t) = nabla(z) under z^2 = t - 2 + 1/t.
 
@@ -436,7 +342,7 @@ def conway_from_alexander(p: LaurentPoly, knot: bool = True) -> ConwayPoly:
             rem = rem - LaurentPoly.term(a)
         else:
             out[2 * k] = a
-            rem = rem - a * _zsq_power(k)
+            rem = rem - a * _ZSQ**k
     nabla = ConwayPoly(out)
     if nabla.coeff(0) != 1:
         raise NotNormalizable("constant term of the z-form is not 1")
@@ -449,7 +355,7 @@ def alexander_from_conway(n: ConwayPoly) -> LaurentPoly:
     for e, v in n.items():
         if e % 2:
             raise ValueError("odd z-powers do not land in the t-ring")
-        acc = acc + v * _zsq_power(e // 2)
+        acc = acc + v * _ZSQ ** (e // 2)
     return acc
 
 

@@ -14,12 +14,20 @@ point the same way, which raises OrientationMismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .diagram import Crossing, PlanarDiagram
+from .diagram import (
+    Crossing,
+    InconsistentEdges,
+    OrientationError,
+    PlanarDiagram,
+    check_ends,
+    find_root,
+    resolve_orientation,
+)
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
@@ -43,6 +51,18 @@ class BoundaryMismatch(TangleError):
 Incidence = tuple  # ("X", crossing, slot) or ("B", corner)
 
 
+@contextmanager
+def _as_tangle_errors():
+    """Edge and orientation failures the diagram layer finds in tangle
+    data surface as this module's errors."""
+    try:
+        yield
+    except InconsistentEdges as exc:
+        raise TangleError(str(exc)) from exc
+    except OrientationError as exc:
+        raise OrientationMismatch(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class Tangle:
     crossings: tuple[Crossing, ...]
@@ -60,37 +80,9 @@ class Tangle:
             raise TangleError("one over flag per crossing required")
         if self.closed_loops < 0:
             raise TangleError("negative closed_loops")
-        n = 2 * len(self.crossings) + 2
-        count: dict[int, int] = {}
-        for x in self.crossings:
-            for e in x:
-                count[e] = count.get(e, 0) + 1
-        for c in CORNERS:
-            e = self.boundary[c]
-            count[e] = count.get(e, 0) + 1
-        for e in range(1, n + 1):
-            if count.get(e, 0) != 2:
-                raise TangleError(
-                    f"edge {e} has {count.get(e, 0)} ends, expected 2 (ids 1..{n})"
-                )
-        if set(count) != set(range(1, n + 1)):
-            raise TangleError(f"edge ids must be exactly 1..{n}")
-        heads: dict[int, int] = {}
-        tails: dict[int, int] = {}
-        for i, x in enumerate(self.crossings):
-            hs = (0, 3) if self.over_from_d[i] else (0, 1)
-            for s in range(4):
-                bucket = heads if s in hs else tails
-                bucket[x[s]] = bucket.get(x[s], 0) + 1
-        for c in CORNERS:
-            e = self.boundary[c]
-            bucket = tails if self.flows[c] == "in" else heads
-            bucket[e] = bucket.get(e, 0) + 1
-        for e in range(1, n + 1):
-            if heads.get(e, 0) != 1 or tails.get(e, 0) != 1:
-                raise OrientationMismatch(
-                    f"edge {e} has {heads.get(e, 0)} heads, {tails.get(e, 0)} tails"
-                )
+        corners = [(self.boundary[c], self.flows[c]) for c in CORNERS]
+        with _as_tangle_errors():
+            check_ends(self.crossings, self.over_from_d, self.edge_count, corners)
 
     @property
     def edge_count(self) -> int:
@@ -116,24 +108,27 @@ class Tangle:
         out = []
         seen: set[str] = set()
         for start in CORNERS:
-            if start in seen:
-                continue
-            edges = []
-            e = self.boundary[start]
-            at: Incidence = ("B", start)
-            while True:
-                edges.append(e)
-                other = self._other(e, at)
-                if other[0] == "B":
-                    end = other[1]
-                    break
-                _, i, s = other
-                s2 = (s + 2) % 4
-                e = self.crossings[i][s2]
-                at = ("X", i, s2)
-            seen.update((start, end))
-            out.append((start, end, tuple(edges)))
+            if start not in seen:
+                end, edges, _ = self._follow(start)
+                seen.update((start, end))
+                out.append((start, end, tuple(edges)))
         return tuple(out)
+
+    def _follow(self, start: str) -> tuple[str, list[int], list[tuple[int, int]]]:
+        """Follow the strand from corner start: its end corner, its edges,
+        and the (crossing, slot) where it enters each crossing it meets."""
+        edges: list[int] = []
+        entries: list[tuple[int, int]] = []
+        e, at = self.boundary[start], ("B", start)
+        while True:
+            edges.append(e)
+            other = self._other(e, at)
+            if other[0] == "B":
+                return other[1], edges, entries
+            _, i, s = other
+            entries.append((i, s))
+            s2 = (s + 2) % 4
+            e, at = self.crossings[i][s2], ("X", i, s2)
 
     def _other(self, e: int, at: Incidence) -> Incidence:
         p, q = self.incidences[e]
@@ -202,35 +197,17 @@ def vertical_twists(n: int) -> Tangle:
 
 def reverse_strand(t: Tangle, corner: str) -> Tangle:
     """Reverse the orientation of the strand whose end lies at corner."""
-    strand = next(s for s in t.strands if corner in (s[0], s[1]))
-    start, end, edges = strand
-    under: dict[int, int] = {}
-    over: dict[int, int] = {}
-    at: Incidence = ("B", start)
-    e = t.boundary[start]
-    while True:
-        other = t._other(e, at)
-        if other[0] == "B":
-            break
-        _, i, s = other
-        if s in (0, 2):
-            under[i] = under.get(i, 0) + 1
-        else:
-            over[i] = over.get(i, 0) + 1
-        s2 = (s + 2) % 4
-        e = t.crossings[i][s2]
-        at = ("X", i, s2)
+    start, end, _ = next(s for s in t.strands if corner in (s[0], s[1]))
+    under: set[int] = set()
+    over: set[int] = set()
+    for i, s in t._follow(start)[2]:
+        (under if s in (0, 2) else over).add(i)
     xs = list(t.crossings)
     flags = list(t.over_from_d)
-    for i in range(len(xs)):
-        u, o = under.get(i, 0), over.get(i, 0)
-        if u and o:
-            xs[i] = Crossing(xs[i].c, xs[i].d, xs[i].a, xs[i].b)
-        elif u:
-            xs[i] = Crossing(xs[i].c, xs[i].d, xs[i].a, xs[i].b)
-            flags[i] = not flags[i]
-        elif o:
-            flags[i] = not flags[i]
+    for i in under:
+        xs[i] = Crossing(xs[i].c, xs[i].d, xs[i].a, xs[i].b)
+    for i in under ^ over:
+        flags[i] = not flags[i]
     flows = dict(t.flows)
     for c in (start, end):
         flows[c] = "out" if flows[c] == "in" else "in"
@@ -240,11 +217,31 @@ def reverse_strand(t: Tangle, corner: str) -> Tangle:
 # -- gluing: sum, stack, closures ------------------------------------------------------
 
 
-def _find(parent: dict[int, int], e: int) -> int:
-    while parent[e] != e:
-        parent[e] = parent[parent[e]]
-        e = parent[e]
-    return e
+def _join(
+    n: int,
+    crossings: Iterable[Sequence[int]],
+    joins: Iterable[tuple[int, int]],
+    kept: Sequence[int] = (),
+) -> tuple[list[Crossing], list[int], int]:
+    """Merge edge ids 1..n along joins. Returns the crossings and the kept
+    ids with the merged edges renumbered onto 1..m, and the number of
+    merged edges that meet neither a crossing nor a kept id (closed
+    loops)."""
+    parent = {e: e for e in range(1, n + 1)}
+    for a, b in joins:
+        ra, rb = find_root(parent, a), find_root(parent, b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    xs = [[find_root(parent, e) for e in x] for x in crossings]
+    kept = [find_root(parent, e) for e in kept]
+    used = {e for x in xs for e in x} | set(kept)
+    loops = len({find_root(parent, e) for e in parent} - used)
+    compact = {e: k + 1 for k, e in enumerate(sorted(used))}
+    return (
+        [Crossing(*(compact[e] for e in x)) for x in xs],
+        [compact[e] for e in kept],
+        loops,
+    )
 
 
 def _fit_seams(
@@ -266,73 +263,40 @@ def _fit_seams(
         raise OrientationMismatch(f"declared flows clash at seams {bad}")
 
     def variants(t: Tangle) -> list[Tangle]:
-        starts = [s[0] for s in t.strands]
-        out = [t]
-        for c in starts:
-            out.append(reverse_strand(t, c))
-        both = t
-        for c in starts:
-            both = reverse_strand(both, c)
-        out.append(both)
-        return out
+        a, b = (s[0] for s in t.strands)
+        ra = reverse_strand(t, a)
+        return [t, ra, reverse_strand(t, b), reverse_strand(ra, b)]
 
-    v1, v2 = variants(t1), variants(t2)
-    options = sorted(
-        ((i, j) for i in range(len(v1)) for j in range(len(v2))),
-        key=lambda p: (p[0] != 0, p[0], p[1]),
-    )
-    for i, j in options:
-        if ok(v1[i], v2[j]):
-            return v1[i], v2[j]
-    raise OrientationMismatch(
-        "no strand orientation satisfies the seams"
-    )
+    v2 = variants(t2)
+    for a in variants(t1):
+        for b in v2:
+            if ok(a, b):
+                return a, b
+    raise OrientationMismatch("no strand orientation satisfies the seams")
 
 
 def _glue(
-    t1: Tangle,
-    t2: Tangle,
-    seams: Sequence[tuple[str, str]],
-    corners_from: Mapping[str, tuple[int, str]],
-    fix_flows: bool,
+    t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]], fix_flows: bool
 ) -> Tangle:
+    """Join corner c1 of t1 to corner c2 of t2 for each seam (c1, c2). Every
+    other corner keeps its name, from whichever tangle still has it free."""
     if len({c2 for _, c2 in seams}) < len(seams):
         raise BoundaryMismatch("seam corners must be distinct")
     t1, t2 = _fit_seams(t1, t2, seams, fix_flows)
 
     off = t1.edge_count
-    ids = list(range(1, off + t2.edge_count + 1))
-    parent = {e: e for e in ids}
-    for c1, c2 in seams:
-        a, b = _find(parent, t1.boundary[c1]), _find(parent, t2.boundary[c2] + off)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    xs = [Crossing(*x) for x in t1.crossings]
-    xs += [Crossing(*(e + off for e in x)) for x in t2.crossings]
-    xs = [Crossing(*(_find(parent, e) for e in x)) for x in xs]
-    flags = tuple(t1.over_from_d) + tuple(t2.over_from_d)
-
-    boundary = {}
-    flows = {}
-    for corner, (which, old) in corners_from.items():
-        src = t1 if which == 1 else t2
-        eid = src.boundary[old] + (0 if which == 1 else off)
-        boundary[corner] = _find(parent, eid)
-        flows[corner] = src.flows[old]
-
-    used = {e for x in xs for e in x} | set(boundary.values())
-    roots = {_find(parent, e) for e in ids}
-    extra_loops = len(roots - used)
-    compact = {r: k + 1 for k, r in enumerate(sorted(used))}
-    xs = [Crossing(*(compact[e] for e in x)) for x in xs]
-    boundary = {c: compact[e] for c, e in boundary.items()}
+    xs = list(t1.crossings) + [[e + off for e in x] for x in t2.crossings]
+    joins = [(t1.boundary[c1], t2.boundary[c2] + off) for c1, c2 in seams]
+    sealed = {c1 for c1, _ in seams}
+    source = {c: (t2, off) if c in sealed else (t1, 0) for c in CORNERS}
+    ends = [t.boundary[c] + shift for c, (t, shift) in source.items()]
+    xs, ends, loops = _join(off + t2.edge_count, xs, joins, ends)
     return Tangle(
         tuple(xs),
-        flags,
-        boundary,
-        flows,
-        t1.closed_loops + t2.closed_loops + extra_loops,
+        tuple(t1.over_from_d) + tuple(t2.over_from_d),
+        dict(zip(CORNERS, ends)),
+        {c: t.flows[c] for c, (t, _) in source.items()},
+        t1.closed_loops + t2.closed_loops + loops,
     )
 
 
@@ -340,35 +304,13 @@ def tangle_sum(t1: Tangle, t2: Tangle, fix_flows: bool = False) -> Tangle:
     """Horizontal juxtaposition: the east side of t1 joins the west side
     of t2. By default t2's strands are reoriented to fit; with fix_flows
     the declared flows must already match."""
-    return _glue(
-        t1,
-        t2,
-        seams=(("NE", "NW"), ("SE", "SW")),
-        corners_from={
-            "NW": (1, "NW"),
-            "SW": (1, "SW"),
-            "NE": (2, "NE"),
-            "SE": (2, "SE"),
-        },
-        fix_flows=fix_flows,
-    )
+    return _glue(t1, t2, (("NE", "NW"), ("SE", "SW")), fix_flows)
 
 
 def vertical_stack(t1: Tangle, t2: Tangle, fix_flows: bool = False) -> Tangle:
     """t1 placed on top of t2: the south side of t1 joins the north side
     of t2."""
-    return _glue(
-        t1,
-        t2,
-        seams=(("SW", "NW"), ("SE", "NE")),
-        corners_from={
-            "NW": (1, "NW"),
-            "NE": (1, "NE"),
-            "SW": (2, "SW"),
-            "SE": (2, "SE"),
-        },
-        fix_flows=fix_flows,
-    )
+    return _glue(t1, t2, (("SW", "NW"), ("SE", "NE")), fix_flows)
 
 
 def rotate_pi(t: Tangle) -> Tangle:
@@ -405,21 +347,11 @@ def _close(t: Tangle, pairs: Sequence[tuple[str, str]]) -> PlanarDiagram:
             if corner == start:
                 break
 
-    off = 0
-    ids = list(range(1, work.edge_count + 1))
-    parent = {e: e for e in ids}
-    for a, b in pairs:
-        ra, rb = _find(parent, work.boundary[a]), _find(parent, work.boundary[b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    xs = [Crossing(*(_find(parent, e) for e in x)) for x in work.crossings]
-    used = {e for x in xs for e in x}
-    roots = {_find(parent, e) for e in ids}
-    free = len(roots - used) + work.closed_loops
-    compact = {r: k + 1 for k, r in enumerate(sorted(used))}
-    xs = [Crossing(*(compact[e] for e in x)) for x in xs]
-    del off
-    return PlanarDiagram(tuple(xs), tuple(work.over_from_d), free_loops=free)
+    joins = [(work.boundary[a], work.boundary[b]) for a, b in pairs]
+    xs, _, loops = _join(work.edge_count, work.crossings, joins)
+    return PlanarDiagram(
+        tuple(xs), tuple(work.over_from_d), free_loops=loops + work.closed_loops
+    )
 
 
 def numerator(t: Tangle) -> PlanarDiagram:
@@ -503,108 +435,21 @@ def to_tangle_doc(t: Tangle) -> dict:
 
 
 def parse_tangle(doc: Mapping) -> Tangle:
-    if "rational" in doc:
-        return rational_tangle(doc["rational"])
-    if "kt" in doc:
-        return kt_tangle(int(doc["kt"]))
-    if "crossings" not in doc or "boundary" not in doc:
-        raise TangleError("tangle document needs crossings and boundary")
-    xs = tuple(Crossing(*(int(v) for v in row)) for row in doc["crossings"])
-    boundary = {c: int(doc["boundary"][c]) for c in CORNERS}
-    loops = int(doc.get("closed_loops", 0))
-    if "flows" in doc:
-        flows = {c: str(doc["flows"][c]) for c in CORNERS}
-        flags = _resolve_tangle(xs, boundary, flows)
-        return Tangle(xs, flags, boundary, flows, loops)
-    flags, flows = _resolve_tangle_free(xs, boundary)
-    return Tangle(xs, flags, boundary, flows, loops)
-
-
-def _resolve_tangle(
-    xs: Sequence[Crossing], boundary: Mapping[str, int], flows: Mapping[str, str]
-) -> tuple[bool, ...]:
-    flags, _ = _resolve(xs, boundary, dict(flows))
-    return flags
-
-
-def _resolve_tangle_free(
-    xs: Sequence[Crossing], boundary: Mapping[str, int]
-) -> tuple[tuple[bool, ...], dict[str, str]]:
-    return _resolve(xs, boundary, {})
-
-
-def _resolve(
-    xs: Sequence[Crossing],
-    boundary: Mapping[str, int],
-    flow_facts: dict[str, str],
-) -> tuple[tuple[bool, ...], dict[str, str]]:
-    incs: dict[int, list[Incidence]] = {}
-    for i, x in enumerate(xs):
-        for s in range(4):
-            incs.setdefault(x[s], []).append(("X", i, s))
-    for c in CORNERS:
-        incs.setdefault(boundary[c], []).append(("B", c))
-    for e, v in incs.items():
-        if len(v) != 2:
-            raise TangleError(f"edge {e} has {len(v)} ends, expected 2")
-
-    role: dict[Incidence, str] = {}
-    flags: list[bool | None] = [None] * len(xs)
-    queue: list[Incidence] = []
-
-    def set_role(inc: Incidence, r: str) -> None:
-        cur = role.get(inc)
-        if cur is not None:
-            if cur != r:
-                raise OrientationMismatch(f"conflicting orientation at {inc}")
-            return
-        role[inc] = r
-        queue.append(inc)
-
-    def set_flag(i: int, f: bool) -> None:
-        if flags[i] is not None:
-            if flags[i] != f:
-                raise OrientationMismatch(f"conflicting over direction at {i}")
-            return
-        flags[i] = f
-        set_role(("X", i, 3 if f else 1), "h")
-        set_role(("X", i, 1 if f else 3), "t")
-
-    def drain() -> None:
-        while queue:
-            inc = queue.pop()
-            r = role[inc]
-            if inc[0] == "X":
-                _, i, s = inc
-                if s in (1, 3) and flags[i] is None:
-                    set_flag(i, (s == 3) == (r == "h"))
-                e = xs[i][s]
-            else:
-                e = boundary[inc[1]]
-            p, q = incs[e]
-            other = q if inc == p else p
-            set_role(other, "t" if r == "h" else "h")
-
-    for i in range(len(xs)):
-        set_role(("X", i, 0), "h")
-        set_role(("X", i, 2), "t")
-    for c, f in flow_facts.items():
-        set_role(("B", c), "t" if f == "in" else "h")
-    drain()
-    for c in CORNERS:
-        if ("B", c) not in role:
-            set_role(("B", c), "t")
-            drain()
-    for i, x in enumerate(xs):
-        if flags[i] is None:
-            m = 2 * len(xs) + 2
-            b, d = x[1], x[3]
-            if (b - d) % m == 1:
-                set_flag(i, True)
-            elif (d - b) % m == 1:
-                set_flag(i, False)
-            else:
-                set_flag(i, b > d)
-            drain()
-    flows = {c: ("in" if role[("B", c)] == "t" else "out") for c in CORNERS}
-    return tuple(flags), flows  # type: ignore[return-value]
+    if not isinstance(doc, Mapping):
+        raise TangleError(f"tangle document must be an object, not {type(doc).__name__}")
+    try:
+        if "rational" in doc:
+            return rational_tangle(doc["rational"])
+        if "kt" in doc:
+            return kt_tangle(int(doc["kt"]))
+        if "crossings" not in doc or "boundary" not in doc:
+            raise TangleError("tangle document needs crossings and boundary")
+        xs = tuple(Crossing(*(int(v) for v in row)) for row in doc["crossings"])
+        boundary = {c: int(doc["boundary"][c]) for c in CORNERS}
+        flows = {c: str(doc["flows"][c]) for c in CORNERS} if "flows" in doc else {}
+        loops = int(doc.get("closed_loops", 0))
+        with _as_tangle_errors():
+            flags, resolved = resolve_orientation(xs, boundary, flows)
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise TangleError(f"malformed tangle document: {exc!r}") from exc
+    return Tangle(xs, flags, boundary, flows or resolved, loops)

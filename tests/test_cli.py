@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from symunion import cli, corpus
+from symunion import cli, construct, corpus, invariant
+from symunion.construct import to_spec_doc
 from symunion.diagram import parse_pd
 from symunion.report import VerificationReport
 
@@ -67,6 +68,40 @@ class TestBuild:
         assert rc == 2
 
 
+def _with(key, value):
+    doc = to_spec_doc(corpus.SPEC_FIXTURES["kt_union_1"])
+    doc[key] = value
+    return doc
+
+
+class TestMalformedDocuments:
+    """A document of the wrong shape is bad input (exit 2) with a one-line
+    error, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            _with("tangles", [5]),
+            _with("tangles", [{"crossings": [], "boundary": [1, 2]}]),
+            _with("marked_arcs", 5),
+            _with("partial", {"crossings": 5}),
+            _with("partial", {"crossings": [[1, 2, 3, 4]], "labels": [1]}),
+        ],
+        ids=["top-level-list", "tangle-not-object", "boundary-not-object",
+             "marked-arcs-not-list", "crossings-not-list", "labels-not-object"],
+    )
+    def test_wrong_shape_is_exit_2(self, command, doc, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, command, str(p))
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+
 class TestInvariants:
     def test_default_runs_everything(self, spec_path, tmp_path, capsys):
         built = tmp_path / "built.json"
@@ -115,6 +150,34 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", str(spec_path), "--lemma", "--format", "doc")
         assert rc == 0
         assert len(json.loads(out)) == 1
+
+    def test_union_is_built_once_and_its_determinant_taken_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = corpus.SPEC_FIXTURES["kt_union_3"]
+        union = construct.build_symmetric_union(spec)
+        path = tmp_path / "kt_union_3.json"
+        path.write_text(json.dumps(to_spec_doc(spec)))
+
+        searched, matrices = [], []
+        search, matrix = construct._assemble, invariant.region_matrix
+
+        def counting_search(s, **kwargs):
+            searched.append(s)
+            return search(s, **kwargs)
+
+        def counting_matrix(d):
+            matrices.append(d)
+            return matrix(d)
+
+        monkeypatch.setattr(construct, "_assemble", counting_search)
+        monkeypatch.setattr(invariant, "region_matrix", counting_matrix)
+        rc, _, _ = run(capsys, "verify", str(path), "--format", "doc")
+        assert rc == 0
+        # the attachment search runs once for the union (and once for its
+        # zero replacement, a different spec)
+        assert sum(s == spec for s in searched) == 1
+        assert sum(d.crossings == union.crossings for d in matrices) == 1
 
     def test_failing_check_is_exit_1(self, spec_path, capsys, monkeypatch):
         bad = VerificationReport("alexander product formula")

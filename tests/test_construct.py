@@ -21,7 +21,12 @@ from symunion.construct import (
     to_spec_doc,
 )
 from symunion.diagram import parse_pd, renumber_edges, writhe
-from symunion.invariant import alexander_region, alexander_fox, jones
+from symunion.invariant import (
+    alexander_fox,
+    alexander_region,
+    jones,
+    verify_fraction_region,
+)
 from symunion.group import wirtinger
 from symunion.poly import LaurentPoly, normalize_alexander
 from symunion.tangle import (
@@ -194,6 +199,14 @@ class TestReplacement:
         k = build_symmetric_union(spec)
         with pytest.raises(UnknownRegion):
             replace_tangle(k, 2, vertical_twists(2))
+
+    @pytest.mark.parametrize("region", [0, -1, 2])
+    def test_fraction_check_rejects_unknown_region_before_computing(self, region):
+        spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
+        k = build_symmetric_union(spec)
+        with pytest.raises(UnknownRegion):
+            verify_fraction_region(k, region)
+        assert k.computed == {}
 
     def test_requires_metadata(self):
         with pytest.raises(ConstructError):

@@ -11,9 +11,7 @@ from symunion.group import (
     free_reduce,
     inverse_word,
     meridian_image,
-    parse_presentation,
     parse_word,
-    presentation_doc,
     verify_homomorphism,
     verify_surjective,
     wirtinger,
@@ -103,22 +101,6 @@ def test_wirtinger_relator_shape():
 def test_wirtinger_needs_crossings():
     with pytest.raises(NoCrossings):
         wirtinger(unknot())
-
-
-def test_presentation_doc_round_trip():
-    p = wirtinger(parse_pd(FIG8))
-    doc = presentation_doc(p)
-    q = parse_presentation(doc)
-    assert q.generators == p.generators
-    assert q.relators == p.relators
-    assert q.meridian == p.meridian
-
-
-def test_parse_presentation_rejects_unknown_generator():
-    with pytest.raises(ValueError):
-        parse_presentation(
-            {"generators": ["x1"], "relators": ["x1 x9^-1"], "meridian": "x1"}
-        )
 
 
 def test_identity_map_verifies():

@@ -238,8 +238,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except TooLarge as exc:
-        print(f"error: TooLarge: {exc}", file=sys.stderr)
+    except (TooLarge, Cancelled) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (
         OSError,
@@ -251,7 +251,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         GroupError,
         PolyError,
         UnsupportedLinkCase,
-        Cancelled,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -473,17 +473,15 @@ def faces(d: PlanarDiagram) -> tuple[Face, ...]:
     return tuple(out)
 
 
-def validate_planarity(d: PlanarDiagram) -> None:
+def validate_planarity(d: PlanarDiagram) -> tuple[Face, ...]:
     """Euler check: a connected c-crossing diagram embeds in the sphere
-    iff the face walk yields exactly c + 2 regions."""
+    iff the face walk yields exactly c + 2 regions. Returns the faces."""
     if not d.is_connected():
         raise DisconnectedDiagram("planarity check needs a connected diagram")
-    if not d.crossings:
-        return
-    got = len(faces(d))
-    want = len(d.crossings) + 2
-    if got != want:
-        raise NotPlanar(f"face count {got}, expected {want}")
+    fs = faces(d)
+    if d.crossings and len(fs) != len(d.crossings) + 2:
+        raise NotPlanar(f"face count {len(fs)}, expected {len(d.crossings) + 2}")
+    return fs
 
 
 # -- symmetries ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .diagram import (
@@ -19,7 +18,6 @@ from .diagram import (
     MultiComponentInput,
     NoCrossings,
     PlanarDiagram,
-    faces,
     validate_planarity,
     writhe,
 )
@@ -89,125 +87,101 @@ def _check(cancel: CancelToken | None) -> None:
         cancel.check()
 
 
-# -- exact determinants ------------------------------------------------------------
-
-_BAREISS_LIMIT = 25
+# -- exact determinant -------------------------------------------------------------
 
 
 def det_laurent(
     rows: Sequence[Sequence[LaurentPoly]], cancel: CancelToken | None = None
 ) -> LaurentPoly:
+    """Determinant over Z[t, 1/t] by one sparse elimination.
+
+    Rows are kept as {col: {exp: coeff}} maps, with the rows that use each
+    column. Each step expands along one pivot: a unit ±t^k when any is
+    left, the one of least Markowitz cost (r-1)(c-1), ties broken by term
+    count, then row and column index. Dividing by a unit is a shift. A
+    non-unit pivot p takes a fraction-free step (Bareiss 1968): the other
+    rows of its column are multiplied by p before the subtraction, and
+    those factors of p are divided out exactly at the end. The sign of a
+    step comes from the pivot's row and column positions among those still
+    live. The cancel token is polled once per pivot.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return LaurentPoly.one()
-    if n <= _BAREISS_LIMIT:
-        return _det_bareiss([list(r) for r in rows], cancel)
-    return _det_interpolate(rows, cancel)
-
-
-def _det_bareiss(m: list[list[LaurentPoly]], cancel: CancelToken | None) -> LaurentPoly:
-    """Fraction-free elimination; every division is exact in the Laurent ring."""
-    n = len(m)
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
+    m = {i: {j: dict(p.items()) for j, p in enumerate(r) if p} for i, r in enumerate(rows)}
+    users: list[set[int]] = [set() for _ in range(n)]
+    for i, row in m.items():
+        for j in row:
+            users[j].add(i)
+    live_rows, live_cols = list(range(n)), list(range(n))
+    out, divisors = LaurentPoly.one(), []
+    while m:
         _check(cancel)
-        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if piv is None:
+        if not all(m.values()):
             return LaurentPoly.zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            _check(cancel)
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = LaurentPoly.zero()
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
-
-
-def _det_int(m: list[list[int]], cancel: CancelToken | None) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        _check(cancel)
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _det_interpolate(
-    rows: Sequence[Sequence[LaurentPoly]], cancel: CancelToken | None
-) -> LaurentPoly:
-    """Evaluate at integer points and reconstruct the polynomial exactly.
-
-    Rows are shifted to nonnegative exponents first; the shift is undone on
-    the result, which is exact in the Laurent ring.
-    """
-    shifted: list[list[LaurentPoly]] = []
-    total_shift = 0
-    degree = 0
-    for r in rows:
-        mins = [p.min_exp() for p in r if not p.is_zero()]
-        if not mins:
-            return LaurentPoly.zero()
-        k = -min(min(mins), 0)
-        total_shift += k
-        row = [p.shift(k) for p in r]
-        shifted.append(row)
-        degree += max(p.max_exp() for p in row if not p.is_zero())
-    points = list(range(degree + 1))
-    values = []
-    for x in points:
-        _check(cancel)
-        values.append(_det_int([[p.evaluate(x) for p in r] for r in shifted], cancel))
-    coeffs = _lagrange_int(points, values)
-    out = LaurentPoly({e: c for e, c in enumerate(coeffs) if c})
-    return out.shift(-total_shift)
-
-
-def _lagrange_int(points: list[int], values: list[int]) -> list[int]:
-    # coefficients of the unique interpolating polynomial; must be integral
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            basis = nxt
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NonIntegralSolution(f"non-integer coefficient {c}")
-        out.append(int(c))
+        *_, r, c = min(
+            (not _is_unit(p), (len(row) - 1) * (len(users[j]) - 1), len(p), i, j)
+            for i, row in m.items()
+            for j, p in row.items()
+        )
+        prow = m.pop(r)
+        piv = prow.pop(c)
+        for j in prow:
+            users[j].discard(r)
+        below = users[c] - {r}
+        if (live_rows.index(r) + live_cols.index(c)) % 2:
+            out = -out
+        live_rows.remove(r)
+        live_cols.remove(c)
+        unit = _is_unit(piv)
+        if unit:
+            ((k, u),) = piv.items()
+            out = out.shift(k) * u
+        else:
+            # each row below gets a factor p and the pivot is one factor p
+            # of the determinant: p^(1 - len(below)) in all
+            p = LaurentPoly(piv)
+            if below:
+                divisors.append(p ** (len(below) - 1))
+            else:
+                out = out * p
+            neg = {e: -v for e, v in piv.items()}
+        for i in below:
+            row = m[i]
+            f = row.pop(c)
+            if unit:  # f / pivot
+                f = {e - k: u * v for e, v in f.items()}
+            else:  # row * pivot
+                for j, a in row.items():
+                    row[j] = {}
+                    _submul(row[j], neg, a)
+            for j, a in prow.items():
+                acc = row.setdefault(j, {})
+                _submul(acc, f, a)
+                if acc:
+                    users[j].add(i)
+                else:
+                    del row[j]
+                    users[j].discard(i)
+    for d in divisors:
+        out = out.divexact(d)
     return out
+
+
+def _is_unit(p: dict[int, int]) -> bool:
+    return len(p) == 1 and abs(next(iter(p.values()))) == 1
+
+
+def _submul(acc: dict[int, int], f: dict[int, int], a: dict[int, int]) -> None:
+    """acc -= f * a in place, keeping only nonzero coefficients."""
+    for e1, v1 in f.items():
+        for e2, v2 in a.items():
+            e = e1 + e2
+            w = acc.get(e, 0) - v1 * v2
+            if w:
+                acc[e] = w
+            else:
+                del acc[e]
 
 
 # -- Alexander via the region matrix -------------------------------------------------
@@ -237,8 +211,7 @@ class RegionMatrix:
 def region_matrix(d: PlanarDiagram) -> RegionMatrix:
     if not d.crossings:
         raise NoCrossings("region matrix needs at least one crossing")
-    validate_planarity(d)
-    fs = faces(d)
+    fs = validate_planarity(d)
     corner_face: dict[tuple[int, int], int] = {}
     for fi, f in enumerate(fs):
         for corner in f.corners:

@@ -206,39 +206,37 @@ class LaurentPoly(_IntPoly):
         return acc
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in the Laurent ring; raises if the division
-        leaves a remainder or a non-integer coefficient."""
+        """Exact division in the Laurent ring by integer long division;
+        raises if the division leaves a remainder or a non-integer
+        coefficient."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
         sh = self.min_exp()
         oh = other.min_exp()
-        num = {e - sh: Fraction(v) for e, v in self._c.items()}
-        den = {e - oh: Fraction(v) for e, v in other._c.items()}
+        num = {e - sh: v for e, v in self._c.items()}
+        den = {e - oh: v for e, v in other._c.items()}
         dd = max(den)
         dl = den[dd]
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, int] = {}
         while num:
             nd = max(num)
             if nd < dd:
                 raise NonIntegralSolution("polynomial division left a remainder")
-            q = num[nd] / dl
+            q, rem = divmod(num[nd], dl)
+            if rem:
+                raise NonIntegralSolution("polynomial division produced a fraction")
             qe = nd - dd
-            quot[qe] = q
+            quot[qe + sh - oh] = q
             for e, v in den.items():
                 e2 = e + qe
-                w = num.get(e2, Fraction(0)) - q * v
+                w = num.get(e2, 0) - q * v
                 if w:
                     num[e2] = w
                 else:
                     num.pop(e2, None)
-        out: dict[int, int] = {}
-        for e, v in quot.items():
-            if v.denominator != 1:
-                raise NonIntegralSolution("polynomial division produced a fraction")
-            out[e + sh - oh] = int(v)
-        return LaurentPoly(out)
+        return LaurentPoly(quot)
 
 
 class ConwayPoly(_IntPoly):

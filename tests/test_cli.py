@@ -129,6 +129,24 @@ class TestInvariants:
         assert rc == 3
         assert "TooLarge" in err
 
+    def test_cancelled_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        det = invariant.det_laurent
+
+        def cancelled_det(rows, cancel=None):
+            tok = invariant.CancelToken()
+            tok.cancel()
+            return det(rows, tok)
+
+        monkeypatch.setattr(invariant, "det_laurent", cancelled_det)
+        p = tmp_path / "trefoil.txt"
+        p.write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+        rc, out, err = run(capsys, "invariants", str(p), "--alexander")
+        assert rc == 3
+        assert err.startswith("error: Cancelled:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestVerify:
     def test_all_checks_pass_text(self, spec_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symunion.invariant as inv
+from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.diagram import (
     MultiComponentInput,
     NoCrossings,
@@ -28,6 +30,7 @@ from symunion.invariant import (
     region_matrix,
 )
 from symunion.poly import LaurentPoly, display_form, normalize_alexander, parse_poly
+from symunion.tangle import kt_tangle, numerator, rational_tangle
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -41,6 +44,17 @@ def trefoil():
 @pytest.fixture
 def fig8():
     return parse_pd(FIG8)
+
+
+@pytest.fixture(scope="module")
+def union68():
+    """kt(6) x 4 over the 12-crossing rational knot N([2,2,2,2,2,1,1]): a
+    68-crossing union, the largest member of the benchmark's scaling
+    family."""
+    partial = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
+    return build_symmetric_union(
+        SymUnionSpec(partial, (20, 19, 1, 3, 4), (kt_tangle(6),) * 4)
+    )
 
 
 def norm(text):
@@ -82,14 +96,52 @@ def test_det_matches_fraction_elimination(rows):
     assert got == LaurentPoly.term(want) if want else got.is_zero()
 
 
-@given(st.lists(st.lists(st.tuples(ints(-4, 4), st.integers(-2, 2)),
-                         min_size=3, max_size=3), min_size=3, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_det_interpolation_agrees_with_bareiss(entries):
-    rows = [[LaurentPoly.term(c, e) for c, e in r] for r in entries]
-    a = inv._det_bareiss([list(r) for r in rows], None)
-    b = inv._det_interpolate(rows, None)
-    assert a == b
+def leibniz(rows):
+    """The determinant as the plain sum over permutations: the oracle for
+    det_laurent's elimination."""
+    total = LaurentPoly.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = LaurentPoly.term(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+laurent_entries = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.builds(LaurentPoly.term, st.sampled_from([1, -1]), st.integers(-2, 2)),
+    st.dictionaries(st.integers(-2, 2), ints(-3, 3), max_size=3).map(LaurentPoly),
+)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square Laurent matrices up to 6x6 with zero, unit and non-unit
+    entries; some get a zero row, a zero column, or a row that is a
+    combination of two others (singular)."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(laurent_entries) for _ in range(n)] for _ in range(n)]
+    i = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero column", "singular"]))
+    if shape == "zero row":
+        rows[i] = [LaurentPoly.zero()] * n
+    elif shape == "zero column":
+        for row in rows:
+            row[i] = LaurentPoly.zero()
+    elif shape == "singular" and n > 1:
+        others = [x for x in range(n) if x != i]
+        j, k = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        a, b = draw(laurent_entries), draw(laurent_entries)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@given(laurent_matrices())
+@settings(max_examples=150, deadline=None)
+def test_det_matches_leibniz_expansion(rows):
+    assert det_laurent(rows) == leibniz(rows)
 
 
 def test_det_singular():
@@ -112,6 +164,30 @@ def test_cancel_token():
     ]
     with pytest.raises(Cancelled):
         det_laurent(rows, tok)
+
+
+class CancelAfter(CancelToken):
+    """A token that cancels itself at its k-th poll."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k, self.polls = k, 0
+
+    def check(self):
+        self.polls += 1
+        if self.polls >= self.k:
+            self.cancel()
+        super().check()
+
+
+def test_cancel_stops_a_large_determinant_mid_elimination(union68):
+    m = region_matrix(union68)
+    rows = m.reduced(flanking_faces(m, 1))
+    assert len(rows) == 68
+    tok = CancelAfter(10)
+    with pytest.raises(Cancelled):
+        det_laurent(rows, tok)
+    assert tok.polls == 10
 
 
 def test_cancel_from_other_thread(trefoil):
@@ -211,6 +287,18 @@ def test_fox_square_equals_granny(trefoil):
     granny = connected_sum(trefoil, 1, trefoil, 2)
     square = connected_sum(trefoil, 1, mirror(trefoil), 2)
     assert alexander_fox(wirtinger(granny)) == alexander_fox(wirtinger(square))
+
+
+def test_large_union_routes_agree_and_equal_the_product(union68):
+    assert len(union68.crossings) == 68
+    spec = union68.meta.spec
+    via_region = alexander_region(union68)
+    via_fox = normalize_alexander(alexander_fox(wirtinger(union68)))
+    half = alexander_region(spec.partial)
+    prod = half * half
+    for t in spec.tangles:
+        prod = prod * alexander_region(numerator(t))
+    assert via_region == via_fox == normalize_alexander(prod)
 
 
 # -- bracket and Jones --------------------------------------------------------------

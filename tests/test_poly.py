@@ -101,6 +101,11 @@ def test_divexact_remainder_raises():
         L("1 + t").divexact(L("1 + t + t^2"))
 
 
+def test_divexact_non_integral_quotient_raises():
+    with pytest.raises(NonIntegralSolution):
+        L("2 + 2*t").divexact(L("3 + 3*t"))
+
+
 def test_shift_and_inverted():
     p = L("1 - t + t^2")
     assert p.shift(3) == L("t^3 - t^4 + t^5")

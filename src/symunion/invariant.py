@@ -296,47 +296,53 @@ def alexander_fox(
 
 # -- Kauffman bracket and Jones --------------------------------------------------------
 
-_WIDTH_LIMIT = 16
-_NAIVE_LIMIT = 16
+# The most live states the bracket state sum keeps; a planar frontier of
+# width w has at most Catalan(w/2) pairings, and each costs about 1 KB.
+_STATE_LIMIT = 50_000
+
+# Each smoothing as the slot its arc joins to each slot, with its power of A.
+_SMOOTHINGS = (((1, 0, 3, 2), 1), ((3, 2, 1, 0), -1))
 
 
-def _delta() -> LaurentPoly:
-    return LaurentPoly({2: -1, -2: -1})
-
-
-def _greedy_order(d: PlanarDiagram) -> list[int]:
-    """Process crossings in an order that keeps the open-edge frontier
-    narrow; ties break by index so the order is deterministic."""
+def _crossing_order(d: PlanarDiagram) -> list[int]:
+    """Process crossings in an order that keeps the frontier of open edges
+    narrow. From every start crossing a greedy sweep adds, among the
+    crossings that touch the swept part, the one that changes the number
+    of open edges least (ties by index); the sweep with the least (peak
+    width, sum of 2^(width/2)) wins, the earliest start on a tie."""
     n = len(d.crossings)
-    remaining = set(range(n))
-    processed: set[int] = set()
-    order = []
-
-    def width_after(extra: int) -> int:
-        group = processed | {extra}
-        w = 0
-        for e, incs in d.incidences.items():
-            ends = sum(1 for i, _ in incs if i in group)
-            if ends == 1:
-                w += 1
-            # an edge with both incidences at one crossing never opens
-        return w
-
-    while remaining:
-        touching = {
-            i
-            for i in remaining
-            if any(
-                any(j in processed for j, _ in d.incidences[e])
-                for e in d.crossings[i]
-            )
-        }
-        pool = touching or remaining
-        best = min(pool, key=lambda i: (width_after(i), i))
-        order.append(best)
-        processed.add(best)
-        remaining.remove(best)
-    return order
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for (i, _), (j, _) in d.incidences.values():
+        if i != j:  # a kink loop never opens
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    best: list[int] = []
+    best_score = None
+    for start in range(n):
+        swept_nbrs = [0] * n
+        left = set(range(n))
+        touching: set[int] = set()
+        order: list[int] = []
+        width = peak = cost = 0
+        i = start
+        while True:
+            order.append(i)
+            left.remove(i)
+            touching.discard(i)
+            width += len(nbrs[i]) - 2 * swept_nbrs[i]
+            peak = max(peak, width)
+            cost += 1 << (width >> 1)
+            if best_score is not None and (peak, cost) >= best_score:
+                break  # can no longer beat the best sweep
+            if not left:
+                best, best_score = order, (peak, cost)
+                break
+            for j in nbrs[i]:
+                swept_nbrs[j] += 1
+                if j in left:
+                    touching.add(j)
+            i = min(touching or left, key=lambda j: (len(nbrs[j]) - 2 * swept_nbrs[j], j))
+    return best
 
 
 def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
@@ -347,157 +353,90 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     return _bracket_frontier(d, cancel)
 
 
-def _bracket_naive(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPoly:
-    """The bracket as the plain sum over all 2^n states: the test suite's
-    oracle for the frontier state sum, capped at _NAIVE_LIMIT crossings."""
-    n = len(d.crossings)
-    if n > _NAIVE_LIMIT:
-        raise TooLarge(f"naive bracket limited to {_NAIVE_LIMIT} crossings")
-    delta = _delta()
-    total = LaurentPoly.zero()
-    for mask in range(1 << n):
-        _check(cancel)
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-        def find(p):
-            while parent.setdefault(p, p) != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
-
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-                return False
-            return True
-
-        loops = 0
-        exp = 0
-        for i in range(n):
-            a_smooth = not (mask >> i) & 1
-            exp += 1 if a_smooth else -1
-            pairs = ((0, 1), (2, 3)) if a_smooth else ((0, 3), (1, 2))
-            for s, t in pairs:
-                if union((i, s), (i, t)):
-                    loops += 1
-        for e, incs in d.incidences.items():
-            if union(incs[0], incs[1]):
-                loops += 1
-        total = total + LaurentPoly.term(1, exp) * (delta**loops)
-    return total.divexact(delta)
-
-
 def _bracket_frontier(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPoly:
-    """Insert crossings one at a time; a state is the matching that says
-    which open edges are connected to each other through the processed part
-    of the diagram, with the accumulated bracket coefficient."""
-    order = _greedy_order(d)
-    delta = _delta()
-    states: dict[tuple[tuple[int, int], ...], LaurentPoly] = {(): LaurentPoly.one()}
-    processed: set[int] = set()
-    open_count = 0
-    for ci in order:
+    """Insert crossings one at a time. A state is the pairing of the open
+    edges by the arcs of the processed part, a sorted tuple of edge pairs,
+    with its coefficient as an {exponent: coefficient} map. A crossing
+    changes only the pairs that end at it: each of its four slots holds an
+    open end, or is linked to another slot by a kink loop or by two closing
+    edges paired with each other. Walking the slots along each smoothing
+    gives the new pairs and the loops closed."""
+    delta = {2: -1, -2: -1}
+    powers = [{0: 1}, delta, {4: 1, 0: 2, -4: 1}]  # delta^0, ^1, ^2
+    factors = [
+        (mate, [{e + a: v for e, v in p.items()} for p in powers])
+        for mate, a in _SMOOTHINGS
+    ]
+    states: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
+    swept: set[int] = set()
+    for ci in _crossing_order(d):
         _check(cancel)
-        x = d.crossings[ci]
-        local_pairs: list[tuple[int, int]] = []
-        opener_slots: dict[int, int] = {}
-        closer_slots: dict[int, int] = {}
-        handled: set[int] = set()
-        for s in range(4):
-            if s in handled:
-                continue
-            e = x[s]
-            incs = d.incidences[e]
-            if incs[0][0] == ci and incs[1][0] == ci:
-                s2 = incs[1][1] if incs[0][1] == s else incs[0][1]
-                local_pairs.append((s, s2))
-                handled.update((s, s2))
+        kinks: dict[int, int] = {}  # slot -> slot
+        opening: dict[int, int] = {}  # slot -> its own edge, newly open
+        closing: dict[int, int] = {}  # open edge -> slot
+        for s, e in enumerate(d.crossings[ci]):
+            (i, si), (j, sj) = d.incidences[e]
+            if i == j:
+                kinks[s] = sj if si == s else si
+            elif (j if i == ci else i) in swept:
+                closing[e] = s
             else:
-                j, _ = d.other_incidence(e, (ci, s))
-                (closer_slots if j in processed else opener_slots)[s] = e
-                handled.add(s)
-        open_count = open_count - len(closer_slots) + len(opener_slots)
-        if open_count > _WIDTH_LIMIT:
-            raise TooLarge(
-                f"bracket frontier reaches {open_count} open strands; "
-                f"limit is {_WIDTH_LIMIT}"
-            )
-        new_states: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}
-        for matching, coeff in states.items():
-            for a_smooth in (True, False):
-                smooth = ((0, 1), (2, 3)) if a_smooth else ((0, 3), (1, 2))
-                links: list[tuple[object, object]] = []
-                for p, q in matching:
-                    links.append((("e", p), ("e", q)))
-                for s, t in smooth:
-                    links.append((("n", s), ("n", t)))
-                for s, t in local_pairs:
-                    links.append((("n", s), ("n", t)))
-                for s, e in closer_slots.items():
-                    links.append((("n", s), ("e", e)))
-                adj: dict[object, list[tuple[object, int]]] = {}
-                for lid, (u, v) in enumerate(links):
-                    adj.setdefault(u, []).append((v, lid))
-                    adj.setdefault(v, []).append((u, lid))
-                loose: dict[object, int] = {}
-                for s, e in opener_slots.items():
-                    loose[("n", s)] = e
-                for p, q in matching:
-                    for e in (p, q):
-                        node = ("e", e)
-                        if len(adj[node]) == 1:
-                            loose[node] = e
-                used: set[int] = set()
-                done: set[object] = set()
-                new_pairs = []
-                for start in loose:
-                    if start in done:
-                        continue
-                    cur = start
-                    while True:
-                        step = next(
-                            ((v, lid) for v, lid in adj.get(cur, ()) if lid not in used),
-                            None,
-                        )
-                        if step is None:
-                            break
-                        used.add(step[1])
-                        cur = step[0]
-                    done.update((start, cur))
-                    new_pairs.append(tuple(sorted((loose[start], loose[cur]))))
-                loops = 0
-                for u in adj:
-                    while any(lid not in used for _, lid in adj[u]):
-                        cur = u
+                opening[s] = e
+        new: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        for pairs, coeff in states.items():
+            link, ends, kept = dict(kinks), dict(opening), []
+            for p, q in pairs:
+                sp, sq = closing.get(p), closing.get(q)
+                if sp is None and sq is None:
+                    kept.append((p, q))
+                elif sq is None:
+                    ends[sp] = q
+                elif sp is None:
+                    ends[sq] = p
+                else:
+                    link[sp], link[sq] = sq, sp
+            for mate, by_loops in factors:
+                seen = [False] * 4
+                made = list(kept)
+                for s in ends:
+                    if not seen[s]:
+                        t = s
                         while True:
-                            step = next(
-                                (
-                                    (v, lid)
-                                    for v, lid in adj[cur]
-                                    if lid not in used
-                                ),
-                                None,
-                            )
-                            if step is None:
+                            seen[t] = True
+                            u = mate[t]
+                            seen[u] = True
+                            if u in ends:
                                 break
-                            used.add(step[1])
-                            cur = step[0]
+                            t = link[u]
+                        a, b = ends[s], ends[u]
+                        made.append((a, b) if a < b else (b, a))
+                loops = 0
+                for s in range(4):
+                    if not seen[s]:
                         loops += 1
-                term = coeff * LaurentPoly.term(1, 1 if a_smooth else -1)
-                if loops:
-                    term = term * (delta**loops)
-                key = tuple(sorted(new_pairs))
-                prev = new_states.get(key)
-                new_states[key] = term if prev is None else prev + term
-        states = new_states
-        processed.add(ci)
-    total = LaurentPoly.zero()
-    for matching, coeff in states.items():
-        if matching:
-            raise InvariantError("open strands left after processing all crossings")
-        total = total + coeff
-    return total.divexact(delta)
+                        t = s
+                        while not seen[t]:
+                            seen[t] = True
+                            u = mate[t]
+                            seen[u] = True
+                            t = link[u]
+                key = tuple(sorted(made))
+                acc = new.get(key)
+                if acc is None:
+                    acc = new[key] = {}
+                for e2, v2 in by_loops[loops].items():
+                    for e1, v1 in coeff.items():
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + v1 * v2
+        if len(new) > _STATE_LIMIT:
+            raise TooLarge(
+                f"bracket state sum reaches {len(new)} states; limit is {_STATE_LIMIT}"
+            )
+        states = new
+        swept.add(ci)
+    if set(states) != {()}:
+        raise InvariantError("open strands left after processing all crossings")
+    return LaurentPoly(states[()]).divexact(LaurentPoly(delta))
 
 
 def jones(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:

@@ -191,9 +191,14 @@ class LaurentPoly(_IntPoly):
         return out
 
     def evaluate(self, x):
-        """Evaluate at an integer or Fraction; exact."""
+        """Evaluate at an integer or Fraction; exact. Integer arithmetic
+        unless the value can be a fraction: at a Fraction, or with negative
+        exponents at |x| != 1."""
         if x == 0 and self._c and self.min_exp() < 0:
             raise ZeroDivisionError("negative exponents at t=0")
+        if isinstance(x, int) and (abs(x) == 1 or min(self._c, default=0) >= 0):
+            # x^e = x^|e| when |x| = 1
+            return sum(v * x ** abs(e) for e, v in self._c.items())
         acc = Fraction(0)
         xf = Fraction(x)
         for e, v in self._c.items():

@@ -122,7 +122,7 @@ class TestInvariants:
     def test_too_large_is_exit_3(self, tmp_path, capsys, monkeypatch):
         from symunion import invariant
 
-        monkeypatch.setattr(invariant, "_WIDTH_LIMIT", 2)
+        monkeypatch.setattr(invariant, "_STATE_LIMIT", 1)
         p = tmp_path / "trefoil.txt"
         p.write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
         rc, _, err = run(capsys, "invariants", str(p), "--jones")

@@ -1,11 +1,14 @@
 import itertools
+import random
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symunion.invariant as inv
+from bracket_oracle import bracket_naive
+from symunion import corpus
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.diagram import (
     MultiComponentInput,
@@ -313,7 +316,46 @@ def test_bracket_frontier_matches_naive(trefoil, fig8):
         connected_sum(trefoil, 1, fig8, 2),
     ]
     for d in diagrams:
-        assert kauffman_bracket(d) == inv._bracket_naive(d, None)
+        assert kauffman_bracket(d) == bracket_naive(d)
+
+
+def random_union(seed):
+    return build_symmetric_union(corpus.random_spec(random.Random(seed)))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=6, deadline=None)
+def test_bracket_frontier_matches_naive_on_random_unions(seed):
+    k = random_union(seed)
+    assume(len(k.crossings) <= 16)
+    assert kauffman_bracket(k) == bracket_naive(k)
+
+
+CORPUS_UNIONS = {
+    name: build_symmetric_union(spec) for name, spec in corpus.SPEC_FIXTURES.items()
+}
+
+
+@st.composite
+def diagrams_and_orders(draw):
+    """A corpus union or a random union with a random crossing order.
+    Random orders sweep parts of the diagram that do not touch, and close
+    edges whose other ends are paired with each other. kt_union_3 is left
+    out: a random order of its 29 crossings can take seconds."""
+    names = sorted(n for n in CORPUS_UNIONS if n != "kt_union_3")
+    which = draw(st.one_of(st.sampled_from(names), st.integers(0, 2**32)))
+    d = CORPUS_UNIONS[which] if isinstance(which, str) else random_union(which)
+    return d, draw(st.permutations(range(len(d.crossings))))
+
+
+@given(diagrams_and_orders())
+@settings(max_examples=40, deadline=None)
+def test_bracket_does_not_depend_on_the_crossing_order(case):
+    d, order = case
+    want = kauffman_bracket(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_crossing_order", lambda _: list(order))
+        assert kauffman_bracket(d) == want
 
 
 def test_jones_trefoil_both_hands(trefoil):
@@ -358,10 +400,34 @@ def test_naive_bracket_size_cap(trefoil):
         d = connected_sum(d, 1, trefoil, 1)
     assert len(d.crossings) == 18
     with pytest.raises(TooLarge):
-        inv._bracket_naive(d, None)
+        bracket_naive(d)
 
 
-def test_frontier_width_cap(fig8, monkeypatch):
-    monkeypatch.setattr(inv, "_WIDTH_LIMIT", 3)
+def test_bracket_state_cap(fig8, monkeypatch):
+    monkeypatch.setattr(inv, "_STATE_LIMIT", 1)
     with pytest.raises(TooLarge):
         kauffman_bracket(fig8)
+
+
+def assert_jones_matches_alexander(k):
+    """V(1) = 1 and |V(-1)| = |Delta(-1)|, the determinant of the knot.
+    Unlike the naive oracle these hold at any size."""
+    v, det = jones(k), alexander_region(k).evaluate(-1)
+    assert v.evaluate(1) == 1
+    assert abs(v.evaluate(-1)) == abs(det)
+    return det
+
+
+def test_jones_matches_alexander_at_minus_one_on_the_corpus():
+    got = {assert_jones_matches_alexander(k) for k in CORPUS_UNIONS.values()}
+    assert got == {1, -135, 125}
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=15, deadline=None)
+def test_jones_matches_alexander_at_minus_one_on_random_unions(seed):
+    assert_jones_matches_alexander(random_union(seed))
+
+
+def test_jones_matches_alexander_at_minus_one_at_68_crossings(union68):
+    assert_jones_matches_alexander(union68)

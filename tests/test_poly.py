@@ -86,6 +86,15 @@ def test_evaluate():
         L("t^-1").evaluate(0)
 
 
+@given(laurents(), st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+def test_evaluate_matches_fraction_arithmetic(p, x):
+    want = sum((Fraction(v) * Fraction(x) ** e for e, v in p.items()), Fraction(0))
+    got = p.evaluate(x)
+    assert got == want
+    # an integral value comes back as an int, any other as a Fraction
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 def test_int_scalar_mul():
     assert 3 * L("t") == L("3*t")
     assert L("t") * -1 == L("- t") == -L("t")

@@ -360,6 +360,17 @@ def diagram_from_tuples(
 
 # -- parsing and serialization ---------------------------------------------------
 
+# The most crossings a parsed PD document or tangle document may describe,
+# checked before anything is built. Far above any use: the corpus's tangles
+# are kt(n) with n <= 6 and the benchmark's largest union has 68 crossings.
+MAX_CROSSINGS = 2_000
+
+
+def cap_crossings(count: int, error: type[Exception]) -> None:
+    if count > MAX_CROSSINGS:
+        raise error(f"{count} crossings; at most {MAX_CROSSINGS} are accepted")
+
+
 _PD_TERM = re.compile(r"^X\[(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]$")
 
 
@@ -377,8 +388,10 @@ def parse_pd(source) -> PlanarDiagram:
         except json.JSONDecodeError as exc:
             raise MalformedPD(f"bad JSON: {exc}") from exc
         return _parse_doc(doc)
+    tokens = s.split()
+    cap_crossings(len(tokens), MalformedPD)
     tuples = []
-    for tok in s.split():
+    for tok in tokens:
         m = _PD_TERM.match(tok)
         if not m:
             raise MalformedPD(f"bad PD term {tok!r}")
@@ -392,6 +405,7 @@ def _parse_doc(doc: Mapping) -> PlanarDiagram:
     if "crossings" not in doc:
         raise MalformedPD("document lacks 'crossings'")
     try:
+        cap_crossings(len(doc["crossings"]), MalformedPD)
         tuples = []
         for row in doc["crossings"]:
             if len(row) != 4:

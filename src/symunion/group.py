@@ -11,7 +11,6 @@ inversion, the symmetries a basepoint change induces on Wirtinger relators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .construct import built_union, derived
@@ -72,16 +71,6 @@ def canonical_relator_key(w: Sequence[tuple[str, int]]) -> GroupWord:
 
 def word_text(w: Sequence[tuple[str, int]]) -> str:
     return " ".join(g if e == 1 else f"{g}^-1" for g, e in w)
-
-
-def parse_word(text: str) -> GroupWord:
-    out = []
-    for tok in text.split():
-        if tok.endswith("^-1"):
-            out.append((tok[:-3], -1))
-        else:
-            out.append((tok, 1))
-    return tuple(out)
 
 
 # -- presentations ---------------------------------------------------------------
@@ -149,34 +138,6 @@ def presentation(d: PlanarDiagram) -> WirtingerPresentation:
     """wirtinger(d); a built union computes it once and keeps it, so the
     certificates that read it share one copy."""
     return derived(d, "wirtinger", lambda: wirtinger(d))
-
-
-def abelianization_rank(p: WirtingerPresentation) -> int:
-    """Rank over the rationals of the relators' exponent-sum matrix."""
-    idx = {g: j for j, g in enumerate(p.generators)}
-    rows = []
-    for r in p.relators:
-        row = [Fraction(0)] * len(p.generators)
-        for g, e in r:
-            row[idx[g]] += e
-        rows.append(row)
-    rank = 0
-    col = 0
-    n = len(p.generators)
-    while rank < len(rows) and col < n:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # -- the longitude word of a symmetric union --------------------------------------

@@ -297,7 +297,8 @@ def alexander_fox(
 # -- Kauffman bracket and Jones --------------------------------------------------------
 
 # The most live states the bracket state sum keeps; a planar frontier of
-# width w has at most Catalan(w/2) pairings, and each costs about 1 KB.
+# width w has at most Catalan(w/2) pairings. At 68 crossings a state takes
+# about 2 KB, mostly its packed coefficient, which grows with the crossings.
 _STATE_LIMIT = 50_000
 
 # Each smoothing as the slot its arc joins to each slot, with its power of A.
@@ -309,17 +310,23 @@ def _crossing_order(d: PlanarDiagram) -> list[int]:
     narrow. From every start crossing a greedy sweep adds, among the
     crossings that touch the swept part, the one that changes the number
     of open edges least (ties by index); the sweep with the least (peak
-    width, sum of 2^(width/2)) wins, the earliest start on a tie."""
+    width, sum of 2^(width/2)) wins, the earliest start on a tie.
+
+    The sweep ranks candidates by one integer, key[j] = change * n + j,
+    where change is j's degree less twice its swept neighbours: key[j] // n
+    is the change and the order of keys is the order of (change, j)."""
     n = len(d.crossings)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for (i, _), (j, _) in d.incidences.values():
         if i != j:  # a kink loop never opens
             nbrs[i].append(j)
             nbrs[j].append(i)
+    base = [len(nbrs[j]) * n + j for j in range(n)]
+    step = 2 * n
     best: list[int] = []
     best_score = None
     for start in range(n):
-        swept_nbrs = [0] * n
+        key = list(base)
         left = set(range(n))
         touching: set[int] = set()
         order: list[int] = []
@@ -329,7 +336,7 @@ def _crossing_order(d: PlanarDiagram) -> list[int]:
             order.append(i)
             left.remove(i)
             touching.discard(i)
-            width += len(nbrs[i]) - 2 * swept_nbrs[i]
+            width += key[i] // n
             peak = max(peak, width)
             cost += 1 << (width >> 1)
             if best_score is not None and (peak, cost) >= best_score:
@@ -338,10 +345,10 @@ def _crossing_order(d: PlanarDiagram) -> list[int]:
                 best, best_score = order, (peak, cost)
                 break
             for j in nbrs[i]:
-                swept_nbrs[j] += 1
+                key[j] -= step
                 if j in left:
                     touching.add(j)
-            i = min(touching or left, key=lambda j: (len(nbrs[j]) - 2 * swept_nbrs[j], j))
+            i = min(touching or left, key=key.__getitem__)
     return best
 
 
@@ -355,19 +362,23 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
 
 def _bracket_frontier(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPoly:
     """Insert crossings one at a time. A state is the pairing of the open
-    edges by the arcs of the processed part, a sorted tuple of edge pairs,
-    with its coefficient as an {exponent: coefficient} map. A crossing
-    changes only the pairs that end at it: each of its four slots holds an
-    open end, or is linked to another slot by a kink loop or by two closing
-    edges paired with each other. Walking the slots along each smoothing
-    gives the new pairs and the loops closed."""
-    delta = {2: -1, -2: -1}
-    powers = [{0: 1}, delta, {4: 1, 0: 2, -4: 1}]  # delta^0, ^1, ^2
-    factors = [
-        (mate, [{e + a: v for e, v in p.items()} for p in powers])
-        for mate, a in _SMOOTHINGS
-    ]
-    states: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
+    edges by the arcs of the processed part, a sorted tuple of edge pairs.
+    A crossing changes only the pairs that end at it: each of its four
+    slots holds an open end, or is linked to another slot by a kink loop or
+    by two closing edges paired with each other. Walking the slots along
+    each smoothing gives the new pairs and the loops closed.
+
+    A state's coefficient is packed into one integer (Kronecker
+    substitution): (lo, P) with P = sum c_j 2^(Bj) stands for
+    sum c_j A^(lo + 2j). Every term of a state has the parity of the number
+    of crossings processed, so one slot per power of A^2 suffices. P is the
+    polynomial at A^2 = 2^B, so sums and shifts of it are exact at any
+    size. Each crossing multiplies the l1 norm of the coefficients by at
+    most 2^L_A + 2^L_B <= 8, so with B = 3n + 2 every final |c_j| is below
+    2^(B-1) and one balanced-digit decode at the end recovers them."""
+    bits = 3 * len(d.crossings) + 2
+    two, four = 2 * bits, 4 * bits
+    states: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {(): (0, 1)}
     swept: set[int] = set()
     for ci in _crossing_order(d):
         _check(cancel)
@@ -382,20 +393,20 @@ def _bracket_frontier(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPo
                 closing[e] = s
             else:
                 opening[s] = e
-        new: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-        for pairs, coeff in states.items():
+        new: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
+        for pairs, (lo, p) in states.items():
             link, ends, kept = dict(kinks), dict(opening), []
-            for p, q in pairs:
-                sp, sq = closing.get(p), closing.get(q)
-                if sp is None and sq is None:
-                    kept.append((p, q))
-                elif sq is None:
-                    ends[sp] = q
-                elif sp is None:
-                    ends[sq] = p
+            for x, y in pairs:
+                sx, sy = closing.get(x), closing.get(y)
+                if sx is None and sy is None:
+                    kept.append((x, y))
+                elif sy is None:
+                    ends[sx] = y
+                elif sx is None:
+                    ends[sy] = x
                 else:
-                    link[sp], link[sq] = sq, sp
-            for mate, by_loops in factors:
+                    link[sx], link[sy] = sy, sx
+            for mate, a in _SMOOTHINGS:
                 seen = [False] * 4
                 made = list(kept)
                 for s in ends:
@@ -408,8 +419,8 @@ def _bracket_frontier(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPo
                             if u in ends:
                                 break
                             t = link[u]
-                        a, b = ends[s], ends[u]
-                        made.append((a, b) if a < b else (b, a))
+                        x, y = ends[s], ends[u]
+                        made.append((x, y) if x < y else (y, x))
                 loops = 0
                 for s in range(4):
                     if not seen[s]:
@@ -420,14 +431,22 @@ def _bracket_frontier(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPo
                             u = mate[t]
                             seen[u] = True
                             t = link[u]
+                # A^a delta^L = (-1)^L A^(a - 2L) (1 + A^4)^L; A^4 is two slots
+                if loops == 0:
+                    q = p
+                elif loops == 1:
+                    q = -(p + (p << two))
+                else:
+                    q = p + (p << two + 1) + (p << four)
+                lq = lo + a - 2 * loops
                 key = tuple(sorted(made))
-                acc = new.get(key)
-                if acc is None:
-                    acc = new[key] = {}
-                for e2, v2 in by_loops[loops].items():
-                    for e1, v1 in coeff.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + v1 * v2
+                old = new.get(key)
+                if old is None:
+                    new[key] = (lq, q)
+                elif lq >= old[0]:
+                    new[key] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
+                else:
+                    new[key] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
         if len(new) > _STATE_LIMIT:
             raise TooLarge(
                 f"bracket state sum reaches {len(new)} states; limit is {_STATE_LIMIT}"
@@ -436,7 +455,18 @@ def _bracket_frontier(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPo
         swept.add(ci)
     if set(states) != {()}:
         raise InvariantError("open strands left after processing all crossings")
-    return LaurentPoly(states[()]).divexact(LaurentPoly(delta))
+    e, p = states[()]
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs = {}
+    while p:
+        c = p & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            coeffs[e] = c
+        p = (p - c) >> bits
+        e += 2
+    return LaurentPoly(coeffs).divexact(LaurentPoly({2: -1, -2: -1}))
 
 
 def jones(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:

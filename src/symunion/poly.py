@@ -255,15 +255,6 @@ class ConwayPoly(_IntPoly):
         if any(e < 0 for e in self._c):
             raise ValueError("Conway polynomials have no negative powers")
 
-# -- products ----------------------------------------------------------------
-
-
-def product(polys) -> LaurentPoly:
-    acc = LaurentPoly.one()
-    for p in polys:
-        acc = acc * p
-    return acc
-
 
 # -- Alexander canonical form ------------------------------------------------
 
@@ -297,13 +288,6 @@ def normalize_alexander(p: LaurentPoly, knot: bool | None = None) -> LaurentPoly
     elif s == 0 and q.coeff(q.max_exp()) < 0:
         q = -q
     return q
-
-
-def display_form(p: LaurentPoly) -> LaurentPoly:
-    """Shift so the lowest exponent is 0; the table-friendly layout."""
-    if p.is_zero():
-        return p
-    return p.shift(-p.min_exp())
 
 
 def is_monic(p: LaurentPoly) -> bool:

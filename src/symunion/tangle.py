@@ -24,6 +24,7 @@ from .diagram import (
     InconsistentEdges,
     OrientationError,
     PlanarDiagram,
+    cap_crossings,
     check_ends,
     find_root,
     resolve_orientation,
@@ -435,15 +436,24 @@ def to_tangle_doc(t: Tangle) -> dict:
 
 
 def parse_tangle(doc: Mapping) -> Tangle:
+    """A tangle from its document: {"rational": cf}, {"kt": n}, or its
+    crossings and boundary. The crossing count is capped before building."""
     if not isinstance(doc, Mapping):
         raise TangleError(f"tangle document must be an object, not {type(doc).__name__}")
     try:
         if "rational" in doc:
-            return rational_tangle(doc["rational"])
+            cf = doc["rational"]
+            if cf != "inf":  # rational_tangle rejects entries that are not ints
+                count = sum(abs(a) for a in cf if isinstance(a, int))
+                cap_crossings(count, BadParameter)
+            return rational_tangle(cf)
         if "kt" in doc:
-            return kt_tangle(int(doc["kt"]))
+            n = int(doc["kt"])
+            cap_crossings(2 * n - 1, BadParameter)
+            return kt_tangle(n)
         if "crossings" not in doc or "boundary" not in doc:
             raise TangleError("tangle document needs crossings and boundary")
+        cap_crossings(len(doc["crossings"]), BadParameter)
         xs = tuple(Crossing(*(int(v) for v in row)) for row in doc["crossings"])
         boundary = {c: int(doc["boundary"][c]) for c in CORNERS}
         flows = {c: str(doc["flows"][c]) for c in CORNERS} if "flows" in doc else {}

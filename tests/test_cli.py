@@ -1,12 +1,13 @@
 """End-to-end runs of the command line front end, including exit codes."""
 
 import json
+import time
 
 import pytest
 
 from symunion import cli, construct, corpus, invariant
 from symunion.construct import to_spec_doc
-from symunion.diagram import parse_pd
+from symunion.diagram import MAX_CROSSINGS, parse_pd
 from symunion.report import VerificationReport
 
 
@@ -99,6 +100,34 @@ class TestMalformedDocuments:
         assert rc == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert out == ""
+
+
+class TestInputCaps:
+    """A document that describes more than MAX_CROSSINGS crossings is bad
+    input, refused before anything is built."""
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize(
+        "tangle", [{"kt": 1_000_000}, {"rational": [1_000_000]}], ids=["kt", "rational"]
+    )
+    def test_oversized_tangle_is_exit_2_at_once(self, command, tangle, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(_with("tangles", [tangle])))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, command, str(p))
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_oversized_pd_is_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "big.txt"
+        p.write_text(" ".join(["X[1,2,3,4]"] * (MAX_CROSSINGS + 1)))
+        rc, out, err = run(capsys, "invariants", str(p))
+        assert rc == 2
+        assert f"at most {MAX_CROSSINGS}" in err
         assert out == ""
 
 

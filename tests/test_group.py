@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import abelianization_rank, parse_word
 from symunion.diagram import NoCrossings, connected_sum, parse_pd, unknot
 from symunion.group import (
-    abelianization_rank,
     apply_map,
     canonical_relator_key,
     exponent_sum,
     free_reduce,
     inverse_word,
     meridian_image,
-    parse_word,
     verify_homomorphism,
     verify_surjective,
     wirtinger,

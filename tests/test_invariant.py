@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import symunion.invariant as inv
 from bracket_oracle import bracket_naive
+from helpers import display_form
 from symunion import corpus
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.diagram import (
@@ -32,7 +33,7 @@ from symunion.invariant import (
     kauffman_bracket,
     region_matrix,
 )
-from symunion.poly import LaurentPoly, display_form, normalize_alexander, parse_poly
+from symunion.poly import LaurentPoly, normalize_alexander, parse_poly
 from symunion.tangle import kt_tangle, numerator, rational_tangle
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -58,6 +59,27 @@ def union68():
     return build_symmetric_union(
         SymUnionSpec(partial, (20, 19, 1, 3, 4), (kt_tangle(6),) * 4)
     )
+
+
+# Jones polynomial of union68, computed with the dict-coefficient bracket
+# that the packed one replaced.
+UNION68_JONES = (
+    "t^-28 - 12*t^-27 + 81*t^-26 - 395*t^-25 + 1532*t^-24 - 4976*t^-23"
+    " + 13964*t^-22 - 34566*t^-21 + 76564*t^-20 - 153267*t^-19"
+    " + 279106*t^-18 - 463981*t^-17 + 704225*t^-16 - 971730*t^-15"
+    " + 1204880*t^-14 - 1306636*t^-13 + 1155223*t^-12 - 630540*t^-11"
+    " - 345533*t^-10 + 1763285*t^-9 - 3487957*t^-8 + 5247720*t^-7"
+    " - 6660158*t^-6 + 7301122*t^-5 - 6806246*t^-4 + 4981788*t^-3"
+    " - 1892927*t^-2 - 2101481*t^-1 + 6387198 - 10205653*t + 12815195*t^2"
+    " - 13662620*t^3 + 12518973*t^4 - 9541401*t^5 + 5242827*t^6"
+    " - 376981*t^7 - 4230113*t^8 + 7857256*t^9 - 10028797*t^10"
+    " + 10586856*t^11 - 9684091*t^12 + 7708268*t^13 - 5166358*t^14"
+    " + 2562403*t^15 - 299414*t^16 - 1376161*t^17 + 2383433*t^18"
+    " - 2778324*t^19 + 2703367*t^20 - 2333613*t^21 + 1832400*t^22"
+    " - 1324236*t^23 + 885466*t^24 - 548677*t^25 + 314722*t^26"
+    " - 166556*t^27 + 80876*t^28 - 35747*t^29 + 14224*t^30 - 5018*t^31"
+    " + 1536*t^32 - 395*t^33 + 81*t^34 - 12*t^35 + t^36"
+)
 
 
 def norm(text):
@@ -381,6 +403,22 @@ def test_jones_unknot_and_kinks():
 def test_jones_multiplicative(trefoil, fig8):
     s = connected_sum(trefoil, 3, fig8, 1)
     assert jones(s) == jones(trefoil) * jones(fig8)
+
+
+def test_jones_of_a_long_connected_sum_is_the_product(trefoil, fig8):
+    """Seven summands, both trefoils and the figure eight: many signed
+    coefficients pass through the packed bracket's decode."""
+    parts = [trefoil, fig8, mirror(trefoil), fig8, trefoil, mirror(trefoil), trefoil]
+    d, want = parts[0], jones(parts[0])
+    for k in parts[1:]:
+        d = connected_sum(d, 1, k, 2)
+        want = want * jones(k)
+    assert len(d.crossings) == 23
+    assert jones(d) == want
+
+
+def test_jones_pinned_at_68_crossings(union68):
+    assert jones(union68) == parse_poly(UNION68_JONES)
 
 
 def test_jones_value_at_one(trefoil, fig8):

@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from helpers import display_form
 from symunion.poly import (
     ConwayPoly,
     LaurentPoly,
@@ -11,11 +12,9 @@ from symunion.poly import (
     ZeroPolynomial,
     alexander_from_conway,
     conway_from_alexander,
-    display_form,
     is_monic,
     normalize_alexander,
     parse_poly,
-    product,
 )
 
 
@@ -280,8 +279,3 @@ def test_parse_rejects_garbage():
 def test_text_round_trip(p):
     assert parse_poly(p.text()) == p
 
-
-def test_product_helper():
-    ps = [L("1 + t"), L("1 - t"), L("t^-1")]
-    assert product(ps) == L("t^-1 - t")
-    assert product([]) == LaurentPoly.one()

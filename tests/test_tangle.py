@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symunion.diagram import renumber_edges, validate_planarity
+from helpers import display_form
+from symunion.diagram import MAX_CROSSINGS, renumber_edges, validate_planarity
 from symunion.group import wirtinger
 from symunion.invariant import alexander_fox, alexander_region, jones
-from symunion.poly import LaurentPoly, display_form, normalize_alexander
+from symunion.poly import LaurentPoly, normalize_alexander
 from symunion.tangle import (
     BadParameter,
     OrientationMismatch,
@@ -344,3 +345,14 @@ class TestDocs:
     def test_malformed_doc(self):
         with pytest.raises(TangleError):
             parse_tangle({"boundary": {"NW": 1}})
+
+    def test_crossings_are_capped_before_building(self):
+        assert len(parse_tangle({"rational": [MAX_CROSSINGS]}).crossings) == MAX_CROSSINGS
+        too_many = [
+            {"rational": [MAX_CROSSINGS, -1]},
+            {"kt": MAX_CROSSINGS // 2 + 1},
+            {"crossings": [[1, 2, 3, 4]] * (MAX_CROSSINGS + 1), "boundary": {}},
+        ]
+        for doc in too_many:
+            with pytest.raises(BadParameter, match=f"at most {MAX_CROSSINGS}"):
+                parse_tangle(doc)

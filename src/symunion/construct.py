@@ -18,6 +18,7 @@ from .diagram import (
     Crossing,
     PlanarDiagram,
     DiagramError,
+    cap_crossings,
     over_arcs,
     parse_pd,
     renumber_edges,
@@ -411,6 +412,9 @@ def to_spec_doc(spec: SymUnionSpec) -> dict:
 
 
 def parse_spec(doc: Mapping) -> SymUnionSpec:
+    """The spec a document describes. The union it would build, with
+    2c(D) + sum(c(T_i)) crossings, is capped like a parsed diagram before
+    anything is built."""
     if not isinstance(doc, Mapping):
         raise ConstructError(f"spec document must be an object, not {type(doc).__name__}")
     try:
@@ -421,4 +425,8 @@ def parse_spec(doc: Mapping) -> SymUnionSpec:
         raise ConstructError(f"spec document is missing {exc}") from exc
     except TypeError as exc:
         raise ConstructError(f"malformed spec document: {exc}") from exc
+    cap_crossings(
+        2 * len(partial.crossings) + sum(len(t.crossings) for t in tangles),
+        ConstructError,
+    )
     return SymUnionSpec(partial, marked, tangles)

@@ -9,9 +9,10 @@ only equality this module ever asserts.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagram import (
     Face,
@@ -296,31 +297,266 @@ def alexander_fox(
 
 # -- Kauffman bracket and Jones --------------------------------------------------------
 
-# The most live states the bracket state sum keeps; a planar frontier of
-# width w has at most Catalan(w/2) pairings. At 68 crossings a state takes
-# about 2 KB, mostly its packed coefficient, which grows with the crossings.
+# The most live states one sweep keeps; a planar frontier of width w has at
+# most Catalan(w/2) pairings. A state takes about 1.0 to 1.4 KB at 68
+# crossings and 15 KB at 820, mostly its packed coefficient, which grows
+# with the crossings.
 _STATE_LIMIT = 50_000
 
-# Each smoothing as the slot its arc joins to each slot, with its power of A.
-_SMOOTHINGS = (((1, 0, 3, 2), 1), ((3, 2, 1, 0), -1))
+# (mate, a, cs): a pairing of a unit's slots and its weight
+_Smoothing = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
-def _crossing_order(d: PlanarDiagram) -> list[int]:
-    """Process crossings in an order that keeps the frontier of open edges
-    narrow. From every start crossing a greedy sweep adds, among the
-    crossings that touch the swept part, the one that changes the number
-    of open edges least (ties by index); the sweep with the least (peak
-    width, sum of 2^(width/2)) wins, the earliest start on a tie.
+class _Unit(NamedTuple):
+    """One step of the bracket sweep: a crossing, or a box of crossings
+    summed up by its own sweep. slots are the edge ids at its ends (a
+    crossing's four edges, a box's external edges); kinks joins the slots
+    of an edge with both ends at this crossing. Each smoothing pairs the
+    slots (mate[s] is the slot joined to s) with weight
+    sum cs[j] A^(a + 2j). bound is _bound of the smoothings."""
+
+    slots: tuple[int, ...]
+    kinks: dict[int, int]
+    smoothings: tuple[_Smoothing, ...]
+    bound: int
+
+
+def _smooth(
+    mate: Sequence[int], link: dict[int, int], ends: dict[int, int]
+) -> tuple[list[tuple[int, int]], int]:
+    """Walk a unit's slots along one smoothing. ends maps each slot that
+    holds an open end to that end's edge; link joins the other slots in
+    pairs. Returns the new pairs of open ends and the number of loops the
+    smoothing closes."""
+    seen = [False] * len(mate)
+    made = []
+    for s in ends:
+        if not seen[s]:
+            t = s
+            while True:
+                seen[t] = True
+                u = mate[t]
+                seen[u] = True
+                if u in ends:
+                    break
+                t = link[u]
+            x, y = ends[s], ends[u]
+            made.append((x, y) if x < y else (y, x))
+    loops = 0
+    for s in range(len(mate)):
+        if not seen[s]:
+            loops += 1
+            t = s
+            while not seen[t]:
+                seen[t] = True
+                u = mate[t]
+                seen[u] = True
+                t = link[u]
+    return made, loops
+
+
+def _matchings(free: list[int]):
+    """Every perfect matching of the slots in free, as slot -> slot."""
+    if not free:
+        yield {}
+        return
+    a, rest = free[0], free[1:]
+    for i, b in enumerate(rest):
+        for m in _matchings(rest[:i] + rest[i + 1 :]):
+            yield {**m, a: b, b: a}
+
+
+def _bound(smoothings: Sequence[_Smoothing]) -> int:
+    """How much one unit can multiply the l1 norm of the live coefficients.
+
+    A state with coefficient c, at a unit whose slots the state links in
+    some pattern, passes c W delta^L to the next states for each smoothing,
+    where W is the smoothing's weight and L the loops it closes; delta^L
+    has l1 norm 2^L. The bound is the most that the sum of ||W||_1 2^L
+    reaches over the link patterns. Adding a link never removes a loop, so
+    the patterns that link every slot are enough; all of them are taken,
+    also those a unit's kinks rule out."""
+    slots = list(range(len(smoothings[0][0])))
+    return max(
+        sum(sum(map(abs, cs)) << _smooth(mate, m, {})[1] for mate, _, cs in smoothings)
+        for m in _matchings(slots)
+    )
+
+
+# A crossing's two smoothings, with weights A and A^-1, and their bound (6).
+_SMOOTHINGS = (((1, 0, 3, 2), 1, (1,)), ((3, 2, 1, 0), -1, (1,)))
+_CROSSING_BOUND = _bound(_SMOOTHINGS)
+
+
+def _width(units: Sequence[_Unit]) -> int:
+    """The packing width B of a sweep over units. Merging states can only
+    lower the l1 norm, so after every unit the l1 norm of all live
+    coefficients is at most the product of the bounds of the units so far,
+    and so is every final |c|; it is below 2^(B - 1)."""
+    return math.prod(u.bound for u in units).bit_length() + 1
+
+
+def _unpack(p: int, bits: int) -> tuple[int, ...]:
+    """The coefficients packed in p at width bits, lowest first, read as
+    balanced digits: each lies in [-2^(bits-1), 2^(bits-1))."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    while p:
+        c = p & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        p = (p - c) >> bits
+    return tuple(out)
+
+
+def _crossing_unit(d: PlanarDiagram, ci: int) -> _Unit:
+    kinks = {}
+    for s, e in enumerate(d.crossings[ci]):
+        (i, si), (j, sj) = d.incidences[e]
+        if i == j:
+            kinks[s] = sj if si == s else si
+    return _Unit(d.crossings[ci], kinks, _SMOOTHINGS, _CROSSING_BOUND)
+
+
+def _boxes(d: PlanarDiagram, fs: Sequence[Face]) -> list[list[int]]:
+    """The crossings grouped into boxes, each in chain order: a box is a
+    connected set of crossings joined by bigon faces, and a crossing on no
+    bigon is a box of its own.
+
+    A bigon at corner j of crossing x takes slots j and j + 1 of x to one
+    other crossing, so x has at most two bigon neighbours (at corners j and
+    j + 2). Every box is therefore a path or a cycle, and has at most four
+    external edge ends: neighbours on a path share at least two edges, and
+    4k - 2 * 2(k - 1) = 4."""
+    nbr: list[set[int]] = [set() for _ in d.crossings]
+    for f in fs:
+        if len(f.corners) == 2:
+            (x, _), (y, _) = f.corners
+            if x != y:
+                nbr[x].add(y)
+                nbr[y].add(x)
+    seen = [False] * len(nbr)
+    boxes = []
+    # paths are walked from an end, so ends come first
+    for x in sorted(range(len(nbr)), key=lambda c: len(nbr[c]) > 1):
+        box = []
+        while x is not None and not seen[x]:
+            seen[x] = True
+            box.append(x)
+            x = next((y for y in nbr[x] if not seen[y]), None)
+        if box:
+            boxes.append(box)
+    return boxes
+
+
+def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _Unit:
+    """A box as one step: the sweep over its crossings leaves one state per
+    pairing of its external ends, and that state's coefficient is the
+    pairing's weight (the bracket skein module of a tangle is free on the
+    crossingless pairings; Kauffman 1987)."""
+    if len(box) == 1:
+        return _crossing_unit(d, box[0])
+    inner = [_crossing_unit(d, ci) for ci in box]
+    bits = _width(inner)
+    states, ends = _sweep(inner, bits, cancel)
+    slots = tuple(sorted(ends))
+    at = {e: s for s, e in enumerate(slots)}
+    smoothings = []
+    for pairs, (lo, p) in states.items():
+        mate = [0] * len(slots)
+        for x, y in pairs:
+            mate[at[x]], mate[at[y]] = at[y], at[x]
+        smoothings.append((tuple(mate), lo, _unpack(p, bits)))
+    return _Unit(slots, {}, tuple(smoothings), _bound(smoothings))
+
+
+def _sweep(
+    units: Sequence[_Unit], bits: int, cancel: CancelToken | None
+) -> tuple[dict[tuple[tuple[int, int], ...], tuple[int, int]], set[int]]:
+    """Insert units one at a time. A state is the pairing of the open edges
+    by the arcs of the processed part, a sorted tuple of edge pairs. A unit
+    changes only the pairs that end at it: each of its slots holds an open
+    end, or is linked to another slot by a kink loop or by two closing
+    edges paired with each other. Walking the slots along each smoothing
+    gives the new pairs and the loops closed. Returns the states and the
+    edges left open.
+
+    A state's coefficient is packed into one integer (Kronecker
+    substitution): (lo, P) with P = sum c_j 2^(Bj) stands for
+    sum c_j A^(lo + 2j). Every term of a state has the parity of the number
+    of crossings processed, so one slot per power of A^2 suffices. P is the
+    polynomial at A^2 = 2^B, so sums, shifts and products of it are exact
+    at any size; B = bits, from _width, lets the final coefficients be read
+    back."""
+    two = 2 * bits
+    states: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {(): (0, 1)}
+    frontier: set[int] = set()
+    for u in units:
+        _check(cancel)
+        opening: dict[int, int] = {}  # slot -> its own edge, newly open
+        closing: dict[int, int] = {}  # open edge -> slot
+        for s, e in enumerate(u.slots):
+            if s in u.kinks:
+                continue
+            if e in frontier:
+                closing[e] = s
+            else:
+                opening[s] = e
+        weights = [
+            (mate, a, sum(c << bits * j for j, c in enumerate(cs)))
+            for mate, a, cs in u.smoothings
+        ]
+        new: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
+        for pairs, (lo, p) in states.items():
+            link, ends, kept = dict(u.kinks), dict(opening), []
+            for x, y in pairs:
+                sx, sy = closing.get(x), closing.get(y)
+                if sx is None and sy is None:
+                    kept.append((x, y))
+                elif sy is None:
+                    ends[sx] = y
+                elif sx is None:
+                    ends[sy] = x
+                else:
+                    link[sx], link[sy] = sy, sx
+            for mate, a, w in weights:
+                made, loops = _smooth(mate, link, ends)
+                q = p if w == 1 else p * w
+                # delta = -A^-2 (1 + A^4); A^4 is two slots
+                for _ in range(loops):
+                    q = -(q + (q << two))
+                lq = lo + a - 2 * loops
+                key = tuple(sorted(kept + made))
+                old = new.get(key)
+                if old is None:
+                    new[key] = (lq, q)
+                elif lq >= old[0]:
+                    new[key] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
+                else:
+                    new[key] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
+        if len(new) > _STATE_LIMIT:
+            raise TooLarge(
+                f"bracket state sum reaches {len(new)} states; limit is {_STATE_LIMIT}"
+            )
+        states = new
+        frontier -= closing.keys()
+        frontier.update(opening.values())
+    return states, frontier
+
+
+def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
+    """Process units in an order that keeps the frontier of open edges
+    narrow. nbrs[i] lists the unit at the far end of each edge that leaves
+    unit i. From every start unit a greedy sweep adds, among the units that
+    touch the swept part, the one that changes the number of open edges
+    least (ties by index); the sweep with the least (peak width, sum of
+    2^(width/2)) wins, the earliest start on a tie.
 
     The sweep ranks candidates by one integer, key[j] = change * n + j,
     where change is j's degree less twice its swept neighbours: key[j] // n
     is the change and the order of keys is the order of (change, j)."""
-    n = len(d.crossings)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for (i, _), (j, _) in d.incidences.values():
-        if i != j:  # a kink loop never opens
-            nbrs[i].append(j)
-            nbrs[j].append(i)
+    n = len(nbrs)
     base = [len(nbrs[j]) * n + j for j in range(n)]
     step = 2 * n
     best: list[int] = []
@@ -354,118 +590,29 @@ def _crossing_order(d: PlanarDiagram) -> list[int]:
 
 def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
     """Bracket polynomial in the variable A (free loops excluded; the
-    caller handles those)."""
+    caller handles those). The diagram must pass validate_planarity, whose
+    faces give the boxes.
+
+    The crossings are grouped into boxes (_boxes), each box is summed by a
+    sweep over its crossings (_box_unit), and one more sweep runs over the
+    boxes, each a step whose smoothings are the pairings of its ends."""
     if not d.crossings:
         raise NoCrossings("bracket of a crossing-free diagram is handled upstream")
-    return _bracket_frontier(d, cancel)
-
-
-def _bracket_frontier(d: PlanarDiagram, cancel: CancelToken | None) -> LaurentPoly:
-    """Insert crossings one at a time. A state is the pairing of the open
-    edges by the arcs of the processed part, a sorted tuple of edge pairs.
-    A crossing changes only the pairs that end at it: each of its four
-    slots holds an open end, or is linked to another slot by a kink loop or
-    by two closing edges paired with each other. Walking the slots along
-    each smoothing gives the new pairs and the loops closed.
-
-    A state's coefficient is packed into one integer (Kronecker
-    substitution): (lo, P) with P = sum c_j 2^(Bj) stands for
-    sum c_j A^(lo + 2j). Every term of a state has the parity of the number
-    of crossings processed, so one slot per power of A^2 suffices. P is the
-    polynomial at A^2 = 2^B, so sums and shifts of it are exact at any
-    size. Each crossing multiplies the l1 norm of the coefficients by at
-    most 2^L_A + 2^L_B <= 8, so with B = 3n + 2 every final |c_j| is below
-    2^(B-1) and one balanced-digit decode at the end recovers them."""
-    bits = 3 * len(d.crossings) + 2
-    two, four = 2 * bits, 4 * bits
-    states: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {(): (0, 1)}
-    swept: set[int] = set()
-    for ci in _crossing_order(d):
-        _check(cancel)
-        kinks: dict[int, int] = {}  # slot -> slot
-        opening: dict[int, int] = {}  # slot -> its own edge, newly open
-        closing: dict[int, int] = {}  # open edge -> slot
-        for s, e in enumerate(d.crossings[ci]):
-            (i, si), (j, sj) = d.incidences[e]
-            if i == j:
-                kinks[s] = sj if si == s else si
-            elif (j if i == ci else i) in swept:
-                closing[e] = s
-            else:
-                opening[s] = e
-        new: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
-        for pairs, (lo, p) in states.items():
-            link, ends, kept = dict(kinks), dict(opening), []
-            for x, y in pairs:
-                sx, sy = closing.get(x), closing.get(y)
-                if sx is None and sy is None:
-                    kept.append((x, y))
-                elif sy is None:
-                    ends[sx] = y
-                elif sx is None:
-                    ends[sy] = x
-                else:
-                    link[sx], link[sy] = sy, sx
-            for mate, a in _SMOOTHINGS:
-                seen = [False] * 4
-                made = list(kept)
-                for s in ends:
-                    if not seen[s]:
-                        t = s
-                        while True:
-                            seen[t] = True
-                            u = mate[t]
-                            seen[u] = True
-                            if u in ends:
-                                break
-                            t = link[u]
-                        x, y = ends[s], ends[u]
-                        made.append((x, y) if x < y else (y, x))
-                loops = 0
-                for s in range(4):
-                    if not seen[s]:
-                        loops += 1
-                        t = s
-                        while not seen[t]:
-                            seen[t] = True
-                            u = mate[t]
-                            seen[u] = True
-                            t = link[u]
-                # A^a delta^L = (-1)^L A^(a - 2L) (1 + A^4)^L; A^4 is two slots
-                if loops == 0:
-                    q = p
-                elif loops == 1:
-                    q = -(p + (p << two))
-                else:
-                    q = p + (p << two + 1) + (p << four)
-                lq = lo + a - 2 * loops
-                key = tuple(sorted(made))
-                old = new.get(key)
-                if old is None:
-                    new[key] = (lq, q)
-                elif lq >= old[0]:
-                    new[key] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
-                else:
-                    new[key] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
-        if len(new) > _STATE_LIMIT:
-            raise TooLarge(
-                f"bracket state sum reaches {len(new)} states; limit is {_STATE_LIMIT}"
-            )
-        states = new
-        swept.add(ci)
+    boxes = _boxes(d, validate_planarity(d))
+    units = [_box_unit(d, box, cancel) for box in boxes]
+    unit_of = {ci: i for i, box in enumerate(boxes) for ci in box}
+    nbrs: list[list[int]] = [[] for _ in units]
+    for (i, _), (j, _) in d.incidences.values():
+        u, v = unit_of[i], unit_of[j]
+        if u != v:  # an edge inside a box never opens
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    bits = _width(units)
+    states, _ = _sweep([units[i] for i in _sweep_order(nbrs)], bits, cancel)
     if set(states) != {()}:
         raise InvariantError("open strands left after processing all crossings")
-    e, p = states[()]
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    coeffs = {}
-    while p:
-        c = p & mask
-        if c >= half:
-            c -= mask + 1
-        if c:
-            coeffs[e] = c
-        p = (p - c) >> bits
-        e += 2
+    lo, p = states[()]
+    coeffs = {lo + 2 * j: c for j, c in enumerate(_unpack(p, bits)) if c}
     return LaurentPoly(coeffs).divexact(LaurentPoly({2: -1, -2: -1}))
 
 
@@ -477,7 +624,6 @@ def jones(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
         raise MultiComponentInput("jones handles single-component diagrams")
     if not d.crossings:
         return LaurentPoly.one()
-    validate_planarity(d)
     bracket = kauffman_bracket(d, cancel)
     w = writhe(d)
     corrected = bracket * LaurentPoly.term(1 if w % 2 == 0 else -1, -3 * w)

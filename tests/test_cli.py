@@ -6,9 +6,10 @@ import time
 import pytest
 
 from symunion import cli, construct, corpus, invariant
-from symunion.construct import to_spec_doc
+from symunion.construct import SymUnionSpec, to_spec_doc
 from symunion.diagram import MAX_CROSSINGS, parse_pd
 from symunion.report import VerificationReport
+from symunion.tangle import kt_tangle, numerator, rational_tangle
 
 
 def run(capsys, *argv):
@@ -119,6 +120,24 @@ class TestInputCaps:
         assert time.perf_counter() - start < 1
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_oversized_union_is_exit_2_at_once(self, command, tmp_path, capsys):
+        """Four kt(1000) tangles, each under the cap, over a 12-crossing
+        partial: the union would have 2 * 12 + 4 * 1999 = 8020 crossings."""
+        partial = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
+        doc = to_spec_doc(SymUnionSpec(partial, (12, 14, 1, 18, 20), (kt_tangle(3),) * 4))
+        doc["tangles"] = [{"kt": 1000}] * 4
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, command, str(p))
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"8020 crossings; at most {MAX_CROSSINGS}" in err
         assert "Traceback" not in err
         assert out == ""
 

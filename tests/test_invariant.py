@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,8 @@ from symunion.diagram import (
     NoCrossings,
     PlanarDiagram,
     connected_sum,
+    diagram_from_tuples,
+    faces,
     mirror,
     parse_pd,
     unknot,
@@ -34,7 +38,14 @@ from symunion.invariant import (
     region_matrix,
 )
 from symunion.poly import LaurentPoly, normalize_alexander, parse_poly
-from symunion.tangle import kt_tangle, numerator, rational_tangle
+from symunion.tangle import (
+    denominator,
+    kt_tangle,
+    numerator,
+    rational_tangle,
+    tangle_sum,
+    vertical_twists,
+)
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -358,16 +369,38 @@ CORPUS_UNIONS = {
 }
 
 
+# The benchmark's scaling-family pool: kt(m) x n over a rational-knot
+# partial, with marked arcs drawn once so that the insertion embeds.
+FAMILY_POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "pools.json").read_text()
+)["family"]
+FAMILY_TANGLES = {"x15": (3, 1), "x30": (4, 2), "x47": (5, 3), "x68": (6, 4)}
+
+
+def pool_variant(key):
+    m, n = FAMILY_TANGLES[key.split("/")[0]]
+    entry = FAMILY_POOL[key]
+    partial = numerator(rational_tangle(entry["cf"]))
+    return build_symmetric_union(
+        SymUnionSpec(partial, tuple(entry["marked_arcs"]), (kt_tangle(m),) * n)
+    )
+
+
+# A corpus union, a variant of the scaling-family pool or a random union.
+unions = st.one_of(
+    st.sampled_from(sorted(CORPUS_UNIONS)).map(CORPUS_UNIONS.__getitem__),
+    st.sampled_from(sorted(FAMILY_POOL)).map(pool_variant),
+    st.integers(0, 2**32).map(random_union),
+)
+
+
 @st.composite
 def diagrams_and_orders(draw):
-    """A corpus union or a random union with a random crossing order.
-    Random orders sweep parts of the diagram that do not touch, and close
-    edges whose other ends are paired with each other. kt_union_3 is left
-    out: a random order of its 29 crossings can take seconds."""
-    names = sorted(n for n in CORPUS_UNIONS if n != "kt_union_3")
-    which = draw(st.one_of(st.sampled_from(names), st.integers(0, 2**32)))
-    d = CORPUS_UNIONS[which] if isinstance(which, str) else random_union(which)
-    return d, draw(st.permutations(range(len(d.crossings))))
+    """A union with a random order of its boxes. Random orders sweep parts
+    of the diagram that do not touch, and close edges whose other ends are
+    paired with each other."""
+    d = draw(unions)
+    return d, draw(st.permutations(range(len(inv._boxes(d, faces(d))))))
 
 
 @given(diagrams_and_orders())
@@ -376,8 +409,86 @@ def test_bracket_does_not_depend_on_the_crossing_order(case):
     d, order = case
     want = kauffman_bracket(d)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inv, "_crossing_order", lambda _: list(order))
+        mp.setattr(inv, "_sweep_order", lambda _: list(order))
         assert kauffman_bracket(d) == want
+
+
+@given(unions)
+@settings(max_examples=40, deadline=None)
+def test_boxes_give_the_bracket_of_single_crossings(d):
+    """The sweep over boxes equals the same sweep with every crossing a box
+    of its own, whose width comes from the crossings' bound alone."""
+    want = kauffman_bracket(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_boxes", lambda d, _: [[i] for i in range(len(d.crossings))])
+        assert kauffman_bracket(d) == want
+
+
+def circle_chain(k):
+    """k round circles in a row, each overlapping the next and passing over
+    it at both crossings: the k-component unlink with 2(k - 1) crossings.
+    Its end overlaps are boxes with two ends and weight delta, the middle
+    ones boxes with four ends and weight 1, so the coefficients of its
+    bracket delta^(k - 1) grow only by the loops the sweep closes between
+    boxes."""
+    ids = {}
+
+    def edge(name):
+        return ids.setdefault(name, len(ids) + 1)
+
+    def top(j):  # circle j from its crossing with j + 1 to the one with j - 1
+        return edge("left" if j == 1 else "right" if j == k else f"top{j}")
+
+    def bottom(j):
+        return edge("left" if j == 1 else "right" if j == k else f"bottom{j}")
+
+    rows = []
+    for i in range(1, k):
+        inner_left, inner_right = edge(f"inner_left{i + 1}"), edge(f"inner_right{i}")
+        rows.append((top(i + 1), top(i), inner_left, inner_right))
+        rows.append((inner_left, bottom(i), bottom(i + 1), inner_right))
+    return diagram_from_tuples(rows)
+
+
+TWISTED_UNION = build_symmetric_union(
+    SymUnionSpec(parse_pd(TREFOIL), (1, 3, 4), (vertical_twists(4), vertical_twists(-4)))
+)
+
+# (diagram, (crossings, ends) of each box)
+BOX_CASES = {
+    "trefoil, one 3-cycle": (parse_pd(TREFOIL), [(3, 0)]),
+    "T(2,5), one 5-cycle": (numerator(vertical_twists(5)), [(5, 0)]),
+    "kinks at both ends of a twist": (denominator(vertical_twists(-4)), [(4, 0)]),
+    "a kink next to a twist": (
+        denominator(tangle_sum(vertical_twists(4), vertical_twists(1))),
+        [(4, 2), (1, 4)],
+    ),
+    "twists of -4, 2 and 4": (
+        numerator(rational_tangle([-4, 2, 4])),
+        [(4, 4), (2, 4), (4, 4)],
+    ),
+    "union with vertical_twists(4) and (-4)": (
+        TWISTED_UNION,
+        [(2, 4), (1, 4), (2, 4), (1, 4), (4, 4), (4, 4)],
+    ),
+    "chain of 7 circles": (
+        circle_chain(7),
+        [(2, 2)] + [(2, 4)] * 4 + [(2, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BOX_CASES)
+def test_boxes_match_the_naive_bracket(name):
+    d, shape = BOX_CASES[name]
+    boxes = inv._boxes(d, faces(d))
+    assert [(len(b), len(inv._box_unit(d, b, None).slots)) for b in boxes] == shape
+    assert kauffman_bracket(d) == bracket_naive(d)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_bracket_of_a_chain_of_circles(k):
+    assert kauffman_bracket(circle_chain(k)) == LaurentPoly({2: -1, -2: -1}) ** (k - 1)
 
 
 def test_jones_trefoil_both_hands(trefoil):
@@ -469,3 +580,21 @@ def test_jones_matches_alexander_at_minus_one_on_random_unions(seed):
 
 def test_jones_matches_alexander_at_minus_one_at_68_crossings(union68):
     assert_jones_matches_alexander(union68)
+
+
+@pytest.mark.parametrize("m", [25, 50])
+def test_jones_matches_alexander_at_minus_one_at_220_and_420_crossings(m):
+    """kt(m) x 4 over N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings. The
+    marked arcs are the first draw that embeds under the benchmark's
+    rejection sampling with random.Random(1). Delta is the factor product
+    the product formula certifies, not a determinant at full size."""
+    partial = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
+    k = build_symmetric_union(
+        SymUnionSpec(partial, (12, 14, 1, 18, 20), (kt_tangle(m),) * 4)
+    )
+    assert len(k.crossings) == 24 + 4 * (2 * m - 1)
+    half = alexander_region(partial)
+    delta = normalize_alexander(half * half * alexander_region(numerator(kt_tangle(m))) ** 4)
+    v = jones(k)
+    assert v.evaluate(1) == 1
+    assert abs(v.evaluate(-1)) == abs(delta.evaluate(-1))

@@ -11,6 +11,7 @@ input, 3 resource limit hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -182,7 +183,10 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args makes a fresh
+    namespace on every call, so no flag carries over between calls."""
     p = argparse.ArgumentParser(
         prog="symunion",
         description="Build symmetric-union knot diagrams and verify their "

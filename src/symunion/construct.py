@@ -4,13 +4,13 @@ along an axis, with even tangles spliced into chosen arcs.
 The construction takes a partial diagram D, one marked arc that becomes the
 axis pair a0/a1, and one further marked arc per tangle. The result carries
 edge labels recording where every edge came from (x<j> for D, x<j>* for the
-mirror half, s<k>_<i> for tangle region i) plus richer metadata used by the
-replacement and verification helpers.
+mirror half, s<k>_<i> for tangle region i), and its metadata keeps the spec
+and the attachment orientations, so that a certificate can rebuild the
+union with other tangles in its boxes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, TypeVar
 
@@ -19,6 +19,7 @@ from .diagram import (
     PlanarDiagram,
     DiagramError,
     cap_crossings,
+    json_int,
     over_arcs,
     parse_pd,
     renumber_edges,
@@ -87,18 +88,9 @@ class SymUnionSpec:
 
 
 @dataclass(frozen=True)
-class RegionInfo:
-    index: int
-    corners: Mapping[str, int]
-    crossings: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class UnionMeta:
     spec: SymUnionSpec
-    regions: tuple[RegionInfo, ...]
-    origins: tuple[tuple, ...]
-    attach_bits: tuple[int, ...] = ()
+    attach_bits: tuple[int, ...]
 
 
 # slot of edge e+E in the mirror row (c, b, a, d), given e's slot in (a, b, c, d)
@@ -135,28 +127,6 @@ def _oriented_for_box(t: Tangle, bit: int) -> Tangle:
         if t.flows[corner] != "in":
             t = reverse_strand(t, corner)
     return t
-
-
-def _assemble(
-    spec: SymUnionSpec, *, require_even: bool = True, require_knot: bool = True
-) -> PlanarDiagram:
-    """Try attachment orientations per region, preferred bit first, and keep
-    the first wiring that embeds in the plane. Whether a wiring embeds
-    depends on which side of each cut arc faces the axis corridor, which
-    the combinatorial input does not record, so the builder searches."""
-    _validate_inputs(spec, require_even)
-    order = (_ATTACH_BIT, 1 - _ATTACH_BIT)
-    first_err: NotPlanarInsertion | None = None
-    for bits in itertools.product(order, repeat=len(spec.tangles)):
-        try:
-            return _assemble_with_bits(
-                spec, bits, require_knot=require_knot
-            )
-        except NotPlanarInsertion as exc:
-            if first_err is None:
-                first_err = exc
-    assert first_err is not None
-    raise first_err
 
 
 class _Halves:
@@ -207,9 +177,7 @@ def _assemble_with_bits(
     spec: SymUnionSpec, bits: tuple[int, ...], *, require_knot: bool
 ) -> PlanarDiagram:
     d = spec.partial
-    c = len(d.crossings)
     E = d.edge_count
-    origins = [("D", j) for j in range(c)] + [("D*", j) for j in range(c)]
 
     labels: dict[int, str] = {}
     for j in range(1, E + 1):
@@ -227,8 +195,6 @@ def _assemble_with_bits(
 
     def find(e: int) -> int:
         return alias.get(e, e)
-
-    region_ranges: list[tuple[int, int]] = []
 
     for i, tangle in enumerate(spec.tangles, start=1):
         bit = bits[i - 1]
@@ -257,12 +223,8 @@ def _assemble_with_bits(
             if eid not in labels:
                 labels[eid] = f"s{kk}_{i}"
 
-        start = len(rows)
-        for x in t.crossings:
-            rows.append([emap[e] for e in x])
+        rows.extend([emap[e] for e in x] for x in t.crossings)
         flags.extend(t.over_from_d)
-        origins.extend(("T", i, j) for j in range(len(t.crossings)))
-        region_ranges.append((start, len(rows)))
 
     rows, compact = _compact([[find(e) for e in row] for row in rows])
     labels = {compact[e]: lbl for e, lbl in labels.items() if find(e) == e and e in compact}
@@ -281,43 +243,63 @@ def _assemble_with_bits(
         )
 
     built = renumber_edges(built, start_edge=compact[h.a0])
-    by_label = {lbl: e for e, lbl in (built.labels or {}).items()}
-
-    regions = []
-    for i in range(1, len(spec.tangles) + 1):
-        # merged corner edges keep only the first label: a missing s2 means
-        # NE shares NW's edge, a missing s3/s4 means the south corner
-        # shares the edge of whichever north corner its strand reaches
-        nw = by_label[f"s1_{i}"]
-        ne = by_label.get(f"s2_{i}", nw)
-        sw = by_label.get(f"s3_{i}", nw)
-        se = by_label.get(f"s4_{i}", sw if f"s2_{i}" not in by_label else ne)
-        corners = {"NW": nw, "NE": ne, "SW": sw, "SE": se}
-        lo, hi = region_ranges[i - 1]
-        regions.append(RegionInfo(i, corners, tuple(range(lo, hi))))
-
-    meta = UnionMeta(
-        spec=spec,
-        regions=tuple(regions),
-        origins=tuple(origins),
-        attach_bits=tuple(bits),
-    )
-    return built.with_meta(meta)
+    return built.with_meta(UnionMeta(spec, tuple(bits)))
 
 
 def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
     """The symmetric union of spec.partial with its mirror image, with
     spec.tangles spliced in at the marked arcs. The result is a knot
-    diagram with 2c(D) + sum(c(T_i)) crossings."""
-    return _assemble(spec)
+    diagram with 2c(D) + sum(c(T_i)) crossings.
+
+    Whether a box embeds depends on which side of its cut arc faces the
+    axis corridor, which the combinatorial input does not record, so the
+    builder searches the attachment bits depth first, preferred bit first,
+    and keeps the first vector in that order whose wiring embeds. A prefix
+    of i bits is checked by assembling the spec cut to its first i
+    tangles: the later marked arcs stay uncut, which is the full diagram
+    with the crossingless vertical tangle in each later box. Swapping a
+    box's contents for a crossingless tangle keeps a planar diagram
+    planar, so every prefix of an embedding vector embeds, and pruning at
+    a failed prefix loses no embedding vector."""
+    _validate_inputs(spec, require_even=True)
+    n = len(spec.tangles)
+    order = (_ATTACH_BIT, 1 - _ATTACH_BIT)
+    bits: list[int] = []
+    # the message only: an exception kept past its handler would hold the
+    # search frames through its traceback
+    first_failure = None
+    while True:
+        i = len(bits)
+        try:
+            if i == n:
+                return _assemble_with_bits(spec, tuple(bits), require_knot=True)
+            if i:  # no check for i = 0: the two halves joined at the axis embed
+                cut = SymUnionSpec(spec.partial, spec.marked_arcs[: i + 1], spec.tangles[:i])
+                _assemble_with_bits(cut, tuple(bits), require_knot=False)
+        except NotPlanarInsertion as exc:
+            if first_failure is None:
+                first_failure = str(exc)
+        else:
+            bits.append(order[0])
+            continue
+        # the next prefix in search order: drop the trailing second choices
+        # and flip the last first choice
+        while bits and bits[-1] == order[1]:
+            bits.pop()
+        if not bits:
+            raise NotPlanarInsertion(first_failure)
+        bits[-1] = order[1]
 
 
-def build_all_zero_replacement(spec: SymUnionSpec) -> PlanarDiagram:
-    """Every tangle replaced by the trivial west-to-east pair; the diagram
-    falls apart into n+1 components."""
-    zeros = tuple(rational_tangle([]) for _ in spec.tangles)
-    flat = SymUnionSpec(spec.partial, spec.marked_arcs, zeros)
-    return _assemble(flat, require_even=False, require_knot=False)
+def build_all_zero_replacement(union: SymUnionSpec | PlanarDiagram) -> PlanarDiagram:
+    """Every tangle of the union (a spec is built first) replaced by the
+    trivial west-to-east pair; the diagram falls apart into n+1
+    components. That tangle joins the host's outgoing stub to the
+    mirror's incoming one, and vice versa, under either attachment bit,
+    so the union's own bits embed it."""
+    k = built_union(union)
+    zeros = dict.fromkeys(range(1, len(k.meta.spec.tangles) + 1), rational_tangle([]))
+    return _rebuild(k, zeros, require_knot=False)
 
 
 # -- the built union --------------------------------------------------------------
@@ -358,31 +340,19 @@ def region_tangle(k: PlanarDiagram, i: int) -> Tangle:
     return tangles[i - 1]
 
 
-def _with_tangle(k: PlanarDiagram, i: int, r: Tangle) -> tuple[UnionMeta, SymUnionSpec]:
-    """k's metadata, and its spec with region i holding r instead."""
-    region_tangle(k, i)
-    meta = k.meta
-    spec = meta.spec
-    tangles = list(spec.tangles)
-    tangles[i - 1] = r
-    return meta, SymUnionSpec(spec.partial, spec.marked_arcs, tangles)
-
-
-def _rebuild_region(
-    k: PlanarDiagram, i: int, r: Tangle, *, require_knot: bool
+def _rebuild(
+    k: PlanarDiagram, replace: Mapping[int, Tangle], *, require_knot: bool
 ) -> PlanarDiagram:
-    """Rebuild with region i holding r, keeping the attachment orientation
-    vector of k. Pinning the bits keeps the complement of region i the same
+    """Rebuild k with region i holding replace[i], at the attachment bits
+    of k. Pinning the bits keeps the complement of each region the same
     tangle across rebuilds, which the decomposition checks rely on."""
-    meta, spec = _with_tangle(k, i, r)
+    meta = _meta_of(k)
+    for i in replace:
+        region_tangle(k, i)
+    tangles = [replace.get(i, t) for i, t in enumerate(meta.spec.tangles, start=1)]
+    spec = SymUnionSpec(meta.spec.partial, meta.spec.marked_arcs, tangles)
     _validate_inputs(spec, require_even=False)
     return _assemble_with_bits(spec, meta.attach_bits, require_knot=require_knot)
-
-
-def replace_tangle(k: PlanarDiagram, i: int, r: Tangle) -> PlanarDiagram:
-    """Rebuild the union with region i holding r instead. The diagram must
-    carry construction metadata."""
-    return build_symmetric_union(_with_tangle(k, i, r)[1])
 
 
 def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:
@@ -419,7 +389,7 @@ def parse_spec(doc: Mapping) -> SymUnionSpec:
         raise ConstructError(f"spec document must be an object, not {type(doc).__name__}")
     try:
         partial = parse_pd(doc["partial"])
-        marked = tuple(int(e) for e in doc["marked_arcs"])
+        marked = tuple(json_int(e, ConstructError) for e in doc["marked_arcs"])
         tangles = tuple(parse_tangle(t) for t in doc["tangles"])
     except KeyError as exc:
         raise ConstructError(f"spec document is missing {exc}") from exc

@@ -371,6 +371,14 @@ def cap_crossings(count: int, error: type[Exception]) -> None:
         raise error(f"{count} crossings; at most {MAX_CROSSINGS} are accepted")
 
 
+def json_int(value, error: type[Exception]) -> int:
+    """value, which must be a JSON integer: a bool, a float or a string
+    standing for a number is bad input, not something to convert."""
+    if type(value) is not int:
+        raise error(f"expected an integer, not {value!r}")
+    return value
+
+
 _PD_TERM = re.compile(r"^X\[(-?\d+),(-?\d+),(-?\d+),(-?\d+)\]$")
 
 
@@ -410,9 +418,9 @@ def _parse_doc(doc: Mapping) -> PlanarDiagram:
         for row in doc["crossings"]:
             if len(row) != 4:
                 raise MalformedPD(f"crossing {row!r} is not a 4-tuple")
-            tuples.append(tuple(int(v) for v in row))
+            tuples.append(tuple(json_int(v, MalformedPD) for v in row))
         labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}
-        free_loops = int(doc.get("free_loops", 0))
+        free_loops = json_int(doc.get("free_loops", 0), MalformedPD)
     except (TypeError, ValueError, AttributeError) as exc:
         raise MalformedPD(f"malformed diagram document: {exc}") from exc
     if not tuples and free_loops == 0:

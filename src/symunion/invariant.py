@@ -23,7 +23,7 @@ from .diagram import (
     writhe,
 )
 from .construct import (
-    _rebuild_region,
+    _rebuild,
     build_all_zero_replacement,
     built_union,
     derived,
@@ -677,7 +677,7 @@ def verify_zero_replacement(union) -> VerificationReport:
     tangle splits the union and kills its Alexander polynomial."""
     k = built_union(union)
     rep = VerificationReport("zero replacement collapses the polynomial")
-    flat = build_all_zero_replacement(k.meta.spec)
+    flat = build_all_zero_replacement(k)
     a = alexander_region(flat)
     rep.record("components", flat.component_count())
     rep.record("alexander of replacement", a.text())
@@ -767,7 +767,7 @@ def verify_fraction_region(
 
     def complement(r: Tangle, knot: bool):
         return lambda: _conway_closure(
-            _rebuild_region(k, region, r, require_knot=knot), cancel
+            _rebuild(k, {region: r}, require_knot=knot), cancel
         )
 
     return _sum_rule(

@@ -27,6 +27,7 @@ from .diagram import (
     cap_crossings,
     check_ends,
     find_root,
+    json_int,
     resolve_orientation,
 )
 
@@ -448,16 +449,18 @@ def parse_tangle(doc: Mapping) -> Tangle:
                 cap_crossings(count, BadParameter)
             return rational_tangle(cf)
         if "kt" in doc:
-            n = int(doc["kt"])
+            n = json_int(doc["kt"], TangleError)
             cap_crossings(2 * n - 1, BadParameter)
             return kt_tangle(n)
         if "crossings" not in doc or "boundary" not in doc:
             raise TangleError("tangle document needs crossings and boundary")
         cap_crossings(len(doc["crossings"]), BadParameter)
-        xs = tuple(Crossing(*(int(v) for v in row)) for row in doc["crossings"])
-        boundary = {c: int(doc["boundary"][c]) for c in CORNERS}
+        xs = tuple(
+            Crossing(*(json_int(v, TangleError) for v in row)) for row in doc["crossings"]
+        )
+        boundary = {c: json_int(doc["boundary"][c], TangleError) for c in CORNERS}
         flows = {c: str(doc["flows"][c]) for c in CORNERS} if "flows" in doc else {}
-        loops = int(doc.get("closed_loops", 0))
+        loops = json_int(doc.get("closed_loops", 0), TangleError)
         with _as_tangle_errors():
             flags, resolved = resolve_orientation(xs, boundary, flows)
     except (TypeError, KeyError, AttributeError) as exc:

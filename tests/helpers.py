@@ -1,9 +1,13 @@
 """Helpers only the tests use: a display layout for Alexander polynomials,
-a parser for the text form of free-group words, and the rank of a
-presentation's abelianization."""
+a parser for the text form of free-group words, the rank of a
+presentation's abelianization, and the exhaustive attachment search the
+builder's pruned search is checked against."""
 
+import itertools
 from fractions import Fraction
 
+from symunion import construct
+from symunion.diagram import PlanarDiagram
 from symunion.group import GroupWord, WirtingerPresentation
 from symunion.poly import LaurentPoly
 
@@ -52,3 +56,19 @@ def abelianization_rank(p: WirtingerPresentation) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
+    """The union built by trying every attachment vector in product order,
+    preferred bit first, and keeping the first that embeds; the oracle for
+    construct.build_symmetric_union's pruned search."""
+    construct._validate_inputs(spec, require_even=True)
+    order = (construct._ATTACH_BIT, 1 - construct._ATTACH_BIT)
+    first_err = None
+    for bits in itertools.product(order, repeat=len(spec.tangles)):
+        try:
+            return construct._assemble_with_bits(spec, bits, require_knot=True)
+        except construct.NotPlanarInsertion as exc:
+            if first_err is None:
+                first_err = exc
+    raise first_err

@@ -70,9 +70,13 @@ class TestBuild:
         assert rc == 2
 
 
-def _with(key, value):
+def _set(*path, value):
+    """The kt_union_1 spec document with the entry at path set to value."""
     doc = to_spec_doc(corpus.SPEC_FIXTURES["kt_union_1"])
-    doc[key] = value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return doc
 
 
@@ -85,11 +89,11 @@ class TestMalformedDocuments:
         "doc",
         [
             [1, 2],
-            _with("tangles", [5]),
-            _with("tangles", [{"crossings": [], "boundary": [1, 2]}]),
-            _with("marked_arcs", 5),
-            _with("partial", {"crossings": 5}),
-            _with("partial", {"crossings": [[1, 2, 3, 4]], "labels": [1]}),
+            _set("tangles", value=[5]),
+            _set("tangles", value=[{"crossings": [], "boundary": [1, 2]}]),
+            _set("marked_arcs", value=5),
+            _set("partial", value={"crossings": 5}),
+            _set("partial", value={"crossings": [[1, 2, 3, 4]], "labels": [1]}),
         ],
         ids=["top-level-list", "tangle-not-object", "boundary-not-object",
              "marked-arcs-not-list", "crossings-not-list", "labels-not-object"],
@@ -104,6 +108,40 @@ class TestMalformedDocuments:
         assert out == ""
 
 
+class TestIntegerFields:
+    """Every integer field must be a JSON integer: a bool, a float or a
+    string standing for a number is bad input, never converted."""
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _set("marked_arcs", value="58"),
+            _set("marked_arcs", value=[5.9, 8.2]),
+            _set("marked_arcs", 0, value=True),
+            _set("partial", "crossings", 0, 0, value=1.5),
+            _set("partial", "free_loops", value="0"),
+            _set("tangles", 0, "crossings", 0, 0, value="1"),
+            _set("tangles", 0, "boundary", "NW", value=1.0),
+            _set("tangles", 0, "closed_loops", value=False),
+            _set("tangles", 0, value={"kt": "3"}),
+            _set("tangles", 0, value={"kt": 3.0}),
+        ],
+        ids=["marked-arcs-string", "marked-arcs-floats", "marked-arcs-bool",
+             "pd-entry-float", "free-loops-string", "tangle-entry-string",
+             "boundary-float", "closed-loops-bool", "kt-string", "kt-float"],
+    )
+    def test_non_integer_is_exit_2(self, command, doc, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, command, str(p))
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "expected an integer" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
 class TestInputCaps:
     """A document that describes more than MAX_CROSSINGS crossings is bad
     input, refused before anything is built."""
@@ -114,7 +152,7 @@ class TestInputCaps:
     )
     def test_oversized_tangle_is_exit_2_at_once(self, command, tangle, tmp_path, capsys):
         p = tmp_path / "spec.json"
-        p.write_text(json.dumps(_with("tangles", [tangle])))
+        p.write_text(json.dumps(_set("tangles", value=[tangle])))
         start = time.perf_counter()
         rc, out, err = run(capsys, command, str(p))
         assert time.perf_counter() - start < 1
@@ -226,24 +264,34 @@ class TestVerify:
         path.write_text(json.dumps(to_spec_doc(spec)))
 
         searched, matrices = [], []
-        search, matrix = construct._assemble, invariant.region_matrix
+        search, matrix = construct.build_symmetric_union, invariant.region_matrix
 
-        def counting_search(s, **kwargs):
+        def counting_search(s):
             searched.append(s)
-            return search(s, **kwargs)
+            return search(s)
 
         def counting_matrix(d):
             matrices.append(d)
             return matrix(d)
 
-        monkeypatch.setattr(construct, "_assemble", counting_search)
+        monkeypatch.setattr(construct, "build_symmetric_union", counting_search)
         monkeypatch.setattr(invariant, "region_matrix", counting_matrix)
         rc, _, _ = run(capsys, "verify", str(path), "--format", "doc")
         assert rc == 0
-        # the attachment search runs once for the union (and once for its
-        # zero replacement, a different spec)
-        assert sum(s == spec for s in searched) == 1
+        # one attachment search, for the union; the zero replacement and
+        # the fraction complements are rebuilt at its attachment bits
+        assert searched == [spec]
         assert sum(d.crossings == union.crossings for d in matrices) == 1
+
+    def test_parser_is_built_once_and_keeps_no_flags(self, spec_path, capsys):
+        assert cli._parser() is cli._parser()
+        rc, out, _ = run(capsys, "verify", str(spec_path), "--lemma", "--format", "doc")
+        assert rc == 0
+        assert len(json.loads(out)) == 1
+        rc, out, _ = run(capsys, "verify", str(spec_path), "--format", "doc")
+        assert rc == 0
+        n = len(corpus.SPEC_FIXTURES["kt_union_1"].tangles)
+        assert len(json.loads(out)) == 3 + n
 
     def test_failing_check_is_exit_1(self, spec_path, capsys, monkeypatch):
         bad = VerificationReport("alexander product formula")

@@ -4,6 +4,8 @@ join arcs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import exhaustive_build
+from symunion import construct, corpus
 from symunion.construct import (
     ClosedComponentInTangle,
     ConstructError,
@@ -13,21 +15,22 @@ from symunion.construct import (
     SymUnionSpec,
     UnionMeta,
     UnknownRegion,
+    _rebuild,
     build_all_zero_replacement,
     build_symmetric_union,
     glued_pair,
     parse_spec,
-    replace_tangle,
     to_spec_doc,
 )
-from symunion.diagram import parse_pd, renumber_edges, writhe
+from symunion.diagram import faces, over_arcs, parse_pd, writhe
 from symunion.invariant import (
     alexander_fox,
     alexander_region,
     jones,
     verify_fraction_region,
+    verify_product_formula,
 )
-from symunion.group import wirtinger
+from symunion.group import certify_epimorphism, wirtinger
 from symunion.poly import LaurentPoly, normalize_alexander
 from symunion.tangle import (
     is_even_type,
@@ -80,32 +83,21 @@ class TestSingleRegion:
         meta = self.k.meta
         assert isinstance(meta, UnionMeta)
         assert meta.spec == self.spec
-        assert len(meta.regions) == 1
         assert meta.attach_bits == (0,)
-        assert len(meta.origins) == 8
 
     def test_mirror_half_flags_negated(self):
-        # origins pair each mirror crossing with its source crossing
-        for idx, origin in enumerate(self.k.meta.origins):
-            if origin[0] == "D":
-                assert self.k.over_from_d[idx] == self.d.over_from_d[origin[1]]
-            elif origin[0] == "D*":
-                assert self.k.over_from_d[idx] != self.d.over_from_d[origin[1]]
+        # crossings 0..c-1 are D's, c..2c-1 their mirror images in order
+        c = len(self.d.crossings)
+        for j, flag in enumerate(self.d.over_from_d):
+            assert self.k.over_from_d[j] == flag
+            assert self.k.over_from_d[c + j] != flag
 
     def test_writhe_comes_from_regions_only(self):
-        # the two halves cancel crossing sign by crossing sign
-        region_w = sum(
-            self.k.sign(ci)
-            for r in self.k.meta.regions
-            for ci in r.crossings
-        )
+        # the two halves cancel crossing sign by crossing sign; the tangle
+        # crossings follow the 2c crossings of the halves
+        c = len(self.d.crossings)
+        region_w = sum(self.k.sign(ci) for ci in range(2 * c, len(self.k.crossings)))
         assert writhe(self.k) == region_w
-
-    def test_region_corners_are_edges(self):
-        corners = self.k.meta.regions[0].corners
-        assert set(corners) == {"NW", "NE", "SW", "SE"}
-        for e in corners.values():
-            assert e in self.k.head_of
 
 
 class TestMultiRegion:
@@ -117,9 +109,7 @@ class TestMultiRegion:
         k = build_symmetric_union(spec)
         assert len(k.crossings) == 10
         assert k.component_count() == 1
-        assert len(k.meta.regions) == 2
-        r1, r2 = k.meta.regions
-        assert set(r1.crossings).isdisjoint(r2.crossings)
+        assert len(k.meta.attach_bits) == 2
 
     def test_three_regions_on_fig8(self):
         spec = SymUnionSpec(
@@ -184,21 +174,22 @@ class TestReplacement:
     def test_identity_round_trip(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
-        again = replace_tangle(k, 1, vertical_twists(2))
+        again = _rebuild(k, {1: vertical_twists(2)}, require_knot=True)
         assert again == k
 
     def test_replacement_changes_region_only(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
-        k2 = replace_tangle(k, 1, vertical_twists(4))
+        k2 = _rebuild(k, {1: vertical_twists(4)}, require_knot=True)
         assert len(k2.crossings) == len(k.crossings) + 2
         assert k2.meta.spec.tangles[0] == vertical_twists(4)
+        assert k2.meta.attach_bits == k.meta.attach_bits
 
     def test_unknown_region(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
         with pytest.raises(UnknownRegion):
-            replace_tangle(k, 2, vertical_twists(2))
+            _rebuild(k, {2: vertical_twists(2)}, require_knot=True)
 
     @pytest.mark.parametrize("region", [0, -1, 2])
     def test_fraction_check_rejects_unknown_region_before_computing(self, region):
@@ -210,13 +201,15 @@ class TestReplacement:
 
     def test_requires_metadata(self):
         with pytest.raises(ConstructError):
-            replace_tangle(trefoil(), 1, vertical_twists(2))
+            _rebuild(trefoil(), {1: vertical_twists(2)}, require_knot=True)
 
     def test_non_even_replacement_rejected(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
-        with pytest.raises(NotEvenType):
-            replace_tangle(k, 1, rational_tangle([2]))
+        # a rebuild checks no tangle type; a tangle pairing west to east
+        # splits the union, and a rebuild that asks for a knot refuses it
+        with pytest.raises(NotAKnot):
+            _rebuild(k, {1: rational_tangle([2])}, require_knot=True)
 
 
 class TestZeroReplacement:
@@ -229,7 +222,10 @@ class TestZeroReplacement:
     )
     def test_splits_into_one_extra_component_per_region(self, marked, tangles):
         spec = SymUnionSpec(trefoil(), marked, tangles)
+        k = build_symmetric_union(spec)
         flat = build_all_zero_replacement(spec)
+        assert flat == build_all_zero_replacement(k)
+        assert flat.meta.attach_bits == k.meta.attach_bits
         assert flat.component_count() == len(tangles) + 1
         assert alexander_region(flat) == LaurentPoly.zero()
 
@@ -327,3 +323,109 @@ class TestBuildProperties:
         k = build_symmetric_union(spec)
         assert len(k.crossings) == 11
         assert k.component_count() == 1
+
+
+# -- the attachment search ----------------------------------------------------------
+
+
+@st.composite
+def placements(draw):
+    """1-4 pool tangles at marked edges on distinct arcs of a pool partial,
+    whether or not the insertion embeds."""
+    partial = draw(st.sampled_from(corpus._PARTIAL_POOL))
+    arcs = over_arcs(partial)
+    n = draw(st.integers(min_value=1, max_value=min(4, len(arcs) - 1)))
+    chosen = draw(st.permutations(range(len(arcs))))[: n + 1]
+    marked = tuple(draw(st.sampled_from(arcs[a])) for a in chosen)
+    tangles = tuple(draw(st.sampled_from(corpus._TANGLE_POOL)) for _ in range(n))
+    return SymUnionSpec(partial, marked, tangles)
+
+
+def _build_or_error(build, spec):
+    try:
+        return build(spec)
+    except ConstructError as exc:
+        return type(exc)
+
+
+# Twist regions over a 22-crossing two-bridge partial, marked at edges of
+# its face with the most distinct arcs: 13 of them, room for 12 regions.
+TWO_BRIDGE = numerator(rational_tangle([2] * 10 + [1, 1]))
+
+
+def _face_edges(d):
+    arc_of = {e: i for i, arc in enumerate(over_arcs(d)) for e in arc}
+    face = max(faces(d), key=lambda f: len({arc_of[e] for e, _ in f.edge_sides}))
+    by_arc = {}
+    for e, _ in face.edge_sides:
+        by_arc.setdefault(arc_of[e], e)
+    return list(by_arc.values())
+
+
+FACE_EDGES = _face_edges(TWO_BRIDGE)
+
+
+def _counted_build(spec):
+    """The union spec builds, and the number of assemblies it took."""
+    calls = []
+    assemble = construct._assemble_with_bits
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_assemble_with_bits", counting)
+        k = build_symmetric_union(spec)
+    return k, len(calls)
+
+
+class TestAttachmentSearch:
+    @given(placements())
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_search_matches_the_product_loop(self, spec):
+        got = _build_or_error(build_symmetric_union, spec)
+        want = _build_or_error(exhaustive_build, spec)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got == want
+            assert got.labels == want.labels
+            assert got.meta.attach_bits == want.meta.attach_bits
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda n: st.permutations(FACE_EDGES).map(lambda es: tuple(es[: n + 1]))
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_many_regions_take_a_linear_number_of_assemblies(self, marked):
+        n = len(marked) - 1
+        spec = SymUnionSpec(TWO_BRIDGE, marked, (vertical_twists(2),) * n)
+        k, assemblies = _counted_build(spec)
+        assert len(k.crossings) == 2 * len(TWO_BRIDGE.crossings) + 2 * n
+        assert assemblies <= 2 * n + 1
+        assert verify_product_formula(k).passed
+        assert certify_epimorphism(k).passed
+
+    def test_twelve_regions(self):
+        spec = SymUnionSpec(
+            TWO_BRIDGE, tuple(FACE_EDGES[:13]), (vertical_twists(2),) * 12
+        )
+        k, assemblies = _counted_build(spec)
+        assert len(k.crossings) == 68
+        assert assemblies <= 25
+        # the product loop's first embedding vector, found after 2,730 of
+        # its assemblies (too slow to rerun here)
+        assert k.meta.attach_bits == (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1)
+
+    def test_no_tangles(self):
+        # the two halves joined at the axis: D # -D*, a ribbon knot whose
+        # polynomial is the square of D's
+        spec = SymUnionSpec(trefoil(), (1,), ())
+        k = build_symmetric_union(spec)
+        assert k == exhaustive_build(spec)
+        assert len(k.crossings) == 6
+        assert k.component_count() == 1
+        assert k.meta.attach_bits == ()
+        assert verify_product_formula(k).passed

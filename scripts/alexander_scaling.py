@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Time the two Alexander routes on the scaling family and check them.
+
+The family member for m carries kt(m) x 4 over the 12-crossing rational
+knot N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings. Its marked arcs are the
+first draw that embeds under rejection sampling with random.Random(1): five
+edges on distinct over-arcs of the partial, drawn again until the union
+builds.
+
+For each m the script prints the crossings, the best of --repeat process
+times of the region-route and Fox-route determinants, and for each route
+the size k of the block left once no unit pivot remains and the packing
+width B of that block. It exits 1 unless both routes give the polynomial
+the product formula predicts, Delta(partial)^2 prod Delta(N(kt(m))).
+
+    python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
+"""
+
+import argparse
+import random
+import sys
+import time
+
+from symunion import invariant
+from symunion.construct import NotPlanarInsertion, SymUnionSpec, build_symmetric_union
+from symunion.group import wirtinger
+from symunion.invariant import alexander_region, det_laurent, flanking_faces, fox_jacobian
+from symunion.poly import normalize_alexander
+from symunion.tangle import kt_tangle, numerator, rational_tangle
+
+PARTIAL = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
+REGIONS = 4
+
+
+def member(m: int):
+    tangles = (kt_tangle(m),) * REGIONS
+    arcs = wirtinger(PARTIAL).arc_of_edge
+    edges = sorted(arcs)
+    rng = random.Random(1)
+    while True:
+        marked = tuple(rng.sample(edges, REGIONS + 1))
+        if len({arcs[e] for e in marked}) < REGIONS + 1:
+            continue
+        try:
+            return build_symmetric_union(SymUnionSpec(PARTIAL, marked, tangles))
+        except NotPlanarInsertion:
+            continue
+
+
+def region_rows(k):
+    m = invariant.region_matrix(k)
+    return m.reduced(flanking_faces(m, 1))
+
+
+def fox_rows(k):
+    w = wirtinger(k)
+    n = len(w.generators)
+    return [{j: p for j, p in row.items() if j < n - 1} for row in fox_jacobian(w)[: n - 1]]
+
+
+def best_time(rows, repeat: int):
+    best, value = None, None
+    for _ in range(repeat):
+        t0 = time.process_time()
+        value = det_laurent(rows)
+        dt = time.process_time() - t0
+        best = dt if best is None else min(best, dt)
+    return best, value
+
+
+def tail(rows) -> tuple[int, int]:
+    """The size k of the block left after the unit pivots, and its width B
+    (0 when no block is left)."""
+    found = invariant._unit_pivots(rows, None)
+    if found is None or not found[2]:
+        return 0, 0
+    return len(found[2]), invariant._block_width(found[2])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--m", type=int, nargs="+", default=[6, 12, 25, 50, 100, 200],
+                    help="kt twist parameters to run (default: 68 to 1,620 crossings)")
+    ap.add_argument("--repeat", type=int, default=3, help="best of this many runs")
+    args = ap.parse_args()
+
+    half = alexander_region(PARTIAL)
+    failures = 0
+    print("crossings     m   region_s      fox_s  region k/B   fox k/B  ok")
+    for m in args.m:
+        k = member(m)
+        want = half * half
+        for t in k.meta.spec.tangles:
+            want = want * alexander_region(numerator(t))
+        want = normalize_alexander(want, knot=True)
+        rrows, frows = region_rows(k), fox_rows(k)
+        t_region, d_region = best_time(rrows, args.repeat)
+        t_fox, d_fox = best_time(frows, args.repeat)
+        ok = normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True) == want
+        failures += not ok
+        (kr, br), (kf, bf) = tail(rrows), tail(frows)
+        print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
+              f"{kr:5}/{br:<5} {kf:4}/{bf:<5} {'yes' if ok else 'NO'}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

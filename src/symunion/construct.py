@@ -18,6 +18,7 @@ from .diagram import (
     Crossing,
     PlanarDiagram,
     DiagramError,
+    Face,
     cap_crossings,
     json_int,
     over_arcs,
@@ -229,11 +230,15 @@ def _assemble_with_bits(
     rows, compact = _compact([[find(e) for e in row] for row in rows])
     labels = {compact[e]: lbl for e, lbl in labels.items() if find(e) == e and e in compact}
 
+    # renumbered first, so that the faces walked here are the ones the
+    # invariants read (planar_faces)
     try:
         built = PlanarDiagram(
             tuple(Crossing(*row) for row in rows), tuple(flags), labels=labels
         )
-        validate_planarity(built)
+        built = renumber_edges(built, start_edge=compact[h.a0])
+        built = built.with_meta(UnionMeta(spec, tuple(bits)))
+        planar_faces(built)
     except DiagramError as exc:
         raise NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
 
@@ -241,9 +246,7 @@ def _assemble_with_bits(
         raise NotAKnot(
             f"result has {built.component_count()} components, expected a knot"
         )
-
-    built = renumber_edges(built, start_edge=compact[h.a0])
-    return built.with_meta(UnionMeta(spec, tuple(bits)))
+    return built
 
 
 def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
@@ -330,6 +333,12 @@ def derived(d: PlanarDiagram, key: Hashable, compute: Callable[[], _T]) -> _T:
     if key not in d.computed:
         d.computed[key] = compute()
     return d.computed[key]
+
+
+def planar_faces(d: PlanarDiagram) -> tuple[Face, ...]:
+    """validate_planarity(d), kept with d. A union is validated when it is
+    assembled, so the invariants that read its faces walk none."""
+    return derived(d, "faces", lambda: validate_planarity(d))
 
 
 def region_tangle(k: PlanarDiagram, i: int) -> Tangle:

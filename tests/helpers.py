@@ -1,7 +1,8 @@
 """Helpers only the tests use: a display layout for Alexander polynomials,
 a parser for the text form of free-group words, the rank of a
-presentation's abelianization, and the exhaustive attachment search the
-builder's pruned search is checked against."""
+presentation's abelianization, the exhaustive attachment search the
+builder's pruned search is checked against, and dense matrices as the
+sparse rows det_laurent takes."""
 
 import itertools
 from fractions import Fraction
@@ -17,6 +18,12 @@ def display_form(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero():
         return p
     return p.shift(-p.min_exp())
+
+
+def sparse(rows) -> list[dict[int, LaurentPoly]]:
+    """A dense matrix (a list of rows) as sparse rows: column -> nonzero
+    entry."""
+    return [{j: p for j, p in enumerate(row) if p} for row in rows]
 
 
 def parse_word(text: str) -> GroupWord:

@@ -293,6 +293,19 @@ class TestVerify:
         n = len(corpus.SPEC_FIXTURES["kt_union_1"].tangles)
         assert len(json.loads(out)) == 3 + n
 
+    def test_spec_without_tangles_passes_with_a_vacuous_lemma(self, tmp_path, capsys):
+        trefoil = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+        path = tmp_path / "no_tangles.json"
+        path.write_text(json.dumps(to_spec_doc(SymUnionSpec(trefoil, (1,), ()))))
+        rc, out, _ = run(capsys, "verify", str(path), "--format", "doc")
+        assert rc == 0
+        reports = json.loads(out)
+        assert [r["passed"] for r in reports] == [True] * 3
+        lemma = reports[0]
+        assert lemma["title"] == "zero replacement collapses the polynomial"
+        assert lemma["checks"] == []
+        assert "vacuous" in lemma["data"]["tangle regions"]
+
     def test_failing_check_is_exit_1(self, spec_path, capsys, monkeypatch):
         bad = VerificationReport("alexander product formula")
         bad.add("union polynomial equals product", False, "forced for the test")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import symunion.invariant as inv
 from bracket_oracle import bracket_naive
-from helpers import display_form
+from helpers import display_form, sparse
 from symunion import corpus
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.diagram import (
@@ -33,6 +33,7 @@ from symunion.invariant import (
     alexander_region,
     det_laurent,
     flanking_faces,
+    fox_jacobian,
     jones,
     kauffman_bracket,
     region_matrix,
@@ -112,7 +113,7 @@ def test_det_matches_fraction_elimination(rows):
     from fractions import Fraction
 
     n = len(rows)
-    got = det_laurent([[LaurentPoly.term(v) for v in r] for r in rows])
+    got = det_laurent(sparse([[LaurentPoly.term(v) for v in r] for r in rows]))
     m = [[Fraction(v) for v in r] for r in rows]
     det = Fraction(1)
     sign = 1
@@ -177,12 +178,114 @@ def laurent_matrices(draw):
 @given(laurent_matrices())
 @settings(max_examples=150, deadline=None)
 def test_det_matches_leibniz_expansion(rows):
-    assert det_laurent(rows) == leibniz(rows)
+    assert det_laurent(sparse(rows)) == leibniz(rows)
+
+
+def is_unit(p):
+    terms = p.items()
+    return len(terms) == 1 and abs(terms[0][1]) == 1
+
+
+unit_free_entries = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.dictionaries(st.integers(-6, 6), ints(-(2**40), 2**40), min_size=1, max_size=4)
+    .map(LaurentPoly)
+    .filter(lambda p: not is_unit(p)),
+)
+
+
+@st.composite
+def unit_free_matrices(draw):
+    """Square Laurent matrices up to 5x5 with no unit entry, so that
+    det_laurent hands the whole matrix to its Bareiss phase; coefficients
+    up to 2^40 and exponents -6..6 make the packing width grow. Some get a
+    zero row, a zero column, or a row that is a multiple of another
+    (singular)."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(unit_free_entries) for _ in range(n)] for _ in range(n)]
+    i = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero column", "singular"]))
+    if shape == "zero row":
+        rows[i] = [LaurentPoly.zero()] * n
+    elif shape == "zero column":
+        for row in rows:
+            row[i] = LaurentPoly.zero()
+    elif shape == "singular" and n > 1:
+        j = draw(st.sampled_from([x for x in range(n) if x != i]))
+        f = LaurentPoly.term(draw(st.sampled_from([-3, -2, 2, 3])), draw(st.integers(-2, 2)))
+        rows[i] = [f * x for x in rows[j]]
+    assert not any(is_unit(p) for row in rows for p in row)
+    return rows
+
+
+@given(unit_free_matrices())
+@settings(max_examples=100, deadline=None)
+def test_det_by_bareiss_matches_leibniz_expansion(rows):
+    assert det_laurent(sparse(rows)) == leibniz(rows)
+
+
+def unit_pivots_by_scan(rows):
+    """Phase 1 of det_laurent by a full scan: at every step the unit entry
+    of least ((r-1)(c-1), i, j), with the sign of the step from the
+    pivot's position among the live rows and columns. The reference for
+    the pivot queue of inv._unit_pivots."""
+    m = {i: dict(row) for i, row in enumerate(rows)}
+    live_rows, live_cols = list(range(len(rows))), list(range(len(rows)))
+    unit, shift = 1, 0
+    while all(m.values()):
+        candidates = [
+            ((len(row) - 1) * (sum(j in other for other in m.values()) - 1), i, j)
+            for i, row in m.items()
+            for j, p in row.items()
+            if is_unit(p)
+        ]
+        if not candidates:
+            block = [[dict(m[i][j].items()) if j in m[i] else {} for j in live_cols]
+                     for i in live_rows]
+            return unit, shift, block
+        _, r, c = min(candidates)
+        prow = m.pop(r)
+        ((k, u),) = prow.pop(c).items()
+        if (live_rows.index(r) + live_cols.index(c)) % 2:
+            unit = -unit
+        live_rows.remove(r)
+        live_cols.remove(c)
+        unit, shift = unit * u, shift + k
+        for row in m.values():
+            if c in row:
+                f = row.pop(c).shift(-k) * u
+                for j, a in prow.items():
+                    row[j] = row.get(j, LaurentPoly.zero()) - f * a
+                    if not row[j]:
+                        del row[j]
+    return None
+
+
+@given(laurent_matrices())
+@settings(max_examples=100, deadline=None)
+def test_pivot_queue_takes_the_pivots_of_a_full_scan(rows):
+    assert inv._unit_pivots(sparse(rows), None) == unit_pivots_by_scan(sparse(rows))
+
+
+def alexander_matrices(k):
+    """The matrices both Alexander routes take the determinant of: the
+    region matrix without the two faces that flank edge 1, and the Fox
+    matrix without the last relator and generator."""
+    m = region_matrix(k)
+    w = wirtinger(k)
+    n = len(w.generators)
+    fox = [{j: p for j, p in row.items() if j < n - 1} for row in fox_jacobian(w)[: n - 1]]
+    return m.reduced(flanking_faces(m, 1)), fox
+
+
+def test_pivot_queue_takes_the_pivots_of_a_full_scan_at_68_crossings(union68):
+    for rows in alexander_matrices(union68):
+        assert inv._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
 
 
 def test_det_singular():
     one = LaurentPoly.one()
-    assert det_laurent([[one, one], [one, one]]).is_zero()
+    assert det_laurent(sparse([[one, one], [one, one]])).is_zero()
 
 
 def test_det_empty_is_one():
@@ -199,7 +302,7 @@ def test_cancel_token():
         for i in range(3)
     ]
     with pytest.raises(Cancelled):
-        det_laurent(rows, tok)
+        det_laurent(sparse(rows), tok)
 
 
 class CancelAfter(CancelToken):
@@ -226,6 +329,33 @@ def test_cancel_stops_a_large_determinant_mid_elimination(union68):
     assert tok.polls == 10
 
 
+def test_cancel_stops_the_bareiss_phase():
+    # no entry is a unit, so every poll is a Bareiss step
+    rows = [[LaurentPoly({0: 2 + i, 1: j - 3}) for j in range(4)] for i in range(4)]
+    assert det_laurent(sparse(rows)) == leibniz(rows)
+    tok = CancelAfter(2)
+    with pytest.raises(Cancelled):
+        det_laurent(sparse(rows), tok)
+    assert tok.polls == 2
+
+
+# The determinants of union68's alexander_matrices, not normalized.
+UNION68_REGION_DET = (
+    "-t^28 + 22*t^29 - 203*t^30 + 1028*t^31 - 3149*t^32 + 6090*t^33 - 7575*t^34"
+    " + 6090*t^35 - 3149*t^36 + 1028*t^37 - 203*t^38 + 22*t^39 - t^40"
+)
+UNION68_FOX_DET = (
+    "t^-3 - 22*t^-2 + 203*t^-1 - 1028 + 3149*t - 6090*t^2 + 7575*t^3"
+    " - 6090*t^4 + 3149*t^5 - 1028*t^6 + 203*t^7 - 22*t^8 + t^9"
+)
+
+
+def test_raw_determinants_pinned_at_68_crossings(union68):
+    region, fox = alexander_matrices(union68)
+    assert det_laurent(region) == parse_poly(UNION68_REGION_DET)
+    assert det_laurent(fox) == parse_poly(UNION68_FOX_DET)
+
+
 def test_cancel_from_other_thread(trefoil):
     tok = CancelToken()
     threading.Timer(0.0, tok.cancel).start()
@@ -242,18 +372,20 @@ def test_cancel_from_other_thread(trefoil):
 def test_region_matrix_shape(trefoil):
     m = region_matrix(trefoil)
     assert len(m.entries) == 3
-    assert all(len(row) == 5 for row in m.entries)
+    assert len(m.faces) == 5
     for row in m.entries:
-        nz = [p for p in row if not p.is_zero()]
-        assert len(nz) == 4
+        assert set(row) <= set(range(5))
+        assert len(row) == 4
+        assert all(not p.is_zero() for p in row.values())
 
 
 def test_region_matrix_kink_merges_corners():
     m = region_matrix(parse_pd("X[1,2,2,1]"))
     assert len(m.entries) == 1
-    assert len(m.entries[0]) == 3
-    nz = [p for p in m.entries[0] if not p.is_zero()]
-    assert len(nz) <= 3
+    assert len(m.faces) == 3
+    assert set(m.entries[0]) <= set(range(3))
+    assert len(m.entries[0]) <= 3
+    assert all(not p.is_zero() for p in m.entries[0].values())
 
 
 def test_region_matrix_needs_crossings():
@@ -394,13 +526,34 @@ unions = st.one_of(
 )
 
 
+# The largest union that gets a free random order of its boxes. Free
+# orders on the 68-crossing variants can pass the bracket's state limit.
+FREE_ORDER_CROSSINGS = 47
+
+
 @st.composite
 def diagrams_and_orders(draw):
-    """A union with a random order of its boxes. Random orders sweep parts
-    of the diagram that do not touch, and close edges whose other ends are
-    paired with each other."""
+    """A union with a random order of its boxes. Free random orders sweep
+    parts of the diagram that do not touch, and close edges whose other
+    ends are paired with each other. Above FREE_ORDER_CROSSINGS the order
+    is a random connected sweep: a random start, then at each step a
+    random box that touches the boxes swept so far."""
     d = draw(unions)
-    return d, draw(st.permutations(range(len(inv._boxes(d, faces(d))))))
+    boxes = inv._boxes(d, faces(d))
+    if len(d.crossings) <= FREE_ORDER_CROSSINGS:
+        return d, draw(st.permutations(range(len(boxes))))
+    box_of = {ci: i for i, box in enumerate(boxes) for ci in box}
+    nbrs: list[set[int]] = [set() for _ in boxes]
+    for (i, _), (j, _) in d.incidences.values():
+        nbrs[box_of[i]].add(box_of[j])
+        nbrs[box_of[j]].add(box_of[i])
+    order = [draw(st.integers(0, len(boxes) - 1))]
+    touching = nbrs[order[0]] - set(order)
+    while touching:
+        order.append(draw(st.sampled_from(sorted(touching))))
+        touching = (touching | nbrs[order[-1]]) - set(order)
+    assert sorted(order) == list(range(len(boxes)))  # a union is connected
+    return d, order
 
 
 @given(diagrams_and_orders())

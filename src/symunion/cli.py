@@ -38,7 +38,7 @@ from .invariant import (
     verify_product_formula,
     verify_zero_replacement,
 )
-from .poly import PolyError, conway_from_alexander, normalize_alexander
+from .poly import PolyError, conway_from_alexander
 from .report import VerificationReport
 from .tangle import TangleError, to_tangle_doc
 
@@ -95,7 +95,7 @@ def cmd_invariants(args) -> int:
         doc["alexander"] = a.text()
         lines.append(f"alexander (region matrix): {a.text()}")
         if knot and d.crossings:
-            b = normalize_alexander(alexander_fox(wirtinger(d)))
+            b = alexander_fox(wirtinger(d))
             doc["alexander_fox"] = b.text()
             doc["alexander_methods_agree"] = a == b
             lines.append(f"alexander (fox calculus):  {b.text()}")
@@ -104,7 +104,7 @@ def cmd_invariants(args) -> int:
                 return emit(1)
         if args.conway or run_all:
             if knot:
-                c = conway_from_alexander(a, knot=True)
+                c = conway_from_alexander(a)
                 doc["conway"] = c.text()
                 lines.append(f"conway: {c.text()}")
             elif a.is_zero():

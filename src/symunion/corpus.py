@@ -12,11 +12,8 @@ scratch. Everything else in this module follows from those choices.
 
 from __future__ import annotations
 
-import random
-
-from .construct import NotPlanarInsertion, SymUnionSpec, build_symmetric_union
+from .construct import SymUnionSpec
 from .diagram import PlanarDiagram, parse_pd
-from .group import wirtinger
 from .poly import LaurentPoly
 from .tangle import (
     Tangle,
@@ -119,47 +116,3 @@ JONES_PINNED: dict[str, LaurentPoly] = {
          8: 34, 9: -77, 10: 86, 11: -69, 12: 42, 13: -19, 14: 6, 15: -1}
     ),
 }
-
-
-# Pools for randomized property suites. Partials are knot diagrams of at
-# most six crossings; insertions are north-to-south pairing tangles of at
-# most four crossings.
-_PARTIAL_POOL: tuple[PlanarDiagram, ...] = (
-    TREFOIL,
-    FIGURE_EIGHT,
-    FIVE_TWO,
-    numerator(rational_tangle([1, 1, 1, 1, 2])),
-)
-
-_TANGLE_POOL: tuple[Tangle, ...] = (
-    vertical_twists(2),
-    vertical_twists(-2),
-    vertical_twists(4),
-    vertical_twists(-4),
-    rational_tangle([1, 1, 1]),
-    rational_tangle([1, 1, 2]),
-    rational_tangle([-1, -1, -1]),
-    rational_tangle([-1, -1, -2]),
-)
-
-
-def random_spec(rng: random.Random) -> SymUnionSpec:
-    """A small random union spec that is known to build: partial and
-    tangles drawn from the pools, marked arcs resampled until the
-    insertion embeds in the plane."""
-    n = rng.randint(1, 3)
-    pool = [d for d in _PARTIAL_POOL if len(d.crossings) >= n + 1]
-    partial = rng.choice(pool)
-    tangles = tuple(rng.choice(_TANGLE_POOL) for _ in range(n))
-    arcs = wirtinger(partial).arc_of_edge
-    edges = sorted(arcs)
-    while True:
-        marked = tuple(rng.sample(edges, n + 1))
-        if len({arcs[e] for e in marked}) < n + 1:
-            continue
-        spec = SymUnionSpec(partial, marked, tangles)
-        try:
-            build_symmetric_union(spec)
-        except NotPlanarInsertion:
-            continue
-        return spec

@@ -203,11 +203,6 @@ class PlanarDiagram:
         p, q = self.incidences[e]
         return q if at == p else p
 
-    def relabeled(self, labels: Mapping[int, str]) -> "PlanarDiagram":
-        return PlanarDiagram(
-            self.crossings, self.over_from_d, self.free_loops, dict(labels), self.meta
-        )
-
     def with_meta(self, meta: object) -> "PlanarDiagram":
         return PlanarDiagram(
             self.crossings, self.over_from_d, self.free_loops, dict(self.labels), meta
@@ -516,37 +511,25 @@ def mirror(d: PlanarDiagram) -> PlanarDiagram:
     return PlanarDiagram(xs, flags, d.free_loops, dict(d.labels), None)
 
 
-def reverse(d: PlanarDiagram) -> PlanarDiagram:
-    """Reverse the orientation of every component; signs are preserved."""
-    xs = tuple(Crossing(x.c, x.d, x.a, x.b) for x in d.crossings)
-    return PlanarDiagram(xs, tuple(d.over_from_d), d.free_loops, dict(d.labels), None)
-
-
 def writhe(d: PlanarDiagram) -> int:
     return sum(d.signs)
 
 
-# -- renumbering and connected sum -----------------------------------------------
+# -- renumbering -----------------------------------------------------------------
 
 
-def renumber_edges(
-    d: PlanarDiagram, start_edge: int | None = None
-) -> PlanarDiagram:
+def renumber_edges(d: PlanarDiagram, start_edge: int) -> PlanarDiagram:
     """Assign ids 1..2c along the orientation, one component at a time.
 
-    The walk starts at ``start_edge`` (default: edge 1's component, from
-    its lowest id); remaining components follow in order of their lowest
-    old id. Labels are carried over; metadata is dropped because it holds
-    edge references the caller must remap itself.
+    The walk starts at ``start_edge``; remaining components follow in
+    order of their lowest old id. Labels are carried over; metadata is
+    dropped because it holds edge references the caller must remap itself.
     """
     if not d.crossings:
         return PlanarDiagram((), (), d.free_loops, {}, None)
-    comps = list(d.components)
-    if start_edge is not None:
-        comps.sort(key=lambda c: (start_edge not in c, min(c)))
-        first = comps[0]
-        k = first.index(start_edge)
-        comps[0] = first[k:] + first[:k]
+    comps = sorted(d.components, key=lambda c: (start_edge not in c, min(c)))
+    k = comps[0].index(start_edge)
+    comps[0] = comps[0][k:] + comps[0][:k]
     perm: dict[int, int] = {}
     nxt = 1
     for comp in comps:
@@ -556,65 +539,3 @@ def renumber_edges(
     xs = tuple(Crossing(*(perm[e] for e in x)) for x in d.crossings)
     labels = {perm[e]: v for e, v in d.labels.items()}
     return PlanarDiagram(xs, tuple(d.over_from_d), d.free_loops, labels, None)
-
-
-def connected_sum(
-    d1: PlanarDiagram, arc1: int, d2: PlanarDiagram, arc2: int
-) -> PlanarDiagram:
-    """Splice two knot diagrams at the chosen arcs.
-
-    Each arc is cut at its midpoint and the four loose ends are rejoined
-    across the diagrams, respecting orientation.
-    """
-    for d in (d1, d2):
-        if d.component_count() != 1:
-            raise MultiComponentInput("connected sum needs single-component inputs")
-    if not d1.crossings:
-        return renumber_edges(d2, start_edge=arc2 if d2.crossings else None)
-    if not d2.crossings:
-        return renumber_edges(d1, start_edge=arc1)
-    for d, arc in ((d1, arc1), (d2, arc2)):
-        if arc not in d.incidences:
-            raise MalformedPD(f"arc {arc} not in diagram")
-
-    off = d1.edge_count
-    # provisional ids: d1 edges as-is, d2 edges + off; stubs replace the cut
-    # arcs at their tail/head slots.
-    stub_out1, stub_in1 = off + d2.edge_count + 1, off + d2.edge_count + 2
-    stub_out2, stub_in2 = off + d2.edge_count + 3, off + d2.edge_count + 4
-
-    def rows(d, offset, cut, out_id, in_id):
-        out = []
-        for i, x in enumerate(d.crossings):
-            hs = d._head_slots(i)
-            row = []
-            for s in range(4):
-                e = x[s]
-                if e == cut:
-                    row.append(in_id if s in hs else out_id)
-                else:
-                    row.append(e + offset)
-            out.append(row)
-        return out
-
-    t1 = rows(d1, 0, arc1, stub_out1, stub_in1)
-    t2 = rows(d2, off, arc2, stub_out2, stub_in2)
-    # join: out of d1 flows into d2, and back.
-    unify = {stub_in2: stub_out1, stub_in1: stub_out2}
-    tuples = [[unify.get(e, e) for e in row] for row in t1 + t2]
-    # compact ids to 1..2c before constructing
-    ids = sorted({e for row in tuples for e in row})
-    compact = {e: k + 1 for k, e in enumerate(ids)}
-    tuples = [[compact[e] for e in row] for row in tuples]
-    labels: dict[int, str] = {}
-    for e, v in d1.labels.items():
-        if e != arc1:
-            labels[compact[e]] = v
-    for e, v in d2.labels.items():
-        if e != arc2:
-            labels[compact[e + off]] = v
-    flags = tuple(d1.over_from_d) + tuple(d2.over_from_d)
-    out = PlanarDiagram(
-        tuple(Crossing(*row) for row in tuples), flags, 0, labels, None
-    )
-    return renumber_edges(out, start_edge=compact[stub_out1])

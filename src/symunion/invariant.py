@@ -372,18 +372,17 @@ def flanking_faces(m: RegionMatrix, edge: int) -> tuple[int, int]:
     return (left, right)
 
 
-def alexander_region(
-    d: PlanarDiagram, cancel: CancelToken | None = None, delete_at_edge: int = 1
-) -> LaurentPoly:
-    """Alexander polynomial from the region matrix, normalized. Split
-    diagrams (free loops alongside anything else, or a disconnected
-    crossing graph) have Alexander polynomial 0."""
+def alexander_region(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
+    """Alexander polynomial from the region matrix with the two faces
+    flanking edge 1 deleted, normalized. Split diagrams (free loops
+    alongside anything else, or a disconnected crossing graph) have
+    Alexander polynomial 0."""
     if not d.crossings:
         return LaurentPoly.one() if d.free_loops == 1 else LaurentPoly.zero()
     if d.free_loops or not d.is_connected():
         return LaurentPoly.zero()
     m = region_matrix(d)
-    det = det_laurent(m.reduced(flanking_faces(m, delete_at_edge)), cancel)
+    det = det_laurent(m.reduced(flanking_faces(m, 1)), cancel)
     knot = len(d.components) == 1
     return normalize_alexander(det, knot=knot)
 
@@ -773,7 +772,7 @@ def _conway(delta: LaurentPoly, components: int) -> ConwayPoly:
     Alexander polynomial vanishes, which forces the Conway contribution to
     zero."""
     if components == 1:
-        return conway_from_alexander(delta, knot=True)
+        return conway_from_alexander(delta)
     if delta.is_zero():
         return ConwayPoly.zero()
     raise UnsupportedLinkCase(
@@ -832,9 +831,8 @@ def verify_product_formula(union, cancel: CancelToken | None = None) -> Verifica
     rep = VerificationReport("alexander product formula")
     rep.record("union crossings", len(k.crossings))
 
-    delta, _ = _shared_alexander(k, "union", lambda: k, cancel)
-    via_region = normalize_alexander(delta)
-    via_fox = normalize_alexander(alexander_fox(presentation(k), cancel))
+    via_region, _ = _shared_alexander(k, "union", lambda: k, cancel)
+    via_fox = alexander_fox(presentation(k), cancel)
     rep.record("alexander of union", via_region.text())
     rep.add(
         "region and fox routes agree",
@@ -842,12 +840,11 @@ def verify_product_formula(union, cancel: CancelToken | None = None) -> Verifica
         f"fox route gave {via_fox.text()}",
     )
 
-    half = normalize_alexander(alexander_region(spec.partial, cancel))
+    half = alexander_region(spec.partial, cancel)
     rep.record("partial factor", half.text())
     prod = half * half
     for i, t in enumerate(spec.tangles, start=1):
-        delta, _ = _shared_alexander(k, i, lambda: numerator(t), cancel)
-        f = normalize_alexander(delta)
+        f, _ = _shared_alexander(k, i, lambda: numerator(t), cancel)
         rep.record(f"numerator factor {i}", f.text())
         prod = prod * f
     prod = normalize_alexander(prod)

@@ -2,14 +2,12 @@
 
 Alexander polynomials are only defined up to units ±t^k, so this module also
 fixes a canonical representative (``normalize_alexander``) and converts
-between the t-form and the z-form. Everything here is exact integer
+the t-form to the z-form. Everything here is exact integer
 arithmetic; any rounding would make the downstream certificates worthless.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from typing import Mapping
 
 
@@ -190,25 +188,20 @@ class LaurentPoly(_IntPoly):
         out._c = {-e: v for e, v in self._c.items()}
         return out
 
-    def evaluate(self, x):
-        """Evaluate at an integer or Fraction; exact. Integer arithmetic
-        unless the value can be a fraction: at a Fraction, or with negative
-        exponents at |x| != 1."""
-        if x == 0 and self._c and self.min_exp() < 0:
-            raise ZeroDivisionError("negative exponents at t=0")
-        if isinstance(x, int) and (abs(x) == 1 or min(self._c, default=0) >= 0):
+    def evaluate(self, x: int) -> int:
+        """Value at an integer point; exact. Raises ValueError where the
+        value is not an integer (negative exponents at |x| > 1)."""
+        _check_int(x, "point")
+        if abs(x) == 1 or min(self._c, default=0) >= 0:
             # x^e = x^|e| when |x| = 1
             return sum(v * x ** abs(e) for e, v in self._c.items())
-        acc = Fraction(0)
-        xf = Fraction(x)
-        for e, v in self._c.items():
-            if e >= 0:
-                acc += v * xf**e
-            else:
-                acc += Fraction(v, 1) / xf ** (-e)
-        if acc.denominator == 1:
-            return int(acc)
-        return acc
+        if x == 0:
+            raise ZeroDivisionError("negative exponents at t=0")
+        lo = self.min_exp()
+        q, r = divmod(sum(v * x ** (e - lo) for e, v in self._c.items()), x**-lo)
+        if r:
+            raise ValueError(f"{self.text()} at t={x} is not an integer")
+        return q
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring by integer long division;
@@ -290,19 +283,12 @@ def normalize_alexander(p: LaurentPoly, knot: bool | None = None) -> LaurentPoly
     return q
 
 
-def is_monic(p: LaurentPoly) -> bool:
-    """True iff both the top and the bottom coefficient are ±1."""
-    if p.is_zero():
-        raise ZeroPolynomial("monicity undefined for 0")
-    return abs(p.coeff(p.max_exp())) == 1 and abs(p.coeff(p.min_exp())) == 1
-
-
 # -- Conway conversion --------------------------------------------------------
 
 _ZSQ = LaurentPoly({1: 1, 0: -2, -1: 1})  # the image of z^2
 
 
-def conway_from_alexander(p: LaurentPoly, knot: bool = True) -> ConwayPoly:
+def conway_from_alexander(p: LaurentPoly) -> ConwayPoly:
     """The unique even-power z-form with p(t) = nabla(z) under z^2 = t - 2 + 1/t.
 
     Input is taken up to units: it is canonicalized with
@@ -310,8 +296,6 @@ def conway_from_alexander(p: LaurentPoly, knot: bool = True) -> ConwayPoly:
     Only the knot case is implemented; link closures are handled by the
     callers that know when their contribution is forced to zero.
     """
-    if not knot:
-        raise ValueError("only the knot case is implemented here")
     if p.is_zero():
         raise NotSymmetric("zero polynomial does not arise from a knot")
     q = normalize_alexander(p, knot=True)
@@ -336,17 +320,7 @@ def conway_from_alexander(p: LaurentPoly, knot: bool = True) -> ConwayPoly:
     return nabla
 
 
-def alexander_from_conway(n: ConwayPoly) -> LaurentPoly:
-    """Substitute z^2 = t - 2 + 1/t. Defined for even powers only."""
-    acc = LaurentPoly.zero()
-    for e, v in n.items():
-        if e % 2:
-            raise ValueError("odd z-powers do not land in the t-ring")
-        acc = acc + v * _ZSQ ** (e // 2)
-    return acc
-
-
-# -- text parsing -------------------------------------------------------------
+# -- text form ----------------------------------------------------------------
 
 
 def _terms_text(items, var: str) -> str:
@@ -365,55 +339,3 @@ def _terms_text(items, var: str) -> str:
         else:
             parts.append(f"+ {body}" if v > 0 else f"- {body}")
     return " ".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+)?(?:\*)?(?:(?P<var>[A-Za-z]+)(?:\^(?P<exp>-?\d+))?)?$"
-)
-
-
-def parse_poly(text: str, var: str = "t") -> LaurentPoly:
-    """Parse the text form produced by ``LaurentPoly.text``."""
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    if tokens == ["0"]:
-        return LaurentPoly.zero()
-    coeffs: dict[int, int] = {}
-    sign = 1
-    expect_term = True
-    for i, tok in enumerate(tokens):
-        if not expect_term:
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            else:
-                raise ValueError(f"expected + or - at token {i}: {tok!r}")
-            expect_term = True
-            continue
-        if tok == "-":  # detached sign, as in "- t^-1 + 3 - t"
-            sign = -sign
-            continue
-        body = tok
-        if body.startswith("-"):
-            sign = -sign
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m or (m.group("coeff") is None and m.group("var") is None):
-            raise ValueError(f"bad term {tok!r}")
-        if m.group("var") is not None and m.group("var") != var:
-            raise ValueError(f"unexpected variable {m.group('var')!r}")
-        c = int(m.group("coeff")) if m.group("coeff") else 1
-        if m.group("var") is None:
-            e = 0
-        elif m.group("exp") is None:
-            e = 1
-        else:
-            e = int(m.group("exp"))
-        coeffs[e] = coeffs.get(e, 0) + sign * c
-        sign = 1
-        expect_term = False
-    if expect_term:
-        raise ValueError("dangling sign at end of polynomial text")
-    return LaurentPoly(coeffs)

@@ -90,9 +90,6 @@ class Tangle:
     def edge_count(self) -> int:
         return 2 * len(self.crossings) + 2
 
-    def sign(self, i: int) -> int:
-        return 1 if self.over_from_d[i] else -1
-
     @cached_property
     def incidences(self) -> dict[int, tuple[Incidence, ...]]:
         out: dict[int, list[Incidence]] = {}
@@ -247,10 +244,7 @@ def _join(
 
 
 def _fit_seams(
-    t1: Tangle,
-    t2: Tangle,
-    seams: Sequence[tuple[str, str]],
-    fix_flows: bool,
+    t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]]
 ) -> tuple[Tangle, Tangle]:
     """Reorient open strands until each seam joins an 'out' to an 'in'.
     Prefers leaving t1 alone, then reversing as few strands as possible."""
@@ -260,9 +254,6 @@ def _fit_seams(
 
     if ok(t1, t2):
         return t1, t2
-    if fix_flows:
-        bad = [p for p in seams if t1.flows[p[0]] == t2.flows[p[1]]]
-        raise OrientationMismatch(f"declared flows clash at seams {bad}")
 
     def variants(t: Tangle) -> list[Tangle]:
         a, b = (s[0] for s in t.strands)
@@ -277,14 +268,12 @@ def _fit_seams(
     raise OrientationMismatch("no strand orientation satisfies the seams")
 
 
-def _glue(
-    t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]], fix_flows: bool
-) -> Tangle:
+def _glue(t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]]) -> Tangle:
     """Join corner c1 of t1 to corner c2 of t2 for each seam (c1, c2). Every
     other corner keeps its name, from whichever tangle still has it free."""
     if len({c2 for _, c2 in seams}) < len(seams):
         raise BoundaryMismatch("seam corners must be distinct")
-    t1, t2 = _fit_seams(t1, t2, seams, fix_flows)
+    t1, t2 = _fit_seams(t1, t2, seams)
 
     off = t1.edge_count
     xs = list(t1.crossings) + [[e + off for e in x] for x in t2.crossings]
@@ -302,17 +291,16 @@ def _glue(
     )
 
 
-def tangle_sum(t1: Tangle, t2: Tangle, fix_flows: bool = False) -> Tangle:
+def tangle_sum(t1: Tangle, t2: Tangle) -> Tangle:
     """Horizontal juxtaposition: the east side of t1 joins the west side
-    of t2. By default t2's strands are reoriented to fit; with fix_flows
-    the declared flows must already match."""
-    return _glue(t1, t2, (("NE", "NW"), ("SE", "SW")), fix_flows)
+    of t2. Strands are reoriented to fit, t2's first."""
+    return _glue(t1, t2, (("NE", "NW"), ("SE", "SW")))
 
 
-def vertical_stack(t1: Tangle, t2: Tangle, fix_flows: bool = False) -> Tangle:
+def vertical_stack(t1: Tangle, t2: Tangle) -> Tangle:
     """t1 placed on top of t2: the south side of t1 joins the north side
     of t2."""
-    return _glue(t1, t2, (("SW", "NW"), ("SE", "NE")), fix_flows)
+    return _glue(t1, t2, (("SW", "NW"), ("SE", "NE")))
 
 
 def rotate_pi(t: Tangle) -> Tangle:
@@ -386,21 +374,6 @@ def rational_tangle(cf) -> Tangle:
         else:
             t = vertical_stack(t, vertical_twists(a))
     return t
-
-
-def tangle_fraction(cf) -> tuple[int, int]:
-    """The slope p/q of rational_tangle(cf) as a pair; T(1/0) is (1, 0)."""
-    if cf == "inf":
-        return (1, 0)
-    p, q = 0, 1
-    for pos, a in enumerate(cf):
-        if pos % 2 == 0:
-            p, q = p + a * q, q
-        else:
-            p, q = p, a * p + q
-    if q < 0:
-        p, q = -p, -q
-    return (p, q)
 
 
 # -- the Kinoshita-Terasaka tangle family ----------------------------------------------

@@ -1,16 +1,23 @@
 """Helpers only the tests use: a display layout for Alexander polynomials,
-a parser for the text form of free-group words, the rank of a
-presentation's abelianization, the exhaustive attachment search the
-builder's pruned search is checked against, and dense matrices as the
-sparse rows det_laurent takes."""
+parsers for the text forms of Laurent polynomials and free-group words,
+the Conway-to-Alexander substitution, a monicity check, the slopes of
+rational tangles, the rank of a presentation's abelianization, the
+exhaustive attachment search the builder's pruned search is checked
+against, dense matrices as the sparse rows det_laurent takes, and a
+generator of small random union specs."""
 
 import itertools
+import random
+import re
 from fractions import Fraction
 
 from symunion import construct
+from symunion.construct import SymUnionSpec, build_symmetric_union
+from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
 from symunion.diagram import PlanarDiagram
-from symunion.group import GroupWord, WirtingerPresentation
-from symunion.poly import LaurentPoly
+from symunion.group import GroupWord, WirtingerPresentation, wirtinger
+from symunion.poly import ConwayPoly, LaurentPoly, ZeroPolynomial
+from symunion.tangle import Tangle, numerator, rational_tangle, vertical_twists
 
 
 def display_form(p: LaurentPoly) -> LaurentPoly:
@@ -79,3 +86,134 @@ def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
             if first_err is None:
                 first_err = exc
     raise first_err
+
+
+_TERM_RE = re.compile(
+    r"^(?P<coeff>\d+)?(?:\*)?(?:(?P<var>[A-Za-z]+)(?:\^(?P<exp>-?\d+))?)?$"
+)
+
+
+def parse_poly(text: str, var: str = "t") -> LaurentPoly:
+    """Parse the text form produced by ``LaurentPoly.text``."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty polynomial text")
+    if tokens == ["0"]:
+        return LaurentPoly.zero()
+    coeffs: dict[int, int] = {}
+    sign = 1
+    expect_term = True
+    for i, tok in enumerate(tokens):
+        if not expect_term:
+            if tok == "+":
+                sign = 1
+            elif tok == "-":
+                sign = -1
+            else:
+                raise ValueError(f"expected + or - at token {i}: {tok!r}")
+            expect_term = True
+            continue
+        if tok == "-":  # detached sign, as in "- t^-1 + 3 - t"
+            sign = -sign
+            continue
+        body = tok
+        if body.startswith("-"):
+            sign = -sign
+            body = body[1:]
+        m = _TERM_RE.match(body)
+        if not m or (m.group("coeff") is None and m.group("var") is None):
+            raise ValueError(f"bad term {tok!r}")
+        if m.group("var") is not None and m.group("var") != var:
+            raise ValueError(f"unexpected variable {m.group('var')!r}")
+        c = int(m.group("coeff")) if m.group("coeff") else 1
+        if m.group("var") is None:
+            e = 0
+        elif m.group("exp") is None:
+            e = 1
+        else:
+            e = int(m.group("exp"))
+        coeffs[e] = coeffs.get(e, 0) + sign * c
+        sign = 1
+        expect_term = False
+    if expect_term:
+        raise ValueError("dangling sign at end of polynomial text")
+    return LaurentPoly(coeffs)
+
+
+_ZSQ = LaurentPoly({1: 1, 0: -2, -1: 1})  # the image of z^2
+
+
+def alexander_from_conway(n: ConwayPoly) -> LaurentPoly:
+    """Substitute z^2 = t - 2 + 1/t. Defined for even powers only."""
+    acc = LaurentPoly.zero()
+    for e, v in n.items():
+        if e % 2:
+            raise ValueError("odd z-powers do not land in the t-ring")
+        acc = acc + v * _ZSQ ** (e // 2)
+    return acc
+
+
+def is_monic(p: LaurentPoly) -> bool:
+    """True iff both the top and the bottom coefficient are ±1."""
+    if p.is_zero():
+        raise ZeroPolynomial("monicity undefined for 0")
+    return abs(p.coeff(p.max_exp())) == 1 and abs(p.coeff(p.min_exp())) == 1
+
+
+def tangle_fraction(cf) -> tuple[int, int]:
+    """The slope p/q of rational_tangle(cf) as a pair; T(1/0) is (1, 0)."""
+    if cf == "inf":
+        return (1, 0)
+    p, q = 0, 1
+    for pos, a in enumerate(cf):
+        if pos % 2 == 0:
+            p, q = p + a * q, q
+        else:
+            p, q = p, a * p + q
+    if q < 0:
+        p, q = -p, -q
+    return (p, q)
+
+
+# Pools for randomized property suites. Partials are knot diagrams of at
+# most six crossings; insertions are north-to-south pairing tangles of at
+# most four crossings.
+PARTIAL_POOL: tuple[PlanarDiagram, ...] = (
+    TREFOIL,
+    FIGURE_EIGHT,
+    FIVE_TWO,
+    numerator(rational_tangle([1, 1, 1, 1, 2])),
+)
+
+TANGLE_POOL: tuple[Tangle, ...] = (
+    vertical_twists(2),
+    vertical_twists(-2),
+    vertical_twists(4),
+    vertical_twists(-4),
+    rational_tangle([1, 1, 1]),
+    rational_tangle([1, 1, 2]),
+    rational_tangle([-1, -1, -1]),
+    rational_tangle([-1, -1, -2]),
+)
+
+
+def random_spec(rng: random.Random) -> SymUnionSpec:
+    """A small random union spec that is known to build: partial and
+    tangles drawn from the pools, marked arcs resampled until the
+    insertion embeds in the plane."""
+    n = rng.randint(1, 3)
+    pool = [d for d in PARTIAL_POOL if len(d.crossings) >= n + 1]
+    partial = rng.choice(pool)
+    tangles = tuple(rng.choice(TANGLE_POOL) for _ in range(n))
+    arcs = wirtinger(partial).arc_of_edge
+    edges = sorted(arcs)
+    while True:
+        marked = tuple(rng.sample(edges, n + 1))
+        if len({arcs[e] for e in marked}) < n + 1:
+            continue
+        spec = SymUnionSpec(partial, marked, tangles)
+        try:
+            build_symmetric_union(spec)
+        except construct.NotPlanarInsertion:
+            continue
+        return spec

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from helpers import is_monic, random_spec
 from symunion import corpus
 from symunion.construct import (
     NotEvenType,
@@ -38,7 +39,7 @@ from symunion.invariant import (
     verify_fraction_formula,
     verify_product_formula,
 )
-from symunion.poly import LaurentPoly, is_monic, normalize_alexander
+from symunion.poly import LaurentPoly, normalize_alexander
 from symunion.tangle import (
     kt_tangle,
     numerator,
@@ -54,7 +55,7 @@ FIG8_DELTA = LaurentPoly({-1: -1, 0: 3, 1: -1})
 @pytest.fixture(scope="module")
 def random_specs():
     rng = random.Random(8151)
-    return [corpus.random_spec(rng) for _ in range(50)]
+    return [random_spec(rng) for _ in range(50)]
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ join arcs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import exhaustive_build
-from symunion import construct, corpus
+from helpers import PARTIAL_POOL, TANGLE_POOL, exhaustive_build
+from symunion import construct
 from symunion.construct import (
     ClosedComponentInTangle,
     ConstructError,
@@ -333,12 +333,12 @@ class TestBuildProperties:
 def placements(draw):
     """1-4 pool tangles at marked edges on distinct arcs of a pool partial,
     whether or not the insertion embeds."""
-    partial = draw(st.sampled_from(corpus._PARTIAL_POOL))
+    partial = draw(st.sampled_from(PARTIAL_POOL))
     arcs = over_arcs(partial)
     n = draw(st.integers(min_value=1, max_value=min(4, len(arcs) - 1)))
     chosen = draw(st.permutations(range(len(arcs))))[: n + 1]
     marked = tuple(draw(st.sampled_from(arcs[a])) for a in chosen)
-    tangles = tuple(draw(st.sampled_from(corpus._TANGLE_POOL)) for _ in range(n))
+    tangles = tuple(draw(st.sampled_from(TANGLE_POOL)) for _ in range(n))
     return SymUnionSpec(partial, marked, tangles)
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import TANGLE_POOL, random_spec
 from symunion import corpus
 from symunion.construct import build_symmetric_union
 from symunion.diagram import validate_planarity
@@ -86,21 +87,21 @@ class TestTangleFixtures:
             assert alexander_region(numerator(t)).text() == "1"
 
     def test_pool_tangles_are_even(self):
-        for t in corpus._TANGLE_POOL:
+        for t in TANGLE_POOL:
             assert is_even_type(t)
 
 
 class TestRandomSpec:
     def test_deterministic_for_a_seed(self):
-        a = corpus.random_spec(random.Random(7))
-        b = corpus.random_spec(random.Random(7))
+        a = random_spec(random.Random(7))
+        b = random_spec(random.Random(7))
         assert a.marked_arcs == b.marked_arcs
         assert a.partial.crossings == b.partial.crossings
 
     def test_specs_build(self):
         rng = random.Random(99)
         for _ in range(8):
-            spec = corpus.random_spec(rng)
+            spec = random_spec(rng)
             k = build_symmetric_union(spec)
             assert k.component_count() == 1
             assert len(spec.partial.crossings) <= 6

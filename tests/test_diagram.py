@@ -7,23 +7,21 @@ from symunion.diagram import (
     DisconnectedDiagram,
     InconsistentEdges,
     MalformedPD,
-    MultiComponentInput,
     NotPlanar,
     OrientationError,
     PlanarDiagram,
-    connected_sum,
     diagram_from_tuples,
     faces,
     mirror,
     parse_pd,
     renumber_edges,
-    reverse,
     to_doc,
     to_text,
     unknot,
     validate_planarity,
     writhe,
 )
+from symunion.tangle import numerator, rational_tangle, vertical_stack
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -158,19 +156,6 @@ def test_mirror_negates_writhe(trefoil, fig8):
         validate_planarity(m)
 
 
-def test_reverse_preserves_signs(trefoil, fig8):
-    for d in (trefoil, fig8):
-        r = reverse(d)
-        assert r.signs == d.signs
-        assert reverse(r) == d
-        validate_planarity(r)
-
-
-def test_mirror_reverse_commute(trefoil, fig8):
-    for d in (trefoil, fig8):
-        assert mirror(reverse(d)) == reverse(mirror(d))
-
-
 def test_renumber_identity(trefoil):
     assert renumber_edges(trefoil, start_edge=1) == trefoil
 
@@ -195,7 +180,8 @@ def test_text_form_rejects_loops():
 
 
 def test_doc_round_trip(trefoil):
-    labeled = trefoil.relabeled({1: "a0", 4: "s1_1"})
+    labels = {1: "a0", 4: "s1_1"}
+    labeled = PlanarDiagram(trefoil.crossings, trefoil.over_from_d, labels=labels)
     doc = to_doc(labeled)
     assert doc["component_starts"] == [1]
     again = parse_pd(json.loads(json.dumps(doc)))
@@ -216,7 +202,7 @@ def test_doc_free_loops():
 
 def test_label_on_unknown_edge(trefoil):
     with pytest.raises(MalformedPD):
-        trefoil.relabeled({99: "a0"})
+        PlanarDiagram(trefoil.crossings, trefoil.over_from_d, labels={99: "a0"})
 
 
 def test_unknot_basics():
@@ -227,34 +213,18 @@ def test_unknot_basics():
     assert faces(u) == ()
 
 
-def test_connected_sum_counts(trefoil, fig8):
-    s = connected_sum(trefoil, 1, fig8, 2)
+def test_connected_sum_counts():
+    # a connected sum is the numerator closure of a vertical stack
+    a, b = rational_tangle([3]), rational_tangle([1, 1, 2])
+    s = numerator(vertical_stack(a, b))
     assert len(s.crossings) == 7
     assert s.component_count() == 1
-    assert writhe(s) == writhe(trefoil) + writhe(fig8)
+    assert writhe(s) == writhe(numerator(a)) + writhe(numerator(b))
     validate_planarity(s)
     # edge ids renumbered along the strand
     assert sorted(e for x in s.crossings for e in x) == sorted(
         list(range(1, 15)) * 2
     )
-
-
-def test_connected_sum_with_unknot(trefoil):
-    s = connected_sum(unknot(), 1, trefoil, 2)
-    assert s == renumber_edges(trefoil, start_edge=2)
-    s2 = connected_sum(trefoil, 2, unknot(), 1)
-    assert s2 == renumber_edges(trefoil, start_edge=2)
-
-
-def test_connected_sum_rejects_links(trefoil):
-    two = PlanarDiagram(trefoil.crossings, trefoil.over_from_d, free_loops=1)
-    with pytest.raises(MultiComponentInput):
-        connected_sum(two, 1, trefoil, 1)
-
-
-def test_connected_sum_bad_arc(trefoil):
-    with pytest.raises(MalformedPD):
-        connected_sum(trefoil, 99, trefoil, 1)
 
 
 def test_from_tuples_matches_parse(trefoil):

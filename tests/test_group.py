@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import abelianization_rank, parse_word
-from symunion.diagram import NoCrossings, connected_sum, parse_pd, unknot
+from symunion.diagram import NoCrossings, parse_pd, unknot
 from symunion.group import (
     apply_map,
     canonical_relator_key,
@@ -16,6 +16,7 @@ from symunion.group import (
     wirtinger,
     word_text,
 )
+from symunion.tangle import numerator, rational_tangle, vertical_stack
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -82,8 +83,7 @@ def test_wirtinger_figure_eight():
 
 
 def test_wirtinger_composite_rank():
-    tre = parse_pd(TREFOIL)
-    s = connected_sum(tre, 1, parse_pd(FIG8), 2)
+    s = numerator(vertical_stack(rational_tangle([3]), rational_tangle([1, 1, 2])))
     p = wirtinger(s)
     assert len(p.generators) == 7
     assert abelianization_rank(p) == 6

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 import symunion.invariant as inv
 from bracket_oracle import bracket_naive
-from helpers import display_form, sparse
+from helpers import display_form, parse_poly, random_spec, sparse
 from symunion import corpus
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.diagram import (
     MultiComponentInput,
     NoCrossings,
     PlanarDiagram,
-    connected_sum,
     diagram_from_tuples,
     faces,
     mirror,
@@ -38,13 +37,14 @@ from symunion.invariant import (
     kauffman_bracket,
     region_matrix,
 )
-from symunion.poly import LaurentPoly, normalize_alexander, parse_poly
+from symunion.poly import LaurentPoly, normalize_alexander
 from symunion.tangle import (
     denominator,
     kt_tangle,
     numerator,
     rational_tangle,
     tangle_sum,
+    vertical_stack,
     vertical_twists,
 )
 
@@ -96,6 +96,15 @@ UNION68_JONES = (
 
 def norm(text):
     return normalize_alexander(parse_poly(text), knot=True)
+
+
+def knot_sum(*cfs):
+    """The connected sum of the rational knots N(rational_tangle(cf)): the
+    numerator closure of their tangles stacked top to bottom."""
+    t = rational_tangle(cfs[0])
+    for cf in cfs[1:]:
+        t = vertical_stack(t, rational_tangle(cf))
+    return numerator(t)
 
 
 # -- determinants ---------------------------------------------------------------
@@ -421,11 +430,14 @@ def test_alexander_split_with_crossings(trefoil):
     assert alexander_region(d).is_zero()
 
 
-def test_column_choice_independence(trefoil, fig8):
-    for d in (trefoil, fig8):
+def test_column_choice_independence(trefoil, fig8, union68):
+    # alexander_region deletes the faces flanking edge 1; any edge will do
+    for d, edges in ((trefoil, range(1, 7)), (fig8, range(1, 9)), (union68, (2, 69, 135))):
         base = alexander_region(d)
-        for e in range(1, d.edge_count + 1):
-            assert alexander_region(d, delete_at_edge=e) == base
+        m = region_matrix(d)
+        for e in edges:
+            det = det_laurent(m.reduced(flanking_faces(m, e)))
+            assert normalize_alexander(det, knot=True) == base
 
 
 def test_flanking_faces_distinct(trefoil):
@@ -435,8 +447,8 @@ def test_flanking_faces_distinct(trefoil):
         assert a != b
 
 
-def test_alexander_connected_sum(trefoil, fig8):
-    s = connected_sum(trefoil, 2, fig8, 5)
+def test_alexander_connected_sum():
+    s = knot_sum([3], [1, 1, 2])
     want = normalize_alexander(norm("1 - t + t^2") * norm("1 - 3*t + t^2"), knot=True)
     assert alexander_region(s) == want
 
@@ -445,15 +457,15 @@ def test_alexander_connected_sum(trefoil, fig8):
 
 
 def test_fox_matches_region(trefoil, fig8):
-    granny = connected_sum(trefoil, 1, trefoil, 2)
-    square = connected_sum(trefoil, 1, mirror(trefoil), 2)
+    granny = knot_sum([3], [3])
+    square = knot_sum([3], [-3])
     for d in (trefoil, fig8, granny, square):
         assert alexander_fox(wirtinger(d)) == alexander_region(d)
 
 
-def test_fox_square_equals_granny(trefoil):
-    granny = connected_sum(trefoil, 1, trefoil, 2)
-    square = connected_sum(trefoil, 1, mirror(trefoil), 2)
+def test_fox_square_equals_granny():
+    granny = knot_sum([3], [3])
+    square = knot_sum([3], [-3])
     assert alexander_fox(wirtinger(granny)) == alexander_fox(wirtinger(square))
 
 
@@ -478,14 +490,14 @@ def test_bracket_frontier_matches_naive(trefoil, fig8):
         fig8,
         parse_pd("X[1,2,2,1]"),
         parse_pd("X[1,1,2,2]"),
-        connected_sum(trefoil, 1, fig8, 2),
+        knot_sum([3], [1, 1, 2]),
     ]
     for d in diagrams:
         assert kauffman_bracket(d) == bracket_naive(d)
 
 
 def random_union(seed):
-    return build_symmetric_union(corpus.random_spec(random.Random(seed)))
+    return build_symmetric_union(random_spec(random.Random(seed)))
 
 
 @given(st.integers(0, 2**32))
@@ -664,19 +676,19 @@ def test_jones_unknot_and_kinks():
     assert jones(parse_pd("X[1,1,2,2]")) == LaurentPoly.one()
 
 
-def test_jones_multiplicative(trefoil, fig8):
-    s = connected_sum(trefoil, 3, fig8, 1)
-    assert jones(s) == jones(trefoil) * jones(fig8)
+def test_jones_multiplicative():
+    s = knot_sum([3], [1, 1, 2])
+    assert jones(s) == jones(knot_sum([3])) * jones(knot_sum([1, 1, 2]))
 
 
-def test_jones_of_a_long_connected_sum_is_the_product(trefoil, fig8):
+def test_jones_of_a_long_connected_sum_is_the_product():
     """Seven summands, both trefoils and the figure eight: many signed
     coefficients pass through the packed bracket's decode."""
-    parts = [trefoil, fig8, mirror(trefoil), fig8, trefoil, mirror(trefoil), trefoil]
-    d, want = parts[0], jones(parts[0])
-    for k in parts[1:]:
-        d = connected_sum(d, 1, k, 2)
-        want = want * jones(k)
+    parts = [[3], [1, 1, 2], [-3], [1, 1, 2], [3], [-3], [3]]
+    d = knot_sum(*parts)
+    want = LaurentPoly.one()
+    for cf in parts:
+        want = want * jones(knot_sum(cf))
     assert len(d.crossings) == 23
     assert jones(d) == want
 
@@ -696,10 +708,8 @@ def test_jones_rejects_links(trefoil):
         jones(d)
 
 
-def test_naive_bracket_size_cap(trefoil):
-    d = trefoil
-    for _ in range(5):
-        d = connected_sum(d, 1, trefoil, 1)
+def test_naive_bracket_size_cap():
+    d = knot_sum(*[[3]] * 6)
     assert len(d.crossings) == 18
     with pytest.raises(TooLarge):
         bracket_naive(d)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import display_form
+from helpers import display_form, tangle_fraction
 from symunion.diagram import MAX_CROSSINGS, renumber_edges, validate_planarity
 from symunion.group import wirtinger
 from symunion.invariant import alexander_fox, alexander_region, jones
@@ -20,7 +20,6 @@ from symunion.tangle import (
     rational_tangle,
     reverse_strand,
     rotate_pi,
-    tangle_fraction,
     tangle_sum,
     to_tangle_doc,
     vertical_stack,
@@ -229,13 +228,6 @@ class TestSumAndStack:
             alexander_region(numerator(a)) * alexander_region(numerator(b)), knot=True
         )
         assert lhs == rhs
-
-    def test_strict_mode_rejects_flow_clash(self):
-        with pytest.raises(OrientationMismatch):
-            tangle_sum(horizontal_twists(1), vertical_twists(2), fix_flows=True)
-        # the default reorients strands instead
-        s = tangle_sum(horizontal_twists(1), vertical_twists(2))
-        assert len(s.crossings) == 3
 
     def test_sum_of_vertical_pairs_creates_closed_loop(self):
         v = tangle_sum(rational_tangle("inf"), rational_tangle("inf"))

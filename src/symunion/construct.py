@@ -12,18 +12,18 @@ union with other tangles in its boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, TypeVar
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .diagram import (
     Crossing,
     PlanarDiagram,
     DiagramError,
     Face,
+    along_orientation,
     cap_crossings,
     json_int,
     over_arcs,
     parse_pd,
-    renumber_edges,
     to_doc,
     validate_planarity,
 )
@@ -103,7 +103,9 @@ def _validate_inputs(spec: SymUnionSpec, require_even: bool) -> None:
     if not d.crossings or d.component_count() != 1:
         raise NotAKnot("partial diagram must be a one-component diagram "
                        "with at least one crossing")
-    arcs = {e: i for i, arc in enumerate(over_arcs(d)) for e in arc}
+    arcs = derived(
+        d, "arc_index", lambda: {e: i for i, arc in enumerate(over_arcs(d)) for e in arc}
+    )
     seen = {}
     for e in spec.marked_arcs:
         if e not in arcs:
@@ -175,8 +177,17 @@ def _compact(rows: list[list[int]]) -> tuple[list[list[int]], dict[int, int]]:
 
 
 def _assemble_with_bits(
-    spec: SymUnionSpec, bits: tuple[int, ...], *, require_knot: bool
+    spec: SymUnionSpec,
+    bits: tuple[int, ...],
+    boxed: Sequence[Tangle],
+    *,
+    require_knot: bool,
 ) -> PlanarDiagram:
+    """The union of spec at attachment bits, with boxed[i - 1], the tangle
+    of region i oriented for its box at its bit, spliced in. Edges are
+    numbered along the orientation from a0, so the one diagram built is
+    the union itself; its faces are walked here (planar_faces), and it
+    keeps boxed for the rebuilds (_rebuild)."""
     d = spec.partial
     E = d.edge_count
 
@@ -197,9 +208,7 @@ def _assemble_with_bits(
     def find(e: int) -> int:
         return alias.get(e, e)
 
-    for i, tangle in enumerate(spec.tangles, start=1):
-        bit = bits[i - 1]
-        t = _oriented_for_box(tangle, bit)
+    for i, (t, bit) in enumerate(zip(boxed, bits), start=1):
         u, v, us, vs = h.cut(spec.marked_arcs[i])
         if bit == 0:
             at_corner = {"NW": u, "SW": v, "NE": vs, "SE": us}
@@ -227,20 +236,20 @@ def _assemble_with_bits(
         rows.extend([emap[e] for e in x] for x in t.crossings)
         flags.extend(t.over_from_d)
 
-    rows, compact = _compact([[find(e) for e in row] for row in rows])
-    labels = {compact[e]: lbl for e, lbl in labels.items() if find(e) == e and e in compact}
-
-    # renumbered first, so that the faces walked here are the ones the
-    # invariants read (planar_faces)
+    if alias:
+        rows = [[alias.get(e, e) for e in row] for row in rows]
+    perm = along_orientation(rows, flags, h.a0)
     try:
         built = PlanarDiagram(
-            tuple(Crossing(*row) for row in rows), tuple(flags), labels=labels
+            tuple(Crossing(perm[a], perm[b], perm[c], perm[d]) for a, b, c, d in rows),
+            tuple(flags),
+            labels={perm[e]: lbl for e, lbl in labels.items() if e in perm and e not in alias},
+            meta=UnionMeta(spec, tuple(bits)),
         )
-        built = renumber_edges(built, start_edge=compact[h.a0])
-        built = built.with_meta(UnionMeta(spec, tuple(bits)))
         planar_faces(built)
     except DiagramError as exc:
         raise NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
+    derived(built, "boxed", lambda: tuple(boxed))
 
     if require_knot and built.component_count() != 1:
         raise NotAKnot(
@@ -268,6 +277,17 @@ def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
     n = len(spec.tangles)
     order = (_ATTACH_BIT, 1 - _ATTACH_BIT)
     bits: list[int] = []
+    # region i's tangle oriented for its box at each bit, once per build
+    boxed: list[dict[int, Tangle]] = [{} for _ in range(n)]
+
+    def boxed_at(prefix: list[int]) -> list[Tangle]:
+        out = []
+        for t, ts, bit in zip(spec.tangles, boxed, prefix):
+            if bit not in ts:
+                ts[bit] = _oriented_for_box(t, bit)
+            out.append(ts[bit])
+        return out
+
     # the message only: an exception kept past its handler would hold the
     # search frames through its traceback
     first_failure = None
@@ -275,10 +295,12 @@ def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
         i = len(bits)
         try:
             if i == n:
-                return _assemble_with_bits(spec, tuple(bits), require_knot=True)
+                return _assemble_with_bits(
+                    spec, tuple(bits), boxed_at(bits), require_knot=True
+                )
             if i:  # no check for i = 0: the two halves joined at the axis embed
                 cut = SymUnionSpec(spec.partial, spec.marked_arcs[: i + 1], spec.tangles[:i])
-                _assemble_with_bits(cut, tuple(bits), require_knot=False)
+                _assemble_with_bits(cut, tuple(bits), boxed_at(bits), require_knot=False)
         except NotPlanarInsertion as exc:
             if first_failure is None:
                 first_failure = str(exc)
@@ -361,7 +383,13 @@ def _rebuild(
     tangles = [replace.get(i, t) for i, t in enumerate(meta.spec.tangles, start=1)]
     spec = SymUnionSpec(meta.spec.partial, meta.spec.marked_arcs, tangles)
     _validate_inputs(spec, require_even=False)
-    return _assemble_with_bits(spec, meta.attach_bits, require_knot=require_knot)
+    bits = meta.attach_bits
+    boxed = list(
+        derived(k, "boxed", lambda: tuple(map(_oriented_for_box, meta.spec.tangles, bits)))
+    )
+    for i, t in replace.items():
+        boxed[i - 1] = _oriented_for_box(t, bits[i - 1])
+    return _assemble_with_bits(spec, bits, boxed, require_knot=require_knot)
 
 
 def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:

@@ -176,37 +176,42 @@ class PlanarDiagram:
     def signs(self) -> tuple[int, ...]:
         return tuple(self.sign(i) for i in range(len(self.crossings)))
 
-    def is_connected(self) -> bool:
-        """Connectivity of the underlying 4-valent graph (loops split)."""
+    @cached_property
+    def mates(self) -> tuple[int, ...]:
+        """The other end of each edge end. A dart is an edge end, numbered
+        4i + s for slot s of crossing i."""
+        mate = [0] * (4 * len(self.crossings))
+        first: dict[int, int] = {}
+        for k, e in enumerate(e for x in self.crossings for e in x):
+            j = first.pop(e, None)
+            if j is None:
+                first[e] = k
+            else:
+                mate[j], mate[k] = k, j
+        return tuple(mate)
+
+    @cached_property
+    def connected(self) -> bool:
+        """Connectivity of the underlying 4-valent graph (loops split),
+        walked once per diagram."""
         if self.free_loops and self.crossings:
             return False
         if self.free_loops > 1:
             return False
         if not self.crossings:
             return True
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.crossings))}
-        for incs in self.incidences.values():
-            ids = [i for i, _ in incs]
-            adj[ids[0]].add(ids[1])
-            adj[ids[1]].add(ids[0])
+        mate = self.mates
+        seen = bytearray(len(self.crossings))
+        seen[0] = 1
         todo = [0]
-        seen = {0}
         while todo:
             i = todo.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
+            for m in mate[4 * i : 4 * i + 4]:
+                j = m >> 2
+                if not seen[j]:
+                    seen[j] = 1
                     todo.append(j)
-        return len(seen) == len(self.crossings)
-
-    def other_incidence(self, e: int, at: tuple[int, int]) -> tuple[int, int]:
-        p, q = self.incidences[e]
-        return q if at == p else p
-
-    def with_meta(self, meta: object) -> "PlanarDiagram":
-        return PlanarDiagram(
-            self.crossings, self.over_from_d, self.free_loops, dict(self.labels), meta
-        )
+        return all(seen)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -222,26 +227,28 @@ def check_ends(
     ends each, and OrientationError unless every edge has one head and one
     tail. corners lists the extra (edge, flow) ends on a tangle's boundary;
     an "in" corner is its edge's tail."""
-    ends: dict[int, int] = {}
-    heads: dict[int, int] = {}
-    for i, x in enumerate(crossings):
-        hs = (0, 3) if over_from_d[i] else (0, 1)
-        for s, e in enumerate(x):
+    ends = [0] * (n + 1)
+    heads = [0] * (n + 1)
+    for x, f in zip(crossings, over_from_d):
+        for e in x:
             if not isinstance(e, int) or e < 1 or e > n:
                 raise InconsistentEdges(f"edge id {e} outside 1..{n}")
-            ends[e] = ends.get(e, 0) + 1
-            heads[e] = heads.get(e, 0) + (s in hs)
+            ends[e] += 1
+        heads[x[0]] += 1
+        heads[x[3] if f else x[1]] += 1
+    ids = range(1, n + 1)
     for e, flow in corners:
-        ends[e] = ends.get(e, 0) + 1
-        heads[e] = heads.get(e, 0) + (flow == "out")
-    for e in range(1, n + 1):
-        if ends.get(e, 0) != 2:
-            raise InconsistentEdges(f"edge {e} has {ends.get(e, 0)} ends, expected 2")
-    for e in range(1, n + 1):
-        if heads[e] != 1:
-            raise OrientationError(
-                f"edge {e} has {heads[e]} heads and {2 - heads[e]} tails"
-            )
+        # a corner off 1..n leaves some edge of 1..n short of an end
+        if e in ids:
+            k = ids.index(e) + 1
+            ends[k] += 1
+            heads[k] += flow == "out"
+    if ends.count(2) != n:
+        e = next(e for e in ids if ends[e] != 2)
+        raise InconsistentEdges(f"edge {e} has {ends[e]} ends, expected 2")
+    if heads.count(1) != n:
+        e = next(e for e in ids if heads[e] != 1)
+        raise OrientationError(f"edge {e} has {heads[e]} heads and {2 - heads[e]} tails")
 
 
 def find_root(parent: dict[int, int], e: int) -> int:
@@ -460,30 +467,39 @@ def over_arcs(d: PlanarDiagram) -> tuple[tuple[int, ...], ...]:
 # -- faces ---------------------------------------------------------------------
 
 
+# The side of each slot's edge that the face walked from that slot lies on,
+# by over_from_d: "R" at the edge's tail (slots 1 and 2 of a positive
+# crossing, 2 and 3 of a negative one), "L" at its head.
+_SIDE_OF_SLOTS = {True: ("L", "R", "R", "L"), False: ("L", "L", "R", "R")}
+
+
 def faces(d: PlanarDiagram) -> tuple[Face, ...]:
     """Trace the regions of the diagram from its rotation system.
 
     Walk rule: after arriving at a crossing on some edge end, leave through
     the next slot counterclockwise. Each region is traced once; together
     the walks use every edge end exactly once in each direction.
-    """
+
+    The walk reads d.mates, the other end of each dart."""
+    edges = [e for x in d.crossings for e in x]
+    darts = len(edges)
+    mate = d.mates
+    side = [r for f in d.over_from_d for r in _SIDE_OF_SLOTS[f]]
+    corner = [divmod(k, 4) for k in range(darts)]
     out: list[Face] = []
-    visited: set[tuple[int, int]] = set()
-    all_darts = [(i, s) for i in range(len(d.crossings)) for s in range(4)]
-    for start in all_darts:
-        if start in visited:
+    visited = bytearray(darts)
+    for start in range(darts):
+        if visited[start]:
             continue
         corners: list[tuple[int, int]] = []
         sides: list[tuple[int, str]] = []
         cur = start
         while True:
-            visited.add(cur)
-            i, s = cur
-            e = d.crossings[i][s]
-            j, s2 = d.other_incidence(e, cur)
-            corners.append((j, s2))
-            sides.append((e, "R" if d.tail_of[e] == cur else "L"))
-            cur = (j, (s2 + 1) % 4)
+            visited[cur] = 1
+            m = mate[cur]
+            corners.append(corner[m])
+            sides.append((edges[cur], side[cur]))
+            cur = m + 1 if m & 3 != 3 else m - 3
             if cur == start:
                 break
         out.append(Face(tuple(corners), tuple(sides)))
@@ -493,7 +509,7 @@ def faces(d: PlanarDiagram) -> tuple[Face, ...]:
 def validate_planarity(d: PlanarDiagram) -> tuple[Face, ...]:
     """Euler check: a connected c-crossing diagram embeds in the sphere
     iff the face walk yields exactly c + 2 regions. Returns the faces."""
-    if not d.is_connected():
+    if not d.connected:
         raise DisconnectedDiagram("planarity check needs a connected diagram")
     fs = faces(d)
     if d.crossings and len(fs) != len(d.crossings) + 2:
@@ -518,24 +534,41 @@ def writhe(d: PlanarDiagram) -> int:
 # -- renumbering -----------------------------------------------------------------
 
 
-def renumber_edges(d: PlanarDiagram, start_edge: int) -> PlanarDiagram:
-    """Assign ids 1..2c along the orientation, one component at a time.
+def along_orientation(
+    rows: Sequence[Sequence[int]], flags: Sequence[bool], start: int
+) -> dict[int, int]:
+    """New ids 1..n for the edge ids in PD rows with over flags, given
+    along the orientation one component at a time: the component of start
+    first, from start, then the others in order of their lowest id, each
+    from that id. The ids need not be 1..n. An edge with no head in the
+    rows ends its walk, so every id is numbered, and the PlanarDiagram
+    built from bad rows reports them."""
+    succ = {}
+    for (a, b, c, d), over_from_d in zip(rows, flags):
+        succ[a] = c
+        if over_from_d:
+            succ[d] = b
+        else:
+            succ[b] = d
+    perm: dict[int, int] = {}
+    for e in (start, *sorted({e for row in rows for e in row})):
+        while e not in perm:
+            perm[e] = len(perm) + 1
+            e = succ.get(e, e)
+    return perm
 
-    The walk starts at ``start_edge``; remaining components follow in
-    order of their lowest old id. Labels are carried over; metadata is
-    dropped because it holds edge references the caller must remap itself.
+
+def renumber_edges(d: PlanarDiagram, start_edge: int) -> PlanarDiagram:
+    """Assign ids 1..2c along the orientation, one component at a time
+    (along_orientation), starting at ``start_edge``. Labels are carried
+    over; metadata is dropped because it holds edge references the caller
+    must remap itself.
     """
     if not d.crossings:
         return PlanarDiagram((), (), d.free_loops, {}, None)
-    comps = sorted(d.components, key=lambda c: (start_edge not in c, min(c)))
-    k = comps[0].index(start_edge)
-    comps[0] = comps[0][k:] + comps[0][:k]
-    perm: dict[int, int] = {}
-    nxt = 1
-    for comp in comps:
-        for e in comp:
-            perm[e] = nxt
-            nxt += 1
+    if start_edge not in range(1, d.edge_count + 1):
+        raise ValueError(f"edge {start_edge} not in the diagram")
+    perm = along_orientation(d.crossings, d.over_from_d, start_edge)
     xs = tuple(Crossing(*(perm[e] for e in x)) for x in d.crossings)
     labels = {perm[e]: v for e, v in d.labels.items()}
     return PlanarDiagram(xs, tuple(d.over_from_d), d.free_loops, labels, None)

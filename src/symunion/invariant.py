@@ -40,6 +40,7 @@ from .poly import (
 )
 from .report import VerificationReport
 from .tangle import (
+    CORNERS,
     Tangle,
     denominator,
     numerator,
@@ -138,21 +139,23 @@ def _unit_pivots(
     n = len(rows)
     m: dict[int, dict[int, dict[int, int]]] = {}
     users: list[set[int]] = [set() for _ in range(n)]
+    # column j's heap: (r - 1, i) of its unit entries +-t^k, the one-term
+    # maps whose coefficient is 1 or -1
+    column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
-        m[i] = {j: dict(p.items()) for j, p in row.items() if p}
-        if not m[i]:
+        mi = {j: p.to_dict() for j, p in row.items() if p}
+        if not mi:
             return None
-        for j in m[i]:
+        m[i] = mi
+        r1 = len(mi) - 1
+        for j, p in mi.items():
             users[j].add(i)
+            if len(p) == 1 and (1 in p.values() or -1 in p.values()):
+                column[j].append((r1, i))
 
     def cost(i: int, j: int) -> int:
         return (len(m[i]) - 1) * (len(users[j]) - 1)
 
-    column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, row in m.items():
-        for j, p in row.items():
-            if _is_unit(p):
-                column[j].append((len(row) - 1, i))
     queue: list[tuple[int, int, int]] = []
 
     def offer(j: int) -> None:
@@ -162,9 +165,11 @@ def _unit_pivots(
         while h:
             r1, i = h[0]
             row = m.get(i)
-            if row is not None and j in row and len(row) - 1 == r1 and _is_unit(row[j]):
-                heapq.heappush(queue, (cost(i, j), i, j))
-                return
+            if row is not None and len(row) - 1 == r1:
+                p = row.get(j)
+                if p is not None and len(p) == 1 and (1 in p.values() or -1 in p.values()):
+                    heapq.heappush(queue, (r1 * (len(users[j]) - 1), i, j))
+                    return
             heapq.heappop(h)
 
     for j in range(n):
@@ -176,11 +181,15 @@ def _unit_pivots(
     while queue:
         key, r, c = heapq.heappop(queue)
         prow = m.get(r)
-        if prow is None or c not in prow or not _is_unit(prow[c]) or key != cost(r, c):
+        if prow is None or key != cost(r, c):
+            continue
+        p = prow.get(c)
+        if p is None or len(p) != 1 or not (1 in p.values() or -1 in p.values()):
             continue
         _check(cancel)
         del m[r]
-        ((k, u),) = prow.pop(c).items()
+        del prow[c]
+        ((k, u),) = p.items()
         unit, shift = unit * u, shift + k
         row_seq.append(r)
         col_seq.append(c)
@@ -204,10 +213,11 @@ def _unit_pivots(
         touched = set(prow)
         for i in below:
             row = m[i]
+            r1 = len(row) - 1
+            touched.update(row)
             for j, p in row.items():
-                touched.add(j)
-                if _is_unit(p):
-                    heapq.heappush(column[j], (len(row) - 1, i))
+                if len(p) == 1 and (1 in p.values() or -1 in p.values()):
+                    heapq.heappush(column[j], (r1, i))
         for j in touched:
             offer(j)
     left_rows = sorted(m)
@@ -287,10 +297,6 @@ def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) ->
     )
 
 
-def _is_unit(p: dict[int, int]) -> bool:
-    return len(p) == 1 and abs(next(iter(p.values()))) == 1
-
-
 def _submul(acc: dict[int, int], f: dict[int, int], a: dict[int, int]) -> None:
     """acc -= f * a in place, keeping only nonzero coefficients."""
     for e1, v1 in f.items():
@@ -334,8 +340,7 @@ class RegionMatrix:
 
 def _sparse_row(terms: dict[int, dict[int, int]]) -> dict[int, LaurentPoly]:
     """column -> {exp: coeff} sums as a sparse row without zero entries."""
-    row = {j: LaurentPoly(c) for j, c in terms.items()}
-    return {j: p for j, p in row.items() if p}
+    return {j: p for j, c in terms.items() if (p := LaurentPoly(c))}
 
 
 def region_matrix(d: PlanarDiagram) -> RegionMatrix:
@@ -379,7 +384,7 @@ def alexander_region(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     Alexander polynomial 0."""
     if not d.crossings:
         return LaurentPoly.one() if d.free_loops == 1 else LaurentPoly.zero()
-    if d.free_loops or not d.is_connected():
+    if d.free_loops or not d.connected:
         return LaurentPoly.zero()
     m = region_matrix(d)
     det = det_laurent(m.reduced(flanking_faces(m, 1)), cancel)
@@ -786,18 +791,28 @@ def _conway_closure(d: PlanarDiagram, cancel: CancelToken | None) -> ConwayPoly:
 
 
 def _shared_alexander(
-    k: PlanarDiagram, key, make, cancel: CancelToken | None
+    k: PlanarDiagram, t: Tangle | None, cancel: CancelToken | None
 ) -> tuple[LaurentPoly, int]:
     """Alexander polynomial (region route) and component count of a
     diagram that both the product formula and the fraction rule read: the
-    union k itself or a numerator closure of one of its tangles. make()
-    gives the diagram; both values are computed once per union."""
+    union k itself (t None) or the numerator closure of a tangle t. Both
+    are computed once per union; a closure is kept by the content of t, so
+    regions holding equal tangles share it."""
 
     def compute() -> tuple[LaurentPoly, int]:
-        d = make()
+        d = k if t is None else numerator(t)
         return alexander_region(d, cancel), d.component_count()
 
-    return derived(k, ("alexander", key), compute)
+    if t is None:
+        return derived(k, ("alexander", "union"), compute)
+    content = (
+        t.crossings,
+        t.over_from_d,
+        tuple(t.boundary[c] for c in CORNERS),
+        tuple(t.flows[c] for c in CORNERS),
+        t.closed_loops,
+    )
+    return derived(k, ("alexander", content), compute)
 
 
 def verify_zero_replacement(union) -> VerificationReport:
@@ -831,7 +846,7 @@ def verify_product_formula(union, cancel: CancelToken | None = None) -> Verifica
     rep = VerificationReport("alexander product formula")
     rep.record("union crossings", len(k.crossings))
 
-    via_region, _ = _shared_alexander(k, "union", lambda: k, cancel)
+    via_region, _ = _shared_alexander(k, None, cancel)
     via_fox = alexander_fox(presentation(k), cancel)
     rep.record("alexander of union", via_region.text())
     rep.add(
@@ -844,7 +859,7 @@ def verify_product_formula(union, cancel: CancelToken | None = None) -> Verifica
     rep.record("partial factor", half.text())
     prod = half * half
     for i, t in enumerate(spec.tangles, start=1):
-        f, _ = _shared_alexander(k, i, lambda: numerator(t), cancel)
+        f, _ = _shared_alexander(k, t, cancel)
         rep.record(f"numerator factor {i}", f.text())
         prod = prod * f
     prod = normalize_alexander(prod)
@@ -893,8 +908,8 @@ def verify_fraction_region(
     rep = VerificationReport(f"fraction decomposition at region {region}")
     rep.record("union crossings", len(k.crossings))
 
-    def shared(key, make):
-        return lambda: _conway(*_shared_alexander(k, key, make, cancel))
+    def shared(t: Tangle | None):
+        return lambda: _conway(*_shared_alexander(k, t, cancel))
 
     def complement(r: Tangle, knot: bool):
         return lambda: _conway_closure(
@@ -903,8 +918,8 @@ def verify_fraction_region(
 
     return _sum_rule(
         rep,
-        ("conway of union", shared("union", lambda: k)),
-        ("numerator of tangle", shared(region, lambda: numerator(t))),
+        ("conway of union", shared(None)),
+        ("numerator of tangle", shared(t)),
         ("denominator of complement", complement(vertical_twists(0), True)),
         ("numerator of complement", complement(rational_tangle([]), False)),
         ("denominator of tangle", lambda: _conway_closure(denominator(t), cancel)),

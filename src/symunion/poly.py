@@ -50,8 +50,10 @@ class _IntPoly:
         c: dict[int, int] = {}
         if coeffs:
             for e, v in coeffs.items():
-                _check_int(e, "exponent")
-                _check_int(v, "coefficient")
+                if type(e) is not int:
+                    _check_int(e, "exponent")
+                if type(v) is not int:
+                    _check_int(v, "coefficient")
                 if v:
                     c[e] = v
         self._c = c
@@ -72,6 +74,11 @@ class _IntPoly:
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._c.items()))
+
+    def to_dict(self) -> dict[int, int]:
+        """The coefficient map {exponent: coefficient}, as a new dict in no
+        particular order."""
+        return dict(self._c)
 
     def __add__(self, other):
         cls = type(self)

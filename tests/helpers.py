@@ -81,7 +81,8 @@ def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
     first_err = None
     for bits in itertools.product(order, repeat=len(spec.tangles)):
         try:
-            return construct._assemble_with_bits(spec, bits, require_knot=True)
+            boxed = list(map(construct._oriented_for_box, spec.tangles, bits))
+            return construct._assemble_with_bits(spec, bits, boxed, require_knot=True)
         except construct.NotPlanarInsertion as exc:
             if first_err is None:
                 first_err = exc

@@ -283,6 +283,27 @@ class TestVerify:
         assert searched == [spec]
         assert sum(d.crossings == union.crossings for d in matrices) == 1
 
+    def test_equal_tangles_share_one_numerator_closure(self, tmp_path, capsys, monkeypatch):
+        # kt_union_3 holds kt(3) in all three regions: one Alexander
+        # polynomial each for the union, the partial, N(kt(3)) and the zero
+        # replacement, and two complements per region
+        spec = corpus.SPEC_FIXTURES["kt_union_3"]
+        path = tmp_path / "kt_union_3.json"
+        path.write_text(json.dumps(to_spec_doc(spec)))
+        computed = []
+        alexander = invariant.alexander_region
+
+        def counting(d, cancel=None):
+            computed.append(d)
+            return alexander(d, cancel)
+
+        monkeypatch.setattr(invariant, "alexander_region", counting)
+        rc, out, _ = run(capsys, "verify", str(path), "--format", "doc")
+        assert rc == 0
+        assert len(computed) == 4 + 2 * 3
+        factors = [json.loads(out)[1]["data"][f"numerator factor {i}"] for i in (1, 2, 3)]
+        assert factors == [factors[0]] * 3
+
     def test_parser_is_built_once_and_keeps_no_flags(self, spec_path, capsys):
         assert cli._parser() is cli._parser()
         rc, out, _ = run(capsys, "verify", str(spec_path), "--lemma", "--format", "doc")

@@ -1,11 +1,17 @@
 """Assembly of two mirror halves with tangle boxes spliced in along the
 join arcs."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import PARTIAL_POOL, TANGLE_POOL, exhaustive_build
 from symunion import construct
+from symunion.cli import verify_reports
+from symunion.corpus import SPEC_FIXTURES
 from symunion.construct import (
     ClosedComponentInTangle,
     ConstructError,
@@ -22,7 +28,7 @@ from symunion.construct import (
     parse_spec,
     to_spec_doc,
 )
-from symunion.diagram import faces, over_arcs, parse_pd, writhe
+from symunion.diagram import PlanarDiagram, faces, over_arcs, parse_pd, writhe
 from symunion.invariant import (
     alexander_fox,
     alexander_region,
@@ -366,17 +372,23 @@ def _face_edges(d):
 FACE_EDGES = _face_edges(TWO_BRIDGE)
 
 
+def _recording(mp, owner, name):
+    """Wrap owner.name to record its arguments; returns the record."""
+    calls = []
+    f = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    mp.setattr(owner, name, recording)
+    return calls
+
+
 def _counted_build(spec):
     """The union spec builds, and the number of assemblies it took."""
-    calls = []
-    assemble = construct._assemble_with_bits
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return assemble(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_assemble_with_bits", counting)
+        calls = _recording(mp, construct, "_assemble_with_bits")
         k = build_symmetric_union(spec)
     return k, len(calls)
 
@@ -430,3 +442,77 @@ class TestAttachmentSearch:
         assert k.component_count() == 1
         assert k.meta.attach_bits == ()
         assert verify_product_formula(k).passed
+
+
+class TestOnePass:
+    """Each diagram an assembly makes is constructed, checked and walked
+    once, and each tangle is oriented for its box once."""
+
+    def _assemblies_and_diagrams(self, run):
+        with pytest.MonkeyPatch.context() as mp:
+            assemblies = _recording(mp, construct, "_assemble_with_bits")
+            diagrams = _recording(mp, PlanarDiagram, "__post_init__")
+            out = run()
+        return out, len(assemblies), len(diagrams)
+
+    @pytest.mark.parametrize("name", sorted(SPEC_FIXTURES))
+    def test_one_diagram_per_assembly(self, name):
+        spec = SPEC_FIXTURES[name]
+        k, assemblies, diagrams = self._assemblies_and_diagrams(
+            lambda: build_symmetric_union(spec)
+        )
+        assert assemblies >= 1 and diagrams == assemblies
+        _, assemblies, diagrams = self._assemblies_and_diagrams(
+            lambda: build_all_zero_replacement(k)
+        )
+        assert (assemblies, diagrams) == (1, 1)
+        for i in range(1, len(spec.tangles) + 1):
+            for r, knot in ((vertical_twists(0), True), (rational_tangle([]), False)):
+                _, assemblies, diagrams = self._assemblies_and_diagrams(
+                    lambda: _rebuild(k, {i: r}, require_knot=knot)
+                )
+                assert (assemblies, diagrams) == (1, 1)
+
+    def test_one_connectivity_walk_per_diagram(self):
+        with pytest.MonkeyPatch.context() as mp:
+            walked = _recording(mp, PlanarDiagram.__dict__["connected"], "func")
+            for spec in SPEC_FIXTURES.values():
+                verify_reports(spec)
+        assert walked
+        assert len({id(d) for (d,) in walked}) == len(walked)
+
+    def test_each_tangle_oriented_once_per_bit_in_a_build(self):
+        # distinct objects, so that a call names its region; the search
+        # backtracks here (see test_twelve_regions)
+        tangles = tuple(vertical_twists(2) for _ in range(12))
+        spec = SymUnionSpec(TWO_BRIDGE, tuple(FACE_EDGES[:13]), tangles)
+        with pytest.MonkeyPatch.context() as mp:
+            oriented = _recording(mp, construct, "_oriented_for_box")
+            k = build_symmetric_union(spec)
+        keys = [(id(t), bit) for t, bit in oriented]
+        assert len(set(keys)) == len(keys) <= 2 * len(tangles)
+        assert {(id(t), bit) for t, bit in zip(tangles, k.meta.attach_bits)} <= set(keys)
+
+    def test_a_rebuild_orients_only_its_replacements(self):
+        spec = SPEC_FIXTURES["kt_union_3"]
+        k = build_symmetric_union(spec)
+        zero = rational_tangle([])
+        with pytest.MonkeyPatch.context() as mp:
+            oriented = _recording(mp, construct, "_oriented_for_box")
+            _rebuild(k, {2: zero}, require_knot=False)
+            assert oriented == [(zero, k.meta.attach_bits[1])]
+            oriented.clear()
+            build_all_zero_replacement(k)
+            assert [t for t, _ in oriented] == [rational_tangle([])] * 3
+            assert [bit for _, bit in oriented] == list(k.meta.attach_bits)
+
+
+def test_union_documents_match_the_pin_file():
+    """The documents of the corpus unions, their zero replacements and
+    complements, and digests of 25 random unions, as
+    scripts/pin_union_docs.py wrote them; edge numbering included."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "pin_union_docs.py"
+    loader = importlib.util.spec_from_file_location("pin_union_docs", path)
+    pins = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(pins)
+    assert pins.documents() == json.loads(pins.PIN_FILE.read_text())

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from symunion.diagram import (
     NotPlanar,
     OrientationError,
     PlanarDiagram,
+    check_ends,
     diagram_from_tuples,
     faces,
     mirror,
@@ -21,6 +23,8 @@ from symunion.diagram import (
     validate_planarity,
     writhe,
 )
+from symunion.construct import build_all_zero_replacement
+from symunion.corpus import SPEC_FIXTURES
 from symunion.tangle import numerator, rational_tangle, vertical_stack
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -127,7 +131,7 @@ def test_planarity_of_fixtures(trefoil, fig8):
 
 def test_disconnected_flagged(trefoil):
     d = PlanarDiagram(trefoil.crossings, trefoil.over_from_d, free_loops=1)
-    assert not d.is_connected()
+    assert not d.connected
     assert d.component_count() == 2
     with pytest.raises(DisconnectedDiagram):
         validate_planarity(d)
@@ -208,7 +212,7 @@ def test_label_on_unknown_edge(trefoil):
 def test_unknot_basics():
     u = unknot()
     assert u.component_count() == 1
-    assert u.is_connected()
+    assert u.connected
     assert writhe(u) == 0
     assert faces(u) == ()
 
@@ -234,4 +238,60 @@ def test_from_tuples_matches_parse(trefoil):
 
 
 def test_meta_ignored_by_equality(trefoil):
-    assert trefoil.with_meta(("anything",)) == trefoil
+    assert PlanarDiagram(trefoil.crossings, trefoil.over_from_d, meta=("anything",)) == trefoil
+
+
+# check_ends counts ends into lists indexed by edge id; each case pins the
+# exception the dict-based count raised, including the ids a list index
+# would take differently (off the range, negative, bool, str)
+TREFOIL_ROWS = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
+TREFOIL_FLAGS = (False, False, False)
+OPEN_PAIR = [(1, "in"), (1, "out"), (2, "in"), (2, "out")]
+
+
+@pytest.mark.parametrize(
+    "rows, flags, n, corners, error",
+    [
+        (TREFOIL_ROWS, TREFOIL_FLAGS, 6, (), None),
+        ([(1, 4, 2, 7)] + TREFOIL_ROWS[1:], TREFOIL_FLAGS, 6, (), InconsistentEdges),
+        ([(0, 4, 2, 5)] + TREFOIL_ROWS[1:], TREFOIL_FLAGS, 6, (), InconsistentEdges),
+        ([(False, 4, 2, 5)] + TREFOIL_ROWS[1:], TREFOIL_FLAGS, 6, (), InconsistentEdges),
+        ([(True, 4, 2, 5)] + TREFOIL_ROWS[1:], TREFOIL_FLAGS, 6, (), None),
+        ([("1", 4, 2, 5)] + TREFOIL_ROWS[1:], TREFOIL_FLAGS, 6, (), InconsistentEdges),
+        # edge 2 with one end, edge 6 with three
+        ([(1, 4, 6, 5)] + TREFOIL_ROWS[1:], TREFOIL_FLAGS, 6, (), InconsistentEdges),
+        (TREFOIL_ROWS, (True, True, True), 6, (), OrientationError),
+        ((), (), 2, OPEN_PAIR, None),
+        ((), (), 2, OPEN_PAIR[:3] + [(99, "out")], InconsistentEdges),
+        ((), (), 2, OPEN_PAIR[:3] + [(-1, "out")], InconsistentEdges),
+        ((), (), 2, OPEN_PAIR[:3] + [(0, "out")], InconsistentEdges),
+        ((), (), 2, OPEN_PAIR[:3] + [("2", "out")], InconsistentEdges),
+        ((), (), 2, [(True, "in")] + OPEN_PAIR[1:], None),
+        ((), (), 2, [(1, "out")] + OPEN_PAIR[1:], OrientationError),
+    ],
+)
+def test_check_ends_raises_as_before(rows, flags, n, corners, error):
+    xs = [Crossing(*row) for row in rows]
+    if error is None:
+        check_ends(xs, flags, n, corners)
+    else:
+        with pytest.raises(error):
+            check_ends(xs, flags, n, corners)
+
+
+def test_renumber_walks_the_start_component_then_the_rest_by_lowest_id():
+    flat = build_all_zero_replacement(SPEC_FIXTURES["kt_union_3"])  # 4 components
+    ids = list(range(1, flat.edge_count + 1))
+    random.Random(3).shuffle(ids)
+    d = PlanarDiagram(
+        tuple(Crossing(*(ids[e - 1] for e in x)) for x in flat.crossings), flat.over_from_d
+    )
+    start = d.components[2][1]
+    comps = sorted(d.components, key=lambda c: (start not in c, min(c)))
+    k = comps[0].index(start)
+    order = [e for c in [comps[0][k:] + comps[0][:k]] + comps[1:] for e in c]
+    want = {e: j for j, e in enumerate(order, start=1)}
+    got = renumber_edges(d, start_edge=start)
+    assert got.crossings == tuple(Crossing(*(want[e] for e in x)) for x in d.crossings)
+    with pytest.raises(ValueError):
+        renumber_edges(d, start_edge=d.edge_count + 1)

@@ -279,3 +279,23 @@ def test_parse_rejects_garbage():
 def test_text_round_trip(p):
     assert parse_poly(p.text()) == p
 
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "1"])
+def test_laurent_rejects_non_int_exponent_or_coefficient(bad):
+    with pytest.raises(TypeError):
+        LaurentPoly({bad: 1})
+    with pytest.raises(TypeError):
+        LaurentPoly({1: bad})
+    with pytest.raises(TypeError):
+        ConwayPoly({2: bad})
+
+
+def test_laurent_accepts_int_subclasses():
+    p = LaurentPoly({_Int(2): _Int(3), -1: _Int(0)})
+    assert p == LaurentPoly({2: 3})
+    assert p.text() == "3*t^2"

@@ -92,6 +92,9 @@ class SymUnionSpec:
 class UnionMeta:
     spec: SymUnionSpec
     attach_bits: tuple[int, ...]
+    # spec.tangles[i - 1] oriented for the box of region i at its bit; a
+    # rebuild orients only the tangles it replaces
+    boxed: tuple[Tangle, ...]
 
 
 # slot of edge e+E in the mirror row (c, b, a, d), given e's slot in (a, b, c, d)
@@ -186,8 +189,8 @@ def _assemble_with_bits(
     """The union of spec at attachment bits, with boxed[i - 1], the tangle
     of region i oriented for its box at its bit, spliced in. Edges are
     numbered along the orientation from a0, so the one diagram built is
-    the union itself; its faces are walked here (planar_faces), and it
-    keeps boxed for the rebuilds (_rebuild)."""
+    the union itself; its faces are walked here (planar_faces), and its
+    metadata keeps boxed for the rebuilds (_rebuild)."""
     d = spec.partial
     E = d.edge_count
 
@@ -244,12 +247,11 @@ def _assemble_with_bits(
             tuple(Crossing(perm[a], perm[b], perm[c], perm[d]) for a, b, c, d in rows),
             tuple(flags),
             labels={perm[e]: lbl for e, lbl in labels.items() if e in perm and e not in alias},
-            meta=UnionMeta(spec, tuple(bits)),
+            meta=UnionMeta(spec, tuple(bits), tuple(boxed)),
         )
         planar_faces(built)
     except DiagramError as exc:
         raise NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
-    derived(built, "boxed", lambda: tuple(boxed))
 
     if require_knot and built.component_count() != 1:
         raise NotAKnot(
@@ -384,9 +386,7 @@ def _rebuild(
     spec = SymUnionSpec(meta.spec.partial, meta.spec.marked_arcs, tangles)
     _validate_inputs(spec, require_even=False)
     bits = meta.attach_bits
-    boxed = list(
-        derived(k, "boxed", lambda: tuple(map(_oriented_for_box, meta.spec.tangles, bits)))
-    )
+    boxed = list(meta.boxed)
     for i, t in replace.items():
         boxed[i - 1] = _oriented_for_box(t, bits[i - 1])
     return _assemble_with_bits(spec, bits, boxed, require_knot=require_knot)

@@ -108,14 +108,6 @@ class PlanarDiagram:
     def edge_count(self) -> int:
         return 2 * len(self.crossings)
 
-    @cached_property
-    def incidences(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for i, x in enumerate(self.crossings):
-            for s in range(4):
-                out.setdefault(x[s], []).append((i, s))
-        return {e: tuple(v) for e, v in out.items()}
-
     def _head_slots(self, i: int) -> tuple[int, int]:
         return (0, 3) if self.over_from_d[i] else (0, 1)
 

@@ -40,7 +40,6 @@ from .poly import (
 )
 from .report import VerificationReport
 from .tangle import (
-    CORNERS,
     Tangle,
     denominator,
     numerator,
@@ -545,10 +544,10 @@ def _unpack(p: int, bits: int) -> tuple[int, ...]:
 
 def _crossing_unit(d: PlanarDiagram, ci: int) -> _Unit:
     kinks = {}
-    for s, e in enumerate(d.crossings[ci]):
-        (i, si), (j, sj) = d.incidences[e]
-        if i == j:
-            kinks[s] = sj if si == s else si
+    for s in range(4):
+        m = d.mates[4 * ci + s]
+        if m >> 2 == ci:
+            kinks[s] = m & 3
     return _Unit(d.crossings[ci], kinks, _SMOOTHINGS, _CROSSING_BOUND)
 
 
@@ -735,8 +734,10 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     units = [_box_unit(d, box, cancel) for box in boxes]
     unit_of = {ci: i for i, box in enumerate(boxes) for ci in box}
     nbrs: list[list[int]] = [[] for _ in units]
-    for (i, _), (j, _) in d.incidences.values():
-        u, v = unit_of[i], unit_of[j]
+    for k, m in enumerate(d.mates):
+        if k > m:  # each edge once, from its first end
+            continue
+        u, v = unit_of[k >> 2], unit_of[m >> 2]
         if u != v:  # an edge inside a box never opens
             nbrs[u].append(v)
             nbrs[v].append(u)
@@ -805,14 +806,7 @@ def _shared_alexander(
 
     if t is None:
         return derived(k, ("alexander", "union"), compute)
-    content = (
-        t.crossings,
-        t.over_from_d,
-        tuple(t.boundary[c] for c in CORNERS),
-        tuple(t.flows[c] for c in CORNERS),
-        t.closed_loops,
-    )
-    return derived(k, ("alexander", content), compute)
+    return derived(k, ("alexander", t.key), compute)
 
 
 def verify_zero_replacement(union) -> VerificationReport:

@@ -14,10 +14,10 @@ point the same way, which raises OrientationMismatch.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .diagram import (
     Crossing,
@@ -89,6 +89,15 @@ class Tangle:
     @property
     def edge_count(self) -> int:
         return 2 * len(self.crossings) + 2
+
+    @cached_property
+    def key(self) -> tuple:
+        """Every field as one hashable value, mappings as sorted items:
+        two tangles have equal keys exactly when they are equal."""
+        return tuple(
+            tuple(sorted(v.items())) if isinstance(v, Mapping) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        )
 
     @cached_property
     def incidences(self) -> dict[int, tuple[Incidence, ...]]:

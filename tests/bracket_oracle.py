@@ -15,7 +15,7 @@ def bracket_naive(d):
     n = len(d.crossings)
     if n > NAIVE_LIMIT:
         raise TooLarge(f"naive bracket limited to {NAIVE_LIMIT} crossings")
-    edges = [(4 * i + s, 4 * j + t) for (i, s), (j, t) in d.incidences.values()]
+    edges = [(k, m) for k, m in enumerate(d.mates) if k < m]
     tally: dict[tuple[int, int], int] = {}  # (power of A, loops) -> states
     for mask in range(1 << n):
         parent = list(range(4 * n))

@@ -556,9 +556,8 @@ def diagrams_and_orders(draw):
         return d, draw(st.permutations(range(len(boxes))))
     box_of = {ci: i for i, box in enumerate(boxes) for ci in box}
     nbrs: list[set[int]] = [set() for _ in boxes]
-    for (i, _), (j, _) in d.incidences.values():
-        nbrs[box_of[i]].add(box_of[j])
-        nbrs[box_of[j]].add(box_of[i])
+    for k, m in enumerate(d.mates):
+        nbrs[box_of[k >> 2]].add(box_of[m >> 2])
     order = [draw(st.integers(0, len(boxes) - 1))]
     touching = nbrs[order[0]] - set(order)
     while touching:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -307,6 +309,42 @@ class TestValidation:
                 {"NW": 1, "NE": 1, "SW": 2, "SE": 2},
                 {"NW": "in", "NE": "in", "SW": "in", "SE": "out"},
             )
+
+
+class TestKey:
+    """Tangle.key keys caches by content (the shared numerator closures),
+    so it must agree with == on every field."""
+
+    TANGLES = [
+        rational_tangle([]),
+        vertical_twists(0),
+        horizontal_twists(3),
+        vertical_twists(3),
+        vertical_twists(-3),
+        kt_tangle(3),
+        rational_tangle([1, 1, 2]),
+        dataclasses.replace(kt_tangle(3), closed_loops=1),
+    ]
+
+    def test_key_agrees_with_equality(self):
+        for a in self.TANGLES:
+            hash(a.key)
+            for b in self.TANGLES:
+                assert (a.key == b.key) == (a == b)
+
+    def test_key_ignores_mapping_order(self):
+        t = kt_tangle(3)
+        u = Tangle(
+            t.crossings,
+            t.over_from_d,
+            dict(reversed(list(t.boundary.items()))),
+            dict(reversed(list(t.flows.items()))),
+            t.closed_loops,
+        )
+        assert u == t and u.key == t.key
+
+    def test_key_covers_every_field(self):
+        assert len(kt_tangle(3).key) == len(dataclasses.fields(Tangle))
 
 
 class TestDocs:

@@ -548,19 +548,3 @@ def along_orientation(
             perm[e] = len(perm) + 1
             e = succ.get(e, e)
     return perm
-
-
-def renumber_edges(d: PlanarDiagram, start_edge: int) -> PlanarDiagram:
-    """Assign ids 1..2c along the orientation, one component at a time
-    (along_orientation), starting at ``start_edge``. Labels are carried
-    over; metadata is dropped because it holds edge references the caller
-    must remap itself.
-    """
-    if not d.crossings:
-        return PlanarDiagram((), (), d.free_loops, {}, None)
-    if start_edge not in range(1, d.edge_count + 1):
-        raise ValueError(f"edge {start_edge} not in the diagram")
-    perm = along_orientation(d.crossings, d.over_from_d, start_edge)
-    xs = tuple(Crossing(*(perm[e] for e in x)) for x in d.crossings)
-    labels = {perm[e]: v for e, v in d.labels.items()}
-    return PlanarDiagram(xs, tuple(d.over_from_d), d.free_loops, labels, None)

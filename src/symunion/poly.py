@@ -37,6 +37,21 @@ def _check_int(v: object, what: str) -> int:
     return v
 
 
+def coeff_map(coeffs: Mapping[int, int]) -> dict[int, int]:
+    """coeffs as a new {exponent: coefficient} dict without its zero
+    coefficients. Raises TypeError unless every exponent and coefficient
+    is an int; a bool is not one."""
+    c: dict[int, int] = {}
+    for e, v in coeffs.items():
+        if type(e) is not int:
+            _check_int(e, "exponent")
+        if type(v) is not int:
+            _check_int(v, "coefficient")
+        if v:
+            c[e] = v
+    return c
+
+
 class _IntPoly:
     """Ring code shared by the two polynomial types: a sparse map from
     exponent to nonzero integer coefficient. Immutable; equality and
@@ -47,16 +62,7 @@ class _IntPoly:
     _VAR = ""
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c: dict[int, int] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if type(e) is not int:
-                    _check_int(e, "exponent")
-                if type(v) is not int:
-                    _check_int(v, "coefficient")
-                if v:
-                    c[e] = v
-        self._c = c
+        self._c = coeff_map(coeffs) if coeffs else {}
 
     @classmethod
     def zero(cls):
@@ -292,8 +298,6 @@ def normalize_alexander(p: LaurentPoly, knot: bool | None = None) -> LaurentPoly
 
 # -- Conway conversion --------------------------------------------------------
 
-_ZSQ = LaurentPoly({1: 1, 0: -2, -1: 1})  # the image of z^2
-
 
 def conway_from_alexander(p: LaurentPoly) -> ConwayPoly:
     """The unique even-power z-form with p(t) = nabla(z) under z^2 = t - 2 + 1/t.
@@ -302,25 +306,27 @@ def conway_from_alexander(p: LaurentPoly) -> ConwayPoly:
     ``normalize_alexander`` first, and must then be palindromic.
     Only the knot case is implemented; link closures are handled by the
     callers that know when their contribution is forced to zero.
+
+    The peel works on the coefficients c[e] of t^e for e >= 0, which fix
+    a palindrome. It takes the top exponent k and subtracts c[k] times
+    z^(2k) = (t - 2 + 1/t)^k = sum_i (-1)^i C(2k, i) t^(k-i), whose
+    terms at i <= k are the ones at t^0 and above.
     """
     if p.is_zero():
         raise NotSymmetric("zero polynomial does not arise from a knot")
     q = normalize_alexander(p, knot=True)
     if q.inverted() != q:
         raise NotSymmetric(f"not palindromic after centering: {q.text()}")
-    rem = q
+    c = [q.coeff(e) for e in range(q.max_exp() + 1)]
     out: dict[int, int] = {}
-    while not rem.is_zero():
-        k = rem.max_exp()
-        if k < 0:
-            raise NonIntegralSolution("peeling left a non-palindromic residue")
-        a = rem.coeff(k)
-        if k == 0:
-            out[0] = a
-            rem = rem - LaurentPoly.term(a)
-        else:
-            out[2 * k] = a
-            rem = rem - a * _ZSQ**k
+    for k in range(len(c) - 1, -1, -1):
+        a = b = c[k]
+        if not a:
+            continue
+        out[2 * k] = a
+        for i in range(k + 1):
+            c[k - i] -= b
+            b = -b * (2 * k - i) // (i + 1)  # a (-1)^(i+1) C(2k, i+1), exact
     nabla = ConwayPoly(out)
     if nabla.coeff(0) != 1:
         raise NotNormalizable("constant term of the z-form is not 1")

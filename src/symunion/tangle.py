@@ -204,7 +204,12 @@ def vertical_twists(n: int) -> Tangle:
 
 
 def reverse_strand(t: Tangle, corner: str) -> Tangle:
-    """Reverse the orientation of the strand whose end lies at corner."""
+    """Reverse the orientation of the strand whose end lies at corner.
+
+    The crossings the strand passes under are turned so that the under
+    strand enters at slot a again, the over flag flips at a crossing the
+    strand passes once, and the flows at its two ends swap. That keeps
+    every check of t true, so the result is built without a second one."""
     start, end, _ = next(s for s in t.strands if corner in (s[0], s[1]))
     under: set[int] = set()
     over: set[int] = set()
@@ -219,7 +224,17 @@ def reverse_strand(t: Tangle, corner: str) -> Tangle:
     flows = dict(t.flows)
     for c in (start, end):
         flows[c] = "out" if flows[c] == "in" else "in"
-    return Tangle(tuple(xs), tuple(flags), dict(t.boundary), flows, t.closed_loops)
+    fields = {
+        "crossings": tuple(xs),
+        "over_from_d": tuple(flags),
+        "boundary": dict(t.boundary),
+        "flows": flows,
+        "closed_loops": t.closed_loops,
+    }
+    r = object.__new__(Tangle)
+    for name, v in fields.items():
+        object.__setattr__(r, name, v)
+    return r
 
 
 # -- gluing: sum, stack, closures ------------------------------------------------------

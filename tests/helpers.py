@@ -1,10 +1,11 @@
 """Helpers only the tests use: a display layout for Alexander polynomials,
 parsers for the text forms of Laurent polynomials and free-group words,
-the Conway-to-Alexander substitution, a monicity check, the slopes of
-rational tangles, the rank of a presentation's abelianization, the
-exhaustive attachment search the builder's pruned search is checked
-against, dense matrices as the sparse rows det_laurent takes, and a
-generator of small random union specs."""
+edge renumbering along the orientation, the Conway-to-Alexander
+substitution and the Conway peel by powers of z^2 = t - 2 + 1/t, a
+monicity check, the slopes of rational tangles, the rank of a
+presentation's abelianization, the exhaustive attachment search the
+builder's pruned search is checked against, dense matrices as the sparse
+rows det_laurent takes, and a generator of small random union specs."""
 
 import itertools
 import random
@@ -14,9 +15,17 @@ from fractions import Fraction
 from symunion import construct
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
-from symunion.diagram import PlanarDiagram
+from symunion.diagram import Crossing, PlanarDiagram, along_orientation
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
-from symunion.poly import ConwayPoly, LaurentPoly, ZeroPolynomial
+from symunion.poly import (
+    ConwayPoly,
+    LaurentPoly,
+    NonIntegralSolution,
+    NotNormalizable,
+    NotSymmetric,
+    ZeroPolynomial,
+    normalize_alexander,
+)
 from symunion.tangle import Tangle, numerator, rational_tangle, vertical_twists
 
 
@@ -27,10 +36,25 @@ def display_form(p: LaurentPoly) -> LaurentPoly:
     return p.shift(-p.min_exp())
 
 
-def sparse(rows) -> list[dict[int, LaurentPoly]]:
-    """A dense matrix (a list of rows) as sparse rows: column -> nonzero
-    entry."""
-    return [{j: p for j, p in enumerate(row) if p} for row in rows]
+def sparse(rows) -> list[dict[int, dict[int, int]]]:
+    """A dense matrix of LaurentPoly entries (a list of rows) as the sparse
+    rows det_laurent takes: column -> {exp: coeff} of a nonzero entry."""
+    return [{j: p.to_dict() for j, p in enumerate(row) if p} for row in rows]
+
+
+def renumber_edges(d: PlanarDiagram, start_edge: int) -> PlanarDiagram:
+    """Assign ids 1..2c along the orientation, one component at a time
+    (diagram.along_orientation), starting at ``start_edge``. Labels are
+    carried over; metadata is dropped because it holds edge references.
+    Diagrams built in different orders compare equal after it."""
+    if not d.crossings:
+        return PlanarDiagram((), (), d.free_loops, {}, None)
+    if start_edge not in range(1, d.edge_count + 1):
+        raise ValueError(f"edge {start_edge} not in the diagram")
+    perm = along_orientation(d.crossings, d.over_from_d, start_edge)
+    xs = tuple(Crossing(*(perm[e] for e in x)) for x in d.crossings)
+    labels = {perm[e]: v for e, v in d.labels.items()}
+    return PlanarDiagram(xs, tuple(d.over_from_d), d.free_loops, labels, None)
 
 
 def parse_word(text: str) -> GroupWord:
@@ -152,6 +176,31 @@ def alexander_from_conway(n: ConwayPoly) -> LaurentPoly:
             raise ValueError("odd z-powers do not land in the t-ring")
         acc = acc + v * _ZSQ ** (e // 2)
     return acc
+
+
+def conway_by_zsq_powers(p: LaurentPoly) -> ConwayPoly:
+    """The z-form of p peeled with Laurent products: the top term a t^k of
+    the rest is matched by a z^(2k), and a * _ZSQ**k is subtracted. The
+    oracle for poly.conway_from_alexander's binomial peel, with the same
+    checks in the same order."""
+    if p.is_zero():
+        raise NotSymmetric("zero polynomial does not arise from a knot")
+    q = normalize_alexander(p, knot=True)
+    if q.inverted() != q:
+        raise NotSymmetric(f"not palindromic after centering: {q.text()}")
+    rem = q
+    out: dict[int, int] = {}
+    while not rem.is_zero():
+        k = rem.max_exp()
+        if k < 0:
+            raise NonIntegralSolution("peeling left a non-palindromic residue")
+        a = rem.coeff(k)
+        out[2 * k] = a
+        rem = rem - a * _ZSQ**k
+    nabla = ConwayPoly(out)
+    if nabla.coeff(0) != 1:
+        raise NotNormalizable("constant term of the z-form is not 1")
+    return nabla
 
 
 def is_monic(p: LaurentPoly) -> bool:

@@ -7,6 +7,7 @@ NOT_EXPORTED = (
     "connected_sum",
     "is_monic",
     "parse_poly",
+    "renumber_edges",
     "reverse",
     "tangle_fraction",
 )

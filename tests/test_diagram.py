@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import renumber_edges
 from symunion.diagram import (
     Crossing,
     DisconnectedDiagram,
@@ -16,7 +17,6 @@ from symunion.diagram import (
     faces,
     mirror,
     parse_pd,
-    renumber_edges,
     to_doc,
     to_text,
     unknot,

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -238,7 +239,7 @@ def unit_pivots_by_scan(rows):
     of least ((r-1)(c-1), i, j), with the sign of the step from the
     pivot's position among the live rows and columns. The reference for
     the pivot queue of inv._unit_pivots."""
-    m = {i: dict(row) for i, row in enumerate(rows)}
+    m = {i: {j: LaurentPoly(p) for j, p in row.items() if p} for i, row in enumerate(rows)}
     live_rows, live_cols = list(range(len(rows))), list(range(len(rows)))
     unit, shift = 1, 0
     while all(m.values()):
@@ -249,7 +250,7 @@ def unit_pivots_by_scan(rows):
             if is_unit(p)
         ]
         if not candidates:
-            block = [[dict(m[i][j].items()) if j in m[i] else {} for j in live_cols]
+            block = [[m[i][j].to_dict() if j in m[i] else {} for j in live_cols]
                      for i in live_rows]
             return unit, shift, block
         _, r, c = min(candidates)
@@ -290,6 +291,53 @@ def alexander_matrices(k):
 def test_pivot_queue_takes_the_pivots_of_a_full_scan_at_68_crossings(union68):
     for rows in alexander_matrices(union68):
         assert inv._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("place", ["exponent", "coefficient"])
+@pytest.mark.parametrize("first", [{0: {0: 2}, 1: {1: 1}}, {}])
+def test_det_rejects_non_int_entries(bad, place, first):
+    # also after an empty row, which makes the determinant 0
+    entry = {bad: 1} if place == "exponent" else {0: bad}
+    with pytest.raises(TypeError):
+        det_laurent([first, {0: {0: 1}, 1: entry}])
+
+
+@st.composite
+def padded(draw, rows):
+    """rows with zero coefficients added to some entries and entries that
+    hold only zero coefficients put in some empty places."""
+    out = []
+    for row in rows:
+        new = {}
+        for j in range(len(rows)):
+            p = dict(row.get(j, {}))
+            if draw(st.booleans()):
+                e = draw(st.integers(-3, 3))
+                p.setdefault(e, 0)
+            if p:
+                new[j] = p
+        out.append(new)
+    return out
+
+
+@given(laurent_matrices().flatmap(lambda m: st.tuples(st.just(sparse(m)), padded(sparse(m)))))
+@settings(max_examples=100, deadline=None)
+def test_det_drops_zero_coefficients_and_empty_entries(pair):
+    rows, with_zeros = pair
+    assert inv._unit_pivots(with_zeros, None) == inv._unit_pivots(rows, None)
+    assert det_laurent(with_zeros) == det_laurent(rows)
+
+
+@given(laurent_matrices())
+@settings(max_examples=100, deadline=None)
+def test_det_leaves_its_rows_unchanged(m):
+    rows = sparse(m)
+    before = copy.deepcopy(rows)
+    first = det_laurent(rows)
+    assert rows == before
+    assert det_laurent(rows) == first
+    assert rows == before
 
 
 def test_det_singular():
@@ -385,7 +433,7 @@ def test_region_matrix_shape(trefoil):
     for row in m.entries:
         assert set(row) <= set(range(5))
         assert len(row) == 4
-        assert all(not p.is_zero() for p in row.values())
+        assert all(p and all(p.values()) for p in row.values())
 
 
 def test_region_matrix_kink_merges_corners():
@@ -394,7 +442,7 @@ def test_region_matrix_kink_merges_corners():
     assert len(m.faces) == 3
     assert set(m.entries[0]) <= set(range(3))
     assert len(m.entries[0]) <= 3
-    assert all(not p.is_zero() for p in m.entries[0].values())
+    assert all(p and all(p.values()) for p in m.entries[0].values())
 
 
 def test_region_matrix_needs_crossings():

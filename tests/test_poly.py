@@ -1,14 +1,21 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import alexander_from_conway, display_form, is_monic, parse_poly
+from helpers import (
+    alexander_from_conway,
+    conway_by_zsq_powers,
+    display_form,
+    is_monic,
+    parse_poly,
+)
 from symunion.poly import (
     ConwayPoly,
     LaurentPoly,
     NonIntegralSolution,
     NotNormalizable,
     NotSymmetric,
+    PolyError,
     ZeroPolynomial,
     conway_from_alexander,
     normalize_alexander,
@@ -230,6 +237,41 @@ def test_conversion_is_multiplicative(a, b):
     assert alexander_from_conway(a * b) == alexander_from_conway(
         a
     ) * alexander_from_conway(b)
+
+
+@st.composite
+def near_palindromes(draw):
+    """Laurent polynomials of span up to 30 built around a palindrome
+    c_0 + sum c_k (t^k + t^-k): value +-1 at t = 1 (a knot's), any other
+    value, or a palindrome with one coefficient changed; each times a
+    unit +-t^s. Zero comes up too."""
+    half = draw(st.integers(0, 15))
+    c = draw(st.lists(st.integers(-(10**6), 10**6), min_size=half, max_size=half))
+    kind = draw(st.sampled_from(["knot", "knot", "value", "asymmetric", "zero"]))
+    if kind == "zero":
+        return LaurentPoly.zero()
+    value = draw(st.sampled_from([1, -1])) if kind == "knot" else draw(st.integers(-5, 5))
+    coeffs = {0: value - 2 * sum(c)}
+    for k, v in enumerate(c, start=1):
+        coeffs[k] = coeffs[-k] = v
+    if kind == "asymmetric":
+        e = draw(st.integers(-half, half))
+        coeffs[e] += draw(st.integers(-3, 3).filter(bool))
+    unit = LaurentPoly.term(draw(st.sampled_from([1, -1])), draw(st.integers(-20, 20)))
+    return LaurentPoly(coeffs) * unit
+
+
+def conway_outcome(convert, p):
+    try:
+        return convert(p)
+    except PolyError as exc:
+        return type(exc)
+
+
+@given(near_palindromes())
+@settings(max_examples=300)
+def test_binomial_peel_matches_the_peel_by_powers(p):
+    assert conway_outcome(conway_from_alexander, p) == conway_outcome(conway_by_zsq_powers, p)
 
 
 def test_alexander_from_conway_rejects_odd_powers():

@@ -3,12 +3,13 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import display_form, tangle_fraction
-from symunion.diagram import MAX_CROSSINGS, renumber_edges, validate_planarity
+from helpers import TANGLE_POOL, display_form, renumber_edges, tangle_fraction
+from symunion.diagram import MAX_CROSSINGS, validate_planarity
 from symunion.group import wirtinger
 from symunion.invariant import alexander_fox, alexander_region, jones
 from symunion.poly import LaurentPoly, normalize_alexander
 from symunion.tangle import (
+    CORNERS,
     BadParameter,
     OrientationMismatch,
     Tangle,
@@ -280,6 +281,25 @@ class TestReversal:
         assert r.flows["NW"] != t.flows["NW"]
         assert r.flows["SE"] != t.flows["SE"]
         assert r.flows["NE"] == t.flows["NE"]
+
+    @given(
+        st.one_of(
+            st.sampled_from(TANGLE_POOL),
+            st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(
+                rational_tangle
+            ),
+        ),
+        st.lists(st.sampled_from(CORNERS), min_size=1, max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reversal_result_passes_the_constructor_checks(self, t, corners):
+        # reverse_strand skips Tangle.__post_init__; rebuilding its result
+        # through the constructor runs every check again
+        for corner in corners:
+            t = reverse_strand(t, corner)
+            again = Tangle(*(getattr(t, f.name) for f in dataclasses.fields(Tangle)))
+            assert again == t
+            assert again.key == t.key
 
     def test_reversal_does_not_move_the_strand(self):
         t = rational_tangle([1, 1, 3])

@@ -355,8 +355,9 @@ def diagram_from_tuples(
 # -- parsing and serialization ---------------------------------------------------
 
 # The most crossings a parsed PD document or tangle document may describe,
-# checked before anything is built. Far above any use: the corpus's tangles
-# are kt(n) with n <= 6 and the benchmark's largest union has 68 crossings.
+# checked before anything is built. The benchmark's largest union has 68
+# crossings; scripts/alexander_scaling.py runs unions of up to 1,620, where
+# `verify` takes about 10 s.
 MAX_CROSSINGS = 2_000
 
 

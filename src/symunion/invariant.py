@@ -35,9 +35,13 @@ from .poly import (
     ConwayPoly,
     LaurentPoly,
     NonIntegralSolution,
+    addmul,
     coeff_map,
     conway_from_alexander,
     normalize_alexander,
+    pack,
+    unpack,
+    width,
 )
 from .report import VerificationReport
 from .tangle import (
@@ -190,7 +194,7 @@ def _unit_pivots(
         del m[r]
         del prow[c]
         ((k, u),) = p.items()
-        unit, shift = unit * u, shift + k
+        unit, shift, nu = unit * u, shift + k, -u
         row_seq.append(r)
         col_seq.append(c)
         for j in prow:
@@ -200,10 +204,10 @@ def _unit_pivots(
         touched = set(prow)
         for i in below:
             row = m[i]
-            f = {e - k: u * v for e, v in row.pop(c).items()}  # entry / pivot
+            f = {e - k: nu * v for e, v in row.pop(c).items()}  # -entry / pivot
             for j, a in prow.items():
                 acc = row.setdefault(j, {})
-                _submul(acc, f, a)
+                addmul(acc, f, a)
                 if acc:
                     users[j].add(i)
                 else:
@@ -248,7 +252,7 @@ def _block_width(block: Sequence[Sequence[dict[int, int]]]) -> int:
     Shifting a row does not change the norms. B - 1 is the bit length of
     that product, so every coefficient is below 2^(B - 1)."""
     norms = (sum(abs(v) for p in row for v in p.values()) for row in block)
-    return math.prod(norms).bit_length() + 1
+    return width(math.prod(norms))
 
 
 def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) -> LaurentPoly:
@@ -258,14 +262,14 @@ def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) ->
     bracket), and integer Bareiss with row swaps (Bareiss 1968) takes the
     determinant of the integers. Each Bareiss division is exact by
     Sylvester's identity and is checked. The coefficients of det S are read
-    back as balanced digits (_unpack), which B from _block_width allows."""
+    back as balanced digits (unpack), which B from _block_width allows."""
     k = len(block)
     if not k:
         return LaurentPoly.one()
     bits = _block_width(block)
     lows = [min(e for p in row for e in p) for row in block]
     a = [
-        [sum(v << bits * (e - lo) for e, v in p.items()) for p in row]
+        [pack(((e - lo, v) for e, v in p.items()), bits) for p in row]
         for row, lo in zip(block, lows)
     ]
     sign, prev = 1, 1
@@ -289,20 +293,8 @@ def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) ->
         prev = piv
     low = sum(lows)
     return LaurentPoly(
-        {low + e: c for e, c in enumerate(_unpack(sign * a[-1][-1], bits)) if c}
+        {low + e: c for e, c in enumerate(unpack(sign * a[-1][-1], bits)) if c}
     )
-
-
-def _submul(acc: dict[int, int], f: dict[int, int], a: dict[int, int]) -> None:
-    """acc -= f * a in place, keeping only nonzero coefficients."""
-    for e1, v1 in f.items():
-        for e2, v2 in a.items():
-            e = e1 + e2
-            w = acc.get(e, 0) - v1 * v2
-            if w:
-                acc[e] = w
-            else:
-                del acc[e]
 
 
 # -- Alexander via the region matrix -------------------------------------------------
@@ -535,21 +527,7 @@ def _width(units: Sequence[_Unit]) -> int:
     lower the l1 norm, so after every unit the l1 norm of all live
     coefficients is at most the product of the bounds of the units so far,
     and so is every final |c|; it is below 2^(B - 1)."""
-    return math.prod(u.bound for u in units).bit_length() + 1
-
-
-def _unpack(p: int, bits: int) -> tuple[int, ...]:
-    """The coefficients packed in p at width bits, lowest first, read as
-    balanced digits: each lies in [-2^(bits-1), 2^(bits-1))."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    out = []
-    while p:
-        c = p & mask
-        if c >= half:
-            c -= mask + 1
-        out.append(c)
-        p = (p - c) >> bits
-    return tuple(out)
+    return width(math.prod(u.bound for u in units))
 
 
 def _crossing_unit(d: PlanarDiagram, ci: int) -> _Unit:
@@ -609,7 +587,7 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
         mate = [0] * len(slots)
         for x, y in pairs:
             mate[at[x]], mate[at[y]] = at[y], at[x]
-        smoothings.append((tuple(mate), lo, _unpack(p, bits)))
+        smoothings.append((tuple(mate), lo, unpack(p, bits)))
     return _Unit(slots, {}, tuple(smoothings), _bound(smoothings))
 
 
@@ -645,10 +623,7 @@ def _sweep(
                 closing[e] = s
             else:
                 opening[s] = e
-        weights = [
-            (mate, a, sum(c << bits * j for j, c in enumerate(cs)))
-            for mate, a, cs in u.smoothings
-        ]
+        weights = [(mate, a, pack(enumerate(cs), bits)) for mate, a, cs in u.smoothings]
         new: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
         for pairs, (lo, p) in states.items():
             link, ends, kept = dict(u.kinks), dict(opening), []
@@ -737,7 +712,17 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
 
     The crossings are grouped into boxes (_boxes), each box is summed by a
     sweep over its crossings (_box_unit), and one more sweep runs over the
-    boxes, each a step whose smoothings are the pairings of its ends."""
+    boxes, each a step whose smoothings are the pairings of its ends.
+
+    The sweep gives delta <D> = A^lo P(x), x = A^2 = 2^B, and
+    delta = -A^-2 (1 + x^2), so <D> = -A^(lo + 2) Q(x) with P = (1 + x^2) Q,
+    taken by divmod on the packed integer. Q's coefficients
+    q_k = sum_i (-1)^i p_(k-2i) have |q_k| <= ||P||_1 < 2^(B - 1) (_width),
+    so Q unpacks at the same B. P mod 1 + x^2 is r_0 + r_1 x with
+    |r_0| + |r_1| <= ||P||_1 (alternating sums of P's even and odd
+    coefficients), so 0 < |r_0 + r_1 2^B| < 1 + 2^(2B) unless r_0 = r_1 = 0:
+    the integer division leaves a remainder, and NonIntegralSolution is
+    raised, exactly when the polynomial one does."""
     if not d.crossings:
         raise NoCrossings("bracket of a crossing-free diagram is handled upstream")
     boxes = _boxes(d, planar_faces(d))
@@ -756,8 +741,10 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     if set(states) != {()}:
         raise InvariantError("open strands left after processing all crossings")
     lo, p = states[()]
-    coeffs = {lo + 2 * j: c for j, c in enumerate(_unpack(p, bits)) if c}
-    return LaurentPoly(coeffs).divexact(LaurentPoly({2: -1, -2: -1}))
+    q, r = divmod(p, 1 + (1 << 2 * bits))
+    if r:
+        raise NonIntegralSolution("bracket state sum is not a multiple of delta")
+    return LaurentPoly({lo + 2 + 2 * j: -c for j, c in enumerate(unpack(q, bits)) if c})
 
 
 def jones(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:

@@ -2,13 +2,18 @@
 
 Alexander polynomials are only defined up to units ±t^k, so this module also
 fixes a canonical representative (``normalize_alexander``) and converts
-the t-form to the z-form. Everything here is exact integer
-arithmetic; any rounding would make the downstream certificates worthless.
+the t-form to the z-form. It holds the coefficient kernel both invariant
+engines use: the product of {exponent: coefficient} maps (``addmul``), and
+the packed form of sum c_j x^j, its value at x = 2^B (Kronecker
+substitution), whose sums, products and shifts are those of the
+polynomials (``width``, ``pack``, ``unpack``). Everything here is exact
+integer arithmetic; any rounding would make the downstream certificates
+worthless.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class PolyError(Exception):
@@ -52,6 +57,46 @@ def coeff_map(coeffs: Mapping[int, int]) -> dict[int, int]:
     return c
 
 
+def addmul(acc: dict[int, int], f: Mapping[int, int], a: Mapping[int, int]) -> None:
+    """acc += f * a in place, for {exponent: coefficient} maps with no zero
+    coefficient; a coefficient that cancels to zero is dropped."""
+    for e1, v1 in f.items():
+        for e2, v2 in a.items():
+            e = e1 + e2
+            w = acc.get(e, 0) + v1 * v2
+            if w:
+                acc[e] = w
+            else:
+                del acc[e]
+
+
+def width(bound: int) -> int:
+    """The slot width B for coefficients of size at most bound: B - 1 is the
+    bit length of bound, so each such coefficient is below 2^(B - 1)."""
+    return bound.bit_length() + 1
+
+
+def pack(pairs: Iterable[tuple[int, int]], bits: int) -> int:
+    """sum c 2^(bits j) over the (j, c) pairs, j >= 0: the polynomial
+    sum c x^j at x = 2^bits."""
+    return sum(c << bits * j for j, c in pairs)
+
+
+def unpack(p: int, bits: int) -> tuple[int, ...]:
+    """The coefficients packed in p at width bits, lowest first, read as
+    balanced digits: each lies in [-2^(bits-1), 2^(bits-1)). No trailing
+    zero is returned; 0 unpacks to ()."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    while p:
+        c = p & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        p = (p - c) >> bits
+    return tuple(out)
+
+
 class _IntPoly:
     """Ring code shared by the two polynomial types: a sparse map from
     exponent to nonzero integer coefficient. Immutable; equality and
@@ -63,6 +108,14 @@ class _IntPoly:
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         self._c = coeff_map(coeffs) if coeffs else {}
+
+    @classmethod
+    def _of(cls, c: dict[int, int]):
+        """The polynomial with coefficient map c, taken as it is: c has only
+        int keys and nonzero int values, and no one else changes it."""
+        out = cls.__new__(cls)
+        out._c = c
+        return out
 
     @classmethod
     def zero(cls):
@@ -91,15 +144,8 @@ class _IntPoly:
         if type(other) is not cls:
             return NotImplemented
         c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = cls.__new__(cls)
-        out._c = c
-        return out
+        addmul(c, other._c, {0: 1})  # c += other * 1
+        return cls._of(c)
 
     def __mul__(self, other):
         cls = type(self)
@@ -108,17 +154,8 @@ class _IntPoly:
         if type(other) is not cls:
             return NotImplemented
         c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = cls.__new__(cls)
-        out._c = c
-        return out
+        addmul(c, self._c, other._c)
+        return cls._of(c)
 
     __rmul__ = __mul__
 
@@ -170,9 +207,7 @@ class LaurentPoly(_IntPoly):
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of({e: -v for e, v in self._c.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         _check_int(n, "power")
@@ -191,15 +226,11 @@ class LaurentPoly(_IntPoly):
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of({e + k: v for e, v in self._c.items()})
 
     def inverted(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-e: v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of({-e: v for e, v in self._c.items()})
 
     def evaluate(self, x: int) -> int:
         """Value at an integer point; exact. Raises ValueError where the
@@ -215,39 +246,6 @@ class LaurentPoly(_IntPoly):
         if r:
             raise ValueError(f"{self.text()} at t={x} is not an integer")
         return q
-
-    def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in the Laurent ring by integer long division;
-        raises if the division leaves a remainder or a non-integer
-        coefficient."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        sh = self.min_exp()
-        oh = other.min_exp()
-        num = {e - sh: v for e, v in self._c.items()}
-        den = {e - oh: v for e, v in other._c.items()}
-        dd = max(den)
-        dl = den[dd]
-        quot: dict[int, int] = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
-                raise NonIntegralSolution("polynomial division left a remainder")
-            q, rem = divmod(num[nd], dl)
-            if rem:
-                raise NonIntegralSolution("polynomial division produced a fraction")
-            qe = nd - dd
-            quot[qe + sh - oh] = q
-            for e, v in den.items():
-                e2 = e + qe
-                w = num.get(e2, 0) - q * v
-                if w:
-                    num[e2] = w
-                else:
-                    num.pop(e2, None)
-        return LaurentPoly(quot)
 
 
 class ConwayPoly(_IntPoly):

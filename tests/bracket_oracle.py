@@ -8,7 +8,7 @@ NAIVE_LIMIT = 16
 
 
 def bracket_naive(d):
-    """Bracket polynomial in A of a diagram with at most NAIVE_LIMIT
+    """Bracket polynomial in A of a diagram with 1 to NAIVE_LIMIT
     crossings (free loops excluded, as in kauffman_bracket). Each state's
     loops are counted by union-find over the crossing slots, node 4i + s
     for slot s of crossing i."""
@@ -41,8 +41,10 @@ def bracket_naive(d):
             else:
                 parent[rp] = rq
         tally[exp, loops] = tally.get((exp, loops), 0) + 1
+    # every state of a diagram with a crossing closes at least one loop, and
+    # the bracket counts all but one: <D> = sum A^exp delta^(loops - 1)
     delta = LaurentPoly({2: -1, -2: -1})
     total = LaurentPoly.zero()
     for (exp, loops), count in tally.items():
-        total = total + LaurentPoly.term(count, exp) * delta**loops
-    return total.divexact(delta)
+        total = total + LaurentPoly.term(count, exp) * delta ** (loops - 1)
+    return total

@@ -255,6 +255,34 @@ class TestVerify:
         assert rc == 0
         assert len(json.loads(out)) == 1
 
+    def test_timings_doc_has_wall_seconds_per_report(self, spec_path, capsys):
+        rc, out, _ = run(capsys, "verify", str(spec_path), "--format", "doc", "--timings")
+        assert rc == 0
+        reports = json.loads(out)
+        assert len(reports) == 3 + len(corpus.SPEC_FIXTURES["kt_union_1"].tangles)
+        for r in reports:
+            assert r["timings"]
+            assert all(type(v) is float and v >= 0 for v in r["timings"].values())
+
+    def test_timings_text_has_wall_seconds_per_report(self, spec_path, capsys):
+        rc, out, _ = run(capsys, "verify", str(spec_path), "--timings")
+        assert rc == 0
+        blocks = out.split("\n\n")
+        assert len(blocks) == 3 + len(corpus.SPEC_FIXTURES["kt_union_1"].tangles)
+        for block in blocks:
+            times = [line.split(": ")[1] for line in block.splitlines()
+                     if line.startswith("  time ")]
+            assert times
+            assert all(t.endswith("s") and float(t[:-1]) >= 0 for t in times)
+
+    def test_no_timings_without_the_flag(self, spec_path, capsys):
+        rc, out, _ = run(capsys, "verify", str(spec_path), "--format", "doc")
+        assert rc == 0
+        assert all("timings" not in r for r in json.loads(out))
+        rc, out, _ = run(capsys, "verify", str(spec_path))
+        assert rc == 0
+        assert "  time " not in out
+
     def test_union_is_built_once_and_its_determinant_taken_once(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -38,7 +38,7 @@ from symunion.invariant import (
     kauffman_bracket,
     region_matrix,
 )
-from symunion.poly import LaurentPoly, normalize_alexander
+from symunion.poly import LaurentPoly, NonIntegralSolution, normalize_alexander
 from symunion.tangle import (
     denominator,
     kt_tangle,
@@ -760,6 +760,15 @@ def test_naive_bracket_size_cap():
     assert len(d.crossings) == 18
     with pytest.raises(TooLarge):
         bracket_naive(d)
+
+
+@pytest.mark.parametrize("packed", [1, 2, -3])
+def test_bracket_refuses_a_state_sum_that_delta_does_not_divide(trefoil, monkeypatch, packed):
+    # the sweep's sum is delta <D>; one the division by delta leaves a
+    # remainder on is refused, not unpacked
+    monkeypatch.setattr(inv, "_sweep", lambda units, bits, cancel: ({(): (0, packed)}, set()))
+    with pytest.raises(NonIntegralSolution):
+        kauffman_bracket(trefoil)
 
 
 def test_bracket_state_cap(fig8, monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     alexander_from_conway,
@@ -12,13 +12,16 @@ from helpers import (
 from symunion.poly import (
     ConwayPoly,
     LaurentPoly,
-    NonIntegralSolution,
     NotNormalizable,
     NotSymmetric,
     PolyError,
     ZeroPolynomial,
+    addmul,
     conway_from_alexander,
     normalize_alexander,
+    pack,
+    unpack,
+    width,
 )
 
 
@@ -108,19 +111,50 @@ def test_int_scalar_mul():
     assert L("t") * -1 == L("- t") == -L("t")
 
 
-@given(nonzero_laurents(), laurents())
-def test_divexact_roundtrip(b, a):
-    assert (a * b).divexact(b) == a
+# -- the coefficient kernel ---------------------------------------------------
+
+coeff_maps = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4).filter(bool), max_size=6)
 
 
-def test_divexact_remainder_raises():
-    with pytest.raises(NonIntegralSolution):
-        L("1 + t").divexact(L("1 + t + t^2"))
+@given(coeff_maps, coeff_maps, coeff_maps)
+def test_addmul_matches_the_naive_product(acc, f, a):
+    want = dict(acc)
+    for e1, v1 in f.items():
+        for e2, v2 in a.items():
+            want[e1 + e2] = want.get(e1 + e2, 0) + v1 * v2
+    got = dict(acc)
+    addmul(got, f, a)
+    assert got == {e: v for e, v in want.items() if v}
+    assert all(got.values())
 
 
-def test_divexact_non_integral_quotient_raises():
-    with pytest.raises(NonIntegralSolution):
-        L("2 + 2*t").divexact(L("3 + 3*t"))
+@st.composite
+def bounded_coefficients(draw):
+    """(b, cs): a bound b = 2^k - 1 or 2^k and coefficients of size at most
+    b, with b and -b themselves likely, zeros in the middle, and sometimes
+    zeros on top."""
+    k = draw(st.integers(1, 80))
+    b = draw(st.sampled_from((2**k - 1, 2**k)))
+    c = st.one_of(st.sampled_from((b, -b, 0)), st.integers(-b, b))
+    cs = draw(st.lists(c, max_size=12)) + [0] * draw(st.integers(0, 3))
+    return b, cs
+
+
+@given(bounded_coefficients())
+@example((1, [1, 0, -1, 0]))
+@example((2**64 - 1, [-(2**64 - 1), 0, 2**64 - 1]))
+@example((2**64, [2**64, 0, 0, -(2**64), 0]))
+def test_unpack_inverts_pack_at_the_width_of_a_bound(case):
+    b, cs = case
+    bits = width(b)
+    want = list(cs)
+    while want and not want[-1]:
+        want.pop()
+    assert unpack(pack(enumerate(cs), bits), bits) == tuple(want)
+
+
+def test_width_leaves_a_sign_bit():
+    assert [width(b) for b in (0, 1, 2, 3, 4, 2**64 - 1, 2**64)] == [1, 2, 3, 3, 4, 65, 66]
 
 
 def test_shift_and_inverted():

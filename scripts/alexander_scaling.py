@@ -24,7 +24,13 @@ import time
 from symunion import invariant
 from symunion.construct import NotPlanarInsertion, SymUnionSpec, build_symmetric_union
 from symunion.group import wirtinger
-from symunion.invariant import alexander_region, det_laurent, flanking_faces, fox_jacobian
+from symunion.invariant import (
+    alexander_region,
+    det_laurent,
+    flanking_faces,
+    fox_jacobian,
+    reduced,
+)
 from symunion.poly import normalize_alexander
 from symunion.tangle import kt_tangle, numerator, rational_tangle
 
@@ -48,8 +54,7 @@ def member(m: int):
 
 
 def region_rows(k):
-    m = invariant.region_matrix(k)
-    return m.reduced(flanking_faces(m, 1))
+    return reduced(invariant.region_matrix(k), flanking_faces(k, 1))
 
 
 def fox_rows(k):

@@ -18,7 +18,6 @@ from .diagram import (
     Crossing,
     PlanarDiagram,
     DiagramError,
-    Face,
     along_orientation,
     cap_crossings,
     json_int,
@@ -359,7 +358,7 @@ def derived(d: PlanarDiagram, key: Hashable, compute: Callable[[], _T]) -> _T:
     return d.computed[key]
 
 
-def planar_faces(d: PlanarDiagram) -> tuple[Face, ...]:
+def planar_faces(d: PlanarDiagram) -> tuple[int, ...]:
     """validate_planarity(d), kept with d. A union is validated when it is
     assembled, so the invariants that read its faces walk none."""
     return derived(d, "faces", lambda: validate_planarity(d))

@@ -65,20 +65,6 @@ class Crossing(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Face:
-    """One region of the diagram.
-
-    corners: (crossing index, corner slot) in walk order, where corner slot
-    j names the sector between edge slots j and j+1 of that crossing.
-    edge_sides: the bounding (edge id, side) incidences in the same order;
-    side "R" means the face lies right of the edge's orientation.
-    """
-
-    corners: tuple[tuple[int, int], ...]
-    edge_sides: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
 class PlanarDiagram:
     crossings: tuple[Crossing, ...]
     over_from_d: tuple[bool, ...]
@@ -460,53 +446,41 @@ def over_arcs(d: PlanarDiagram) -> tuple[tuple[int, ...], ...]:
 # -- faces ---------------------------------------------------------------------
 
 
-# The side of each slot's edge that the face walked from that slot lies on,
-# by over_from_d: "R" at the edge's tail (slots 1 and 2 of a positive
-# crossing, 2 and 3 of a negative one), "L" at its head.
-_SIDE_OF_SLOTS = {True: ("L", "R", "R", "L"), False: ("L", "L", "R", "R")}
+def faces(d: PlanarDiagram) -> tuple[int, ...]:
+    """Trace the regions of the diagram from its rotation system: the face
+    id at each corner, where corner 4i + j is the sector between edge slots
+    j and j + 1 of crossing i. Faces are numbered in the order the walks
+    find them.
 
-
-def faces(d: PlanarDiagram) -> tuple[Face, ...]:
-    """Trace the regions of the diagram from its rotation system.
-
-    Walk rule: after arriving at a crossing on some edge end, leave through
-    the next slot counterclockwise. Each region is traced once; together
-    the walks use every edge end exactly once in each direction.
-
-    The walk reads d.mates, the other end of each dart."""
-    edges = [e for x in d.crossings for e in x]
-    darts = len(edges)
+    Walk rule: after arriving at a crossing on some edge end (the dart m,
+    numbered as in d.mates), pass through corner m and leave through the
+    next slot counterclockwise. Each region is traced once; together the
+    walks use every edge end exactly once in each direction."""
     mate = d.mates
-    side = [r for f in d.over_from_d for r in _SIDE_OF_SLOTS[f]]
-    corner = [divmod(k, 4) for k in range(darts)]
-    out: list[Face] = []
-    visited = bytearray(darts)
-    for start in range(darts):
-        if visited[start]:
+    face = [-1] * len(mate)
+    n = 0
+    for start in range(len(mate)):
+        if face[mate[start]] >= 0:
             continue
-        corners: list[tuple[int, int]] = []
-        sides: list[tuple[int, str]] = []
         cur = start
         while True:
-            visited[cur] = 1
             m = mate[cur]
-            corners.append(corner[m])
-            sides.append((edges[cur], side[cur]))
+            face[m] = n
             cur = m + 1 if m & 3 != 3 else m - 3
             if cur == start:
                 break
-        out.append(Face(tuple(corners), tuple(sides)))
-    return tuple(out)
+        n += 1
+    return tuple(face)
 
 
-def validate_planarity(d: PlanarDiagram) -> tuple[Face, ...]:
+def validate_planarity(d: PlanarDiagram) -> tuple[int, ...]:
     """Euler check: a connected c-crossing diagram embeds in the sphere
     iff the face walk yields exactly c + 2 regions. Returns the faces."""
     if not d.connected:
         raise DisconnectedDiagram("planarity check needs a connected diagram")
     fs = faces(d)
-    if d.crossings and len(fs) != len(d.crossings) + 2:
-        raise NotPlanar(f"face count {len(fs)}, expected {len(d.crossings) + 2}")
+    if d.crossings and max(fs) + 1 != len(d.crossings) + 2:
+        raise NotPlanar(f"face count {max(fs) + 1}, expected {len(d.crossings) + 2}")
     return fs
 
 

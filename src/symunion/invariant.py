@@ -12,11 +12,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 import math
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import (
-    Face,
     MultiComponentInput,
     NoCrossings,
     PlanarDiagram,
@@ -299,23 +297,16 @@ def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) ->
 
 # -- Alexander via the region matrix -------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionMatrix:
-    """One row per crossing and one column per face, as sparse rows: row i
-    maps each face at a corner of crossing i to the sum of the labels of
-    its corners there, an {exp: coeff} map, when that sum is not zero."""
-
-    entries: tuple[dict[int, dict[int, int]], ...]
-    faces: tuple[Face, ...]
-
-    def reduced(self, drop: tuple[int, int]) -> list[dict[int, dict[int, int]]]:
-        """The rows without the columns in drop, later columns moved down;
-        the entries are shared with this matrix."""
-        a, b = drop
-        return [
-            {j - (j > a) - (j > b): p for j, p in row.items() if j != a and j != b}
-            for row in self.entries
-        ]
+def reduced(
+    rows: Sequence[dict[int, dict[int, int]]], drop: tuple[int, int]
+) -> list[dict[int, dict[int, int]]]:
+    """The rows without the columns in drop, later columns moved down;
+    the entries are shared with rows."""
+    a, b = drop
+    return [
+        {j - (j > a) - (j > b): p for j, p in row.items() if j != a and j != b}
+        for row in rows
+    ]
 
 
 def _add_term(row: dict[int, dict[int, int]], j: int, e: int, v: int) -> None:
@@ -333,14 +324,13 @@ def _add_term(row: dict[int, dict[int, int]], j: int, e: int, v: int) -> None:
         del row[j]
 
 
-def region_matrix(d: PlanarDiagram) -> RegionMatrix:
+def region_matrix(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
+    """One row per crossing and one column per face, as sparse rows: row i
+    maps each face at a corner of crossing i to the sum of the labels of
+    its corners there, an {exp: coeff} map, when that sum is not zero."""
     if not d.crossings:
         raise NoCrossings("region matrix needs at least one crossing")
-    fs = planar_faces(d)
-    face = [0] * (4 * len(d.crossings))  # 4 * crossing + corner slot -> face
-    for fi, f in enumerate(fs):
-        for x, slot in f.corners:
-            face[4 * x + slot] = fi
+    face = planar_faces(d)
     # Corner labels around each crossing, by corner slot (slot j is the
     # sector between edge slots j and j+1): t and -t on slots 0 and 1, the
     # two corners flanking edge slot 1, then 1 and -1 on slots 2 and 3, the
@@ -359,23 +349,21 @@ def region_matrix(d: PlanarDiagram) -> RegionMatrix:
             _add_term(row, f2, 0, 1)
             _add_term(row, f3, 0, -1)
         rows.append(row)
-    return RegionMatrix(tuple(rows), fs)
+    return rows
 
 
-def flanking_faces(m: RegionMatrix, edge: int) -> tuple[int, int]:
+def flanking_faces(d: PlanarDiagram, edge: int) -> tuple[int, int]:
     """The two faces on either side of an edge; these are the adjacent
-    columns removed before taking the determinant."""
-    left = right = None
-    for fi, f in enumerate(m.faces):
-        for e, side in f.edge_sides:
-            if e == edge:
-                if side == "L":
-                    left = fi
-                else:
-                    right = fi
-    if left is None or right is None or left == right:
-        raise InvariantError(f"edge {edge} does not separate two faces")
-    return (left, right)
+    columns removed before taking the determinant. At the edge's head, dart
+    4i + s, they are the faces at the corners before and after slot s.
+
+    The two differ: a 4-valent graph has no bridge, so no face lies on
+    both sides of an edge (planar_faces has checked the embedding)."""
+    if edge not in d.head_of:
+        raise InvariantError(f"edge {edge} is not in the diagram")
+    i, s = d.head_of[edge]
+    face = planar_faces(d)
+    return face[4 * i + (s - 1) % 4], face[4 * i + s]
 
 
 def alexander_region(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
@@ -387,8 +375,7 @@ def alexander_region(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
         return LaurentPoly.one() if d.free_loops == 1 else LaurentPoly.zero()
     if d.free_loops or not d.connected:
         return LaurentPoly.zero()
-    m = region_matrix(d)
-    det = det_laurent(m.reduced(flanking_faces(m, 1)), cancel)
+    det = det_laurent(reduced(region_matrix(d), flanking_faces(d, 1)), cancel)
     knot = len(d.components) == 1
     return normalize_alexander(det, knot=knot)
 
@@ -539,23 +526,26 @@ def _crossing_unit(d: PlanarDiagram, ci: int) -> _Unit:
     return _Unit(d.crossings[ci], kinks, _SMOOTHINGS, _CROSSING_BOUND)
 
 
-def _boxes(d: PlanarDiagram, fs: Sequence[Face]) -> list[list[int]]:
+def _boxes(d: PlanarDiagram, face: Sequence[int]) -> list[list[int]]:
     """The crossings grouped into boxes, each in chain order: a box is a
     connected set of crossings joined by bigon faces, and a crossing on no
-    bigon is a box of its own.
+    bigon is a box of its own. face is the face id at each corner
+    (diagram.faces); a bigon is a face at exactly two corners.
 
     A bigon at corner j of crossing x takes slots j and j + 1 of x to one
     other crossing, so x has at most two bigon neighbours (at corners j and
     j + 2). Every box is therefore a path or a cycle, and has at most four
     external edge ends: neighbours on a path share at least two edges, and
     4k - 2 * 2(k - 1) = 4."""
+    at: list[list[int]] = [[] for _ in range(max(face) + 1)]
+    for k, f in enumerate(face):
+        at[f].append(k >> 2)
     nbr: list[set[int]] = [set() for _ in d.crossings]
-    for f in fs:
-        if len(f.corners) == 2:
-            (x, _), (y, _) = f.corners
-            if x != y:
-                nbr[x].add(y)
-                nbr[y].add(x)
+    for xs in at:
+        if len(xs) == 2 and xs[0] != xs[1]:
+            x, y = xs
+            nbr[x].add(y)
+            nbr[y].add(x)
     seen = [False] * len(nbr)
     boxes = []
     # paths are walked from an end, so ends come first
@@ -708,7 +698,7 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
 def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
     """Bracket polynomial in the variable A (free loops excluded; the
     caller handles those). The diagram must pass validate_planarity, whose
-    faces give the boxes (planar_faces).
+    face ids by corner give the boxes' bigons (planar_faces).
 
     The crossings are grouped into boxes (_boxes), each box is summed by a
     sweep over its crossings (_box_unit), and one more sweep runs over the

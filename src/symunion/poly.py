@@ -263,7 +263,7 @@ class ConwayPoly(_IntPoly):
 # -- Alexander canonical form ------------------------------------------------
 
 
-def normalize_alexander(p: LaurentPoly, knot: bool | None = None) -> LaurentPoly:
+def normalize_alexander(p: LaurentPoly, knot: bool = False) -> LaurentPoly:
     """Canonical representative of p among its unit multiples ±t^k.
 
     Position: exponents centered about 0 when the span is even, else the
@@ -271,8 +271,9 @@ def normalize_alexander(p: LaurentPoly, knot: bool | None = None) -> LaurentPoly
     is ±1 (always the case for knots), kept positive otherwise, and for
     value 0 the top coefficient is made positive. Zero passes through.
 
-    With knot=True a value at 1 other than ±1 raises NotNormalizable,
-    which signals a bug upstream rather than bad user input.
+    With knot=True, zero or a value at 1 other than ±1 raises
+    NotNormalizable, which signals a bug upstream rather than bad user
+    input; knot=False accepts both.
     """
     if p.is_zero():
         if knot:

@@ -46,10 +46,6 @@ class BadParameter(TangleError):
     pass
 
 
-class BoundaryMismatch(TangleError):
-    pass
-
-
 Incidence = tuple  # ("X", crossing, slot) or ("B", corner)
 
 
@@ -295,8 +291,6 @@ def _fit_seams(
 def _glue(t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]]) -> Tangle:
     """Join corner c1 of t1 to corner c2 of t2 for each seam (c1, c2). Every
     other corner keeps its name, from whichever tangle still has it free."""
-    if len({c2 for _, c2 in seams}) < len(seams):
-        raise BoundaryMismatch("seam corners must be distinct")
     t1, t2 = _fit_seams(t1, t2, seams)
 
     off = t1.edge_count

@@ -28,10 +28,11 @@ from symunion.construct import (
     parse_spec,
     to_spec_doc,
 )
-from symunion.diagram import PlanarDiagram, faces, over_arcs, parse_pd, writhe
+from symunion.diagram import PlanarDiagram, over_arcs, parse_pd, writhe
 from symunion.invariant import (
     alexander_fox,
     alexander_region,
+    flanking_faces,
     jones,
     verify_fraction_region,
     verify_product_formula,
@@ -356,20 +357,17 @@ def _build_or_error(build, spec):
 
 
 # Twist regions over a 22-crossing two-bridge partial, marked at edges of
-# its face with the most distinct arcs: 13 of them, room for 12 regions.
+# its face with the most distinct arcs: 13 of them, room for 12 regions,
+# one edge per arc in the order the face walk meets the arcs.
 TWO_BRIDGE = numerator(rational_tangle([2] * 10 + [1, 1]))
+FACE_EDGES = [2, 7, 8, 15, 16, 23, 24, 31, 32, 39, 40, 43, 1]
 
 
-def _face_edges(d):
-    arc_of = {e: i for i, arc in enumerate(over_arcs(d)) for e in arc}
-    face = max(faces(d), key=lambda f: len({arc_of[e] for e, _ in f.edge_sides}))
-    by_arc = {}
-    for e, _ in face.edge_sides:
-        by_arc.setdefault(arc_of[e], e)
-    return list(by_arc.values())
-
-
-FACE_EDGES = _face_edges(TWO_BRIDGE)
+def test_face_edges_lie_on_one_face_and_on_distinct_arcs():
+    arc_of = {e: i for i, arc in enumerate(over_arcs(TWO_BRIDGE)) for e in arc}
+    assert len({arc_of[e] for e in FACE_EDGES}) == 13
+    sides = [set(flanking_faces(TWO_BRIDGE, e)) for e in FACE_EDGES]
+    assert set.intersection(*sides)
 
 
 def _recording(mp, owner, name):

@@ -28,6 +28,7 @@ from symunion.group import wirtinger
 from symunion.invariant import (
     CancelToken,
     Cancelled,
+    InvariantError,
     TooLarge,
     alexander_fox,
     alexander_region,
@@ -36,6 +37,7 @@ from symunion.invariant import (
     fox_jacobian,
     jones,
     kauffman_bracket,
+    reduced,
     region_matrix,
 )
 from symunion.poly import LaurentPoly, NonIntegralSolution, normalize_alexander
@@ -281,11 +283,10 @@ def alexander_matrices(k):
     """The matrices both Alexander routes take the determinant of: the
     region matrix without the two faces that flank edge 1, and the Fox
     matrix without the last relator and generator."""
-    m = region_matrix(k)
     w = wirtinger(k)
     n = len(w.generators)
     fox = [{j: p for j, p in row.items() if j < n - 1} for row in fox_jacobian(w)[: n - 1]]
-    return m.reduced(flanking_faces(m, 1)), fox
+    return reduced(region_matrix(k), flanking_faces(k, 1)), fox
 
 
 def test_pivot_queue_takes_the_pivots_of_a_full_scan_at_68_crossings(union68):
@@ -377,8 +378,7 @@ class CancelAfter(CancelToken):
 
 
 def test_cancel_stops_a_large_determinant_mid_elimination(union68):
-    m = region_matrix(union68)
-    rows = m.reduced(flanking_faces(m, 1))
+    rows = reduced(region_matrix(union68), flanking_faces(union68, 1))
     assert len(rows) == 68
     tok = CancelAfter(10)
     with pytest.raises(Cancelled):
@@ -428,9 +428,8 @@ def test_cancel_from_other_thread(trefoil):
 
 def test_region_matrix_shape(trefoil):
     m = region_matrix(trefoil)
-    assert len(m.entries) == 3
-    assert len(m.faces) == 5
-    for row in m.entries:
+    assert len(m) == 3
+    for row in m:
         assert set(row) <= set(range(5))
         assert len(row) == 4
         assert all(p and all(p.values()) for p in row.values())
@@ -438,11 +437,10 @@ def test_region_matrix_shape(trefoil):
 
 def test_region_matrix_kink_merges_corners():
     m = region_matrix(parse_pd("X[1,2,2,1]"))
-    assert len(m.entries) == 1
-    assert len(m.faces) == 3
-    assert set(m.entries[0]) <= set(range(3))
-    assert len(m.entries[0]) <= 3
-    assert all(p and all(p.values()) for p in m.entries[0].values())
+    assert len(m) == 1
+    assert set(m[0]) <= set(range(3))
+    assert len(m[0]) <= 3
+    assert all(p and all(p.values()) for p in m[0].values())
 
 
 def test_region_matrix_needs_crossings():
@@ -484,15 +482,20 @@ def test_column_choice_independence(trefoil, fig8, union68):
         base = alexander_region(d)
         m = region_matrix(d)
         for e in edges:
-            det = det_laurent(m.reduced(flanking_faces(m, e)))
+            det = det_laurent(reduced(m, flanking_faces(d, e)))
             assert normalize_alexander(det, knot=True) == base
 
 
 def test_flanking_faces_distinct(trefoil):
-    m = region_matrix(trefoil)
     for e in range(1, 7):
-        a, b = flanking_faces(m, e)
+        a, b = flanking_faces(trefoil, e)
         assert a != b
+
+
+def test_flanking_faces_of_an_unknown_edge(trefoil):
+    for edge in (0, 7, -1):
+        with pytest.raises(InvariantError):
+            flanking_faces(trefoil, edge)
 
 
 def test_alexander_connected_sum():

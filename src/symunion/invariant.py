@@ -430,9 +430,9 @@ _Smoothing = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 class _Unit(NamedTuple):
     """One step of the bracket sweep: a crossing, or a box of crossings
-    summed up by its own sweep. slots are the edge ids at its ends (a
-    crossing's four edges, a box's external edges); kinks joins the slots
-    of an edge with both ends at this crossing. Each smoothing pairs the
+    summed up in closed form (_box_unit). slots are the edge ids at its
+    ends (a crossing's four edges, a box's external edges); kinks joins the
+    slots of an edge with both ends at this crossing. Each smoothing pairs the
     slots (mate[s] is the slot joined to s) with weight
     sum cs[j] A^(a + 2j). bound is _bound of the smoothings."""
 
@@ -476,15 +476,9 @@ def _smooth(
     return made, loops
 
 
-def _matchings(free: list[int]):
-    """Every perfect matching of the slots in free, as slot -> slot."""
-    if not free:
-        yield {}
-        return
-    a, rest = free[0], free[1:]
-    for i, b in enumerate(rest):
-        for m in _matchings(rest[:i] + rest[i + 1 :]):
-            yield {**m, a: b, b: a}
+# The link patterns _bound tries, by number of slots: every perfect matching.
+# A unit has at most four slots (_boxes).
+_LINKS = {0: ((),), 2: ((1, 0),), 4: ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
 
 
 def _bound(smoothings: Sequence[_Smoothing]) -> int:
@@ -495,12 +489,13 @@ def _bound(smoothings: Sequence[_Smoothing]) -> int:
     where W is the smoothing's weight and L the loops it closes; delta^L
     has l1 norm 2^L. The bound is the most that the sum of ||W||_1 2^L
     reaches over the link patterns. Adding a link never removes a loop, so
-    the patterns that link every slot are enough; all of them are taken,
-    also those a unit's kinks rule out."""
-    slots = list(range(len(smoothings[0][0])))
+    the patterns that link every slot are enough: the perfect matchings of
+    the unit's 0, 2 or 4 slots (_LINKS), also those a unit's kinks rule
+    out. On 2k slots, a smoothing and a pattern close k loops when they
+    pair the slots alike, else one."""
     return max(
         sum(sum(map(abs, cs)) << _smooth(mate, m, {})[1] for mate, _, cs in smoothings)
-        for m in _matchings(slots)
+        for m in _LINKS[len(smoothings[0][0])]
     )
 
 
@@ -536,13 +531,15 @@ def _boxes(d: PlanarDiagram, face: Sequence[int]) -> list[list[int]]:
     other crossing, so x has at most two bigon neighbours (at corners j and
     j + 2). Every box is therefore a path or a cycle, and has at most four
     external edge ends: neighbours on a path share at least two edges, and
-    4k - 2 * 2(k - 1) = 4."""
+    4k - 2 * 2(k - 1) = 4. Only in a one-crossing diagram does a bigon have
+    both corners at one crossing; the walk skips that self-neighbour as
+    seen."""
     at: list[list[int]] = [[] for _ in range(max(face) + 1)]
     for k, f in enumerate(face):
         at[f].append(k >> 2)
     nbr: list[set[int]] = [set() for _ in d.crossings]
     for xs in at:
-        if len(xs) == 2 and xs[0] != xs[1]:
+        if len(xs) == 2:
             x, y = xs
             nbr[x].add(y)
             nbr[y].add(x)
@@ -560,24 +557,90 @@ def _boxes(d: PlanarDiagram, face: Sequence[int]) -> list[list[int]]:
     return boxes
 
 
+def _across(mates: Sequence[int], k: int) -> int:
+    """The other corner of the face at corner k if that face is a bigon,
+    else -1. The face walk (diagram.faces) leaves corner k through the next
+    slot counterclockwise and arrives at a corner n; the face is a bigon
+    when the walk leaves n and arrives back at k."""
+    n = mates[k + 1 if k & 3 != 3 else k - 3]
+    return n if mates[n + 1 if n & 3 != 3 else n - 3] == k else -1
+
+
 def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _Unit:
-    """A box as one step: the sweep over its crossings leaves one state per
-    pairing of its external ends, and that state's coefficient is the
-    pairing's weight (the bracket skein module of a tangle is free on the
-    crossingless pairings; Kauffman 1987)."""
+    """A box as one step, its weights in closed form. The bracket skein
+    module of a two-string tangle is free on its two crossingless pairings
+    (Kauffman 1987), and a chain of crossings c_1 ... c_m joined by bigons
+    is a product in the Temperley-Lieb algebra TL_2 on {1, e}, e^2 = delta e.
+
+    Let j_i be the corner of c_i on its bigon with c_(i+1), and j_m the
+    corner of c_m on its bigon with c_(m-1), plus 2. At c_i the smoothing
+    that pairs slots j_i and j_i + 1 is e, the other one is 1, so the box
+    is a 1 + b e with (a, b) = (1, 0) before c_1 and
+    (a, b) <- (a w_1, a w_e + b (w_1 + w_e delta)) at each crossing. As
+    w_1 w_e = 1, w_1 + w_e delta = -w_e^3. The chain's ends are c_1's two
+    slots away from c_2 and c_m's two away from c_(m-1): 1 pairs each end
+    at c_1 with the end at c_m the 1-smoothings lead it to, e pairs the
+    ends at c_1 and those at c_m. Ends joined to each other by an edge (a
+    cycle, a kink, or more than two edges between two crossings) are closed
+    as the sweep closes them (_smooth), so the unit's slots are the edges
+    left open and each pairing of them gets one smoothing.
+
+    The weights are packed at B from the crossings' bound, as a sweep over
+    the box's crossings would take them, at lo = -3m - 4: no term is lower."""
+    _check(cancel)
     if len(box) == 1:
         return _crossing_unit(d, box[0])
-    inner = [_crossing_unit(d, ci) for ci in box]
-    bits = _width(inner)
-    states, ends = _sweep(inner, bits, cancel)
-    slots = tuple(sorted(ends))
+    mates = d.mates
+    # Along one chain of faces: each next corner is opposite the corner the
+    # last bigon arrives at, as an interior crossing's two bigons lead to
+    # two other crossings. Two crossings may share two bigons, so c_m's
+    # corner comes from the face the chain arrives by, not from a search.
+    corners = [next(j for j in range(4) if _across(mates, 4 * box[0] + j) >> 2 == box[1])]
+    for x in box[:-1]:
+        corners.append(_across(mates, 4 * x + corners[-1]) & 3 ^ 2)
+    bits = width(_CROSSING_BOUND ** len(box))
+    pa, pb = 1, 0  # after i crossings, a = A^(-3i) pa(A^2), and b likewise
+    for j in corners:
+        if _SMOOTHINGS[j & 1][1] > 0:  # w_1 = A^-1, w_e = A
+            pa, pb = pa << bits, (pa << 2 * bits) - (pb << 3 * bits)
+        else:  # w_1 = A, w_e = A^-1
+            pa, pb = pa << 2 * bits, (pa << bits) - pb
+    first, last = 4 * box[0], 4 * box[-1]
+    darts = (
+        first + (corners[0] + 2 & 3),
+        first + (corners[0] + 3 & 3),
+        last + corners[-1],
+        last + (corners[-1] + 1 & 3),
+    )
+    end = darts[0] & 3  # c_1's first end, walked along the 1-smoothings
+    for x, j in zip(box, corners):
+        end = _SMOOTHINGS[j & 1 ^ 1][0][end]
+        if x != box[-1]:
+            end = mates[4 * x + end] & 3
+    one = (2, 3, 0, 1) if end == corners[-1] else (3, 2, 1, 0)
+    link, ends = {}, {}
+    for i, k in enumerate(darts):
+        if mates[k] in darts:
+            link[i] = darts.index(mates[k])
+        else:
+            ends[i] = d.crossings[k >> 2][k & 3]
+    merged: dict[tuple[tuple[int, int], ...], int] = {}
+    for mate, p in ((one, pa), ((1, 0, 3, 2), pb)):
+        made, loops = _smooth(mate, link, ends)
+        for _ in range(loops):
+            p = -(p + (p << 2 * bits))
+        key = tuple(sorted(made))
+        merged[key] = merged.get(key, 0) + (p << bits * (2 - loops))
+    slots = tuple(sorted(ends.values()))
     at = {e: s for s, e in enumerate(slots)}
     smoothings = []
-    for pairs, (lo, p) in states.items():
+    for pairs, p in merged.items():
         mate = [0] * len(slots)
         for x, y in pairs:
             mate[at[x]], mate[at[y]] = at[y], at[x]
-        smoothings.append((tuple(mate), lo, unpack(p, bits)))
+        low = ((p & -p).bit_length() - 1) // bits if p else 0  # zero slots at the bottom
+        cs = unpack(p >> bits * low, bits)
+        smoothings.append((tuple(mate), 2 * low - 3 * len(box) - 4, cs))
     return _Unit(slots, {}, tuple(smoothings), _bound(smoothings))
 
 
@@ -658,7 +721,9 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
     unit i. From every start unit a greedy sweep adds, among the units that
     touch the swept part, the one that changes the number of open edges
     least (ties by index); the sweep with the least (peak width, sum of
-    2^(width/2)) wins, the earliest start on a tie.
+    2^(width/2)) wins, the earliest start on a tie. A sweep stops once it
+    cannot win: its peak never falls, and each unit still to add costs at
+    least 1.
 
     The sweep ranks candidates by one integer, key[j] = change * n + j,
     where change is j's degree less twice its swept neighbours: key[j] // n
@@ -682,7 +747,7 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
             width += key[i] // n
             peak = max(peak, width)
             cost += 1 << (width >> 1)
-            if best_score is not None and (peak, cost) >= best_score:
+            if best_score is not None and (peak, cost + len(left)) >= best_score:
                 break  # can no longer beat the best sweep
             if not left:
                 best, best_score = order, (peak, cost)
@@ -700,9 +765,10 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     caller handles those). The diagram must pass validate_planarity, whose
     face ids by corner give the boxes' bigons (planar_faces).
 
-    The crossings are grouped into boxes (_boxes), each box is summed by a
-    sweep over its crossings (_box_unit), and one more sweep runs over the
-    boxes, each a step whose smoothings are the pairings of its ends.
+    The crossings are grouped into boxes (_boxes), each box's weights come
+    from a two-term Temperley-Lieb recurrence over its crossings
+    (_box_unit), and one sweep runs over the boxes, each a step whose
+    smoothings are the pairings of its ends.
 
     The sweep gives delta <D> = A^lo P(x), x = A^2 = 2^B, and
     delta = -A^-2 (1 + x^2), so <D> = -A^(lo + 2) Q(x) with P = (1 + x^2) Q,

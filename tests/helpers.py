@@ -5,12 +5,15 @@ substitution and the Conway peel by powers of z^2 = t - 2 + 1/t, a
 monicity check, the slopes of rational tangles, the rank of a
 presentation's abelianization, the exhaustive attachment search the
 builder's pruned search is checked against, dense matrices as the sparse
-rows det_laurent takes, and a generator of small random union specs."""
+rows det_laurent takes, a generator of small random union specs, and the
+unions of the benchmark's scaling-family pool."""
 
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from symunion import construct
 from symunion.construct import SymUnionSpec, build_symmetric_union
@@ -26,7 +29,7 @@ from symunion.poly import (
     ZeroPolynomial,
     normalize_alexander,
 )
-from symunion.tangle import Tangle, numerator, rational_tangle, vertical_twists
+from symunion.tangle import Tangle, kt_tangle, numerator, rational_tangle, vertical_twists
 
 
 def display_form(p: LaurentPoly) -> LaurentPoly:
@@ -267,3 +270,55 @@ def random_spec(rng: random.Random) -> SymUnionSpec:
         except construct.NotPlanarInsertion:
             continue
         return spec
+
+
+# The benchmark's scaling-family pool: kt(m) x n over a rational-knot
+# partial, with marked arcs drawn once so that the insertion embeds.
+FAMILY_POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "pools.json").read_text()
+)["family"]
+FAMILY_TANGLES = {"x15": (3, 1), "x30": (4, 2), "x47": (5, 3), "x68": (6, 4)}
+
+
+def pool_variant(key: str) -> PlanarDiagram:
+    """The union of one entry of the scaling-family pool, such as "x68/v03"."""
+    m, n = FAMILY_TANGLES[key.split("/")[0]]
+    entry = FAMILY_POOL[key]
+    partial = numerator(rational_tangle(entry["cf"]))
+    return build_symmetric_union(
+        SymUnionSpec(partial, tuple(entry["marked_arcs"]), (kt_tangle(m),) * n)
+    )
+
+
+def sweep_order_unpruned(nbrs) -> list[int]:
+    """invariant._sweep_order without its pruning: the greedy sweep from
+    every start unit runs to the end. Adding unit i changes the number of
+    open edges by its degree less twice its edges to the swept units; each
+    step adds, among the units that touch the swept ones (else among all
+    that are left), the one with the least change, ties by index. The
+    least (peak width, sum of 2^(width/2)) wins, the earliest start on a
+    tie."""
+    n = len(nbrs)
+
+    def change(j, swept):
+        return len(nbrs[j]) - 2 * sum(k in swept for k in nbrs[j])
+
+    runs = []
+    for start in range(n):
+        swept: set[int] = set()
+        order = []
+        width = peak = cost = 0
+        i = start
+        while True:
+            width += change(i, swept)
+            swept.add(i)
+            order.append(i)
+            peak = max(peak, width)
+            cost += 2 ** (width // 2)
+            left = [j for j in range(n) if j not in swept]
+            if not left:
+                break
+            touching = [j for j in left if any(k in swept for k in nbrs[j])]
+            i = min(touching or left, key=lambda j: (change(j, swept), j))
+        runs.append(((peak, cost), start, order))
+    return min(runs)[2]

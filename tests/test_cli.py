@@ -209,8 +209,10 @@ class TestInvariants:
         from symunion import invariant
 
         monkeypatch.setattr(invariant, "_STATE_LIMIT", 1)
-        p = tmp_path / "trefoil.txt"
-        p.write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+        # two twist boxes: the sweep keeps both pairings of the first box's
+        # ends (the trefoil is one cycle, whose sweep keeps a single state)
+        p = tmp_path / "figure8.txt"
+        p.write_text("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
         rc, _, err = run(capsys, "invariants", str(p), "--jones")
         assert rc == 3
         assert "TooLarge" in err

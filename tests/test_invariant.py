@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 import symunion.invariant as inv
 from bracket_oracle import bracket_naive
-from helpers import display_form, parse_poly, random_spec, sparse
+from helpers import (
+    FAMILY_POOL,
+    display_form,
+    parse_poly,
+    pool_variant,
+    random_spec,
+    sparse,
+    sweep_order_unpruned,
+)
 from symunion import corpus
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.diagram import (
@@ -564,23 +572,6 @@ CORPUS_UNIONS = {
 }
 
 
-# The benchmark's scaling-family pool: kt(m) x n over a rational-knot
-# partial, with marked arcs drawn once so that the insertion embeds.
-FAMILY_POOL = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "pools.json").read_text()
-)["family"]
-FAMILY_TANGLES = {"x15": (3, 1), "x30": (4, 2), "x47": (5, 3), "x68": (6, 4)}
-
-
-def pool_variant(key):
-    m, n = FAMILY_TANGLES[key.split("/")[0]]
-    entry = FAMILY_POOL[key]
-    partial = numerator(rational_tangle(entry["cf"]))
-    return build_symmetric_union(
-        SymUnionSpec(partial, tuple(entry["marked_arcs"]), (kt_tangle(m),) * n)
-    )
-
-
 # A corpus union, a variant of the scaling-family pool or a random union.
 unions = st.one_of(
     st.sampled_from(sorted(CORPUS_UNIONS)).map(CORPUS_UNIONS.__getitem__),
@@ -637,6 +628,19 @@ def test_boxes_give_the_bracket_of_single_crossings(d):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inv, "_boxes", lambda d, _: [[i] for i in range(len(d.crossings))])
         assert kauffman_bracket(d) == want
+
+
+@given(unions)
+@settings(max_examples=30, deadline=None)
+def test_sweep_order_matches_the_unpruned_search(d):
+    """The sweep order stops a start early only when it cannot win, so it
+    picks the order the full search over every start picks."""
+    graphs = []
+    order = inv._sweep_order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_sweep_order", lambda nbrs: graphs.append(nbrs) or order(nbrs))
+        kauffman_bracket(d)
+    assert order(graphs[0]) == sweep_order_unpruned(graphs[0])
 
 
 def circle_chain(k):
@@ -701,6 +705,53 @@ def test_boxes_match_the_naive_bracket(name):
     assert kauffman_bracket(d) == bracket_naive(d)
 
 
+@pytest.mark.parametrize("text", ["X[1,2,2,1]", "X[1,1,2,2]"])
+def test_a_one_crossing_diagram_is_one_box(text):
+    # its bigon has both corners at the one crossing
+    d = parse_pd(text)
+    assert inv._boxes(d, faces(d)) == [[0]]
+
+
+def link_patterns(slots):
+    """Every partial matching of slots, as slot -> slot; a slot left out
+    holds an open end."""
+    if not slots:
+        yield {}
+        return
+    a, rest = slots[0], slots[1:]
+    yield from link_patterns(rest)
+    for i, b in enumerate(rest):
+        for m in link_patterns(rest[:i] + rest[i + 1 :]):
+            yield {**m, a: b, b: a}
+
+
+def bound_by_brute_force(unit):
+    """_bound over every pattern of links and open ends, not only the
+    perfect matchings, with the loops counted by _smooth."""
+    slots = list(range(len(unit.slots)))
+    return max(
+        sum(
+            sum(map(abs, cs)) << inv._smooth(mate, link, {s: s for s in slots if s not in link})[1]
+            for mate, _, cs in unit.smoothings
+        )
+        for link in link_patterns(slots)
+    )
+
+
+def test_crossing_bound_is_six():
+    # A + A^-1 when no slot is linked; 1 * 4 + 1 * 2 when both pairs of
+    # one smoothing are linked and close two loops
+    assert inv._CROSSING_BOUND == 6
+
+
+def test_box_bounds_match_the_brute_force_bound():
+    diagrams = [d for d, _ in BOX_CASES.values()] + [pool_variant(k) for k in sorted(FAMILY_POOL)]
+    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d))]
+    assert {len(u.slots) for u in units} == {0, 2, 4}
+    for u in units:
+        assert u.bound == bound_by_brute_force(u)
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_bracket_of_a_chain_of_circles(k):
     assert kauffman_bracket(circle_chain(k)) == LaurentPoly({2: -1, -2: -1}) ** (k - 1)
@@ -745,6 +796,17 @@ def test_jones_of_a_long_connected_sum_is_the_product():
 
 def test_jones_pinned_at_68_crossings(union68):
     assert jones(union68) == parse_poly(UNION68_JONES)
+
+
+JONES_PINS = json.loads((Path(__file__).parent / "data" / "jones_pins.json").read_text())
+
+
+def test_jones_matches_the_pin_file():
+    """All 64 variants of the scaling-family pool, 15 to 68 crossings,
+    byte for byte (scripts/pin_jones.py wrote the file)."""
+    assert sorted(JONES_PINS) == sorted(FAMILY_POOL)
+    for key, text in JONES_PINS.items():
+        assert jones(pool_variant(key)).text() == text, key
 
 
 def test_jones_value_at_one(trefoil, fig8):

@@ -30,9 +30,9 @@ from .tangle import (
     CORNERS,
     Tangle,
     is_even_type,
+    orient,
     parse_tangle,
     rational_tangle,
-    reverse_strand,
     to_tangle_doc,
 )
 
@@ -127,11 +127,7 @@ def _validate_inputs(spec: SymUnionSpec, require_even: bool) -> None:
 
 
 def _oriented_for_box(t: Tangle, bit: int) -> Tangle:
-    into = ("NW", "SE") if bit == 0 else ("SW", "NE")
-    for corner in into:
-        if t.flows[corner] != "in":
-            t = reverse_strand(t, corner)
-    return t
+    return orient(t, dict.fromkeys(("NW", "SE") if bit == 0 else ("SW", "NE"), "in"))
 
 
 class _Halves:
@@ -158,9 +154,10 @@ class _Halves:
     def _rewire(self, m: int, host: tuple[int, int], mirror: tuple[int, int]) -> None:
         """Give the (tail, head) ends of edge m new ids in each half."""
         c = len(self.d.crossings)
-        for (ci, s), h, ms in zip((self.d.tail_of[m], self.d.head_of[m]), host, mirror):
-            self.rows[ci][s] = h
-            self.rows[c + ci][_SIGMA[s]] = ms
+        i, s = self.d.head_of[m]
+        for k, h, ms in zip((self.d.mates[4 * i + s], 4 * i + s), host, mirror):
+            self.rows[k >> 2][k & 3] = h
+            self.rows[c + (k >> 2)][_SIGMA[k & 3]] = ms
 
     def cut(self, m: int) -> tuple[int, int, int, int]:
         """Open marked arc m on both halves. Returns the new stubs: the

@@ -75,6 +75,9 @@ class PlanarDiagram:
     # construct.derived writes here
     computed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    # the other end of each edge end, as check_ends pairs them
+    mates: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
     def __post_init__(self):
         if not self.crossings and self.free_loops == 0:
             raise MalformedPD("diagram has no crossings and no loop components")
@@ -83,7 +86,7 @@ class PlanarDiagram:
         if len(self.over_from_d) != len(self.crossings):
             raise MalformedPD("one over flag per crossing required")
         n = 2 * len(self.crossings)
-        check_ends(self.crossings, self.over_from_d, n)
+        object.__setattr__(self, "mates", check_ends(self.crossings, self.over_from_d, n))
         for e in self.labels:
             if not (1 <= e <= n):
                 raise MalformedPD(f"label on unknown edge {e}")
@@ -103,16 +106,6 @@ class PlanarDiagram:
         for i, x in enumerate(self.crossings):
             for s in self._head_slots(i):
                 out[x[s]] = (i, s)
-        return out
-
-    @cached_property
-    def tail_of(self) -> dict[int, tuple[int, int]]:
-        out = {}
-        for i, x in enumerate(self.crossings):
-            hs = self._head_slots(i)
-            for s in range(4):
-                if s not in hs:
-                    out[x[s]] = (i, s)
         return out
 
     @cached_property
@@ -155,20 +148,6 @@ class PlanarDiagram:
         return tuple(self.sign(i) for i in range(len(self.crossings)))
 
     @cached_property
-    def mates(self) -> tuple[int, ...]:
-        """The other end of each edge end. A dart is an edge end, numbered
-        4i + s for slot s of crossing i."""
-        mate = [0] * (4 * len(self.crossings))
-        first: dict[int, int] = {}
-        for k, e in enumerate(e for x in self.crossings for e in x):
-            j = first.pop(e, None)
-            if j is None:
-                first[e] = k
-            else:
-                mate[j], mate[k] = k, j
-        return tuple(mate)
-
-    @cached_property
     def connected(self) -> bool:
         """Connectivity of the underlying 4-valent graph (loops split),
         walked once per diagram."""
@@ -195,38 +174,49 @@ class PlanarDiagram:
         return to_text(self)
 
 
+def pair_ends(ids: Sequence[int]) -> tuple[int, ...]:
+    """The mate of each edge end: ends k and mate[k] carry the same edge id.
+    A dart is an edge end, numbered 4i + s for slot s of crossing i; a
+    tangle's corners follow the darts in order. Raises InconsistentEdges
+    unless every edge has exactly two ends."""
+    ends: dict[int, list[int]] = {}
+    for k, e in enumerate(ids):
+        ends.setdefault(e, []).append(k)
+    mate = [0] * len(ids)
+    for e, ks in ends.items():
+        if len(ks) != 2:
+            raise InconsistentEdges(f"edge {e} has {len(ks)} ends, expected 2")
+        j, k = ks
+        mate[j], mate[k] = k, j
+    return tuple(mate)
+
+
 def check_ends(
     crossings: Sequence[Crossing],
     over_from_d: Sequence[bool],
     n: int,
     corners: Iterable[tuple[int, str]] = (),
-) -> None:
+) -> tuple[int, ...]:
     """Raise InconsistentEdges unless the edge ids are exactly 1..n with two
     ends each, and OrientationError unless every edge has one head and one
     tail. corners lists the extra (edge, flow) ends on a tangle's boundary;
-    an "in" corner is its edge's tail."""
-    ends = [0] * (n + 1)
-    heads = [0] * (n + 1)
-    for x, f in zip(crossings, over_from_d):
-        for e in x:
-            if not isinstance(e, int) or e < 1 or e > n:
-                raise InconsistentEdges(f"edge id {e} outside 1..{n}")
-            ends[e] += 1
-        heads[x[0]] += 1
-        heads[x[3] if f else x[1]] += 1
-    ids = range(1, n + 1)
-    for e, flow in corners:
-        # a corner off 1..n leaves some edge of 1..n short of an end
-        if e in ids:
-            k = ids.index(e) + 1
-            ends[k] += 1
-            heads[k] += flow == "out"
-    if ends.count(2) != n:
-        e = next(e for e in ids if ends[e] != 2)
-        raise InconsistentEdges(f"edge {e} has {ends[e]} ends, expected 2")
-    if heads.count(1) != n:
-        e = next(e for e in ids if heads[e] != 1)
-        raise OrientationError(f"edge {e} has {heads[e]} heads and {2 - heads[e]} tails")
+    an "in" corner is its edge's tail. Returns the mates (pair_ends)."""
+    corners = list(corners)
+    ids = [e for x in crossings for e in x] + [e for e, _ in corners]
+    for e in ids:
+        if not isinstance(e, int) or e < 1 or e > n:
+            raise InconsistentEdges(f"edge id {e} outside 1..{n}")
+    if len(ids) != 2 * n:
+        raise InconsistentEdges(f"{len(ids)} edge ends for {n} edges, expected {2 * n}")
+    mate = pair_ends(ids)
+    # slot a is a head, and slot d or b as the over-strand enters there
+    head = [s == 0 or s == (3 if f else 1) for f in over_from_d for s in range(4)]
+    head += [flow == "out" for _, flow in corners]
+    for k, m in enumerate(mate):
+        if head[k] == head[m]:
+            h = 2 * head[k]
+            raise OrientationError(f"edge {ids[k]} has {h} heads and {2 - h} tails")
+    return mate
 
 
 def find_root(parent: dict[int, int], e: int) -> int:
@@ -252,77 +242,53 @@ def resolve_orientation(
 ) -> tuple[tuple[bool, ...], dict[str, str]]:
     """Recover the per-crossing over-strand directions from the tuples.
 
-    Propagates the one-head-one-tail constraint per edge from the fixed
-    under slots and from the given flows at the boundary corners of a
-    tangle ("in" makes the corner its edge's tail); a diagram is the case
-    with no corners. A corner left open is taken to enter. Strands that
-    never pass under are genuinely ambiguous; those fall back to a
-    deterministic numbering rule. Returns the flags and the flow at every
-    corner.
+    Every edge end is a head or a tail (pair_ends numbers them: the darts,
+    then the boundary corners of a tangle in order; a diagram is the case
+    with no corners). An end and its mate differ, and so do ends k and
+    k ^ 2 of a crossing; the flag of a crossing is whether its slot d is a
+    head. Seeds propagate in turn: the under slots a, the given flows at
+    the corners ("in" makes the corner its edge's tail), each corner left
+    open as entering, then, for a crossing whose over-strand never passes
+    under and so is genuinely ambiguous, a deterministic numbering rule.
+    Returns the flags and the flow at every corner.
     """
     boundary = boundary or {}
-    # an incidence is a (crossing, slot) pair or a corner name
-    edge_at: dict = {(i, s): e for i, x in enumerate(crossings) for s, e in enumerate(x)}
-    edge_at.update(boundary)
-    incs: dict[int, list] = {}
-    for inc, e in edge_at.items():
-        incs.setdefault(e, []).append(inc)
-    for e, v in incs.items():
-        if len(v) != 2:
-            raise InconsistentEdges(f"edge {e} has {len(v)} ends, expected 2")
+    n = 4 * len(crossings)
+    at = {c: n + j for j, c in enumerate(boundary)}
+    mate = pair_ends([e for x in crossings for e in x] + list(boundary.values()))
+    head: list[bool | None] = [None] * len(mate)
 
-    role: dict = {}
-    flags: list[bool | None] = [None] * len(crossings)
-    queue: list = []
+    def seed(k: int, h: bool) -> None:
+        todo = [(k, h)]
+        while todo:
+            k, h = todo.pop()
+            if head[k] is None:
+                head[k] = h
+                todo.append((mate[k], not h))
+                if k < n:
+                    todo.append((k ^ 2, not h))
+            elif head[k] != h:
+                raise OrientationError(f"conflicting orientation at edge end {k}")
 
-    def set_role(inc, r: str) -> None:
-        cur = role.get(inc)
-        if cur is None:
-            role[inc] = r
-            queue.append(inc)
-        elif cur != r:
-            raise OrientationError(f"conflicting orientation at {inc}")
-
-    def set_flag(i: int, f: bool) -> None:
-        if flags[i] is None:
-            flags[i] = f
-            set_role((i, 3 if f else 1), "h")
-            set_role((i, 1 if f else 3), "t")
-        elif flags[i] != f:
-            raise OrientationError(f"conflicting over direction at crossing {i}")
-
-    def drain() -> None:
-        while queue:
-            inc = queue.pop()
-            r = role[inc]
-            if isinstance(inc, tuple) and inc[1] in (1, 3) and flags[inc[0]] is None:
-                set_flag(inc[0], (inc[1] == 3) == (r == "h"))
-            p, q = incs[edge_at[inc]]
-            set_role(q if inc == p else p, "t" if r == "h" else "h")
-
-    for i in range(len(crossings)):
-        set_role((i, 0), "h")
-        set_role((i, 2), "t")
+    for k in range(0, n, 4):
+        seed(k, True)
     for c, f in (flows or {}).items():
-        set_role(c, "t" if f == "in" else "h")
-    drain()
-    for c in boundary:
-        if c not in role:
-            set_role(c, "t")
-            drain()
-    n = len(incs)
+        seed(at[c], f != "in")
+    for k in at.values():
+        if head[k] is None:
+            seed(k, False)
+    edges = len(mate) // 2
     for i, x in enumerate(crossings):
-        if flags[i] is None:
+        if head[4 * i + 3] is None:
             b, d = x[1], x[3]
-            if (b - d) % n == 1:
-                set_flag(i, True)
-            elif (d - b) % n == 1:
-                set_flag(i, False)
+            if (b - d) % edges == 1:
+                seed(4 * i + 3, True)
+            elif (d - b) % edges == 1:
+                seed(4 * i + 3, False)
             else:
-                set_flag(i, b > d)
-            drain()
-    corner_flows = {c: ("in" if role[c] == "t" else "out") for c in boundary}
-    return tuple(flags), corner_flows  # type: ignore[return-value]
+                seed(4 * i + 3, b > d)
+    flags = tuple(head[k] for k in range(3, n, 4))
+    return flags, {c: "out" if head[k] else "in" for c, k in at.items()}  # type: ignore[return-value]
 
 
 def diagram_from_tuples(

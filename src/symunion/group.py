@@ -155,48 +155,35 @@ def longitude_word(d: PlanarDiagram) -> GroupWord:
     of per-undercrossing difference words along the two halves of the knot
     between the axis edges a0 and a1.
 
-    Forward half (read from a0 toward a1): at each undercrossing append
-    in^s out^-s, where s is the crossing sign and in/out are the generators
-    of the under-strand arcs. Backward half: collect in^-s out^s at each
-    undercrossing and prepend. Mirror-corresponding crossings have opposite
+    One walk round the knot from a1 reads the backward half (a1 to a0),
+    then the forward half (a0 to a1). At each undercrossing of the forward
+    half it appends in^s out^-s, where s is the crossing sign and in/out
+    are the generators of the under-strand arcs, and in^-s out^s at each
+    one of the backward half. Mirror-corresponding crossings have opposite
     signs, so the two halves contribute words that are formal inverses of
     each other once both under-arcs map to a common target; that is what
     lets the image of the whole word cancel freely. The total exponent sum
     is zero, so the word has zero linking with the knot.
     """
     p = presentation(d)
-    e_start = _labeled_edge(d, "a0")
-    e_stop = _labeled_edge(d, "a1")
-    pred = {v: k for k, v in d.succ.items()}
+    a0, a1 = _labeled_edge(d, "a0"), _labeled_edge(d, "a1")
 
     def gen(edge: int) -> str:
         return p.generators[p.arc_of_edge[edge]]
 
-    forward: list[tuple[str, int]] = []
-    e = e_start
-    while e != e_stop:
+    word: list[tuple[str, int]] = []
+    e, half = a1, -1
+    while True:
+        if e == a0:
+            half = 1
         i, s = d.head_of[e]
         if s == 0:
             x = d.crossings[i]
-            sg = d.sign(i)
-            forward.append((gen(x.a), sg))
-            forward.append((gen(x.c), -sg))
+            sg = half * d.sign(i)
+            word += [(gen(x.a), sg), (gen(x.c), -sg)]
         e = d.succ[e]
-
-    backward: list[tuple[str, int]] = []
-    e = e_start
-    while True:
-        i, s = d.tail_of[e]
-        if s == 2:
-            x = d.crossings[i]
-            sg = d.sign(i)
-            w = [(gen(x.a), -sg), (gen(x.c), sg)]
-            backward = w + backward
-        e = pred[e]
-        if e == e_stop:
-            break
-
-    return tuple(backward) + tuple(forward)
+        if e == a1:
+            return tuple(word)
 
 
 # -- the fold-down homomorphism ----------------------------------------------------

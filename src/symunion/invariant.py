@@ -429,15 +429,12 @@ _Smoothing = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
 class _Unit(NamedTuple):
-    """One step of the bracket sweep: a crossing, or a box of crossings
-    summed up in closed form (_box_unit). slots are the edge ids at its
-    ends (a crossing's four edges, a box's external edges); kinks joins the
-    slots of an edge with both ends at this crossing. Each smoothing pairs the
-    slots (mate[s] is the slot joined to s) with weight
+    """One step of the bracket sweep: a box of crossings summed up in
+    closed form (_box_unit). slots are the edge ids of its open ends. Each
+    smoothing pairs the slots (mate[s] is the slot joined to s) with weight
     sum cs[j] A^(a + 2j). bound is _bound of the smoothings."""
 
     slots: tuple[int, ...]
-    kinks: dict[int, int]
     smoothings: tuple[_Smoothing, ...]
     bound: int
 
@@ -490,9 +487,8 @@ def _bound(smoothings: Sequence[_Smoothing]) -> int:
     has l1 norm 2^L. The bound is the most that the sum of ||W||_1 2^L
     reaches over the link patterns. Adding a link never removes a loop, so
     the patterns that link every slot are enough: the perfect matchings of
-    the unit's 0, 2 or 4 slots (_LINKS), also those a unit's kinks rule
-    out. On 2k slots, a smoothing and a pattern close k loops when they
-    pair the slots alike, else one."""
+    the unit's 0, 2 or 4 slots (_LINKS). On 2k slots, a smoothing and a
+    pattern close k loops when they pair the slots alike, else one."""
     return max(
         sum(sum(map(abs, cs)) << _smooth(mate, m, {})[1] for mate, _, cs in smoothings)
         for m in _LINKS[len(smoothings[0][0])]
@@ -510,15 +506,6 @@ def _width(units: Sequence[_Unit]) -> int:
     coefficients is at most the product of the bounds of the units so far,
     and so is every final |c|; it is below 2^(B - 1)."""
     return width(math.prod(u.bound for u in units))
-
-
-def _crossing_unit(d: PlanarDiagram, ci: int) -> _Unit:
-    kinks = {}
-    for s in range(4):
-        m = d.mates[4 * ci + s]
-        if m >> 2 == ci:
-            kinks[s] = m & 3
-    return _Unit(d.crossings[ci], kinks, _SMOOTHINGS, _CROSSING_BOUND)
 
 
 def _boxes(d: PlanarDiagram, face: Sequence[int]) -> list[list[int]]:
@@ -588,14 +575,16 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
     The weights are packed at B from the crossings' bound, as a sweep over
     the box's crossings would take them, at lo = -3m - 4: no term is lower."""
     _check(cancel)
-    if len(box) == 1:
-        return _crossing_unit(d, box[0])
     mates = d.mates
     # Along one chain of faces: each next corner is opposite the corner the
     # last bigon arrives at, as an interior crossing's two bigons lead to
     # two other crossings. Two crossings may share two bigons, so c_m's
     # corner comes from the face the chain arrives by, not from a search.
-    corners = [next(j for j in range(4) if _across(mates, 4 * box[0] + j) >> 2 == box[1])]
+    # A box of one crossing is taken at corner 0.
+    if len(box) == 1:
+        corners = [0]
+    else:
+        corners = [next(j for j in range(4) if _across(mates, 4 * box[0] + j) >> 2 == box[1])]
     for x in box[:-1]:
         corners.append(_across(mates, 4 * x + corners[-1]) & 3 ^ 2)
     bits = width(_CROSSING_BOUND ** len(box))
@@ -641,7 +630,7 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
         low = ((p & -p).bit_length() - 1) // bits if p else 0  # zero slots at the bottom
         cs = unpack(p >> bits * low, bits)
         smoothings.append((tuple(mate), 2 * low - 3 * len(box) - 4, cs))
-    return _Unit(slots, {}, tuple(smoothings), _bound(smoothings))
+    return _Unit(slots, tuple(smoothings), _bound(smoothings))
 
 
 def _sweep(
@@ -650,10 +639,9 @@ def _sweep(
     """Insert units one at a time. A state is the pairing of the open edges
     by the arcs of the processed part, a sorted tuple of edge pairs. A unit
     changes only the pairs that end at it: each of its slots holds an open
-    end, or is linked to another slot by a kink loop or by two closing
-    edges paired with each other. Walking the slots along each smoothing
-    gives the new pairs and the loops closed. Returns the states and the
-    edges left open.
+    end, or is linked to another slot by two closing edges paired with each
+    other. Walking the slots along each smoothing gives the new pairs and
+    the loops closed. Returns the states and the edges left open.
 
     A state's coefficient is packed into one integer (Kronecker
     substitution): (lo, P) with P = sum c_j 2^(Bj) stands for
@@ -670,8 +658,6 @@ def _sweep(
         opening: dict[int, int] = {}  # slot -> its own edge, newly open
         closing: dict[int, int] = {}  # open edge -> slot
         for s, e in enumerate(u.slots):
-            if s in u.kinks:
-                continue
             if e in frontier:
                 closing[e] = s
             else:
@@ -679,7 +665,7 @@ def _sweep(
         weights = [(mate, a, pack(enumerate(cs), bits)) for mate, a, cs in u.smoothings]
         new: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
         for pairs, (lo, p) in states.items():
-            link, ends, kept = dict(u.kinks), dict(opening), []
+            link, ends, kept = {}, dict(opening), []
             for x, y in pairs:
                 sx, sy = closing.get(x), closing.get(y)
                 if sx is None and sy is None:

@@ -7,14 +7,15 @@ each corner ("in" means the strand enters the box there). Edge ids run
 1..2c+2; crossing-free closed circles inside the box are only counted.
 
 Strand operations (sum, stack, closure) reverse whole strands as needed to
-keep orientations coherent, rewriting crossing tuples accordingly; a
-reversal is impossible only when one strand would need both of its ends to
-point the same way, which raises OrientationMismatch.
+keep orientations coherent, rewriting crossing tuples accordingly, all
+through one rule (orient); a reversal is impossible only when one strand
+would need both of its ends to point the same way, which raises
+OrientationMismatch.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -28,6 +29,7 @@ from .diagram import (
     check_ends,
     find_root,
     json_int,
+    pair_ends,
     resolve_orientation,
 )
 
@@ -44,9 +46,6 @@ class OrientationMismatch(TangleError):
 
 class BadParameter(TangleError):
     pass
-
-
-Incidence = tuple  # ("X", crossing, slot) or ("B", corner)
 
 
 @contextmanager
@@ -80,7 +79,8 @@ class Tangle:
             raise TangleError("negative closed_loops")
         corners = [(self.boundary[c], self.flows[c]) for c in CORNERS]
         with _as_tangle_errors():
-            check_ends(self.crossings, self.over_from_d, self.edge_count, corners)
+            mates = check_ends(self.crossings, self.over_from_d, self.edge_count, corners)
+        object.__setattr__(self, "mates", mates)
 
     @property
     def edge_count(self) -> int:
@@ -96,14 +96,12 @@ class Tangle:
         )
 
     @cached_property
-    def incidences(self) -> dict[int, tuple[Incidence, ...]]:
-        out: dict[int, list[Incidence]] = {}
-        for i, x in enumerate(self.crossings):
-            for s in range(4):
-                out.setdefault(x[s], []).append(("X", i, s))
-        for c in CORNERS:
-            out.setdefault(self.boundary[c], []).append(("B", c))
-        return {e: tuple(v) for e, v in out.items()}
+    def mates(self) -> tuple[int, ...]:
+        """The other end of each edge end (diagram.pair_ends): darts
+        4i + s, then the corners in CORNERS order. The constructor keeps
+        the mates its checks pair."""
+        ids = [e for x in self.crossings for e in x]
+        return pair_ends(ids + [self.boundary[c] for c in CORNERS])
 
     @cached_property
     def strands(self) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
@@ -118,25 +116,19 @@ class Tangle:
                 out.append((start, end, tuple(edges)))
         return tuple(out)
 
-    def _follow(self, start: str) -> tuple[str, list[int], list[tuple[int, int]]]:
+    def _follow(self, start: str) -> tuple[str, list[int], list[int]]:
         """Follow the strand from corner start: its end corner, its edges,
-        and the (crossing, slot) where it enters each crossing it meets."""
-        edges: list[int] = []
-        entries: list[tuple[int, int]] = []
-        e, at = self.boundary[start], ("B", start)
-        while True:
-            edges.append(e)
-            other = self._other(e, at)
-            if other[0] == "B":
-                return other[1], edges, entries
-            _, i, s = other
-            entries.append((i, s))
-            s2 = (s + 2) % 4
-            e, at = self.crossings[i][s2], ("X", i, s2)
-
-    def _other(self, e: int, at: Incidence) -> Incidence:
-        p, q = self.incidences[e]
-        return q if at == p else p
+        and the dart where it enters each crossing it meets."""
+        mate, n = self.mates, 4 * len(self.crossings)
+        edges = [self.boundary[start]]
+        entries: list[int] = []
+        k = mate[n + CORNERS.index(start)]
+        while k < n:
+            entries.append(k)
+            k ^= 2  # straight through the crossing
+            edges.append(self.crossings[k >> 2][k & 3])
+            k = mate[k]
+        return CORNERS[k - n], edges, entries
 
     def pairing(self) -> str:
         ends = {s[0]: s[1] for s in self.strands}
@@ -209,8 +201,8 @@ def reverse_strand(t: Tangle, corner: str) -> Tangle:
     start, end, _ = next(s for s in t.strands if corner in (s[0], s[1]))
     under: set[int] = set()
     over: set[int] = set()
-    for i, s in t._follow(start)[2]:
-        (under if s in (0, 2) else over).add(i)
+    for k in t._follow(start)[2]:
+        (over if k & 1 else under).add(k >> 2)
     xs = list(t.crossings)
     flags = list(t.over_from_d)
     for i in under:
@@ -231,6 +223,21 @@ def reverse_strand(t: Tangle, corner: str) -> Tangle:
     for name, v in fields.items():
         object.__setattr__(r, name, v)
     return r
+
+
+def orient(t: Tangle, want: Mapping[str, str]) -> Tangle:
+    """t with each strand reversed whose flow at a corner of want differs
+    from want there. Raises OrientationMismatch when want has one strand
+    enter, or leave, at both of its ends."""
+    for start, end, _ in t.strands:
+        if start in want and end in want and want[start] == want[end]:
+            raise OrientationMismatch(
+                f"the strand from {start} to {end} cannot {want[start]} at both ends"
+            )
+        c = start if start in want else end
+        if c in want and t.flows[c] != want[c]:
+            t = reverse_strand(t, c)
+    return t
 
 
 # -- gluing: sum, stack, closures ------------------------------------------------------
@@ -263,28 +270,29 @@ def _join(
     )
 
 
+def _variants(t: Tangle) -> Iterator[Tangle]:
+    """t, then t with its first, its second and both strands reversed."""
+    yield t
+    a, b = (s[0] for s in t.strands)
+    ra = reverse_strand(t, a)
+    yield ra
+    yield reverse_strand(t, b)
+    yield reverse_strand(ra, b)
+
+
 def _fit_seams(
     t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]]
 ) -> tuple[Tangle, Tangle]:
-    """Reorient open strands until each seam joins an 'out' to an 'in'.
-    Prefers leaving t1 alone, then reversing as few strands as possible."""
-
-    def ok(a: Tangle, b: Tangle) -> bool:
-        return all(a.flows[c1] != b.flows[c2] for c1, c2 in seams)
-
-    if ok(t1, t2):
-        return t1, t2
-
-    def variants(t: Tangle) -> list[Tangle]:
-        a, b = (s[0] for s in t.strands)
-        ra = reverse_strand(t, a)
-        return [t, ra, reverse_strand(t, b), reverse_strand(ra, b)]
-
-    v2 = variants(t2)
-    for a in variants(t1):
-        for b in v2:
-            if ok(a, b):
-                return a, b
+    """Reorient open strands until each seam joins an 'out' to an 'in':
+    t1's variants are tried in turn, and t2 is oriented to the first it
+    can fit. So t1 is left alone if it can be, and a strand of t2 is
+    reversed only where a seam asks for it."""
+    for v in _variants(t1):
+        want = {c2: "in" if v.flows[c1] == "out" else "out" for c1, c2 in seams}
+        try:
+            return v, orient(t2, want)
+        except OrientationMismatch:
+            pass
     raise OrientationMismatch("no strand orientation satisfies the seams")
 
 
@@ -336,24 +344,16 @@ def _close(t: Tangle, pairs: Sequence[tuple[str, str]]) -> PlanarDiagram:
     # unify the arc endpoints
     arcs = {a: b for a, b in pairs}
     arcs.update({b: a for a, b in pairs})
-    work = t
-    fixed: set[str] = set()
-    for start in CORNERS:
-        if start in fixed:
-            continue
-        # walk the component: strand, closure arc, strand, ... back to start
-        corner = start
-        while True:
-            strand = next(s for s in work.strands if corner in (s[0], s[1]))
-            s_in, s_out = (
-                (strand[0], strand[1]) if strand[0] == corner else (strand[1], strand[0])
-            )
-            if work.flows[s_in] != "in":
-                work = reverse_strand(work, s_in)
-            fixed.update((s_in, s_out))
-            corner = arcs[s_out]
-            if corner == start:
-                break
+    other = {a: b for a, b, _ in t.strands}
+    other.update({b: a for a, b, _ in t.strands})
+    want: dict[str, str] = {}
+    for corner in CORNERS:
+        # walk the component: strand, closure arc, strand, ... back to the
+        # start, entering each strand at the corner the walk reaches
+        while corner not in want:
+            want[corner], want[other[corner]] = "in", "out"
+            corner = arcs[other[corner]]
+    work = orient(t, want)
 
     joins = [(work.boundary[a], work.boundary[b]) for a, b in pairs]
     xs, _, loops = _join(work.edge_count, work.crossings, joins)

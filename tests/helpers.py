@@ -4,9 +4,10 @@ edge renumbering along the orientation, the Conway-to-Alexander
 substitution and the Conway peel by powers of z^2 = t - 2 + 1/t, a
 monicity check, the slopes of rational tangles, the rank of a
 presentation's abelianization, the exhaustive attachment search the
-builder's pruned search is checked against, dense matrices as the sparse
-rows det_laurent takes, a generator of small random union specs, and the
-unions of the benchmark's scaling-family pool."""
+builder's pruned search is checked against, the strand-reversal searches
+tangle.orient replaced, dense matrices as the sparse rows det_laurent
+takes, a generator of small random union specs, a chain of circles, and
+the unions of the benchmark's scaling-family pool."""
 
 import itertools
 import json
@@ -15,10 +16,10 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from symunion import construct
+from symunion import construct, tangle
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
-from symunion.diagram import Crossing, PlanarDiagram, along_orientation
+from symunion.diagram import Crossing, PlanarDiagram, along_orientation, diagram_from_tuples
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
 from symunion.poly import (
     ConwayPoly,
@@ -29,7 +30,16 @@ from symunion.poly import (
     ZeroPolynomial,
     normalize_alexander,
 )
-from symunion.tangle import Tangle, kt_tangle, numerator, rational_tangle, vertical_twists
+from symunion.tangle import (
+    CORNERS,
+    OrientationMismatch,
+    Tangle,
+    kt_tangle,
+    numerator,
+    rational_tangle,
+    reverse_strand,
+    vertical_twists,
+)
 
 
 def display_form(p: LaurentPoly) -> LaurentPoly:
@@ -114,6 +124,75 @@ def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
             if first_err is None:
                 first_err = exc
     raise first_err
+
+
+def fit_seams_by_search(t1: Tangle, t2: Tangle, seams) -> tuple[Tangle, Tangle]:
+    """The first of the 16 strand-reversal variants of (t1, t2) whose seams
+    each join an 'out' to an 'in', t1's variants outermost, each in the
+    order itself, first strand reversed, second, both; the oracle for
+    tangle._fit_seams."""
+
+    def ok(a: Tangle, b: Tangle) -> bool:
+        return all(a.flows[c1] != b.flows[c2] for c1, c2 in seams)
+
+    def variants(t: Tangle) -> list[Tangle]:
+        a, b = (s[0] for s in t.strands)
+        ra = reverse_strand(t, a)
+        return [t, ra, reverse_strand(t, b), reverse_strand(ra, b)]
+
+    for a in variants(t1):
+        for b in variants(t2):
+            if ok(a, b):
+                return a, b
+    raise OrientationMismatch("no strand orientation satisfies the seams")
+
+
+def close_by_walk(t: Tangle, pairs) -> PlanarDiagram:
+    """The closure of t along pairs of corners, each component walked
+    strand, closure arc, strand, ... from its first corner in CORNERS
+    order, and each strand reversed as the walk meets it leaving; the
+    oracle for tangle.numerator and tangle.denominator."""
+    arcs = {a: b for a, b in pairs}
+    arcs.update({b: a for a, b in pairs})
+    fixed: set[str] = set()
+    for start in CORNERS:
+        corner = start
+        while corner not in fixed:
+            strand = next(s for s in t.strands if corner in (s[0], s[1]))
+            out = strand[1] if strand[0] == corner else strand[0]
+            if t.flows[corner] != "in":
+                t = reverse_strand(t, corner)
+            fixed.update((corner, out))
+            corner = arcs[out]
+    joins = [(t.boundary[a], t.boundary[b]) for a, b in pairs]
+    xs, _, loops = tangle._join(t.edge_count, t.crossings, joins)
+    return PlanarDiagram(tuple(xs), tuple(t.over_from_d), free_loops=loops + t.closed_loops)
+
+
+def circle_chain(k):
+    """k round circles in a row, each overlapping the next and passing over
+    it at both crossings: the k-component unlink with 2(k - 1) crossings.
+    Its end overlaps are boxes with two ends and weight delta, the middle
+    ones boxes with four ends and weight 1, so the coefficients of its
+    bracket delta^(k - 1) grow only by the loops the sweep closes between
+    boxes."""
+    ids = {}
+
+    def edge(name):
+        return ids.setdefault(name, len(ids) + 1)
+
+    def top(j):  # circle j from its crossing with j + 1 to the one with j - 1
+        return edge("left" if j == 1 else "right" if j == k else f"top{j}")
+
+    def bottom(j):
+        return edge("left" if j == 1 else "right" if j == k else f"bottom{j}")
+
+    rows = []
+    for i in range(1, k):
+        inner_left, inner_right = edge(f"inner_left{i + 1}"), edge(f"inner_right{i}")
+        rows.append((top(i + 1), top(i), inner_left, inner_right))
+        rows.append((inner_left, bottom(i), bottom(i + 1), inner_right))
+    return diagram_from_tuples(rows)
 
 
 _TERM_RE = re.compile(

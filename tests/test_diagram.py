@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import renumber_edges
+from helpers import circle_chain, renumber_edges
 from symunion.diagram import (
     Crossing,
     DisconnectedDiagram,
@@ -17,6 +17,7 @@ from symunion.diagram import (
     faces,
     mirror,
     parse_pd,
+    resolve_orientation,
     to_doc,
     to_text,
     unknot,
@@ -279,6 +280,32 @@ def test_check_ends_raises_as_before(rows, flags, n, corners, error):
     else:
         with pytest.raises(error):
             check_ends(xs, flags, n, corners)
+
+
+# The first circle of circle_chain(3) passes over at both of its crossings,
+# so no under slot orients it: resolve_orientation falls back on the edge
+# numbering at crossing 0, over slots b and d, with n = 8 edges. Each
+# relabeling takes one branch of that rule.
+@pytest.mark.parametrize(
+    "perm, flags",
+    [
+        ((3, 7, 1, 8, 2, 4, 5, 6), (True, False, True, False)),
+        ((3, 7, 1, 6, 2, 4, 5, 8), (False, True, True, False)),
+        ((3, 6, 5, 2, 1, 4, 7, 8), (False, True, True, False)),
+    ],
+    ids=["b follows d", "d follows b", "neither"],
+)
+def test_orientation_fallback_follows_the_numbering(perm, flags):
+    xs = [Crossing(*(perm[e - 1] for e in x)) for x in circle_chain(3).crossings]
+    b, d = xs[0].b, xs[0].d
+    if (b - d) % 8 == 1:
+        assert flags[0]
+    elif (d - b) % 8 == 1:
+        assert not flags[0]
+    else:
+        assert flags[0] == (b > d)
+    assert resolve_orientation(xs) == (flags, {})
+    PlanarDiagram(tuple(xs), flags)
 
 
 def test_renumber_walks_the_start_component_then_the_rest_by_lowest_id():

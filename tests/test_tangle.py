@@ -3,7 +3,15 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import TANGLE_POOL, display_form, renumber_edges, tangle_fraction
+from helpers import (
+    TANGLE_POOL,
+    close_by_walk,
+    display_form,
+    fit_seams_by_search,
+    renumber_edges,
+    tangle_fraction,
+)
+from symunion import tangle
 from symunion.diagram import MAX_CROSSINGS, validate_planarity
 from symunion.group import wirtinger
 from symunion.invariant import alexander_fox, alexander_region, jones
@@ -19,6 +27,7 @@ from symunion.tangle import (
     is_even_type,
     kt_tangle,
     numerator,
+    orient,
     parse_tangle,
     rational_tangle,
     reverse_strand,
@@ -305,6 +314,40 @@ class TestReversal:
         t = rational_tangle([1, 1, 3])
         r = reverse_strand(t, "NE")
         assert alexander_region(numerator(r)) == alexander_region(numerator(t))
+
+
+def test_orient_refuses_a_strand_entering_at_both_ends():
+    t = rational_tangle([3])  # diagonal: NW joins SE
+    with pytest.raises(OrientationMismatch):
+        orient(t, {"NW": "in", "SE": "in"})
+    r = orient(t, {"NW": "in", "NE": "in"})
+    assert (r.flows["NW"], r.flows["NE"]) == ("in", "in")
+
+
+# the pool's even tangles, horizontal and diagonal ones, each with its
+# strands reversed every way
+ORIENTED_POOL = [
+    v
+    for t in TANGLE_POOL + (horizontal_twists(2), horizontal_twists(-3), rational_tangle([3]))
+    for v in tangle._variants(t)
+]
+
+
+@pytest.mark.parametrize("glue", [tangle_sum, vertical_stack])
+def test_gluing_matches_the_variant_search(glue):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tangle, "_fit_seams", fit_seams_by_search)
+        want = [glue(t1, t2) for t1 in ORIENTED_POOL for t2 in ORIENTED_POOL]
+    assert [glue(t1, t2) for t1 in ORIENTED_POOL for t2 in ORIENTED_POOL] == want
+
+
+@pytest.mark.parametrize(
+    "close, pairs",
+    [(numerator, (("NW", "NE"), ("SW", "SE"))), (denominator, (("NW", "SW"), ("NE", "SE")))],
+)
+def test_closures_match_the_walk(close, pairs):
+    for t in ORIENTED_POOL:
+        assert close(t) == close_by_walk(t, pairs)
 
 
 class TestValidation:

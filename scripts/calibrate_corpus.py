@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Rederive the frozen corpus calibration from the pinned Jones values.
 
-The builder has two per-region attachment orientations and the twist
-family has a mirror ambiguity; neither is determined by combinatorial
-input alone. The corpus freezes one choice for each. This script shows
-the choices are forced by the pins:
+The builder reads each box's attachment orientation off the partial's
+faces, but the twist family has a mirror ambiguity that combinatorial
+input does not settle. The corpus freezes one handedness and one
+placement per fixture. This script shows the choices are forced by the
+pins:
 
   * default run: every pinned fixture is rebuilt and compared with its
     pinned Jones value, and the mirror image of each union is shown to
     produce the t -> 1/t image instead (so the opposite handedness
     convention would not reproduce the pins);
   * --full additionally reruns the marked-arc sweeps, listing every
-    placement that reproduces each pin exactly.
+    placement that reproduces each pin exactly, and fails if a frozen
+    placement is not among them.
+
+Exits 1 if any check fails.
 """
 
 import argparse
@@ -49,7 +53,7 @@ def check_frozen() -> bool:
     return ok
 
 
-def sweep(name: str) -> None:
+def sweep(name: str) -> bool:
     spec = corpus.SPEC_FIXTURES[name]
     want = corpus.JONES_PINNED[name]
     part = spec.partial
@@ -83,13 +87,14 @@ def sweep(name: str) -> None:
         for ms, _ in hits
     )
     if not frozen_hit:
-        print("  WARNING: frozen choice not among the hits")
+        print("  frozen choice not among the hits")
+    return frozen_hit
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--full", action="store_true",
-                    help="rerun the marked-arc sweeps (about a minute)")
+                    help="rerun the marked-arc sweeps (a few seconds)")
     args = ap.parse_args()
 
     print("twist family:", kt_tangle(3).pairing(), "pairing,",
@@ -97,7 +102,7 @@ def main() -> int:
     ok = check_frozen()
     if args.full:
         for name in sorted(corpus.JONES_PINNED):
-            sweep(name)
+            ok &= sweep(name)
     if not ok:
         print("\ncalibration check FAILED", file=sys.stderr)
         return 1

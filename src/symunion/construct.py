@@ -29,6 +29,7 @@ from .diagram import (
 from .tangle import (
     CORNERS,
     Tangle,
+    _join,
     is_even_type,
     orient,
     parse_tangle,
@@ -61,12 +62,6 @@ class NotPlanarInsertion(ConstructError):
     pass
 
 
-# Which way each tangle box meets the two halves: 0 attaches the outgoing
-# host stub at NW, 1 swaps north and south on both sides. Fixed once by the
-# corpus calibration; see corpus.py.
-_ATTACH_BIT = 0
-
-
 @dataclass(frozen=True)
 class SymUnionSpec:
     """A partial diagram, the marked arcs (axis first), and the tangles
@@ -90,6 +85,8 @@ class SymUnionSpec:
 @dataclass(frozen=True)
 class UnionMeta:
     spec: SymUnionSpec
+    # per box: 0 attaches the host's outgoing stub at NW, 1 swaps north
+    # and south on both sides
     attach_bits: tuple[int, ...]
     # spec.tangles[i - 1] oriented for the box of region i at its bit; a
     # rebuild orients only the tangles it replaces
@@ -166,13 +163,6 @@ class _Halves:
         u, v, us, vs = (self.fresh() for _ in range(4))
         self._rewire(m, (u, v), (vs, us))
         return u, v, us, vs
-
-
-def _compact(rows: list[list[int]]) -> tuple[list[list[int]], dict[int, int]]:
-    """Rows renumbered onto 1..n in the order of their ids, and the map."""
-    used = sorted({e for row in rows for e in row})
-    compact = {e: j + 1 for j, e in enumerate(used)}
-    return [[compact[e] for e in row] for row in rows], compact
 
 
 def _assemble_with_bits(
@@ -261,57 +251,33 @@ def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
     spec.tangles spliced in at the marked arcs. The result is a knot
     diagram with 2c(D) + sum(c(T_i)) crossings.
 
-    Whether a box embeds depends on which side of its cut arc faces the
-    axis corridor, which the combinatorial input does not record, so the
-    builder searches the attachment bits depth first, preferred bit first,
-    and keeps the first vector in that order whose wiring embeds. A prefix
-    of i bits is checked by assembling the spec cut to its first i
-    tangles: the later marked arcs stay uncut, which is the full diagram
-    with the crossingless vertical tangle in each later box. Swapping a
-    box's contents for a crossingless tangle keeps a planar diagram
-    planar, so every prefix of an embedding vector embeds, and pruning at
-    a failed prefix loses no embedding vector."""
+    Cutting the axis edge a in both halves and rejoining them merges each
+    of the two faces beside a with its mirror image. These two corridors
+    are the only faces of the union that touch both halves, and a band
+    across one of them joins mirror points of its two sides, so no two
+    bands cross. Box i therefore embeds exactly when its marked edge m
+    borders a face beside a, independently of the other boxes. Its bit
+    is the side of m that face lies on: 0 for the face before m's head
+    slot (flanking_faces(d, m)[0]), preferred when both sides qualify,
+    else 1 for the face after it."""
     _validate_inputs(spec, require_even=True)
-    n = len(spec.tangles)
-    order = (_ATTACH_BIT, 1 - _ATTACH_BIT)
-    bits: list[int] = []
-    # region i's tangle oriented for its box at each bit, once per build
-    boxed: list[dict[int, Tangle]] = [{} for _ in range(n)]
-
-    def boxed_at(prefix: list[int]) -> list[Tangle]:
-        out = []
-        for t, ts, bit in zip(spec.tangles, boxed, prefix):
-            if bit not in ts:
-                ts[bit] = _oriented_for_box(t, bit)
-            out.append(ts[bit])
-        return out
-
-    # the message only: an exception kept past its handler would hold the
-    # search frames through its traceback
-    first_failure = None
-    while True:
-        i = len(bits)
-        try:
-            if i == n:
-                return _assemble_with_bits(
-                    spec, tuple(bits), boxed_at(bits), require_knot=True
-                )
-            if i:  # no check for i = 0: the two halves joined at the axis embed
-                cut = SymUnionSpec(spec.partial, spec.marked_arcs[: i + 1], spec.tangles[:i])
-                _assemble_with_bits(cut, tuple(bits), boxed_at(bits), require_knot=False)
-        except NotPlanarInsertion as exc:
-            if first_failure is None:
-                first_failure = str(exc)
-        else:
-            bits.append(order[0])
-            continue
-        # the next prefix in search order: drop the trailing second choices
-        # and flip the last first choice
-        while bits and bits[-1] == order[1]:
-            bits.pop()
-        if not bits:
-            raise NotPlanarInsertion(first_failure)
-        bits[-1] = order[1]
+    d = spec.partial
+    axis, *marked = spec.marked_arcs
+    try:
+        corridors = flanking_faces(d, axis)
+        sides = [flanking_faces(d, m) for m in marked]
+    except DiagramError as exc:
+        raise NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
+    bits = []
+    for i, (m, (before, after)) in enumerate(zip(marked, sides), start=1):
+        if before not in corridors and after not in corridors:
+            raise NotPlanarInsertion(
+                f"insertion does not embed: region {i}'s marked edge {m} "
+                f"borders neither face beside the axis edge {axis}"
+            )
+        bits.append(0 if before in corridors else 1)
+    boxed = [_oriented_for_box(t, bit) for t, bit in zip(spec.tangles, bits)]
+    return _assemble_with_bits(spec, tuple(bits), boxed, require_knot=True)
 
 
 def build_all_zero_replacement(union: SymUnionSpec | PlanarDiagram) -> PlanarDiagram:
@@ -361,6 +327,19 @@ def planar_faces(d: PlanarDiagram) -> tuple[int, ...]:
     return derived(d, "faces", lambda: validate_planarity(d))
 
 
+def flanking_faces(d: PlanarDiagram, edge: int) -> tuple[int, int]:
+    """The two faces on either side of an edge. At the edge's head, dart
+    4i + s, they are the faces at the corners before and after slot s.
+
+    The two differ: a 4-valent graph has no bridge, so no face lies on
+    both sides of an edge (planar_faces has checked the embedding)."""
+    if edge not in d.head_of:
+        raise DiagramError(f"edge {edge} is not in the diagram")
+    i, s = d.head_of[edge]
+    face = planar_faces(d)
+    return face[4 * i + (s - 1) % 4], face[4 * i + s]
+
+
 def region_tangle(k: PlanarDiagram, i: int) -> Tangle:
     """The tangle inserted at region i of the built union k."""
     tangles = _meta_of(k).spec.tangles
@@ -397,10 +376,10 @@ def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:
     _validate_inputs(spec, require_even=False)
     h = _Halves(partial, e0)
     u, v, us, vs = h.cut(e1)
-    rows, compact = _compact(h.rows)
-    boundary = {"NW": compact[v], "SW": compact[u], "NE": compact[us], "SE": compact[vs]}
+    xs, ends, _ = _join(h.next_id - 1, h.rows, (), (v, u, us, vs))
+    boundary = dict(zip(("NW", "SW", "NE", "SE"), ends))
     flows = {"NW": "in", "SW": "out", "NE": "out", "SE": "in"}
-    return Tangle(tuple(Crossing(*row) for row in rows), tuple(h.flags), boundary, flows)
+    return Tangle(tuple(xs), tuple(h.flags), boundary, flows)
 
 
 # -- spec documents -------------------------------------------------------------------

@@ -2,10 +2,11 @@
 and the symmetric-union specs exercised by the test suite and the CLI.
 
 Marked-arc positions and the handedness of the twist family are frozen
-here after a one-time calibration: the builder's attachment conventions
-admit a mirror ambiguity that combinatorial input cannot settle, so the
-three trivial-Alexander unions were matched against independently
-tabulated Jones polynomials (exact, all terms). The pinned values live in
+here after a one-time calibration. Each box's attachment orientation
+follows from the partial's faces, but the twist family's handedness is a
+mirror ambiguity that combinatorial input cannot settle, so the three
+trivial-Alexander unions were matched against independently tabulated
+Jones polynomials (exact, all terms). The pinned values live in
 JONES_PINNED; scripts/calibrate_corpus.py rederives the choices from
 scratch. Everything else in this module follows from those choices.
 """

@@ -25,6 +25,7 @@ from .construct import (
     build_all_zero_replacement,
     built_union,
     derived,
+    flanking_faces,
     planar_faces,
     region_tangle,
 )
@@ -350,20 +351,6 @@ def region_matrix(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
             _add_term(row, f3, 0, -1)
         rows.append(row)
     return rows
-
-
-def flanking_faces(d: PlanarDiagram, edge: int) -> tuple[int, int]:
-    """The two faces on either side of an edge; these are the adjacent
-    columns removed before taking the determinant. At the edge's head, dart
-    4i + s, they are the faces at the corners before and after slot s.
-
-    The two differ: a 4-valent graph has no bridge, so no face lies on
-    both sides of an edge (planar_faces has checked the embedding)."""
-    if edge not in d.head_of:
-        raise InvariantError(f"edge {edge} is not in the diagram")
-    i, s = d.head_of[edge]
-    face = planar_faces(d)
-    return face[4 * i + (s - 1) % 4], face[4 * i + s]
 
 
 def alexander_region(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:

@@ -4,7 +4,7 @@ edge renumbering along the orientation, the Conway-to-Alexander
 substitution and the Conway peel by powers of z^2 = t - 2 + 1/t, a
 monicity check, the slopes of rational tangles, the rank of a
 presentation's abelianization, the exhaustive attachment search the
-builder's pruned search is checked against, the strand-reversal searches
+builder's face rule is checked against, the strand-reversal searches
 tangle.orient replaced, dense matrices as the sparse rows det_laurent
 takes, a generator of small random union specs, a chain of circles, and
 the unions of the benchmark's scaling-family pool."""
@@ -111,12 +111,11 @@ def abelianization_rank(p: WirtingerPresentation) -> int:
 
 def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
     """The union built by trying every attachment vector in product order,
-    preferred bit first, and keeping the first that embeds; the oracle for
-    construct.build_symmetric_union's pruned search."""
+    bit 0 first, and keeping the first that embeds; the oracle for the
+    face rule of construct.build_symmetric_union."""
     construct._validate_inputs(spec, require_even=True)
-    order = (construct._ATTACH_BIT, 1 - construct._ATTACH_BIT)
     first_err = None
-    for bits in itertools.product(order, repeat=len(spec.tangles)):
+    for bits in itertools.product((0, 1), repeat=len(spec.tangles)):
         try:
             boxed = list(map(construct._oriented_for_box, spec.tangles, bits))
             return construct._assemble_with_bits(spec, bits, boxed, require_knot=True)

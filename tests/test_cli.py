@@ -294,24 +294,24 @@ class TestVerify:
         path = tmp_path / "kt_union_3.json"
         path.write_text(json.dumps(to_spec_doc(spec)))
 
-        searched, matrices = [], []
-        search, matrix = construct.build_symmetric_union, invariant.region_matrix
+        built, matrices = [], []
+        build, matrix = construct.build_symmetric_union, invariant.region_matrix
 
-        def counting_search(s):
-            searched.append(s)
-            return search(s)
+        def counting_build(s):
+            built.append(s)
+            return build(s)
 
         def counting_matrix(d):
             matrices.append(d)
             return matrix(d)
 
-        monkeypatch.setattr(construct, "build_symmetric_union", counting_search)
+        monkeypatch.setattr(construct, "build_symmetric_union", counting_build)
         monkeypatch.setattr(invariant, "region_matrix", counting_matrix)
         rc, _, _ = run(capsys, "verify", str(path), "--format", "doc")
         assert rc == 0
-        # one attachment search, for the union; the zero replacement and
-        # the fraction complements are rebuilt at its attachment bits
-        assert searched == [spec]
+        # one build, for the union; the zero replacement and the fraction
+        # complements are rebuilt at its attachment bits
+        assert built == [spec]
         assert sum(d.crossings == union.crossings for d in matrices) == 1
 
     def test_equal_tangles_share_one_numerator_closure(self, tmp_path, capsys, monkeypatch):

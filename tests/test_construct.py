@@ -2,6 +2,7 @@
 join arcs."""
 
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import PARTIAL_POOL, TANGLE_POOL, exhaustive_build
-from symunion import construct
+from symunion import construct, corpus
 from symunion.cli import verify_reports
 from symunion.corpus import SPEC_FIXTURES
 from symunion.construct import (
@@ -28,7 +29,13 @@ from symunion.construct import (
     parse_spec,
     to_spec_doc,
 )
-from symunion.diagram import PlanarDiagram, over_arcs, parse_pd, writhe
+from symunion.diagram import (
+    PlanarDiagram,
+    diagram_from_tuples,
+    over_arcs,
+    parse_pd,
+    writhe,
+)
 from symunion.invariant import (
     alexander_fox,
     alexander_region,
@@ -130,9 +137,24 @@ class TestMultiRegion:
         assert k.meta.attach_bits == (1, 0, 1)
 
     def test_unmarked_arcs_embed_only_sometimes(self):
+        # edge 2 borders neither face beside edge 1, so the face rule
+        # refuses before anything is assembled
         spec = SymUnionSpec(trefoil(), (1, 2), (vertical_twists(2),))
-        with pytest.raises(NotPlanarInsertion):
-            build_symmetric_union(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _recording(mp, construct, "_assemble_with_bits")
+            with pytest.raises(NotPlanarInsertion, match="region 1's marked edge 2"):
+                build_symmetric_union(spec)
+        assert calls == []
+
+    def test_a_non_planar_partial_is_refused_as_an_insertion(self):
+        # a two-crossing virtual knot: its face walk finds 2 faces, not 4
+        virtual = diagram_from_tuples([(4, 1, 2, 3), (3, 2, 4, 1)])
+        for spec in (
+            SymUnionSpec(virtual, (1,), ()),
+            SymUnionSpec(virtual, (1, 4), (vertical_twists(2),)),
+        ):
+            with pytest.raises(NotPlanarInsertion, match="face count 2, expected 4"):
+                build_symmetric_union(spec)
 
 
 class TestValidation:
@@ -333,7 +355,7 @@ class TestBuildProperties:
         assert k.component_count() == 1
 
 
-# -- the attachment search ----------------------------------------------------------
+# -- the attachment bits read off the faces -----------------------------------------
 
 
 @st.composite
@@ -354,6 +376,28 @@ def _build_or_error(build, spec):
         return build(spec)
     except ConstructError as exc:
         return type(exc)
+
+
+def _matches_the_product_loop(spec) -> bool:
+    """Assert that the builder and the exhaustive product loop agree on
+    spec: the same error class, or the same diagram, labels and bits.
+    Returns whether spec embeds."""
+    got = _build_or_error(build_symmetric_union, spec)
+    want = _build_or_error(exhaustive_build, spec)
+    if isinstance(want, type):
+        assert got is want
+        return False
+    assert got == want
+    assert got.labels == want.labels
+    assert got.meta.attach_bits == want.meta.attach_bits
+    return True
+
+
+def _markings(partial, n):
+    """Every marked-arc tuple of n regions: an axis edge and n more, each
+    on its own arc, in every order."""
+    for arcs in itertools.permutations(over_arcs(partial), n + 1):
+        yield from itertools.product(*arcs)
 
 
 # Twist regions over a 22-crossing two-bridge partial, marked at edges of
@@ -394,15 +438,29 @@ def _counted_build(spec):
 class TestAttachmentSearch:
     @given(placements())
     @settings(max_examples=60, deadline=None)
-    def test_pruned_search_matches_the_product_loop(self, spec):
-        got = _build_or_error(build_symmetric_union, spec)
-        want = _build_or_error(exhaustive_build, spec)
-        if isinstance(want, type):
-            assert got is want
-        else:
-            assert got == want
-            assert got.labels == want.labels
-            assert got.meta.attach_bits == want.meta.attach_bits
+    def test_face_rule_matches_the_product_loop(self, spec):
+        _matches_the_product_loop(spec)
+
+    def test_face_rule_matches_the_product_loop_on_every_small_marking(self):
+        specs = [
+            SymUnionSpec(partial, marked, (vertical_twists(2),) * n)
+            for partial in (corpus.TREFOIL, corpus.FIGURE_EIGHT, corpus.FIVE_TWO)
+            for n in (1, 2)
+            for marked in _markings(partial, n)
+        ]
+        assert len(specs) == 872
+        assert sum(map(_matches_the_product_loop, specs)) == 288
+
+    def test_an_edge_beside_both_corridors_takes_bit_0(self):
+        # edges 40 and 43 separate the same two faces, so the box embeds
+        # at either bit; the rule prefers 0, as the product loop does
+        assert set(flanking_faces(TWO_BRIDGE, 40)) == set(flanking_faces(TWO_BRIDGE, 43))
+        spec = SymUnionSpec(TWO_BRIDGE, (40, 43), (vertical_twists(2),))
+        for bit in (0, 1):
+            boxed = [construct._oriented_for_box(vertical_twists(2), bit)]
+            construct._assemble_with_bits(spec, (bit,), boxed, require_knot=True)
+        assert _matches_the_product_loop(spec)
+        assert build_symmetric_union(spec).meta.attach_bits == (0,)
 
     @given(
         st.integers(min_value=2, max_value=12).flatmap(
@@ -410,12 +468,12 @@ class TestAttachmentSearch:
         )
     )
     @settings(max_examples=15, deadline=None)
-    def test_many_regions_take_a_linear_number_of_assemblies(self, marked):
+    def test_many_regions_take_one_assembly(self, marked):
         n = len(marked) - 1
         spec = SymUnionSpec(TWO_BRIDGE, marked, (vertical_twists(2),) * n)
         k, assemblies = _counted_build(spec)
         assert len(k.crossings) == 2 * len(TWO_BRIDGE.crossings) + 2 * n
-        assert assemblies <= 2 * n + 1
+        assert assemblies == 1
         assert verify_product_formula(k).passed
         assert certify_epimorphism(k).passed
 
@@ -425,7 +483,7 @@ class TestAttachmentSearch:
         )
         k, assemblies = _counted_build(spec)
         assert len(k.crossings) == 68
-        assert assemblies <= 25
+        assert assemblies == 1
         # the product loop's first embedding vector, found after 2,730 of
         # its assemblies (too slow to rerun here)
         assert k.meta.attach_bits == (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1)
@@ -459,7 +517,7 @@ class TestOnePass:
         k, assemblies, diagrams = self._assemblies_and_diagrams(
             lambda: build_symmetric_union(spec)
         )
-        assert assemblies >= 1 and diagrams == assemblies
+        assert (assemblies, diagrams) == (1, 1)
         _, assemblies, diagrams = self._assemblies_and_diagrams(
             lambda: build_all_zero_replacement(k)
         )
@@ -480,16 +538,15 @@ class TestOnePass:
         assert len({id(d) for (d,) in walked}) == len(walked)
 
     def test_each_tangle_oriented_once_per_bit_in_a_build(self):
-        # distinct objects, so that a call names its region; the search
-        # backtracks here (see test_twelve_regions)
+        # distinct objects, so that a call names its region; the bits
+        # are mixed here (see test_twelve_regions)
         tangles = tuple(vertical_twists(2) for _ in range(12))
         spec = SymUnionSpec(TWO_BRIDGE, tuple(FACE_EDGES[:13]), tangles)
         with pytest.MonkeyPatch.context() as mp:
             oriented = _recording(mp, construct, "_oriented_for_box")
             k = build_symmetric_union(spec)
         keys = [(id(t), bit) for t, bit in oriented]
-        assert len(set(keys)) == len(keys) <= 2 * len(tangles)
-        assert {(id(t), bit) for t, bit in zip(tangles, k.meta.attach_bits)} <= set(keys)
+        assert keys == [(id(t), bit) for t, bit in zip(tangles, k.meta.attach_bits)]
 
     def test_a_rebuild_orients_only_its_replacements(self):
         spec = SPEC_FIXTURES["kt_union_3"]

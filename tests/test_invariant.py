@@ -24,6 +24,7 @@ from helpers import (
 from symunion import corpus
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.diagram import (
+    DiagramError,
     MultiComponentInput,
     NoCrossings,
     PlanarDiagram,
@@ -36,8 +37,8 @@ from symunion.group import wirtinger
 from symunion.invariant import (
     CancelToken,
     Cancelled,
-    InvariantError,
     TooLarge,
+    UnsupportedLinkCase,
     alexander_fox,
     alexander_region,
     det_laurent,
@@ -47,6 +48,7 @@ from symunion.invariant import (
     kauffman_bracket,
     reduced,
     region_matrix,
+    verify_fraction_formula,
 )
 from symunion.poly import LaurentPoly, NonIntegralSolution, normalize_alexander
 from symunion.tangle import (
@@ -502,7 +504,7 @@ def test_flanking_faces_distinct(trefoil):
 
 def test_flanking_faces_of_an_unknown_edge(trefoil):
     for edge in (0, 7, -1):
-        with pytest.raises(InvariantError):
+        with pytest.raises(DiagramError):
             flanking_faces(trefoil, edge)
 
 
@@ -856,3 +858,19 @@ def test_jones_matches_alexander_at_minus_one_at_220_and_420_crossings(m):
     v = jones(k)
     assert v.evaluate(1) == 1
     assert abs(v.evaluate(-1)) == abs(delta.evaluate(-1))
+
+
+@pytest.mark.parametrize(
+    "t1,t0",
+    [
+        (vertical_twists(2), vertical_twists(2)),
+        (rational_tangle([1, 1, 2]), vertical_twists(4)),
+        (rational_tangle([2]), rational_tangle([3])),
+        (rational_tangle([1, 2, 1]), rational_tangle([2])),
+    ],
+)
+def test_fraction_formula_refuses_a_link_closure_with_nonzero_alexander(t1, t0):
+    # in each pair some closure is a 2-component link with nonzero Delta,
+    # which the knot-only Conway conversion does not cover
+    with pytest.raises(UnsupportedLinkCase, match="2-component closure"):
+        verify_fraction_formula(t1, t0)

@@ -9,9 +9,12 @@ builds.
 
 For each m the script prints the crossings, the best of --repeat process
 times of the region-route and Fox-route determinants, and for each route
-the size k of the block left once no unit pivot remains and the packing
-width B of that block. It exits 1 unless both routes give the polynomial
-the product formula predicts, Delta(partial)^2 prod Delta(N(kt(m))).
+the size k of the block left once no unit pivot remains, the packing
+width B of that block, and the process seconds of one run of each phase:
+phase 1 (the unit pivots, invariant._unit_pivots) and phase 2 (the block's
+Bareiss, invariant._block_det). It exits 1 unless both routes give the
+polynomial the product formula predicts, Delta(partial)^2 prod
+Delta(N(kt(m))).
 
     python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
 """
@@ -73,13 +76,18 @@ def best_time(rows, repeat: int):
     return best, value
 
 
-def tail(rows) -> tuple[int, int]:
-    """The size k of the block left after the unit pivots, and its width B
-    (0 when no block is left)."""
+def phases(rows) -> tuple[int, int, float, float]:
+    """The size k of the block left after the unit pivots and its width B
+    (0 and 0 when no block is left), and the process seconds of phase 1
+    and of phase 2 (0 when no block is left)."""
+    t0 = time.process_time()
     found = invariant._unit_pivots(rows, None)
+    t1 = time.process_time()
     if found is None or not found[2]:
-        return 0, 0
-    return len(found[2]), invariant._block_width(found[2])
+        return 0, 0, t1 - t0, 0.0
+    block = found[2]
+    invariant._block_det(block, None)
+    return len(block), invariant._block_width(block), t1 - t0, time.process_time() - t1
 
 
 def main() -> int:
@@ -91,7 +99,8 @@ def main() -> int:
 
     half = alexander_region(PARTIAL)
     failures = 0
-    print("crossings     m   region_s      fox_s  region k/B   fox k/B  ok")
+    print("crossings     m   region_s      fox_s  region k/B  phase1_s  phase2_s"
+          "   fox k/B  phase1_s  phase2_s  ok")
     for m in args.m:
         k = member(m)
         want = half * half
@@ -103,9 +112,10 @@ def main() -> int:
         t_fox, d_fox = best_time(frows, args.repeat)
         ok = normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True) == want
         failures += not ok
-        (kr, br), (kf, bf) = tail(rrows), tail(frows)
+        (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
-              f"{kr:5}/{br:<5} {kf:4}/{bf:<5} {'yes' if ok else 'NO'}")
+              f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f}  "
+              f"{'yes' if ok else 'NO'}")
     return 1 if failures else 0
 
 

@@ -309,7 +309,7 @@ def diagram_from_tuples(
 # The most crossings a parsed PD document or tangle document may describe,
 # checked before anything is built. The benchmark's largest union has 68
 # crossings; scripts/alexander_scaling.py runs unions of up to 1,620, where
-# `verify` takes about 10 s.
+# `verify` takes about 2 s.
 MAX_CROSSINGS = 2_000
 
 

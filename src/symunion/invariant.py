@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 import math
+from operator import mul
 import threading
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -137,7 +138,9 @@ def _unit_pivots(
     a column whose count c changes offers one entry, not all of them. Every
     column's current head is in the queue at its current cost, so an entry
     popped at its current cost is the least. Stale entries are dropped when
-    they come up. Dividing by a unit is a shift.
+    they come up. Each column marks the entry it last queued, and does not
+    queue an equal one while that entry is in the queue; popping the
+    marked entry clears the mark. Dividing by a unit is a shift.
 
     The sign of the expansion is that of the permutation taking the pivot
     rows, in the order they were taken, to the pivot columns: the parity of
@@ -161,6 +164,7 @@ def _unit_pivots(
     for h in column:
         heapify(h)
     queue: list[tuple[int, int, int]] = []
+    queued: list[tuple[int, int, int] | None] = [None] * n
     row_seq: list[int] = []
     col_seq: list[int] = []
     unit, shift = 1, 0
@@ -176,11 +180,17 @@ def _unit_pivots(
                 if row is not None and len(row) - 1 == r1:
                     p = row.get(j)
                     if p is not None and len(p) == 1 and -1 <= sum(p.values()) <= 1:
-                        heappush(queue, (r1 * (len(users[j]) - 1), i, j))
+                        entry = r1 * (len(users[j]) - 1), i, j
+                        if queued[j] != entry:
+                            queued[j] = entry
+                            heappush(queue, entry)
                         break
                 heappop(h)
         while queue:
-            key, r, c = heappop(queue)
+            entry = heappop(queue)
+            key, r, c = entry
+            if queued[c] is entry:
+                queued[c] = None
             prow = m.get(r)
             if prow is None or key != (len(prow) - 1) * (len(users[c]) - 1):
                 continue
@@ -243,56 +253,134 @@ def _parity(seq: Sequence[int]) -> int:
 
 
 def _block_width(block: Sequence[Sequence[dict[int, int]]]) -> int:
-    """The packing width B of _block_det. Every coefficient of det S is at
-    most ||det S||_1, and by the Leibniz expansion and the triangle
-    inequality ||det S||_1 <= sum over permutations s of
-    prod_i ||S_i,s(i)||_1 <= prod_i sum_j ||S_ij||_1, since the product of
-    the row sums expands to every such term and more, all nonnegative.
-    Shifting a row does not change the norms. B - 1 is the bit length of
-    that product, so every coefficient is below 2^(B - 1)."""
-    norms = (sum(abs(v) for p in row for v in p.values()) for row in block)
-    return width(math.prod(norms))
+    """The packing width B of _block_det, from the least of four bounds on
+    the coefficients of det S. Shifting a row or a column changes no norm
+    below.
+
+    - The l1 product over rows, prod_i sum_j ||S_ij||_1: every coefficient
+      is at most ||det S||_1, which by the Leibniz expansion and the
+      triangle inequality is at most sum over permutations s of
+      prod_i ||S_i,s(i)||_1; the product of the row sums expands to every
+      such term and more, all nonnegative.
+    - The l1 product over columns, the same for the transpose.
+    - Hadamard's bound over rows, prod_i sqrt(sum_j ||S_ij||_1^2): the
+      coefficient of t^e in det S is the mean of det S(z) z^-e over
+      |z| = 1, so it is at most the largest |det S(z)| there, which by
+      Hadamard's inequality is at most the product of the rows' Euclidean
+      norms, and |S_ij(z)| <= ||S_ij||_1 on |z| = 1.
+    - Hadamard's bound over columns, the same for the transpose.
+
+    A coefficient is an integer, so it is at most the integer square root
+    of the squared Hadamard bound. B - 1 is the bit length of the least
+    bound, so every coefficient is below 2^(B - 1)."""
+    rows = [[sum(map(abs, p.values())) for p in row] for row in block]
+    cols = list(zip(*rows))
+    return width(
+        min(
+            math.prod(map(sum, rows)),
+            math.prod(map(sum, cols)),
+            math.isqrt(math.prod([sum(map(mul, r, r)) for r in rows])),
+            math.isqrt(math.prod([sum(map(mul, c, c)) for c in cols])),
+        )
+    )
+
+
+def _odd(v: int) -> tuple[int, int]:
+    """(o, z) with v = o 2^z and o odd; (0, 0) for 0."""
+    if v & 1 or not v:
+        return v, 0
+    z = (v & -v).bit_length() - 1
+    return v >> z, z
 
 
 def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) -> LaurentPoly:
     """Phase 2 of det_laurent: the determinant of a k x k block S with no
-    unit entry. Each row is shifted to nonnegative exponents, each entry is
-    evaluated at t = 2^B as one integer (Kronecker substitution, as in the
-    bracket), and integer Bareiss with row swaps (Bareiss 1968) takes the
-    determinant of the integers. Each Bareiss division is exact by
-    Sylvester's identity and is checked. The coefficients of det S are read
-    back as balanced digits (unpack), which B from _block_width allows."""
+    unit entry. A 1 x 1 block is its entry. Otherwise each row is shifted
+    to nonnegative exponents, each entry is evaluated at t = 2^B as one
+    integer (Kronecker substitution, as in the bracket), and fraction-free
+    Bareiss elimination (Bareiss 1968) takes the determinant of the
+    integers. The coefficients of det S are read back as balanced digits
+    (unpack), which B from _block_width allows.
+
+    Each Bareiss value is kept as (o, z), the value o 2^z with o odd, and
+    the step (x piv - f top) / prev divides the odd parts only. The
+    quotient Q is an integer by Sylvester's identity. With the numerator
+    n 2^m and prev = o 2^y, n and o odd, Q o 2^y = n 2^m gives o | n, so
+    Q = (n / o) 2^(m - y) with n / o odd and m >= y. Each step checks both,
+    a zero remainder of n by o and m >= y, and raises NonIntegralSolution
+    otherwise. The numerator is odd, and needs no strip, unless its two
+    products carry the same power of two.
+
+    The pivot of each step is the nonzero value of the trailing submatrix
+    with the fewest bits, o.bit_length() + z, the first in row order on a
+    tie; a row swap and a column swap bring it into place. The values
+    there are the minors of the leading rows and columns bordered by one
+    more row and column, so swapping two lines of the trailing submatrix
+    gives the values of S with those two lines swapped, whose determinant
+    is -det S: each swap of two distinct lines flips the sign. The cancel
+    token is polled once per step."""
     k = len(block)
+    if k == 1:
+        _check(cancel)
+        return LaurentPoly(block[0][0])
     if not k:
         return LaurentPoly.one()
     bits = _block_width(block)
     lows = [min(e for p in row for e in p) for row in block]
     a = [
-        [pack(((e - lo, v) for e, v in p.items()), bits) for p in row]
+        [_odd(pack(p.items(), bits, lo)) for p in row]
         for row, lo in zip(block, lows)
     ]
-    sign, prev = 1, 1
+    sign, prev, prev_z = 1, 1, 0
     for s in range(k):
         _check(cancel)
-        p = next((i for i in range(s, k) if a[i][s]), None)
-        if p is None:
+        best = None
+        for i in range(s, k):
+            for j in range(s, k):
+                o, z = a[i][j]
+                if o and (best is None or o.bit_length() + z < best[0]):
+                    best = o.bit_length() + z, i, j
+        if best is None:
             return LaurentPoly.zero()
+        _, p, q = best
         if p != s:
             a[s], a[p] = a[p], a[s]
             sign = -sign
+        if q != s:
+            for row in a:
+                row[s], row[q] = row[q], row[s]
+            sign = -sign
         top = a[s]
-        piv = top[s]
+        piv, piv_z = top[s]
         for row in a[s + 1 :]:
-            f = row[s]
+            f, f_z = row[s]
             for j in range(s + 1, k):
-                q, rem = divmod(row[j] * piv - f * top[j], prev)
-                if rem:
+                x, x_z = row[j]
+                t, t_z = top[j]
+                # numerator x piv - f t as n 2^m
+                if not f or not t:
+                    n, m = x * piv, x_z + piv_z
+                elif not x:
+                    n, m = -f * t, f_z + t_z
+                else:
+                    m1, m2 = x_z + piv_z, f_z + t_z
+                    m = min(m1, m2)
+                    n = (x * piv << m1 - m) - (f * t << m2 - m)
+                    if m1 == m2:
+                        n, z = _odd(n)
+                        m += z
+                if not n:
+                    row[j] = 0, 0
+                    continue
+                n, rem = divmod(n, prev)
+                if rem or m < prev_z:
                     raise NonIntegralSolution("Bareiss division left a remainder")
-                row[j] = q
-        prev = piv
-    low = sum(lows)
+                row[j] = n, m - prev_z
+        prev, prev_z = piv, piv_z
+    det, z = a[-1][-1]
+    low = sum(lows) + z // bits
     return LaurentPoly(
-        {low + e: c for e, c in enumerate(unpack(sign * a[-1][-1], bits)) if c}
+        {low + e: c for e, c in enumerate(unpack(sign * det << z % bits, bits)) if c}
     )
 
 

@@ -217,13 +217,13 @@ unit_free_entries = st.one_of(
 
 
 @st.composite
-def unit_free_matrices(draw):
-    """Square Laurent matrices up to 5x5 with no unit entry, so that
-    det_laurent hands the whole matrix to its Bareiss phase; coefficients
-    up to 2^40 and exponents -6..6 make the packing width grow. Some get a
-    zero row, a zero column, or a row that is a multiple of another
-    (singular)."""
-    n = draw(st.integers(1, 5))
+def unit_free_matrices(draw, sizes=st.integers(1, 5)):
+    """Square Laurent matrices up to 5x5 (of the given sizes) with no unit
+    entry, so that det_laurent hands the whole matrix to its Bareiss phase;
+    coefficients up to 2^40 and exponents -6..6 make the packing width
+    grow. Some get a zero row, a zero column, or a row that is a multiple
+    of another (singular)."""
+    n = draw(sizes)
     rows = [[draw(unit_free_entries) for _ in range(n)] for _ in range(n)]
     i = draw(st.integers(0, n - 1))
     shape = draw(st.sampled_from(["plain", "zero row", "zero column", "singular"]))
@@ -244,6 +244,51 @@ def unit_free_matrices(draw):
 @settings(max_examples=100, deadline=None)
 def test_det_by_bareiss_matches_leibniz_expansion(rows):
     assert det_laurent(sparse(rows)) == leibniz(rows)
+
+
+@st.composite
+def shifted(draw, matrices):
+    """A matrix from matrices with row i times t^r_i and column j times
+    t^c_j, r and c in the hundreds: the packed entries of the Bareiss phase
+    then carry long runs of trailing zero bits."""
+    rows = draw(matrices)
+    r = draw(st.lists(st.integers(-400, 400), min_size=len(rows), max_size=len(rows)))
+    c = draw(st.lists(st.integers(-400, 400), min_size=len(rows), max_size=len(rows)))
+    return [[p.shift(r[i] + c[j]) for j, p in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@given(shifted(unit_free_matrices()))
+@settings(max_examples=100, deadline=None)
+def test_det_by_bareiss_matches_leibniz_on_shifted_lines(rows):
+    assert det_laurent(sparse(rows)) == leibniz(rows)
+
+
+@given(shifted(unit_free_matrices(st.integers(1, 2))))
+@settings(max_examples=60, deadline=None)
+def test_det_by_bareiss_of_1x1_and_2x2_blocks(rows):
+    assert det_laurent(sparse(rows)) == leibniz(rows)
+
+
+def test_bareiss_pivot_needs_a_row_and_a_column_swap():
+    # at t = 2^B the entry with the fewest bits is 3t at (1, 2), next to
+    # zeros, so the first step swaps rows 0 and 1 and columns 0 and 2;
+    # reversing rows and columns moves it to (1, 0), a row swap alone
+    big = LaurentPoly({0: 1000, 1: -999, 2: 5})
+    z = LaurentPoly.zero()
+    three = LaurentPoly.term(3, 1)
+    for rows in (
+        [[big, z, big], [z, big * 2, three], [big * 3, big, z]],
+        [[big, big * 5, z], [z, big * 2, three], [big * 3, z, big]],
+    ):
+        assert det_laurent(sparse(rows)) == leibniz(rows)
+        assert det_laurent(sparse([row[::-1] for row in rows[::-1]])) == leibniz(rows)
+
+
+def test_bareiss_checks_each_division(monkeypatch):
+    rows = [[LaurentPoly({0: 2 + i, 1: j - 3}) for j in range(3)] for i in range(3)]
+    monkeypatch.setattr(inv, "divmod", lambda n, d: (n // d, 1), raising=False)
+    with pytest.raises(NonIntegralSolution):
+        det_laurent(sparse(rows))
 
 
 def unit_pivots_by_scan(rows):
@@ -287,6 +332,20 @@ def unit_pivots_by_scan(rows):
 @settings(max_examples=100, deadline=None)
 def test_pivot_queue_takes_the_pivots_of_a_full_scan(rows):
     assert inv._unit_pivots(sparse(rows), None) == unit_pivots_by_scan(sparse(rows))
+
+
+def test_pivot_queue_queues_a_head_again_after_its_entry_is_popped():
+    # found by a random search against the full scan: a queued head is
+    # popped and dropped, and later heads its column again at the same
+    # cost, so the pop has to clear the column's mark
+    rows = [
+        {0: {0: 1, 1: 1}, 1: {1: 1}, 2: {0: 2}, 3: {0: 1}, 4: {1: 1, 2: -1}},
+        {3: {0: 1, 1: 1}, 4: {0: 1}},
+        {1: {0: 2}, 4: {0: 2}},
+        {1: {0: 1}, 2: {0: 1, 1: -1}, 4: {0: 1, 1: -1}},
+        {0: {0: 1, 1: 1}, 4: {0: -1, 1: 1}},
+    ]
+    assert inv._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
 
 
 def alexander_matrices(k):
@@ -397,9 +456,13 @@ def test_cancel_stops_a_large_determinant_mid_elimination(union68):
 
 
 def test_cancel_stops_the_bareiss_phase():
-    # no entry is a unit, so every poll is a Bareiss step
-    rows = [[LaurentPoly({0: 2 + i, 1: j - 3}) for j in range(4)] for i in range(4)]
-    assert det_laurent(sparse(rows)) == leibniz(rows)
+    # no entry is a unit, so every poll is a Bareiss step, one per step
+    rows = [[LaurentPoly({0: (i + 2) ** (j + 1), 1: 3 + i - j}) for j in range(4)]
+            for i in range(4)]
+    tok = CancelAfter(10)
+    assert not leibniz(rows).is_zero()
+    assert det_laurent(sparse(rows), tok) == leibniz(rows)
+    assert tok.polls == 4
     tok = CancelAfter(2)
     with pytest.raises(Cancelled):
         det_laurent(sparse(rows), tok)

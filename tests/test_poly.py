@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +11,7 @@ from helpers import (
     is_monic,
     parse_poly,
 )
+from symunion import poly
 from symunion.poly import (
     ConwayPoly,
     LaurentPoly,
@@ -116,16 +119,72 @@ def test_int_scalar_mul():
 coeff_maps = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4).filter(bool), max_size=6)
 
 
-@given(coeff_maps, coeff_maps, coeff_maps)
-def test_addmul_matches_the_naive_product(acc, f, a):
+def naive_addmul(acc, f, a):
+    """acc + f * a, term by term, with its zero coefficients dropped."""
     want = dict(acc)
     for e1, v1 in f.items():
         for e2, v2 in a.items():
             want[e1 + e2] = want.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in want.items() if v}
+
+
+def assert_addmul(acc, f, a):
     got = dict(acc)
     addmul(got, f, a)
-    assert got == {e: v for e, v in want.items() if v}
+    assert got == naive_addmul(acc, f, a)
     assert all(got.values())
+
+
+@given(coeff_maps, coeff_maps, coeff_maps)
+def test_addmul_matches_the_naive_product(acc, f, a):
+    assert_addmul(acc, f, a)
+
+
+@st.composite
+def long_addmul_operands(draw):
+    """(acc, f, a) with up to 64 terms in f and in a, so that len(f) * len(a)
+    falls on both sides of addmul's packed switch, poly._PACK_PAIRS;
+    negative exponents and coefficients up to 2^40. acc overlaps f * a,
+    with coefficients up to 2^90, or is minus all of it or minus part of
+    it, so that coefficients cancel to zero. Sometimes a's exponents are
+    spread so far apart that the sum spans more exponents than there are
+    term pairs."""
+    coeff = st.integers(-(2**40), 2**40).filter(bool)
+
+    def terms(n):
+        return draw(st.dictionaries(st.integers(-80, 40), coeff, min_size=n, max_size=n))
+
+    f = terms(draw(st.integers(0, 64)))
+    a = terms(draw(st.integers(0, 64)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        a = {1000 * e: v for e, v in a.items()}
+    product = naive_addmul({}, f, a)
+    shape = draw(st.sampled_from(["overlap", "minus all", "minus part"]))
+    if shape == "overlap":
+        acc = draw(st.dictionaries(st.integers(-120, 80), st.integers(-(2**90), 2**90), max_size=80))
+        acc = {e: v for e, v in acc.items() if v}
+    else:
+        step = draw(st.integers(1, 3)) if shape == "minus part" else 1
+        acc = {e: -v for i, (e, v) in enumerate(sorted(product.items())) if i % step == 0}
+    return acc, f, a
+
+
+@given(long_addmul_operands())
+@settings(max_examples=150, deadline=None)
+def test_addmul_matches_the_naive_product_on_long_maps(operands):
+    assert_addmul(*operands)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_addmul_on_both_sides_of_the_packed_switch(side):
+    # n^2 < _PACK_PAIRS <= (n + 1)^2 term pairs; one acc the sum cancels
+    n = math.isqrt(poly._PACK_PAIRS - 1) + side
+    f = {e - 20: (-1) ** e * (2**40 - e) for e in range(n)}
+    a = {e - 5: 3 * e + 1 for e in range(n)}
+    assert_addmul({}, f, a)
+    assert_addmul({e: -v for e, v in naive_addmul({}, f, a).items()}, f, a)
+    assert_addmul({e: 7 for e in range(-40, 60, 3)}, f, a)
+    assert_addmul({e: -(2**100) for e in range(-40, 60, 3)}, f, a)
 
 
 @st.composite

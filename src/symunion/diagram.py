@@ -5,8 +5,9 @@ starting at the incoming under-strand edge, so the under-strand runs a -> c.
 Which way the over-strand runs is not part of the tuple; it is stored per
 crossing as the flag ``over_from_d`` (True: the over-strand enters at the
 d slot and leaves at b, which makes the crossing positive; False is the
-negative case). Parsing recovers the flags from the requirement that every
-edge has exactly one head and one tail.
+negative case). A diagram built without flags, as parsing builds one,
+recovers them from the requirement that every edge has exactly one head
+and one tail (orient_ends).
 
 Edge ids of a diagram with c crossings are exactly 1..2c. Crossing-free
 circle components are counted separately in ``free_loops``; they carry no
@@ -19,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class DiagramError(Exception):
@@ -67,7 +68,8 @@ class Crossing(NamedTuple):
 @dataclass(frozen=True)
 class PlanarDiagram:
     crossings: tuple[Crossing, ...]
-    over_from_d: tuple[bool, ...]
+    # None: resolved from the edge ids (orient_ends)
+    over_from_d: tuple[bool, ...] | None = None
     free_loops: int = 0
     labels: Mapping[int, str] = field(default_factory=dict)
     meta: object = field(default=None, compare=False)
@@ -75,7 +77,7 @@ class PlanarDiagram:
     # construct.derived writes here
     computed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    # the other end of each edge end, as check_ends pairs them
+    # the other end of each edge end, as orient_ends pairs them
     mates: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -83,10 +85,12 @@ class PlanarDiagram:
             raise MalformedPD("diagram has no crossings and no loop components")
         if self.free_loops < 0:
             raise MalformedPD("negative free_loops")
-        if len(self.over_from_d) != len(self.crossings):
+        if self.over_from_d is not None and len(self.over_from_d) != len(self.crossings):
             raise MalformedPD("one over flag per crossing required")
         n = 2 * len(self.crossings)
-        object.__setattr__(self, "mates", check_ends(self.crossings, self.over_from_d, n))
+        flags, _, mates = orient_ends(self.crossings, self.over_from_d, n)
+        object.__setattr__(self, "over_from_d", flags)
+        object.__setattr__(self, "mates", mates)
         for e in self.labels:
             if not (1 <= e <= n):
                 raise MalformedPD(f"label on unknown edge {e}")
@@ -191,17 +195,29 @@ def pair_ends(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(mate)
 
 
-def check_ends(
+def orient_ends(
     crossings: Sequence[Crossing],
-    over_from_d: Sequence[bool],
+    over_from_d: Sequence[bool] | None,
     n: int,
-    corners: Iterable[tuple[int, str]] = (),
-) -> tuple[int, ...]:
-    """Raise InconsistentEdges unless the edge ids are exactly 1..n with two
-    ends each, and OrientationError unless every edge has one head and one
-    tail. corners lists the extra (edge, flow) ends on a tangle's boundary;
-    an "in" corner is its edge's tail. Returns the mates (pair_ends)."""
-    corners = list(corners)
+    corners: Sequence[tuple[int, str | None]] = (),
+) -> tuple[tuple[bool, ...], tuple[str, ...], tuple[int, ...]]:
+    """Check or resolve the orientation of a diagram or tangle with edges
+    1..n. corners lists a tangle's boundary ends as (edge, flow); an "in"
+    corner is its edge's tail, and a flow of None is left to resolve.
+
+    Raises InconsistentEdges unless the edge ids are exactly 1..n with two
+    ends each, and pairs the ends once (pair_ends numbers them: the darts,
+    then the corners in order). Every end is a head or a tail: an end and
+    its mate differ, and so do ends k and k ^ 2 of a crossing. Slot a is a
+    head, and the flag of a crossing is whether its slot d is a head.
+
+    Given the flags and every flow, each edge is checked for one head and
+    one tail (OrientationError otherwise). Else they are resolved: seeds
+    propagate in turn, the under slots a, the given flags and flows, each
+    corner left open as entering, then, for a crossing whose over-strand
+    never passes under and so is genuinely ambiguous, a deterministic
+    numbering rule; a seed that contradicts another raises OrientationError.
+    Returns the flags, the flow at every corner and the mates."""
     ids = [e for x in crossings for e in x] + [e for e, _ in corners]
     for e in ids:
         if not isinstance(e, int) or e < 1 or e > n:
@@ -209,14 +225,54 @@ def check_ends(
     if len(ids) != 2 * n:
         raise InconsistentEdges(f"{len(ids)} edge ends for {n} edges, expected {2 * n}")
     mate = pair_ends(ids)
-    # slot a is a head, and slot d or b as the over-strand enters there
-    head = [s == 0 or s == (3 if f else 1) for f in over_from_d for s in range(4)]
-    head += [flow == "out" for _, flow in corners]
-    for k, m in enumerate(mate):
-        if head[k] == head[m]:
-            h = 2 * head[k]
-            raise OrientationError(f"edge {ids[k]} has {h} heads and {2 - h} tails")
-    return mate
+    flows = [f for _, f in corners]
+    if over_from_d is not None and None not in flows:
+        # slot a is a head, and slot d or b as the over-strand enters there
+        heads = [s == 0 or s == (3 if f else 1) for f in over_from_d for s in range(4)]
+        heads += [f == "out" for f in flows]
+        for k, m in enumerate(mate):
+            if heads[k] == heads[m]:
+                h = 2 * heads[k]
+                raise OrientationError(f"edge {ids[k]} has {h} heads and {2 - h} tails")
+        return tuple(over_from_d), tuple(flows), mate  # type: ignore[arg-type]
+
+    darts = 4 * len(crossings)
+    head: list[bool | None] = [None] * len(mate)
+
+    def seed(k: int, h: bool) -> None:
+        todo = [(k, h)]
+        while todo:
+            k, h = todo.pop()
+            if head[k] is None:
+                head[k] = h
+                todo.append((mate[k], not h))
+                if k < darts:
+                    todo.append((k ^ 2, not h))
+            elif head[k] != h:
+                raise OrientationError(f"conflicting orientation at edge end {k}")
+
+    for k in range(0, darts, 4):
+        seed(k, True)
+    for i, f in enumerate(over_from_d or ()):
+        seed(4 * i + 3, f)
+    for k, f in enumerate(flows, start=darts):
+        if f is not None:
+            seed(k, f != "in")
+    for k in range(darts, len(mate)):
+        if head[k] is None:
+            seed(k, False)
+    for i, x in enumerate(crossings):
+        if head[4 * i + 3] is None:
+            b, d = x[1], x[3]
+            if (b - d) % n == 1:
+                seed(4 * i + 3, True)
+            elif (d - b) % n == 1:
+                seed(4 * i + 3, False)
+            else:
+                seed(4 * i + 3, b > d)
+    flags = tuple(head[k] for k in range(3, darts, 4))
+    ends = tuple("out" if head[k] else "in" for k in range(darts, len(mate)))
+    return flags, ends, mate  # type: ignore[return-value]
 
 
 def find_root(parent: dict[int, int], e: int) -> int:
@@ -230,78 +286,6 @@ def find_root(parent: dict[int, int], e: int) -> int:
 def unknot() -> PlanarDiagram:
     """The crossing-free round unknot."""
     return PlanarDiagram((), (), free_loops=1)
-
-
-# -- orientation resolution ----------------------------------------------------
-
-
-def resolve_orientation(
-    crossings: Sequence[Crossing],
-    boundary: Mapping[str, int] | None = None,
-    flows: Mapping[str, str] | None = None,
-) -> tuple[tuple[bool, ...], dict[str, str]]:
-    """Recover the per-crossing over-strand directions from the tuples.
-
-    Every edge end is a head or a tail (pair_ends numbers them: the darts,
-    then the boundary corners of a tangle in order; a diagram is the case
-    with no corners). An end and its mate differ, and so do ends k and
-    k ^ 2 of a crossing; the flag of a crossing is whether its slot d is a
-    head. Seeds propagate in turn: the under slots a, the given flows at
-    the corners ("in" makes the corner its edge's tail), each corner left
-    open as entering, then, for a crossing whose over-strand never passes
-    under and so is genuinely ambiguous, a deterministic numbering rule.
-    Returns the flags and the flow at every corner.
-    """
-    boundary = boundary or {}
-    n = 4 * len(crossings)
-    at = {c: n + j for j, c in enumerate(boundary)}
-    mate = pair_ends([e for x in crossings for e in x] + list(boundary.values()))
-    head: list[bool | None] = [None] * len(mate)
-
-    def seed(k: int, h: bool) -> None:
-        todo = [(k, h)]
-        while todo:
-            k, h = todo.pop()
-            if head[k] is None:
-                head[k] = h
-                todo.append((mate[k], not h))
-                if k < n:
-                    todo.append((k ^ 2, not h))
-            elif head[k] != h:
-                raise OrientationError(f"conflicting orientation at edge end {k}")
-
-    for k in range(0, n, 4):
-        seed(k, True)
-    for c, f in (flows or {}).items():
-        seed(at[c], f != "in")
-    for k in at.values():
-        if head[k] is None:
-            seed(k, False)
-    edges = len(mate) // 2
-    for i, x in enumerate(crossings):
-        if head[4 * i + 3] is None:
-            b, d = x[1], x[3]
-            if (b - d) % edges == 1:
-                seed(4 * i + 3, True)
-            elif (d - b) % edges == 1:
-                seed(4 * i + 3, False)
-            else:
-                seed(4 * i + 3, b > d)
-    flags = tuple(head[k] for k in range(3, n, 4))
-    return flags, {c: "out" if head[k] else "in" for c, k in at.items()}  # type: ignore[return-value]
-
-
-def diagram_from_tuples(
-    tuples: Iterable[Sequence[int]],
-    free_loops: int = 0,
-    labels: Mapping[int, str] | None = None,
-    flags: Sequence[bool] | None = None,
-    meta: object = None,
-) -> PlanarDiagram:
-    xs = tuple(Crossing(*map(int, t)) for t in tuples)
-    if flags is None:
-        flags, _ = resolve_orientation(xs)
-    return PlanarDiagram(xs, tuple(flags), free_loops, dict(labels or {}), meta)
 
 
 # -- parsing and serialization ---------------------------------------------------
@@ -345,15 +329,15 @@ def parse_pd(source) -> PlanarDiagram:
         return _parse_doc(doc)
     tokens = s.split()
     cap_crossings(len(tokens), MalformedPD)
-    tuples = []
+    xs = []
     for tok in tokens:
         m = _PD_TERM.match(tok)
         if not m:
             raise MalformedPD(f"bad PD term {tok!r}")
-        tuples.append(tuple(int(g) for g in m.groups()))
-    if not tuples:
+        xs.append(Crossing(*map(int, m.groups())))
+    if not xs:
         raise MalformedPD("no crossings in PD text")
-    return diagram_from_tuples(tuples)
+    return PlanarDiagram(tuple(xs))
 
 
 def _parse_doc(doc: Mapping) -> PlanarDiagram:
@@ -361,18 +345,18 @@ def _parse_doc(doc: Mapping) -> PlanarDiagram:
         raise MalformedPD("document lacks 'crossings'")
     try:
         cap_crossings(len(doc["crossings"]), MalformedPD)
-        tuples = []
+        xs = []
         for row in doc["crossings"]:
             if len(row) != 4:
                 raise MalformedPD(f"crossing {row!r} is not a 4-tuple")
-            tuples.append(tuple(json_int(v, MalformedPD) for v in row))
+            xs.append(Crossing(*(json_int(v, MalformedPD) for v in row)))
         labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}
         free_loops = json_int(doc.get("free_loops", 0), MalformedPD)
     except (TypeError, ValueError, AttributeError) as exc:
         raise MalformedPD(f"malformed diagram document: {exc}") from exc
-    if not tuples and free_loops == 0:
+    if not xs and free_loops == 0:
         raise MalformedPD("empty diagram document")
-    return diagram_from_tuples(tuples, free_loops=free_loops, labels=labels)
+    return PlanarDiagram(tuple(xs), None, free_loops, labels)
 
 
 def to_text(d: PlanarDiagram) -> str:

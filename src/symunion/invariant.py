@@ -253,34 +253,28 @@ def _parity(seq: Sequence[int]) -> int:
 
 
 def _block_width(block: Sequence[Sequence[dict[int, int]]]) -> int:
-    """The packing width B of _block_det, from the least of four bounds on
-    the coefficients of det S. Shifting a row or a column changes no norm
-    below.
+    """The packing width B of _block_det, from the lesser of Hadamard's
+    bounds on the coefficients of det S over rows and over columns.
+    Shifting a row or a column changes neither.
 
-    - The l1 product over rows, prod_i sum_j ||S_ij||_1: every coefficient
-      is at most ||det S||_1, which by the Leibniz expansion and the
-      triangle inequality is at most sum over permutations s of
-      prod_i ||S_i,s(i)||_1; the product of the row sums expands to every
-      such term and more, all nonnegative.
-    - The l1 product over columns, the same for the transpose.
-    - Hadamard's bound over rows, prod_i sqrt(sum_j ||S_ij||_1^2): the
-      coefficient of t^e in det S is the mean of det S(z) z^-e over
-      |z| = 1, so it is at most the largest |det S(z)| there, which by
-      Hadamard's inequality is at most the product of the rows' Euclidean
-      norms, and |S_ij(z)| <= ||S_ij||_1 on |z| = 1.
-    - Hadamard's bound over columns, the same for the transpose.
+    Over rows the bound is prod_i sqrt(sum_j ||S_ij||_1^2): the coefficient
+    of t^e in det S is the mean of det S(z) z^-e over |z| = 1, so it is at
+    most the largest |det S(z)| there, which by Hadamard's inequality is at
+    most the product of the rows' Euclidean norms, and |S_ij(z)| <=
+    ||S_ij||_1 on |z| = 1. Over columns it is the same for the transpose.
+    Each is at most the l1 product prod_i sum_j ||S_ij||_1 (a Euclidean
+    norm is at most the l1 norm), so no l1 bound can be less.
 
     A coefficient is an integer, so it is at most the integer square root
-    of the squared Hadamard bound. B - 1 is the bit length of the least
-    bound, so every coefficient is below 2^(B - 1)."""
+    of the squared bound. B - 1 is the bit length of the lesser bound, so
+    every coefficient is below 2^(B - 1)."""
     rows = [[sum(map(abs, p.values())) for p in row] for row in block]
-    cols = list(zip(*rows))
     return width(
-        min(
-            math.prod(map(sum, rows)),
-            math.prod(map(sum, cols)),
-            math.isqrt(math.prod([sum(map(mul, r, r)) for r in rows])),
-            math.isqrt(math.prod([sum(map(mul, c, c)) for c in cols])),
+        math.isqrt(
+            min(
+                math.prod([sum(map(mul, r, r)) for r in rows]),
+                math.prod([sum(map(mul, c, c)) for c in zip(*rows)]),
+            )
         )
     )
 
@@ -548,11 +542,6 @@ def _smooth(
     return made, loops
 
 
-# The link patterns _bound tries, by number of slots: every perfect matching.
-# A unit has at most four slots (_boxes).
-_LINKS = {0: ((),), 2: ((1, 0),), 4: ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
-
-
 def _bound(smoothings: Sequence[_Smoothing]) -> int:
     """How much one unit can multiply the l1 norm of the live coefficients.
 
@@ -562,12 +551,16 @@ def _bound(smoothings: Sequence[_Smoothing]) -> int:
     has l1 norm 2^L. The bound is the most that the sum of ||W||_1 2^L
     reaches over the link patterns. Adding a link never removes a loop, so
     the patterns that link every slot are enough: the perfect matchings of
-    the unit's 0, 2 or 4 slots (_LINKS). On 2k slots, a smoothing and a
-    pattern close k loops when they pair the slots alike, else one."""
-    return max(
-        sum(sum(map(abs, cs)) << _smooth(mate, m, {})[1] for mate, _, cs in smoothings)
-        for m in _LINKS[len(smoothings[0][0])]
-    )
+    the unit's 2k = 0, 2 or 4 slots (_boxes). A smoothing and such a
+    pattern close k loops when they pair the slots alike, else one (two
+    distinct matchings of at most four slots form one cycle). The
+    smoothings pair the slots in distinct ways (_box_unit merges them by
+    pairing), so a pattern matches at most one, and the most is reached at
+    the pattern of the smoothing with the largest ||W||_1:
+    2 sum ||W||_1 + (2^k - 2) max ||W||_1."""
+    norms = [sum(map(abs, cs)) for _, _, cs in smoothings]
+    k = len(smoothings[0][0]) // 2
+    return 2 * sum(norms) + ((1 << k) - 2) * max(norms)
 
 
 # A crossing's two smoothings, with weights A and A^-1, and their bound (6).

@@ -16,7 +16,6 @@ OrientationMismatch.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -26,11 +25,10 @@ from .diagram import (
     OrientationError,
     PlanarDiagram,
     cap_crossings,
-    check_ends,
     find_root,
     json_int,
+    orient_ends,
     pair_ends,
-    resolve_orientation,
 )
 
 CORNERS = ("NW", "NE", "SW", "SE")
@@ -48,38 +46,36 @@ class BadParameter(TangleError):
     pass
 
 
-@contextmanager
-def _as_tangle_errors():
-    """Edge and orientation failures the diagram layer finds in tangle
-    data surface as this module's errors."""
-    try:
-        yield
-    except InconsistentEdges as exc:
-        raise TangleError(str(exc)) from exc
-    except OrientationError as exc:
-        raise OrientationMismatch(str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class Tangle:
     crossings: tuple[Crossing, ...]
-    over_from_d: tuple[bool, ...]
+    # None, and corners left out of flows: resolved from the edge ids
+    # (diagram.orient_ends)
+    over_from_d: tuple[bool, ...] | None
     boundary: Mapping[str, int]
     flows: Mapping[str, str]
     closed_loops: int = 0
 
     def __post_init__(self):
-        if set(self.boundary) != set(CORNERS) or set(self.flows) != set(CORNERS):
-            raise TangleError("boundary and flows must cover NW, NE, SW, SE")
+        if set(self.boundary) != set(CORNERS) or not set(self.flows) <= set(CORNERS):
+            raise TangleError("boundary must cover NW, NE, SW, SE, and flows name only those")
         if any(v not in ("in", "out") for v in self.flows.values()):
             raise TangleError("flows are 'in' or 'out'")
-        if len(self.over_from_d) != len(self.crossings):
+        if self.over_from_d is not None and len(self.over_from_d) != len(self.crossings):
             raise TangleError("one over flag per crossing required")
         if self.closed_loops < 0:
             raise TangleError("negative closed_loops")
-        corners = [(self.boundary[c], self.flows[c]) for c in CORNERS]
-        with _as_tangle_errors():
-            mates = check_ends(self.crossings, self.over_from_d, self.edge_count, corners)
+        corners = [(self.boundary[c], self.flows.get(c)) for c in CORNERS]
+        try:
+            flags, flows, mates = orient_ends(
+                self.crossings, self.over_from_d, self.edge_count, corners
+            )
+        except InconsistentEdges as exc:
+            raise TangleError(str(exc)) from exc
+        except OrientationError as exc:
+            raise OrientationMismatch(str(exc)) from exc
+        object.__setattr__(self, "over_from_d", flags)
+        object.__setattr__(self, "flows", dict(zip(CORNERS, flows)))
         object.__setattr__(self, "mates", mates)
 
     @property
@@ -452,8 +448,6 @@ def parse_tangle(doc: Mapping) -> Tangle:
         boundary = {c: json_int(doc["boundary"][c], TangleError) for c in CORNERS}
         flows = {c: str(doc["flows"][c]) for c in CORNERS} if "flows" in doc else {}
         loops = json_int(doc.get("closed_loops", 0), TangleError)
-        with _as_tangle_errors():
-            flags, resolved = resolve_orientation(xs, boundary, flows)
+        return Tangle(xs, None, boundary, flows, loops)
     except (TypeError, KeyError, AttributeError) as exc:
         raise TangleError(f"malformed tangle document: {exc!r}") from exc
-    return Tangle(xs, flags, boundary, flows or resolved, loops)

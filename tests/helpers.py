@@ -6,8 +6,9 @@ monicity check, the slopes of rational tangles, the rank of a
 presentation's abelianization, the exhaustive attachment search the
 builder's face rule is checked against, the strand-reversal searches
 tangle.orient replaced, dense matrices as the sparse rows det_laurent
-takes, a generator of small random union specs, a chain of circles, and
-the unions of the benchmark's scaling-family pool."""
+takes, a generator of small random union specs, a chain of circles, the
+unions of the benchmark's scaling-family pool, and the bracket sweep's
+unit bound by enumerating link patterns."""
 
 import itertools
 import json
@@ -19,8 +20,9 @@ from pathlib import Path
 from symunion import construct, tangle
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
-from symunion.diagram import Crossing, PlanarDiagram, along_orientation, diagram_from_tuples
+from symunion.diagram import Crossing, PlanarDiagram, along_orientation
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
+from symunion.invariant import _smooth
 from symunion.poly import (
     ConwayPoly,
     LaurentPoly,
@@ -191,7 +193,7 @@ def circle_chain(k):
         inner_left, inner_right = edge(f"inner_left{i + 1}"), edge(f"inner_right{i}")
         rows.append((top(i + 1), top(i), inner_left, inner_right))
         rows.append((inner_left, bottom(i), bottom(i + 1), inner_right))
-    return diagram_from_tuples(rows)
+    return PlanarDiagram(tuple(Crossing(*row) for row in rows))
 
 
 _TERM_RE = re.compile(
@@ -400,3 +402,18 @@ def sweep_order_unpruned(nbrs) -> list[int]:
             i = min(touching or left, key=lambda j: (change(j, swept), j))
         runs.append(((peak, cost), start, order))
     return min(runs)[2]
+
+
+# The link patterns bound_by_link_patterns tries, by number of slots: every
+# perfect matching. A unit has at most four slots.
+LINKS = {0: ((),), 2: ((1, 0),), 4: ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
+
+
+def bound_by_link_patterns(smoothings) -> int:
+    """invariant._bound by enumeration: the most that the sum of
+    ||W||_1 2^L over a unit's smoothings reaches over the perfect matchings
+    of its slots, with the L loops each closes counted by _smooth."""
+    return max(
+        sum(sum(map(abs, cs)) << _smooth(mate, m, {})[1] for mate, _, cs in smoothings)
+        for m in LINKS[len(smoothings[0][0])]
+    )

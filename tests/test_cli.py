@@ -1,7 +1,9 @@
 """End-to-end runs of the command line front end, including exit codes."""
 
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +367,13 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", str(spec_path), "--theorem1")
         assert rc == 1
         assert "FAIL" in out
+
+
+def test_verify_documents_match_the_pin_file():
+    """`verify --format doc` on the 7 corpus specs, exit status and output
+    byte for byte, as scripts/pin_verify_docs.py wrote them."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "pin_verify_docs.py"
+    loader = importlib.util.spec_from_file_location("pin_verify_docs", path)
+    pins = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(pins)
+    assert pins.documents() == json.loads(pins.PIN_FILE.read_text())

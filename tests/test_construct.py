@@ -30,8 +30,8 @@ from symunion.construct import (
     to_spec_doc,
 )
 from symunion.diagram import (
+    Crossing,
     PlanarDiagram,
-    diagram_from_tuples,
     over_arcs,
     parse_pd,
     writhe,
@@ -148,7 +148,7 @@ class TestMultiRegion:
 
     def test_a_non_planar_partial_is_refused_as_an_insertion(self):
         # a two-crossing virtual knot: its face walk finds 2 faces, not 4
-        virtual = diagram_from_tuples([(4, 1, 2, 3), (3, 2, 4, 1)])
+        virtual = PlanarDiagram((Crossing(4, 1, 2, 3), Crossing(3, 2, 4, 1)))
         for spec in (
             SymUnionSpec(virtual, (1,), ()),
             SymUnionSpec(virtual, (1, 4), (vertical_twists(2),)),

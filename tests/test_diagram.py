@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import circle_chain, renumber_edges
+from symunion import diagram, tangle
 from symunion.diagram import (
     Crossing,
     DisconnectedDiagram,
@@ -12,12 +13,10 @@ from symunion.diagram import (
     NotPlanar,
     OrientationError,
     PlanarDiagram,
-    check_ends,
-    diagram_from_tuples,
     faces,
     mirror,
+    orient_ends,
     parse_pd,
-    resolve_orientation,
     to_doc,
     to_text,
     unknot,
@@ -26,7 +25,13 @@ from symunion.diagram import (
 )
 from symunion.construct import build_all_zero_replacement
 from symunion.corpus import SPEC_FIXTURES
-from symunion.tangle import numerator, rational_tangle, vertical_stack
+from symunion.tangle import (
+    numerator,
+    parse_tangle,
+    rational_tangle,
+    to_tangle_doc,
+    vertical_stack,
+)
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -235,7 +240,8 @@ def test_connected_sum_counts():
 
 
 def test_from_tuples_matches_parse(trefoil):
-    built = diagram_from_tuples([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
+    rows = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
+    built = PlanarDiagram(tuple(Crossing(*row) for row in rows))
     assert built == trefoil
     assert built.crossings[0] == Crossing(1, 4, 2, 5)
 
@@ -244,9 +250,10 @@ def test_meta_ignored_by_equality(trefoil):
     assert PlanarDiagram(trefoil.crossings, trefoil.over_from_d, meta=("anything",)) == trefoil
 
 
-# check_ends counts ends into lists indexed by edge id; each case pins the
-# exception the dict-based count raised, including the ids a list index
-# would take differently (off the range, negative, bool, str)
+# each case pins the exception the dict-based count of edge ends raised,
+# including the ids a list index would take differently (off the range,
+# negative, bool, str); an edge-id error comes before the flags and flows
+# are checked or resolved
 TREFOIL_ROWS = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 TREFOIL_FLAGS = (False, False, False)
 OPEN_PAIR = [(1, "in"), (1, "out"), (2, "in"), (2, "out")]
@@ -276,14 +283,17 @@ OPEN_PAIR = [(1, "in"), (1, "out"), (2, "in"), (2, "out")]
 def test_check_ends_raises_as_before(rows, flags, n, corners, error):
     xs = [Crossing(*row) for row in rows]
     if error is None:
-        check_ends(xs, flags, n, corners)
+        orient_ends(xs, flags, n, corners)
     else:
         with pytest.raises(error):
-            check_ends(xs, flags, n, corners)
+            orient_ends(xs, flags, n, corners)
+    if error is InconsistentEdges:
+        with pytest.raises(error):
+            orient_ends(xs, None, n, [(e, None) for e, _ in corners])
 
 
 # The first circle of circle_chain(3) passes over at both of its crossings,
-# so no under slot orients it: resolve_orientation falls back on the edge
+# so no under slot orients it: orient_ends falls back on the edge
 # numbering at crossing 0, over slots b and d, with n = 8 edges. Each
 # relabeling takes one branch of that rule.
 @pytest.mark.parametrize(
@@ -304,8 +314,41 @@ def test_orientation_fallback_follows_the_numbering(perm, flags):
         assert not flags[0]
     else:
         assert flags[0] == (b > d)
-    assert resolve_orientation(xs) == (flags, {})
+    assert orient_ends(xs, None, 8)[:2] == (flags, ())
+    assert PlanarDiagram(tuple(xs)).over_from_d == flags
     PlanarDiagram(tuple(xs), flags)
+
+
+def _unflowed(doc):
+    return {k: v for k, v in doc.items() if k != "flows"}
+
+
+@pytest.mark.parametrize(
+    "parse, source",
+    [
+        (parse_pd, TREFOIL),
+        (parse_pd, json.dumps({"crossings": TREFOIL_ROWS, "free_loops": 0})),
+        (parse_pd, {"crossings": TREFOIL_ROWS, "labels": {"1": "a0"}}),
+        (parse_tangle, to_tangle_doc(rational_tangle([1, 1, 2]))),
+        (parse_tangle, _unflowed(to_tangle_doc(rational_tangle([1, 1, 2])))),
+    ],
+    ids=["pd text", "pd json", "pd document", "tangle", "tangle without flows"],
+)
+def test_parsing_pairs_the_ends_once(parse, source, monkeypatch):
+    calls = []
+    real = diagram.pair_ends
+
+    def counted(ids):
+        calls.append(ids)
+        return real(ids)
+
+    monkeypatch.setattr(diagram, "pair_ends", counted)
+    monkeypatch.setattr(tangle, "pair_ends", counted)
+    parsed = parse(source)
+    assert len(calls) == 1
+    # the parsed value keeps those mates: reading them pairs nothing again
+    assert parsed.mates == real(calls[0])
+    assert len(calls) == 1
 
 
 def test_renumber_walks_the_start_component_then_the_rest_by_lowest_id():

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 import random
 import threading
 from pathlib import Path
@@ -13,6 +14,7 @@ import symunion.invariant as inv
 from bracket_oracle import bracket_naive
 from helpers import (
     FAMILY_POOL,
+    bound_by_link_patterns,
     circle_chain,
     display_form,
     parse_poly,
@@ -282,6 +284,43 @@ def test_bareiss_pivot_needs_a_row_and_a_column_swap():
     ):
         assert det_laurent(sparse(rows)) == leibniz(rows)
         assert det_laurent(sparse([row[::-1] for row in rows[::-1]])) == leibniz(rows)
+
+
+def block_width_with_l1_bounds(block):
+    """_block_width as it was with the l1 products over rows and over
+    columns beside Hadamard's two bounds: the least of the four."""
+    rows = [[sum(map(abs, p.values())) for p in row] for row in block]
+    cols = list(zip(*rows))
+    return inv.width(
+        min(
+            math.prod(map(sum, rows)),
+            math.prod(map(sum, cols)),
+            math.isqrt(math.prod([sum(x * x for x in r) for r in rows])),
+            math.isqrt(math.prod([sum(x * x for x in c) for c in cols])),
+        )
+    )
+
+
+@given(shifted(unit_free_matrices()))
+@settings(max_examples=100, deadline=None)
+def test_block_width_matches_the_four_bounds(rows):
+    block = [[p.to_dict() for p in row] for row in rows]
+    assert inv._block_width(block) == block_width_with_l1_bounds(block)
+
+
+def test_block_width_matches_the_four_bounds_on_the_determinants_of_unions():
+    blocks = []
+    real = inv._block_width
+    diagrams = [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
+    diagrams += [pool_variant(f"x{n}/v00") for n in (15, 30, 47, 68)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_block_width", lambda block: blocks.append(block) or real(block))
+        for d in diagrams:
+            alexander_region(d)
+            alexander_fox(wirtinger(d))
+    assert len(blocks) >= len(diagrams) and max(map(len, blocks)) >= 3
+    for block in blocks:
+        assert real(block) == block_width_with_l1_bounds(block)
 
 
 def test_bareiss_checks_each_division(monkeypatch):
@@ -781,6 +820,21 @@ def test_crossing_bound_is_six():
     # A + A^-1 when no slot is linked; 1 * 4 + 1 * 2 when both pairs of
     # one smoothing are linked and close two loops
     assert inv._CROSSING_BOUND == 6
+
+
+def test_bound_matches_the_link_pattern_enumeration():
+    """The closed form of _bound against the enumeration over the perfect
+    matchings of a unit's slots, on every unit of the pool, the corpus and
+    chains of circles."""
+    diagrams = [pool_variant(k) for k in sorted(FAMILY_POOL)]
+    diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
+    diagrams += list(corpus.DIAGRAM_FIXTURES.values())
+    diagrams += [circle_chain(k) for k in range(2, 9)]
+    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d))]
+    assert {len(u.slots) for u in units} == {0, 2, 4}
+    assert inv._bound(inv._SMOOTHINGS) == bound_by_link_patterns(inv._SMOOTHINGS) == 6
+    for u in units:
+        assert u.bound == bound_by_link_patterns(u.smoothings)
 
 
 def test_box_bounds_match_the_brute_force_bound():

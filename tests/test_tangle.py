@@ -374,6 +374,20 @@ class TestValidation:
             )
 
 
+    def test_flags_without_flows_resolve_the_flows(self):
+        for t in (horizontal_twists(2), vertical_twists(-3), kt_tangle(3), rational_tangle([])):
+            for given in ({}, {"NW": t.flows["NW"]}):
+                assert Tangle(t.crossings, t.over_from_d, t.boundary, given) == t
+        # one crossing, whose over-strand enters at NW and passes under
+        # nowhere: only its flag orients it
+        t = horizontal_twists(1)
+        flipped = (not t.over_from_d[0],)
+        assert t.flows["NW"] == "in"
+        assert Tangle(t.crossings, flipped, t.boundary, {}).flows["NW"] == "out"
+        with pytest.raises(OrientationMismatch):
+            Tangle(t.crossings, flipped, t.boundary, {"NW": "in"})
+
+
 class TestKey:
     """Tangle.key keys caches by content (the shared numerator closures),
     so it must agree with == on every field."""

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the two Alexander routes on the scaling family and check them.
+"""Time the two Alexander routes and the Jones polynomial on the scaling
+family and check them.
 
 The family member for m carries kt(m) x 4 over the 12-crossing rational
 knot N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings. Its marked arcs are the
@@ -12,9 +13,11 @@ times of the region-route and Fox-route determinants, and for each route
 the size k of the block left once no unit pivot remains, the packing
 width B of that block, and the process seconds of one run of each phase:
 phase 1 (the unit pivots, invariant._unit_pivots) and phase 2 (the block's
-Bareiss, invariant._block_det). It exits 1 unless both routes give the
-polynomial the product formula predicts, Delta(partial)^2 prod
-Delta(N(kt(m))).
+Bareiss, invariant._block_det). Last come the process seconds of one
+jones(k), the Kauffman-bracket sweep. It exits 1 unless both routes give
+the polynomial the product formula predicts, Delta(partial)^2 prod
+Delta(N(kt(m))), and unless |V(-1)| = |Delta(-1)|: both are the knot's
+determinant, so the bracket is checked at every size the script runs.
 
     python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
 """
@@ -32,6 +35,7 @@ from symunion.invariant import (
     det_laurent,
     flanking_faces,
     fox_jacobian,
+    jones,
     reduced,
 )
 from symunion.poly import normalize_alexander
@@ -100,7 +104,7 @@ def main() -> int:
     half = alexander_region(PARTIAL)
     failures = 0
     print("crossings     m   region_s      fox_s  region k/B  phase1_s  phase2_s"
-          "   fox k/B  phase1_s  phase2_s  ok")
+          "   fox k/B  phase1_s  phase2_s   jones_s  ok")
     for m in args.m:
         k = member(m)
         want = half * half
@@ -110,12 +114,16 @@ def main() -> int:
         rrows, frows = region_rows(k), fox_rows(k)
         t_region, d_region = best_time(rrows, args.repeat)
         t_fox, d_fox = best_time(frows, args.repeat)
+        t0 = time.process_time()
+        v = jones(k)
+        t_jones = time.process_time() - t0
         ok = normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True) == want
+        ok = ok and abs(v.evaluate(-1)) == abs(want.evaluate(-1))
         failures += not ok
         (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
-              f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f}  "
-              f"{'yes' if ok else 'NO'}")
+              f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f} "
+              f"{t_jones:9.3f}  {'yes' if ok else 'NO'}")
     return 1 if failures else 0
 
 

@@ -112,7 +112,9 @@ def cmd_invariants(args) -> int:
                 doc["conway"] = "0"
                 lines.append("conway: 0")
 
-    if args.jones or run_all:
+    # by default a link gets no Jones, as it gets no Conway form; asked for,
+    # jones refuses it (exit 2)
+    if args.jones or (run_all and knot):
         v = jones(d)
         doc["jones"] = v.text()
         lines.append(f"jones: {v.text()}")

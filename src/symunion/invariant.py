@@ -769,6 +769,21 @@ def _sweep(
     return states, frontier
 
 
+def _unit_graph(d: PlanarDiagram, boxes: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The graph _sweep_order takes: for each box, the box at the far end
+    of each edge that leaves it. An edge inside a box never opens."""
+    unit_of = {ci: i for i, box in enumerate(boxes) for ci in box}
+    nbrs: list[list[int]] = [[] for _ in boxes]
+    for k, m in enumerate(d.mates):
+        if k > m:  # each edge once, from its first end
+            continue
+        u, v = unit_of[k >> 2], unit_of[m >> 2]
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
+
+
 def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
     """Process units in an order that keeps the frontier of open edges
     narrow. nbrs[i] lists the unit at the far end of each edge that leaves
@@ -781,37 +796,71 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
 
     The sweep ranks candidates by one integer, key[j] = change * n + j,
     where change is j's degree less twice its swept neighbours: key[j] // n
-    is the change and the order of keys is the order of (change, j)."""
+    is the change and the order of keys is the order of (change, j).
+
+    Each step of a sweep depends only on the set S of units swept so far:
+    key[j] counts j's neighbours in S, the candidates are the unswept
+    neighbours of S (all unswept units when S has none), and the width is
+    the number of edges that leave S. So two sweeps that reach the same S
+    go on alike, and the rest of the sweep after S, its peak and its cost,
+    is a function of S. memo keeps, for each S (a bitmask) on the path of a
+    sweep that was not stopped, the next unit and that rest; the full set
+    has no next unit and an empty rest. A sweep that reaches a kept S ends
+    there with the score the whole sweep would reach, (max(peak, rest
+    peak), cost + rest cost), so each start wins or loses as it would
+    without memo, and the winning order is read back from memo."""
     n = len(nbrs)
     base = [len(nbrs[j]) * n + j for j in range(n)]
     step = 2 * n
-    best: list[int] = []
-    best_score = None
+    # swept set -> (next unit, peak width after it, cost after it)
+    memo: dict[int, tuple[int, int, int]] = {(1 << n) - 1: (-1, 0, 0)}
+    # a width never exceeds the number of edge ends, so any whole sweep wins
+    best_start, best_score = -1, (sum(map(len, nbrs)) + 1, 0)
     for start in range(n):
         key = list(base)
-        left = set(range(n))
         touching: set[int] = set()
-        order: list[int] = []
-        width = peak = cost = 0
+        path: list[tuple[int, int, int]] = []  # (swept set, unit added, width)
+        swept = width = peak = cost = 0
+        left = n
         i = start
         while True:
-            order.append(i)
-            left.remove(i)
+            swept |= 1 << i
+            left -= 1
             touching.discard(i)
             width += key[i] // n
-            peak = max(peak, width)
+            if width > peak:
+                peak = width
             cost += 1 << (width >> 1)
-            if best_score is not None and (peak, cost + len(left)) >= best_score:
-                break  # can no longer beat the best sweep
-            if not left:
-                best, best_score = order, (peak, cost)
+            path.append((swept, i, width))
+            rest = memo.get(swept)
+            if rest is not None:
                 break
+            if (peak, cost + left) >= best_score:
+                break  # can no longer beat the best sweep
             for j in nbrs[i]:
                 key[j] -= step
-                if j in left:
+                if not swept >> j & 1:
                     touching.add(j)
-            i = min(touching or left, key=key.__getitem__)
-    return best
+            i = min(
+                touching or [j for j in range(n) if not swept >> j & 1],
+                key=key.__getitem__,
+            )
+        if rest is None:
+            continue
+        _, rest_peak, rest_cost = rest
+        score = (max(peak, rest_peak), cost + rest_cost)
+        if score < best_score:
+            best_start, best_score = start, score
+        # back along the path: each swept set, with the step that follows it
+        for (s, _, _), (_, j, w) in zip(path[-2::-1], path[:0:-1]):
+            rest_peak, rest_cost = max(rest_peak, w), rest_cost + (1 << (w >> 1))
+            memo[s] = (j, rest_peak, rest_cost)
+    order, swept, i = [], 0, best_start
+    while i >= 0:
+        order.append(i)
+        swept |= 1 << i
+        i = memo[swept][0]
+    return order
 
 
 def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
@@ -837,17 +886,8 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
         raise NoCrossings("bracket of a crossing-free diagram is handled upstream")
     boxes = _boxes(d, planar_faces(d))
     units = [_box_unit(d, box, cancel) for box in boxes]
-    unit_of = {ci: i for i, box in enumerate(boxes) for ci in box}
-    nbrs: list[list[int]] = [[] for _ in units]
-    for k, m in enumerate(d.mates):
-        if k > m:  # each edge once, from its first end
-            continue
-        u, v = unit_of[k >> 2], unit_of[m >> 2]
-        if u != v:  # an edge inside a box never opens
-            nbrs[u].append(v)
-            nbrs[v].append(u)
     bits = _width(units)
-    states, _ = _sweep([units[i] for i in _sweep_order(nbrs)], bits, cancel)
+    states, _ = _sweep([units[i] for i in _sweep_order(_unit_graph(d, boxes))], bits, cancel)
     if set(states) != {()}:
         raise InvariantError("open strands left after processing all crossings")
     lo, p = states[()]

@@ -112,28 +112,57 @@ def width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
+# The fewest slots at which pack and unpack split their input in halves
+# rather than take one loop, whose every step costs the size of the whole
+# integer; measured on both sides in CHANGES.md.
+_SPLIT_SLOTS = 128
+
+
 def pack(pairs: Iterable[tuple[int, int]], bits: int, lo: int = 0) -> int:
     """sum c 2^(bits (j - lo)) over the (j, c) pairs, j >= lo: the
-    polynomial sum c x^(j - lo) at x = 2^bits."""
-    out = 0
-    for j, c in pairs:
-        out += c << bits * (j - lo)
-    return out
+    polynomial sum c x^(j - lo) at x = 2^bits. From _SPLIT_SLOTS pairs on,
+    the pairs are sorted by j and each half is packed from its own lowest j,
+    so the sums cost the size of their halves."""
+    pairs = list(pairs)
+    if len(pairs) < _SPLIT_SLOTS:
+        out = 0
+        for j, c in pairs:
+            out += c << bits * (j - lo)
+        return out
+    pairs.sort()
+    h = len(pairs) // 2
+    mid = pairs[h][0]
+    return pack(pairs[:h], bits, lo) + (pack(pairs[h:], bits, mid) << bits * (mid - lo))
 
 
 def unpack(p: int, bits: int) -> tuple[int, ...]:
     """The coefficients packed in p at width bits, lowest first, read as
     balanced digits: each lies in [-2^(bits-1), 2^(bits-1)). No trailing
-    zero is returned; 0 unpacks to ()."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    out = []
-    while p:
-        c = p & mask
-        if c >= half:
-            c -= mask + 1
-        out.append(c)
-        p = (p - c) >> bits
-    return tuple(out)
+    zero is returned; 0 unpacks to ().
+
+    From _SPLIT_SLOTS slots on, p is split after its first h slots. The
+    loop's digit j depends only on p mod 2^(bits (j + 1)), so r = p mod
+    2^(bits h) unpacks to p's first h digits, then a carry: their value L
+    lies in (-2^(bits h), 2^(bits h - 1)), so r = L, or r = L + 2^(bits h)
+    with one more digit 1. p's other digits are those of (p - L) / 2^(bits h)
+    = floor(p / 2^(bits h)) + carry, which is not 0 as p has 2h slots or
+    more. (L need not be the balanced residue of p mod 2^(bits h): a top
+    digit of -2^(bits - 1) can take it below -2^(bits h - 1).)"""
+    n = p.bit_length() // bits
+    if n < _SPLIT_SLOTS:
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        out = []
+        while p:
+            c = p & mask
+            if c >= half:
+                c -= mask + 1
+            out.append(c)
+            p = (p - c) >> bits
+        return tuple(out)
+    h = n // 2
+    low = unpack(p & (1 << bits * h) - 1, bits)
+    high = unpack((p >> bits * h) + (len(low) > h), bits)
+    return low[:h] + (0,) * (h - len(low)) + high
 
 
 class _IntPoly:

@@ -7,8 +7,10 @@ presentation's abelianization, the exhaustive attachment search the
 builder's face rule is checked against, the strand-reversal searches
 tangle.orient replaced, dense matrices as the sparse rows det_laurent
 takes, a generator of small random union specs, a chain of circles, the
-unions of the benchmark's scaling-family pool, and the bracket sweep's
-unit bound by enumerating link patterns."""
+unions of the benchmark's scaling-family pool, cylinder grids and the
+unpruned search for the bracket sweep's order, the bracket sweep's unit
+bound by enumerating link patterns, and the loops pack and unpack split
+into halves."""
 
 import itertools
 import json
@@ -370,14 +372,32 @@ def pool_variant(key: str) -> PlanarDiagram:
     )
 
 
+def cylinder_grid(rows: int, cols: int) -> list[list[int]]:
+    """The graph of a rows x cols grid wrapped around a cylinder, as the
+    nbrs lists invariant._sweep_order takes: unit r * cols + c is joined to
+    its neighbours along the row (cyclically) and the column. With cols >= 3
+    there are no double edges, as in the unit graph of a diagram without
+    bigons, and greedy sweeps from different starts seldom reach the same
+    swept set."""
+    nbrs: list[list[int]] = [[] for _ in range(rows * cols)]
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            far = [r * cols + (c + 1) % cols] + ([u + cols] if r + 1 < rows else [])
+            for v in far:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+    return nbrs
+
+
 def sweep_order_unpruned(nbrs) -> list[int]:
-    """invariant._sweep_order without its pruning: the greedy sweep from
-    every start unit runs to the end. Adding unit i changes the number of
-    open edges by its degree less twice its edges to the swept units; each
-    step adds, among the units that touch the swept ones (else among all
-    that are left), the one with the least change, ties by index. The
-    least (peak width, sum of 2^(width/2)) wins, the earliest start on a
-    tie."""
+    """invariant._sweep_order without its pruning and its memo: the greedy
+    sweep from every start unit runs to the end. Adding unit i changes the
+    number of open edges by its degree less twice its edges to the swept
+    units; each step adds, among the units that touch the swept ones (else
+    among all that are left), the one with the least change, ties by index.
+    The least (peak width, sum of 2^(width/2)) wins, the earliest start on
+    a tie."""
     n = len(nbrs)
 
     def change(j, swept):
@@ -417,3 +437,27 @@ def bound_by_link_patterns(smoothings) -> int:
         sum(sum(map(abs, cs)) << _smooth(mate, m, {})[1] for mate, _, cs in smoothings)
         for m in LINKS[len(smoothings[0][0])]
     )
+
+
+def pack_by_loop(pairs, bits: int, lo: int = 0) -> int:
+    """poly.pack as one loop, each coefficient shifted and added into the
+    whole sum; the oracle for pack's split into halves."""
+    out = 0
+    for j, c in pairs:
+        out += c << bits * (j - lo)
+    return out
+
+
+def unpack_by_loop(p: int, bits: int) -> tuple[int, ...]:
+    """poly.unpack as one loop that takes off the lowest balanced digit of
+    the whole integer at each step; the oracle for unpack's split into
+    halves."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    while p:
+        c = p & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        p = (p - c) >> bits
+    return tuple(out)

@@ -199,6 +199,33 @@ class TestInvariants:
         assert "methods agree: yes" in out
         assert "jones:" in out
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("hopf.txt", "X[1,3,2,4] X[3,1,4,2]"),
+            ("loops.json", '{"crossings": [], "free_loops": 2}'),
+        ],
+    )
+    def test_default_run_skips_jones_on_a_link(self, tmp_path, capsys, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        rc, out, err = run(capsys, "invariants", str(p))
+        assert (rc, err) == (0, "")
+        assert "alexander (region matrix):" in out and "jones" not in out
+        rc, out, _ = run(capsys, "invariants", str(p), "--format", "doc")
+        assert rc == 0
+        doc = json.loads(out)
+        assert "alexander" in doc and "jones" not in doc
+
+    @pytest.mark.parametrize("args", [["--jones"], ["--alexander", "--jones"]])
+    def test_jones_asked_for_on_a_link_is_exit_2(self, tmp_path, capsys, args):
+        p = tmp_path / "hopf.txt"
+        p.write_text("X[1,3,2,4] X[3,1,4,2]")
+        rc, out, err = run(capsys, "invariants", str(p), *args)
+        assert rc == 2
+        assert err.startswith("error: MultiComponentInput:") and err.count("\n") == 1
+        assert out == ""
+
     def test_doc_format_with_selected_flags(self, tmp_path, capsys):
         p = tmp_path / "trefoil.txt"
         p.write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")

@@ -16,6 +16,7 @@ from helpers import (
     FAMILY_POOL,
     bound_by_link_patterns,
     circle_chain,
+    cylinder_grid,
     display_form,
     parse_poly,
     pool_variant,
@@ -745,6 +746,33 @@ def test_sweep_order_matches_the_unpruned_search(d):
         mp.setattr(inv, "_sweep_order", lambda nbrs: graphs.append(nbrs) or order(nbrs))
         kauffman_bracket(d)
     assert order(graphs[0]) == sweep_order_unpruned(graphs[0])
+
+
+def test_sweep_order_matches_the_unpruned_search_on_fixed_graphs():
+    """The unit graphs of the 64 pool variants, the corpus unions and
+    chains of circles, where sweeps from different starts often reach the
+    same swept set."""
+    diagrams = [pool_variant(k) for k in sorted(FAMILY_POOL)]
+    diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
+    diagrams += [circle_chain(k) for k in range(2, 9)]
+    assert len(diagrams) == 64 + 7 + 7
+    for d in diagrams:
+        nbrs = inv._unit_graph(d, inv._boxes(d, faces(d)))
+        assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 3), (2, 5), (3, 6), (3, 8), (4, 9), (5, 12)])
+def test_sweep_order_matches_the_unpruned_search_on_cylinder_grids(rows, cols):
+    nbrs = cylinder_grid(rows, cols)
+    assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
+
+
+def test_sweep_order_of_disconnected_and_empty_graphs():
+    """Once a part is swept, the sweep goes on from the unswept unit of
+    least change, ties by index, and the empty graph has the empty order."""
+    nbrs = [[1, 1], [0, 0], [3, 4], [2, 4], [2, 3], []]
+    assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
+    assert inv._sweep_order([]) == []
 
 
 TWISTED_UNION = build_symmetric_union(

@@ -9,7 +9,9 @@ from helpers import (
     conway_by_zsq_powers,
     display_form,
     is_monic,
+    pack_by_loop,
     parse_poly,
+    unpack_by_loop,
 )
 from symunion import poly
 from symunion.poly import (
@@ -210,6 +212,39 @@ def test_unpack_inverts_pack_at_the_width_of_a_bound(case):
     while want and not want[-1]:
         want.pop()
     assert unpack(pack(enumerate(cs), bits), bits) == tuple(want)
+
+
+@st.composite
+def long_packed(draw):
+    """(bits, pairs, lo): up to three times poly._SPLIT_SLOTS coefficients
+    at a width of 2 to 70 bits, the extreme digits -2^(bits-1) and
+    2^(bits-1) - 1 likely (a top digit of -2^(bits-1) in the low half is
+    where the split's low part leaves the balanced residue), zeros on top
+    and sometimes at the bottom, exponents from lo on, shuffled."""
+    bits = draw(st.integers(2, 70))
+    top = 1 << bits - 1
+    digit = st.one_of(st.sampled_from((-top, top - 1, -1, 0, 1)), st.integers(-top, top - 1))
+    n = draw(st.integers(0, 3 * poly._SPLIT_SLOTS))
+    cs = [0] * draw(st.integers(0, 5)) + draw(st.lists(digit, min_size=n, max_size=n))
+    cs += [0] * draw(st.integers(0, 5))
+    lo = draw(st.integers(-50, 50))
+    pairs = [(lo + j, c) for j, c in enumerate(cs)]
+    draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    return bits, pairs, lo
+
+
+@given(long_packed(), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+@example((2, [(j, -2) for j in range(300)], 0), 0)
+@example((3, [(j, 3 if j % 2 else -4) for j in range(400)], -7), 1)
+def test_pack_and_unpack_match_their_loops(case, nudge):
+    """On both sides of the split, for negative and long inputs with
+    trailing zeros; nudge moves the packed value off a digit boundary."""
+    bits, pairs, lo = case
+    p = pack(pairs, bits, lo)
+    assert p == pack_by_loop(pairs, bits, lo)
+    for q in (p, -p, p + nudge, -p + nudge):
+        assert unpack(q, bits) == unpack_by_loop(q, bits)
 
 
 def test_width_leaves_a_sign_bit():

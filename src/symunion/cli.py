@@ -32,6 +32,7 @@ from .invariant import (
     Cancelled,
     TooLarge,
     UnsupportedLinkCase,
+    _conway,
     alexander_fox,
     alexander_region,
     jones,
@@ -39,7 +40,7 @@ from .invariant import (
     verify_product_formula,
     verify_zero_replacement,
 )
-from .poly import PolyError, conway_from_alexander
+from .poly import PolyError
 from .report import VerificationReport
 from .tangle import TangleError, to_tangle_doc
 
@@ -104,13 +105,14 @@ def cmd_invariants(args) -> int:
             if a != b:
                 return emit(1)
         if args.conway or run_all:
-            if knot:
-                c = conway_from_alexander(a)
+            try:
+                c = _conway(a, d.component_count())
+            except UnsupportedLinkCase:  # a link with nonvanishing alexander
+                if args.conway:  # asked for, exit 2; by default, no line
+                    raise
+            else:
                 doc["conway"] = c.text()
                 lines.append(f"conway: {c.text()}")
-            elif a.is_zero():
-                doc["conway"] = "0"
-                lines.append("conway: 0")
 
     # by default a link gets no Jones, as it gets no Conway form; asked for,
     # jones refuses it (exit 2)

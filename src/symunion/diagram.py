@@ -101,28 +101,19 @@ class PlanarDiagram:
     def edge_count(self) -> int:
         return 2 * len(self.crossings)
 
-    def _head_slots(self, i: int) -> tuple[int, int]:
-        return (0, 3) if self.over_from_d[i] else (0, 1)
-
     @cached_property
     def head_of(self) -> dict[int, tuple[int, int]]:
+        """The crossing and slot where each edge ends: slot a for the
+        under-strand, slot d or b for the over-strand."""
         out = {}
         for i, x in enumerate(self.crossings):
-            for s in self._head_slots(i):
-                out[x[s]] = (i, s)
-        return out
-
-    @cached_property
-    def succ(self) -> dict[int, int]:
-        """Next edge along the strand through each edge's head."""
-        out = {}
-        for e, (i, s) in self.head_of.items():
-            x = self.crossings[i]
-            out[e] = x[2] if s == 0 else (x[3] if s == 1 else x[1])
+            s = 3 if self.over_from_d[i] else 1
+            out[x.a], out[x[s]] = (i, 0), (i, s)
         return out
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
+        head, xs = self.head_of, self.crossings
         seen: set[int] = set()
         comps = []
         for e0 in range(1, self.edge_count + 1):
@@ -133,7 +124,8 @@ class PlanarDiagram:
             while e not in seen:
                 seen.add(e)
                 cycle.append(e)
-                e = self.succ[e]
+                i, s = head[e]
+                e = xs[i][s ^ 2]  # straight through the crossing
             comps.append(tuple(cycle))
         return tuple(comps)
 

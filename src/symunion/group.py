@@ -177,11 +177,11 @@ def longitude_word(d: PlanarDiagram) -> GroupWord:
         if e == a0:
             half = 1
         i, s = d.head_of[e]
+        x = d.crossings[i]
         if s == 0:
-            x = d.crossings[i]
             sg = half * d.sign(i)
             word += [(gen(x.a), sg), (gen(x.c), -sg)]
-        e = d.succ[e]
+        e = x[s ^ 2]  # straight through the crossing
         if e == a1:
             return tuple(word)
 

@@ -15,7 +15,7 @@ OrientationMismatch.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -187,27 +187,38 @@ def vertical_twists(n: int) -> Tangle:
 # -- strand reversal ----------------------------------------------------------------
 
 
-def reverse_strand(t: Tangle, corner: str) -> Tangle:
-    """Reverse the orientation of the strand whose end lies at corner.
+def orient(t: Tangle, want: Mapping[str, str]) -> Tangle:
+    """t with each strand turned whose flow at a corner of want differs
+    from want there. Raises OrientationMismatch when want has one strand
+    enter, or leave, at both of its ends.
 
-    The crossings the strand passes under are turned so that the under
-    strand enters at slot a again, the over flag flips at a crossing the
-    strand passes once, and the flows at its two ends swap. That keeps
-    every check of t true, so the result is built without a second one."""
-    start, end, _ = next(s for s in t.strands if corner in (s[0], s[1]))
+    Every strand to turn is collected first, then the result is built once:
+    a crossing a turned strand passes under turns a half turn, so that the
+    under strand enters at slot a again; its over flag flips when exactly
+    one of its two passages is turned; and the flows at a turned strand's
+    two ends swap. That keeps every check of t true, so the result is built
+    without a second one."""
     under: set[int] = set()
     over: set[int] = set()
-    for k in t._follow(start)[2]:
-        (over if k & 1 else under).add(k >> 2)
+    flows = dict(t.flows)
+    for start, end, _ in t.strands:
+        if start in want and end in want and want[start] == want[end]:
+            raise OrientationMismatch(
+                f"the strand from {start} to {end} cannot {want[start]} at both ends"
+            )
+        c = start if start in want else end
+        if c in want and t.flows[c] != want[c]:
+            flows[start], flows[end] = flows[end], flows[start]
+            for k in t._follow(start)[2]:
+                (over if k & 1 else under).add(k >> 2)
+    if flows == t.flows:
+        return t
     xs = list(t.crossings)
     flags = list(t.over_from_d)
     for i in under:
         xs[i] = Crossing(xs[i].c, xs[i].d, xs[i].a, xs[i].b)
     for i in under ^ over:
         flags[i] = not flags[i]
-    flows = dict(t.flows)
-    for c in (start, end):
-        flows[c] = "out" if flows[c] == "in" else "in"
     fields = {
         "crossings": tuple(xs),
         "over_from_d": tuple(flags),
@@ -219,21 +230,6 @@ def reverse_strand(t: Tangle, corner: str) -> Tangle:
     for name, v in fields.items():
         object.__setattr__(r, name, v)
     return r
-
-
-def orient(t: Tangle, want: Mapping[str, str]) -> Tangle:
-    """t with each strand reversed whose flow at a corner of want differs
-    from want there. Raises OrientationMismatch when want has one strand
-    enter, or leave, at both of its ends."""
-    for start, end, _ in t.strands:
-        if start in want and end in want and want[start] == want[end]:
-            raise OrientationMismatch(
-                f"the strand from {start} to {end} cannot {want[start]} at both ends"
-            )
-        c = start if start in want else end
-        if c in want and t.flows[c] != want[c]:
-            t = reverse_strand(t, c)
-    return t
 
 
 # -- gluing: sum, stack, closures ------------------------------------------------------
@@ -266,30 +262,20 @@ def _join(
     )
 
 
-def _variants(t: Tangle) -> Iterator[Tangle]:
-    """t, then t with its first, its second and both strands reversed."""
-    yield t
-    a, b = (s[0] for s in t.strands)
-    ra = reverse_strand(t, a)
-    yield ra
-    yield reverse_strand(t, b)
-    yield reverse_strand(ra, b)
-
-
 def _fit_seams(
     t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]]
 ) -> tuple[Tangle, Tangle]:
-    """Reorient open strands until each seam joins an 'out' to an 'in':
-    t1's variants are tried in turn, and t2 is oriented to the first it
-    can fit. So t1 is left alone if it can be, and a strand of t2 is
-    reversed only where a seam asks for it."""
-    for v in _variants(t1):
-        want = {c2: "in" if v.flows[c1] == "out" else "out" for c1, c2 in seams}
-        try:
-            return v, orient(t2, want)
-        except OrientationMismatch:
-            pass
-    raise OrientationMismatch("no strand orientation satisfies the seams")
+    """Orient t2 so that each seam joins an 'out' to an 'in'. t1 is left
+    alone unless both seams end on one strand of t2 and t1's flows at the
+    two seams agree. Its two seam corners then lie on its two strands (a
+    strand enters at one end and leaves at the other), so turning its first
+    strand makes them differ, and that strand of t2 fits."""
+    (a1, a2), (b1, b2) = seams
+    if t1.flows[a1] == t1.flows[b1] and any({a2, b2} == {s, e} for s, e, _ in t2.strands):
+        start, end, _ = t1.strands[0]
+        t1 = orient(t1, {start: t1.flows[end]})  # its start takes its end's flow
+    want = {c2: "in" if t1.flows[c1] == "out" else "out" for c1, c2 in seams}
+    return t1, orient(t2, want)
 
 
 def _glue(t1: Tangle, t2: Tangle, seams: Sequence[tuple[str, str]]) -> Tangle:

@@ -4,8 +4,9 @@ edge renumbering along the orientation, the Conway-to-Alexander
 substitution and the Conway peel by powers of z^2 = t - 2 + 1/t, a
 monicity check, the slopes of rational tangles, the rank of a
 presentation's abelianization, the exhaustive attachment search the
-builder's face rule is checked against, the strand-reversal searches
-tangle.orient replaced, dense matrices as the sparse rows det_laurent
+builder's face rule is checked against, the one-strand reversal
+tangle.orient is checked against and the strand-reversal searches it
+replaced, dense matrices as the sparse rows det_laurent
 takes, a generator of small random union specs, a chain of circles, the
 unions of the benchmark's scaling-family pool, cylinder grids and the
 unpruned search for the bracket sweep's order, the bracket sweep's unit
@@ -41,7 +42,6 @@ from symunion.tangle import (
     kt_tangle,
     numerator,
     rational_tangle,
-    reverse_strand,
     vertical_twists,
 )
 
@@ -129,6 +129,38 @@ def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
     raise first_err
 
 
+def reverse_strand(t: Tangle, corner: str) -> Tangle:
+    """Reverse the orientation of the strand whose end lies at corner, one
+    strand at a time; the reference for tangle.orient.
+
+    The crossings the strand passes under are turned so that the under
+    strand enters at slot a again, the over flag flips at a crossing the
+    strand passes once, and the flows at its two ends swap. The result is
+    built through the constructor, so every check runs on it."""
+    start, end, _ = next(s for s in t.strands if corner in (s[0], s[1]))
+    under: set[int] = set()
+    over: set[int] = set()
+    for k in t._follow(start)[2]:
+        (over if k & 1 else under).add(k >> 2)
+    xs = list(t.crossings)
+    flags = list(t.over_from_d)
+    for i in under:
+        xs[i] = Crossing(xs[i].c, xs[i].d, xs[i].a, xs[i].b)
+    for i in under ^ over:
+        flags[i] = not flags[i]
+    flows = dict(t.flows)
+    for c in (start, end):
+        flows[c] = "out" if flows[c] == "in" else "in"
+    return Tangle(tuple(xs), tuple(flags), dict(t.boundary), flows, t.closed_loops)
+
+
+def four_variants(t: Tangle) -> list[Tangle]:
+    """t, then t with its first, its second and both strands reversed."""
+    a, b = (s[0] for s in t.strands)
+    ra = reverse_strand(t, a)
+    return [t, ra, reverse_strand(t, b), reverse_strand(ra, b)]
+
+
 def fit_seams_by_search(t1: Tangle, t2: Tangle, seams) -> tuple[Tangle, Tangle]:
     """The first of the 16 strand-reversal variants of (t1, t2) whose seams
     each join an 'out' to an 'in', t1's variants outermost, each in the
@@ -138,13 +170,8 @@ def fit_seams_by_search(t1: Tangle, t2: Tangle, seams) -> tuple[Tangle, Tangle]:
     def ok(a: Tangle, b: Tangle) -> bool:
         return all(a.flows[c1] != b.flows[c2] for c1, c2 in seams)
 
-    def variants(t: Tangle) -> list[Tangle]:
-        a, b = (s[0] for s in t.strands)
-        ra = reverse_strand(t, a)
-        return [t, ra, reverse_strand(t, b), reverse_strand(ra, b)]
-
-    for a in variants(t1):
-        for b in variants(t2):
+    for a in four_variants(t1):
+        for b in four_variants(t2):
             if ok(a, b):
                 return a, b
     raise OrientationMismatch("no strand orientation satisfies the seams")

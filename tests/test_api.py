@@ -9,6 +9,7 @@ NOT_EXPORTED = (
     "parse_poly",
     "renumber_edges",
     "reverse",
+    "reverse_strand",
     "tangle_fraction",
 )
 

@@ -226,6 +226,32 @@ class TestInvariants:
         assert err.startswith("error: MultiComponentInput:") and err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "doc"])
+    @pytest.mark.parametrize("args", [["--conway"], ["--alexander", "--conway"]])
+    def test_conway_asked_for_on_a_link_is_exit_2(self, tmp_path, capsys, args, fmt):
+        # the Hopf link's Alexander polynomial does not vanish, so it has no
+        # Conway form here; the default run leaves the line out instead
+        p = tmp_path / "hopf.txt"
+        p.write_text("X[1,3,2,4] X[3,1,4,2]")
+        rc, out, err = run(capsys, "invariants", str(p), *args, "--format", fmt)
+        assert rc == 2
+        assert err.startswith("error: UnsupportedLinkCase:") and err.count("\n") == 1
+        assert out == ""
+        rc, out, err = run(capsys, "invariants", str(p), "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert "alexander" in out and "conway" not in out
+
+    @pytest.mark.parametrize("args", [[], ["--conway"]])
+    def test_conway_of_a_split_link_is_zero(self, tmp_path, capsys, args):
+        p = tmp_path / "loops.json"
+        p.write_text('{"crossings": [], "free_loops": 2}')
+        rc, out, err = run(capsys, "invariants", str(p), *args)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == "conway: 0"
+        rc, out, err = run(capsys, "invariants", str(p), *args, "--format", "doc")
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {"alexander": "0", "conway": "0", "crossings": 0}
+
     def test_doc_format_with_selected_flags(self, tmp_path, capsys):
         p = tmp_path / "trefoil.txt"
         p.write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")

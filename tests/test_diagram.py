@@ -58,7 +58,7 @@ def test_parse_trefoil(trefoil):
     assert trefoil.signs == (-1, -1, -1)
     assert writhe(trefoil) == -3
     # edges were numbered along the strand
-    assert all(trefoil.succ[e] == e % 6 + 1 for e in range(1, 7))
+    assert trefoil.components == ((1, 2, 3, 4, 5, 6),)
 
 
 def test_parse_figure_eight(fig8):

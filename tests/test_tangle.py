@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,9 @@ from helpers import (
     close_by_walk,
     display_form,
     fit_seams_by_search,
+    four_variants,
     renumber_edges,
+    reverse_strand,
     tangle_fraction,
 )
 from symunion import tangle
@@ -30,7 +33,6 @@ from symunion.tangle import (
     orient,
     parse_tangle,
     rational_tangle,
-    reverse_strand,
     rotate_pi,
     tangle_sum,
     to_tangle_doc,
@@ -278,15 +280,20 @@ class TestKnownFamily:
             kt_tangle(bad)
 
 
+def turn(t: Tangle, corner: str) -> Tangle:
+    """t with the strand at corner turned, through orient."""
+    return orient(t, {corner: "out" if t.flows[corner] == "in" else "in"})
+
+
 class TestReversal:
     @pytest.mark.parametrize("cf", [[3], [1, 1, 2], [2, 3]])
     def test_reversal_is_involution(self, cf):
         t = rational_tangle(cf)
-        assert reverse_strand(reverse_strand(t, "NW"), "NW") == t
+        assert turn(turn(t, "NW"), "NW") == t
 
     def test_reversal_flips_both_end_flows(self):
         t = rational_tangle([3])  # diagonal: NW joins SE
-        r = reverse_strand(t, "NW")
+        r = turn(t, "NW")
         assert r.flows["NW"] != t.flows["NW"]
         assert r.flows["SE"] != t.flows["SE"]
         assert r.flows["NE"] == t.flows["NE"]
@@ -298,21 +305,30 @@ class TestReversal:
                 rational_tangle
             ),
         ),
-        st.lists(st.sampled_from(CORNERS), min_size=1, max_size=3),
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(CORNERS), st.sampled_from(("in", "out")), min_size=1
+            ),
+            min_size=1,
+            max_size=3,
+        ),
     )
     @settings(max_examples=80, deadline=None)
-    def test_reversal_result_passes_the_constructor_checks(self, t, corners):
-        # reverse_strand skips Tangle.__post_init__; rebuilding its result
-        # through the constructor runs every check again
-        for corner in corners:
-            t = reverse_strand(t, corner)
+    def test_reversal_result_passes_the_constructor_checks(self, t, wants):
+        # orient skips Tangle.__post_init__; rebuilding its result through
+        # the constructor runs every check again
+        for want in wants:
+            try:
+                t = orient(t, want)
+            except OrientationMismatch:
+                continue
             again = Tangle(*(getattr(t, f.name) for f in dataclasses.fields(Tangle)))
             assert again == t
             assert again.key == t.key
 
     def test_reversal_does_not_move_the_strand(self):
         t = rational_tangle([1, 1, 3])
-        r = reverse_strand(t, "NE")
+        r = turn(t, "NE")
         assert alexander_region(numerator(r)) == alexander_region(numerator(t))
 
 
@@ -329,8 +345,40 @@ def test_orient_refuses_a_strand_entering_at_both_ends():
 ORIENTED_POOL = [
     v
     for t in TANGLE_POOL + (horizontal_twists(2), horizontal_twists(-3), rational_tangle([3]))
-    for v in tangle._variants(t)
+    for v in four_variants(t)
 ]
+
+
+def orient_by_reversals(t: Tangle, want) -> Tangle:
+    """want met by reversing one strand at a time, corner by corner."""
+    for c in want:
+        if t.flows[c] != want[c]:
+            t = reverse_strand(t, c)
+    if any(t.flows[c] != want[c] for c in want):
+        raise OrientationMismatch(f"{want} asks one strand to enter or leave at both ends")
+    return t
+
+
+def test_orient_matches_the_reversals_one_strand_at_a_time():
+    wants = [
+        dict(zip(cs, flows))
+        for k in range(1, 5)
+        for cs in itertools.combinations(CORNERS, k)
+        for flows in itertools.product(("in", "out"), repeat=k)
+    ]
+    refused = 0
+    for t in ORIENTED_POOL:
+        for want in wants:
+            try:
+                expected = orient_by_reversals(t, want)
+            except OrientationMismatch:
+                refused += 1
+                with pytest.raises(OrientationMismatch):
+                    orient(t, want)
+                continue
+            r = orient(t, want)
+            assert r == expected and r.key == expected.key
+    assert refused
 
 
 @pytest.mark.parametrize("glue", [tangle_sum, vertical_stack])

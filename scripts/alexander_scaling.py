@@ -13,11 +13,17 @@ times of the region-route and Fox-route determinants, and for each route
 the size k of the block left once no unit pivot remains, the packing
 width B of that block, and the process seconds of one run of each phase:
 phase 1 (the unit pivots, invariant._unit_pivots) and phase 2 (the block's
-Bareiss, invariant._block_det). Last come the process seconds of one
-jones(k), the Kauffman-bracket sweep. It exits 1 unless both routes give
-the polynomial the product formula predicts, Delta(partial)^2 prod
-Delta(N(kt(m))), and unless |V(-1)| = |Delta(-1)|: both are the knot's
-determinant, so the bracket is checked at every size the script runs.
+Bareiss, invariant._block_det). Then come the process seconds of one
+jones(k), the Kauffman-bracket sweep, and of region 1's two complement
+closures for the fraction certificate, taken both ways: from one rebuild
+and one phase 1 (construct.complement_closures) and from a rebuild
+and a region-route determinant each (helpers.complement_by_rebuild). It
+exits 1 unless both routes give the polynomial the product formula
+predicts, Delta(partial)^2 prod Delta(N(kt(m))), unless |V(-1)| =
+|Delta(-1)|, both the knot's determinant, and V(w) = 1 at the third root
+of unity w and V(i) = (-1)^Arf with Arf read off Delta(-1) mod 8, so that
+the bracket is checked at every size the script runs, and unless the two
+ways give the same complement closures.
 
     python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
 """
@@ -26,11 +32,20 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from symunion import invariant
-from symunion.construct import NotPlanarInsertion, SymUnionSpec, build_symmetric_union
-from symunion.group import wirtinger
-from symunion.invariant import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the reference routes
+
+from helpers import complement_by_rebuild, jones_at_roots_of_unity  # noqa: E402
+from symunion import invariant  # noqa: E402
+from symunion.construct import (  # noqa: E402
+    NotPlanarInsertion,
+    SymUnionSpec,
+    build_symmetric_union,
+    complement_closures,
+)
+from symunion.group import wirtinger  # noqa: E402
+from symunion.invariant import (  # noqa: E402
     alexander_region,
     det_laurent,
     flanking_faces,
@@ -38,8 +53,8 @@ from symunion.invariant import (
     jones,
     reduced,
 )
-from symunion.poly import normalize_alexander
-from symunion.tangle import kt_tangle, numerator, rational_tangle
+from symunion.poly import normalize_alexander  # noqa: E402
+from symunion.tangle import kt_tangle, numerator, rational_tangle  # noqa: E402
 
 PARTIAL = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
 REGIONS = 4
@@ -94,6 +109,17 @@ def phases(rows) -> tuple[int, int, float, float]:
     return len(block), invariant._block_width(block), t1 - t0, time.process_time() - t1
 
 
+def complements(k) -> tuple[float, float, bool]:
+    """The process seconds of region 1's two complement closures from one
+    phase 1 and from two rebuilds, and whether they agree."""
+    t0 = time.process_time()
+    closure = complement_closures(k, 1)
+    got = [closure(h) for h in (False, True)]
+    t1 = time.process_time()
+    want = [complement_by_rebuild(k, 1, h) for h in (False, True)]
+    return t1 - t0, time.process_time() - t1, got == want
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--m", type=int, nargs="+", default=[6, 12, 25, 50, 100, 200],
@@ -104,7 +130,7 @@ def main() -> int:
     half = alexander_region(PARTIAL)
     failures = 0
     print("crossings     m   region_s      fox_s  region k/B  phase1_s  phase2_s"
-          "   fox k/B  phase1_s  phase2_s   jones_s  ok")
+          "   fox k/B  phase1_s  phase2_s   jones_s  compl_s  rebuilt_s  ok")
     for m in args.m:
         k = member(m)
         want = half * half
@@ -119,11 +145,14 @@ def main() -> int:
         t_jones = time.process_time() - t0
         ok = normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True) == want
         ok = ok and abs(v.evaluate(-1)) == abs(want.evaluate(-1))
+        ok = ok and jones_at_roots_of_unity(v, want.evaluate(-1))
+        t_one, t_two, same = complements(k)
+        ok = ok and same
         failures += not ok
         (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
               f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f} "
-              f"{t_jones:9.3f}  {'yes' if ok else 'NO'}")
+              f"{t_jones:9.3f} {t_one:8.3f} {t_two:10.3f}  {'yes' if ok else 'NO'}")
     return 1 if failures else 0
 
 

@@ -35,6 +35,7 @@ from .tangle import (
     parse_tangle,
     rational_tangle,
     to_tangle_doc,
+    vertical_twists,
 )
 
 
@@ -239,11 +240,14 @@ def _assemble_with_bits(
     except DiagramError as exc:
         raise NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
 
-    if require_knot and built.component_count() != 1:
-        raise NotAKnot(
-            f"result has {built.component_count()} components, expected a knot"
-        )
-    return built
+    return expect_knot(built) if require_knot else built
+
+
+def expect_knot(d: PlanarDiagram) -> PlanarDiagram:
+    """d, if it is a knot; else NotAKnot."""
+    if d.component_count() != 1:
+        raise NotAKnot(f"result has {d.component_count()} components, expected a knot")
+    return d
 
 
 def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
@@ -365,6 +369,99 @@ def _rebuild(
     for i, t in replace.items():
         boxed[i - 1] = _oriented_for_box(t, bits[i - 1])
     return _assemble_with_bits(spec, bits, boxed, require_knot=require_knot)
+
+
+def open_box(
+    k: PlanarDiagram, i: int
+) -> tuple[PlanarDiagram, int, tuple[int, int, int, int, int], int]:
+    """k rebuilt with vertical_twists(2) in box i, the one diagram both
+    closures of region i's complement are read from. Returns it, the index
+    of the twist's top crossing (its bottom crossing follows), the faces
+    (bigon, N, E, S, W) defined below, and N(C)'s component count.
+
+    The complement C is k with box i left open; D(C) closes the box with
+    two vertical arcs and N(C) with two horizontal ones. The twist orients
+    under either attachment bit and joins the corners as D(C) does, so the
+    diagram has D(C)'s components, and without the twist's crossings its
+    region matrix is C's crossings against C's faces and the twist's
+    bigon.
+
+    The faces at the twist's corners are the bigon between its crossings
+    and the box's sides: N at the top crossing and S at the bottom one,
+    each opposite the bigon, and W and E at both; counterclockwise around
+    the top crossing, the bigon, E, N, W. Adjacent sectors of a crossing
+    never share a face, as a 4-valent graph has no bridge. N = S, or
+    W = E, makes a closed curve in that face cross the diagram only at
+    the box's two west edges, or at the two between its crossings, and so
+    splits C into a west and an east part, or a north and a south one.
+    The west corners are the host half's stubs and the east ones the
+    mirror's, and each part of a half cut at the axis edge and the marked
+    edge holds an axis stub, so the axis keeps N and S apart. W = E
+    happens when those two edges cut the partial in two; N(C) is then a
+    split diagram.
+
+    Closing the box merges two sides, and a closure's polynomial may
+    delete the merged face and a side beside it: D(C) merges N and S and
+    deletes W too, N(C) merges W and E and deletes N too. So with A the
+    columns of the other faces, Delta(D(C)) = det[A | E] (det[A] when
+    W = E) and Delta(N(C)) = det[A | S] (0 when W = E) up to units.
+
+    N(C)'s components are C's closed components, which miss the twist,
+    and two more when C's strand from the top crossing returns to it (N(C)
+    then closes each strand on itself), else one."""
+    meta = _meta_of(k)
+    d = _rebuild(k, {i: vertical_twists(2)}, require_knot=False)
+    p = 2 * len(meta.spec.partial.crossings) + sum(len(t.crossings) for t in meta.boxed[: i - 1])
+    face = planar_faces(d)
+    top, bottom = face[4 * p : 4 * p + 4], face[4 * p + 4 : 4 * p + 8]
+    (j,) = [j for j in range(4) if top[j] not in bottom]  # N, between two ends of C
+    (s,) = [f for f in bottom if f not in top]
+    end = d.mates[4 * p + j]
+    while not p <= end >> 2 <= p + 1:
+        end = d.mates[end ^ 2]  # straight through a crossing of C
+    twist = {*d.crossings[p], *d.crossings[p + 1]}
+    closed = sum(twist.isdisjoint(c) for c in d.components)
+    at_box = (top[j + 2 & 3], top[j], top[j + 3 & 3], s, top[j + 1 & 3])
+    return d, p, at_box, closed + 1 + (end >> 2 == p)
+
+
+def complement_closures(
+    k: PlanarDiagram, i: int, cancel=None
+) -> Callable[[bool], tuple]:
+    """Both closures of region i's complement from one rebuild and one
+    elimination: the function that takes horizontal to the normalized
+    Alexander polynomial and the component count of N(C) (True) or of
+    D(C) (False), which must be a knot.
+
+    Phase 1 (invariant._unit_pivots) runs here, once, on the open box's
+    region matrix (open_box) without the twist's rows, over the faces but
+    the bigon, N and W, with E and S last and never pivoted on. A closure
+    finishes the block left with S's column or E's (invariant._block_det)
+    when it is asked for, so D(C) raises NotAKnot only then. cancel, an
+    invariant.CancelToken or None, is polled as det_laurent polls it."""
+    # the determinant engine and its polynomial type are imported at call
+    # time: invariant imports this module
+    from .invariant import _block_det, _unit_pivots, region_matrix
+    from .poly import LaurentPoly, normalize_alexander
+
+    d, filler, (bigon, n, e, s, w), numerator_components = open_box(k, i)
+    others = set(range(len(d.crossings) + 2)) - {bigon, n, e, s, w}
+    column = {f: j for j, f in enumerate([*sorted(others), e, s])}
+    rows = region_matrix(d)
+    del rows[filler : filler + 2]
+    rows = [{column[f]: p for f, p in row.items() if f in column} for row in rows]
+    found = _unit_pivots(rows, cancel, range(len(others), len(column)))
+
+    def closure(horizontal: bool) -> tuple:
+        m = numerator_components if horizontal else expect_knot(d).component_count()
+        # W = E: N(C) is split and D(C) keeps A alone (open_box)
+        kept = [] if e == w else [-1 if horizontal else -2]
+        det = LaurentPoly.zero()
+        if found is not None and not (horizontal and e == w):
+            det = _block_det([row[:-2] + [row[j] for j in kept] for row in found[2]], cancel)
+        return normalize_alexander(det, knot=m == 1), m
+
+    return closure
 
 
 def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:

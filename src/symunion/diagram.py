@@ -285,7 +285,8 @@ def unknot() -> PlanarDiagram:
 # The most crossings a parsed PD document or tangle document may describe,
 # checked before anything is built. The benchmark's largest union has 68
 # crossings; scripts/alexander_scaling.py runs unions of up to 1,620, where
-# `verify` takes about 2 s.
+# `verify` takes about 0.9 s (whole process, wall clock, Python 3.11, one
+# Xeon core).
 MAX_CROSSINGS = 2_000
 
 

@@ -9,6 +9,7 @@ only equality this module ever asserts.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 import math
 from operator import mul
@@ -22,9 +23,9 @@ from .diagram import (
     writhe,
 )
 from .construct import (
-    _rebuild,
     build_all_zero_replacement,
     built_union,
+    complement_closures,
     derived,
     flanking_faces,
     planar_faces,
@@ -44,14 +45,7 @@ from .poly import (
     width,
 )
 from .report import VerificationReport
-from .tangle import (
-    Tangle,
-    denominator,
-    numerator,
-    rational_tangle,
-    tangle_sum,
-    vertical_twists,
-)
+from .tangle import Tangle, denominator, numerator, tangle_sum
 
 
 class InvariantError(Exception):
@@ -122,12 +116,18 @@ def det_laurent(
 
 
 def _unit_pivots(
-    rows: Sequence[Mapping[int, Mapping[int, int]]], cancel: CancelToken | None
+    rows: Sequence[Mapping[int, Mapping[int, int]]],
+    cancel: CancelToken | None,
+    keep: range = range(0),
 ) -> tuple[int, int, list[list[dict[int, int]]]] | None:
     """Phase 1 of det_laurent: eliminate along unit pivots. Returns
     (u, k, S) with det = u t^k det S, where S is the block left once no
     unit entry remains, as dense rows of {exp: coeff} maps; None when a row
     runs empty, so that det = 0. Works on checked copies of the entries.
+    The columns in keep, a range after every other column, are never
+    pivoted on. S keeps them last, and for a choice of them that makes the
+    rows square, det = u t^k det S holds for the rows and S over their
+    other columns and that choice.
 
     The pivot is the unit entry of least Markowitz cost (r-1)(c-1), ties by
     row and then column index. A queue in two levels finds it: each column
@@ -146,12 +146,12 @@ def _unit_pivots(
     rows, in the order they were taken, to the pivot columns: the parity of
     the row sequence XOR that of the column sequence, with S's rows and
     columns appended in increasing order."""
-    n = len(rows)
+    n, cols = len(rows), max(len(rows), keep.stop)
     m: dict[int, dict[int, dict[int, int]]] = {}
-    users: list[set[int]] = [set() for _ in range(n)]
+    users: list[set[int]] = [set() for _ in range(cols)]
     # column j's heap: (r - 1, i) of its unit entries +-t^k. An entry has
     # no zero coefficient, so it is a unit when it has one term in [-1, 1].
-    column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    column: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
     for i, row in enumerate(rows):
         m[i] = mi = {j: q for j, p in row.items() if (q := coeff_map(p))}
         r1 = len(mi) - 1
@@ -164,11 +164,11 @@ def _unit_pivots(
     for h in column:
         heapify(h)
     queue: list[tuple[int, int, int]] = []
-    queued: list[tuple[int, int, int] | None] = [None] * n
+    queued: list[tuple[int, int, int] | None] = [None] * cols
     row_seq: list[int] = []
     col_seq: list[int] = []
     unit, shift = 1, 0
-    touched: Iterable[int] = range(n)
+    touched: Iterable[int] = range(cols - len(keep))
     while True:
         # each touched column queues its head at its current cost, dropping
         # the heap entries of rows that have changed since they were pushed
@@ -229,9 +229,10 @@ def _unit_pivots(
             for j, p in row.items():
                 if len(p) == 1 and -1 <= sum(p.values()) <= 1:
                     heappush(column[j], (r1, i))
+        touched.difference_update(keep)
     left_rows = sorted(m)
     taken = set(col_seq)
-    left_cols = [j for j in range(n) if j not in taken]
+    left_cols = [j for j in range(cols) if j not in taken]
     if _parity(row_seq + left_rows) != _parity(col_seq + left_cols):
         unit = -unit
     return unit, shift, [[m[i].get(j, {}) for j in left_cols] for i in left_rows]
@@ -320,7 +321,9 @@ def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) ->
     if not k:
         return LaurentPoly.one()
     bits = _block_width(block)
-    lows = [min(e for p in row for e in p) for row in block]
+    # a zero row, which a closure's block can have
+    # (construct.complement_closures), finds no pivot
+    lows = [min((e for p in row for e in p), default=0) for row in block]
     a = [
         [_odd(pack(p.items(), bits, lo)) for p in row]
         for row, lo in zip(block, lows)
@@ -1040,29 +1043,28 @@ def verify_fraction_region(
 ) -> VerificationReport:
     """Decompose the union at one tangle box: the whole diagram is the
     numerator closure of (inserted tangle + everything else), so the sum
-    rule of verify_fraction_formula applies with the complement played by
-    rebuilds that put a crossingless tangle in the box. The vertical
-    trivial tangle closes the complement's denominator, the horizontal one
-    its numerator (which splits the diagram and vanishes)."""
+    rule of verify_fraction_formula applies, with both closures of the
+    complement from one rebuild and one phase 1
+    (construct.complement_closures). Its numerator closure splits the
+    diagram and vanishes."""
     k = built_union(union)
     t = region_tangle(k, region)
     rep = VerificationReport(f"fraction decomposition at region {region}")
     rep.record("union crossings", len(k.crossings))
+    closures = cache(lambda: complement_closures(k, region, cancel))
 
     def shared(t: Tangle | None):
         return lambda: _conway(*_shared_alexander(k, t, cancel))
 
-    def complement(r: Tangle, knot: bool):
-        return lambda: _conway_closure(
-            _rebuild(k, {region: r}, require_knot=knot), cancel
-        )
+    def complement(horizontal: bool):
+        return lambda: _conway(*closures()(horizontal))
 
     return _sum_rule(
         rep,
         ("conway of union", shared(None)),
         ("numerator of tangle", shared(t)),
-        ("denominator of complement", complement(vertical_twists(0), True)),
-        ("numerator of complement", complement(rational_tangle([]), False)),
+        ("denominator of complement", complement(False)),
+        ("numerator of complement", complement(True)),
         ("denominator of tangle", lambda: _conway_closure(denominator(t), cancel)),
     )
 

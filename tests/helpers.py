@@ -11,7 +11,9 @@ takes, a generator of small random union specs, a chain of circles, the
 unions of the benchmark's scaling-family pool, cylinder grids and the
 unpruned search for the bracket sweep's order, the bracket sweep's unit
 bound by enumerating link patterns, and the loops pack and unpack split
-into halves."""
+into halves, the two rebuilds the fraction certificate's complement
+closures were once taken from, and the Jones polynomial's values at the
+third and fourth roots of unity."""
 
 import itertools
 import json
@@ -23,9 +25,9 @@ from pathlib import Path
 from symunion import construct, tangle
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
-from symunion.diagram import Crossing, PlanarDiagram, along_orientation
+from symunion.diagram import Crossing, DisconnectedDiagram, PlanarDiagram, along_orientation
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
-from symunion.invariant import _smooth
+from symunion.invariant import _smooth, alexander_region
 from symunion.poly import (
     ConwayPoly,
     LaurentPoly,
@@ -488,3 +490,37 @@ def unpack_by_loop(p: int, bits: int) -> tuple[int, ...]:
         out.append(c)
         p = (p - c) >> bits
     return tuple(out)
+
+
+def complement_by_rebuild(
+    k: PlanarDiagram, region: int, horizontal: bool
+) -> tuple[LaurentPoly, int]:
+    """The Alexander polynomial and component count of N(C) (horizontal)
+    or D(C), the closures of region's complement C, from its own rebuild
+    with the crossingless tangle that closes the box; D(C) must be a knot.
+    The reference for construct.complement_closures. A rebuild refuses a
+    disconnected diagram, so a split N(C) gives (0, None): 0 is
+    alexander_region's value there, and the count is not known."""
+    if horizontal:
+        try:
+            d = construct._rebuild(k, {region: rational_tangle([])}, require_knot=False)
+        except construct.NotPlanarInsertion as exc:
+            if not isinstance(exc.__cause__, DisconnectedDiagram):
+                raise
+            return LaurentPoly.zero(), None
+    else:
+        d = construct._rebuild(k, {region: vertical_twists(0)}, require_knot=True)
+    return alexander_region(d), d.component_count()
+
+
+def jones_at_roots_of_unity(v: LaurentPoly, det: int) -> bool:
+    """Whether the Jones polynomial v of a knot of determinant det,
+    Delta(-1), has V(w) = 1 at w = e^(2 pi i/3) and V(i) = (-1)^Arf (Jones,
+    Bull. AMS 1985), where Arf = 0 exactly when det = +-1 mod 8 (Levine
+    1966). With T_r and S_r the sums of v's coefficients at exponents = r
+    mod 3 and mod 4, V(w) = T_0 - T_2 + (T_1 - T_2) w and
+    V(i) = S_0 - S_2 + (S_1 - S_3) i."""
+    t = [sum(c for e, c in v.items() if e % 3 == r) for r in range(3)]
+    s = [sum(c for e, c in v.items() if e % 4 == r) for r in range(4)]
+    arf = det % 8 not in (1, 7)
+    return t[0] - t[2] == 1 and t[1] == t[2] and s[1] == s[3] and s[0] - s[2] == (-1) ** arf

@@ -372,21 +372,28 @@ class TestVerify:
     def test_equal_tangles_share_one_numerator_closure(self, tmp_path, capsys, monkeypatch):
         # kt_union_3 holds kt(3) in all three regions: one Alexander
         # polynomial each for the union, the partial, N(kt(3)) and the zero
-        # replacement, and two complements per region
+        # replacement, and one phase 1 per region for both closures of its
+        # complement
         spec = corpus.SPEC_FIXTURES["kt_union_3"]
         path = tmp_path / "kt_union_3.json"
         path.write_text(json.dumps(to_spec_doc(spec)))
-        computed = []
-        alexander = invariant.alexander_region
+        computed, complements = [], []
+        alexander, complement = invariant.alexander_region, invariant.complement_closures
 
         def counting(d, cancel=None):
             computed.append(d)
             return alexander(d, cancel)
 
+        def counting_complements(k, region, cancel):
+            complements.append(region)
+            return complement(k, region, cancel)
+
         monkeypatch.setattr(invariant, "alexander_region", counting)
+        monkeypatch.setattr(invariant, "complement_closures", counting_complements)
         rc, out, _ = run(capsys, "verify", str(path), "--format", "doc")
         assert rc == 0
-        assert len(computed) == 4 + 2 * 3
+        assert len(computed) == 4
+        assert complements == [1, 2, 3]
         factors = [json.loads(out)[1]["data"][f"numerator factor {i}"] for i in (1, 2, 3)]
         assert factors == [factors[0]] * 3
 

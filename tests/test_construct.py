@@ -26,6 +26,7 @@ from symunion.construct import (
     build_all_zero_replacement,
     build_symmetric_union,
     glued_pair,
+    open_box,
     parse_spec,
     to_spec_doc,
 )
@@ -523,11 +524,13 @@ class TestOnePass:
         )
         assert (assemblies, diagrams) == (1, 1)
         for i in range(1, len(spec.tangles) + 1):
-            for r, knot in ((vertical_twists(0), True), (rational_tangle([]), False)):
-                _, assemblies, diagrams = self._assemblies_and_diagrams(
-                    lambda: _rebuild(k, {i: r}, require_knot=knot)
-                )
-                assert (assemblies, diagrams) == (1, 1)
+            _, assemblies, diagrams = self._assemblies_and_diagrams(lambda: open_box(k, i))
+            assert (assemblies, diagrams) == (1, 1)
+            # both closures of the complement come from that one rebuild
+            _, assemblies, _ = self._assemblies_and_diagrams(
+                lambda: verify_fraction_region(k, i)
+            )
+            assert assemblies == 1
 
     def test_one_connectivity_walk_per_diagram(self):
         with pytest.MonkeyPatch.context() as mp:

@@ -16,8 +16,10 @@ from helpers import (
     FAMILY_POOL,
     bound_by_link_patterns,
     circle_chain,
+    complement_by_rebuild,
     cylinder_grid,
     display_form,
+    jones_at_roots_of_unity,
     parse_poly,
     pool_variant,
     random_spec,
@@ -25,7 +27,16 @@ from helpers import (
     sweep_order_unpruned,
 )
 from symunion import corpus
-from symunion.construct import SymUnionSpec, build_symmetric_union
+from symunion.construct import (
+    NotAKnot,
+    SymUnionSpec,
+    _rebuild,
+    build_all_zero_replacement,
+    build_symmetric_union,
+    complement_closures,
+    glued_pair,
+    open_box,
+)
 from symunion.diagram import (
     DiagramError,
     MultiComponentInput,
@@ -52,6 +63,7 @@ from symunion.invariant import (
     reduced,
     region_matrix,
     verify_fraction_formula,
+    verify_fraction_region,
 )
 from symunion.poly import LaurentPoly, NonIntegralSolution, normalize_alexander
 from symunion.tangle import (
@@ -331,20 +343,20 @@ def test_bareiss_checks_each_division(monkeypatch):
         det_laurent(sparse(rows))
 
 
-def unit_pivots_by_scan(rows):
+def unit_pivots_by_scan(rows, keep=range(0)):
     """Phase 1 of det_laurent by a full scan: at every step the unit entry
-    of least ((r-1)(c-1), i, j), with the sign of the step from the
-    pivot's position among the live rows and columns. The reference for
-    the pivot queue of inv._unit_pivots."""
+    of least ((r-1)(c-1), i, j) outside the columns in keep, with the sign
+    of the step from the pivot's position among the live rows and columns.
+    The reference for the pivot queue of inv._unit_pivots."""
     m = {i: {j: LaurentPoly(p) for j, p in row.items() if p} for i, row in enumerate(rows)}
-    live_rows, live_cols = list(range(len(rows))), list(range(len(rows)))
+    live_rows, live_cols = list(range(len(rows))), list(range(max(len(rows), keep.stop)))
     unit, shift = 1, 0
     while all(m.values()):
         candidates = [
             ((len(row) - 1) * (sum(j in other for other in m.values()) - 1), i, j)
             for i, row in m.items()
             for j, p in row.items()
-            if is_unit(p)
+            if is_unit(p) and j not in keep
         ]
         if not candidates:
             block = [[m[i][j].to_dict() if j in m[i] else {} for j in live_cols]
@@ -372,6 +384,27 @@ def unit_pivots_by_scan(rows):
 @settings(max_examples=100, deadline=None)
 def test_pivot_queue_takes_the_pivots_of_a_full_scan(rows):
     assert inv._unit_pivots(sparse(rows), None) == unit_pivots_by_scan(sparse(rows))
+
+
+@given(laurent_matrices(), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_kept_columns_are_never_pivoted_and_finish_any_square_choice(rows, extra, data):
+    """rows with `extra` more columns, the last extra + 1 kept: phase 1
+    pivots only outside them, and the block with any one kept column gives
+    the determinant of the rows over the other columns and that one."""
+    n = len(rows)
+    rows = [row + [data.draw(laurent_entries) for _ in range(extra)] for row in rows]
+    keep = range(n - 1, n + extra)
+    found = inv._unit_pivots(sparse(rows), None, keep)
+    assert found == unit_pivots_by_scan(sparse(rows), keep)
+    for x in keep:
+        want = leibniz([row[: n - 1] + [row[x]] for row in rows])
+        if found is None:
+            assert want.is_zero()
+            continue
+        unit, shift, block = found
+        square = [row[: -len(keep)] + [row[x - len(rows[0])]] for row in block]
+        assert inv._block_det(square, None).shift(shift) * unit == want
 
 
 def test_pivot_queue_queues_a_head_again_after_its_entry_is_popped():
@@ -964,11 +997,13 @@ def test_bracket_state_cap(fig8, monkeypatch):
 
 
 def assert_jones_matches_alexander(k):
-    """V(1) = 1 and |V(-1)| = |Delta(-1)|, the determinant of the knot.
-    Unlike the naive oracle these hold at any size."""
+    """V(1) = 1, |V(-1)| = |Delta(-1)|, the determinant of the knot, and
+    the values at the third and fourth roots of unity. Unlike the naive
+    oracle these hold at any size."""
     v, det = jones(k), alexander_region(k).evaluate(-1)
     assert v.evaluate(1) == 1
     assert abs(v.evaluate(-1)) == abs(det)
+    assert jones_at_roots_of_unity(v, det)
     return det
 
 
@@ -987,22 +1022,174 @@ def test_jones_matches_alexander_at_minus_one_at_68_crossings(union68):
     assert_jones_matches_alexander(union68)
 
 
-@pytest.mark.parametrize("m", [25, 50])
-def test_jones_matches_alexander_at_minus_one_at_220_and_420_crossings(m):
+def test_jones_at_roots_of_unity_on_the_pool():
+    for key in sorted(FAMILY_POOL):
+        k = pool_variant(key)
+        assert jones_at_roots_of_unity(jones(k), alexander_region(k).evaluate(-1)), key
+
+
+def test_jones_at_roots_of_unity_fails_on_a_wrong_value():
+    # fig8_union_1 has Delta(-1) = 125 = 5 mod 8, so Arf = 1 and V(i) = -1
+    k = CORPUS_UNIONS["fig8_union_1"]
+    v, det = jones(k), alexander_region(k).evaluate(-1)
+    assert det % 8 == 5 and jones_at_roots_of_unity(v, det)
+    assert not jones_at_roots_of_unity(v, det + 4)
+    assert not jones_at_roots_of_unity(v + LaurentPoly({0: 1, 3: -1}), det)
+    assert not jones_at_roots_of_unity(v + LaurentPoly({0: 1, 4: -1}), det)
+
+
+PARTIAL_12 = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
+
+
+def kt_member(m):
     """kt(m) x 4 over N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings. The
     marked arcs are the first draw that embeds under the benchmark's
-    rejection sampling with random.Random(1). Delta is the factor product
-    the product formula certifies, not a determinant at full size."""
-    partial = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
+    rejection sampling with random.Random(1)."""
     k = build_symmetric_union(
-        SymUnionSpec(partial, (12, 14, 1, 18, 20), (kt_tangle(m),) * 4)
+        SymUnionSpec(PARTIAL_12, (12, 14, 1, 18, 20), (kt_tangle(m),) * 4)
     )
     assert len(k.crossings) == 24 + 4 * (2 * m - 1)
-    half = alexander_region(partial)
+    return k
+
+
+@pytest.mark.parametrize("m", [25, 50])
+def test_jones_matches_alexander_at_minus_one_at_220_and_420_crossings(m):
+    """Delta is the factor product the product formula certifies, not a
+    determinant at full size."""
+    k = kt_member(m)
+    half = alexander_region(PARTIAL_12)
     delta = normalize_alexander(half * half * alexander_region(numerator(kt_tangle(m))) ** 4)
     v = jones(k)
     assert v.evaluate(1) == 1
     assert abs(v.evaluate(-1)) == abs(delta.evaluate(-1))
+    assert jones_at_roots_of_unity(v, delta.evaluate(-1))
+
+
+# -- the fraction certificate's complement closures ------------------------------
+
+
+def assert_complements_match_the_rebuilds(k, regions=None):
+    for i in regions or range(1, len(k.meta.spec.tangles) + 1):
+        closure = complement_closures(k, i)
+        for horizontal in (False, True):
+            got, want = closure(horizontal), complement_by_rebuild(k, i, horizontal)
+            if want[1] is None:  # a split N(C), test_a_complement_that_falls_apart
+                want = want[0], got[1]
+            assert got == want, (i, horizontal)
+
+
+def test_complements_match_the_rebuilds_on_the_corpus():
+    for k in CORPUS_UNIONS.values():
+        assert_complements_match_the_rebuilds(k)
+
+
+@given(unions)
+@settings(max_examples=20, deadline=None)
+def test_complements_match_the_rebuilds_on_unions(k):
+    assert_complements_match_the_rebuilds(k)
+
+
+def test_complements_match_the_rebuilds_at_68_crossings(union68):
+    assert_complements_match_the_rebuilds(union68)
+
+
+def test_complement_matches_the_rebuilds_at_420_crossings():
+    assert_complements_match_the_rebuilds(kt_member(50), [1])
+
+
+@pytest.mark.parametrize("key", ["x15/v10", "x47/v03"])
+def test_a_complement_that_falls_apart(key):
+    # the axis edge and region 1's marked edge cut the partial in two, so
+    # W = E and N(C) is a split diagram, which a rebuild refuses: verify
+    # exited 2 here with NotPlanarInsertion while it rebuilt N(C)
+    k = pool_variant(key)
+    _, _, (_, _, e, _, w), _ = open_box(k, 1)
+    assert e == w
+    closure = complement_closures(k, 1)
+    assert closure(False) == complement_by_rebuild(k, 1, False)
+    assert closure(True) == (LaurentPoly.zero(), 2)
+    assert complement_by_rebuild(k, 1, True) == (LaurentPoly.zero(), None)
+    if len(k.meta.spec.tangles) == 1:  # then C is glued_pair's tangle
+        n = numerator(glued_pair(k.meta.spec.partial, *k.meta.spec.marked_arcs))
+        assert (alexander_region(n), n.component_count()) == closure(True)
+    assert verify_fraction_region(k, 1).passed
+
+
+def test_open_box_reads_the_sides_off_the_twist():
+    # the twist's crossings are rows p and p + 1; around the top one the
+    # corners hold the bigon, E, N and W counterclockwise, and S is
+    # opposite the bigon at the bottom one
+    for k in CORPUS_UNIONS.values():
+        for i in range(1, len(k.meta.spec.tangles) + 1):
+            d, p, at_box, _ = open_box(k, i)
+            bigon, n, e, s, w = at_box
+            face = faces(d)
+            top, bottom = face[4 * p : 4 * p + 4], face[4 * p + 4 : 4 * p + 8]
+            assert len(set(at_box)) == 5  # W = E only where a partial is cut in two
+            j = top.index(bigon)
+            assert [top[j + r & 3] for r in range(4)] == [bigon, e, n, w]
+            assert sorted(bottom) == sorted([bigon, e, s, w])
+            assert bottom[bottom.index(bigon) + 2 & 3] == s
+            assert face.count(bigon) == 2
+
+
+def test_a_box_beside_a_split_one():
+    # kt_union_3 with box 2 closed west to east: at region 1, D(C) has
+    # two components and N(C) three, and N(kt(3)) is a knot, so the sum
+    # rule reads D(C) and raises, as the rebuild does
+    k = _rebuild(CORPUS_UNIONS["kt_union_3"], {2: rational_tangle([])}, require_knot=False)
+    closure = complement_closures(k, 1)
+    assert closure(True) == complement_by_rebuild(k, 1, True)
+    d, _, _, numerator_components = open_box(k, 1)
+    assert numerator_components == 3
+    assert d.component_count() == 2
+    with pytest.raises(NotAKnot):
+        complement_by_rebuild(k, 1, False)
+    with pytest.raises(NotAKnot):
+        closure(False)
+    with pytest.raises(NotAKnot):
+        verify_fraction_region(k, 1)
+
+
+def test_a_link_complement_is_read_only_when_its_partner_is_nonzero():
+    # in the zero replacement every box holds the west-to-east tangle, so
+    # N(T) is two free loops, its Conway polynomial is 0, and D(C), which
+    # is not a knot, is never read
+    flat = build_all_zero_replacement(CORPUS_UNIONS["kt_union_3"])
+    rep = verify_fraction_region(flat, 1)
+    assert rep.passed
+    assert rep.data["denominator of complement"] == "skipped: factor is zero"
+    with pytest.raises(NotAKnot):
+        complement_closures(flat, 1)(False)
+
+
+def test_a_nonzero_numerator_closure_of_a_link_complement_is_refused(monkeypatch):
+    # N(C) is a 2-component link; with every block determinant forced to
+    # 1, its Alexander polynomial is not 0, outside the Conway conversion
+    k = CORPUS_UNIONS["kt_union_1"]
+    assert complement_closures(k, 1)(True)[1] == 2
+    monkeypatch.setattr(inv, "_block_det", lambda block, cancel: LaurentPoly.one())
+    with pytest.raises(UnsupportedLinkCase, match="2-component closure"):
+        verify_fraction_region(k, 1)
+
+
+def test_cancel_stops_the_complement_in_its_phase_1(union68, monkeypatch):
+    tok, calls = CancelToken(), []
+    pivots = inv._unit_pivots
+
+    def cancelling(rows, cancel, keep=range(0)):
+        if keep:  # the complement's phase 1
+            calls.append(keep)
+            tok.cancel()
+        return pivots(rows, cancel, keep)
+
+    monkeypatch.setattr(inv, "_unit_pivots", cancelling)
+    with pytest.raises(Cancelled) as info:
+        verify_fraction_region(union68, 2, tok)
+    assert len(calls) == 1
+    frames = [f.name for f in info.traceback]
+    assert frames[-4:] == ["cancelling", "_unit_pivots", "_check", "check"]
+    assert "complement_closures" in frames
 
 
 @pytest.mark.parametrize(

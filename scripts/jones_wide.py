@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Time and check the Jones polynomial on wide partials: the torus knots
+T(p, p + 1), each drawn as the closure of the p-strand braid
+(s_1 ... s_(p-1))^(p+1) (helpers.torus_closure), (p - 1)(p + 1) crossings.
+Cutting such a closure leaves 2p open strands, so the bracket sweep keeps
+up to Catalan(p) states, where the kt family keeps a few dozen.
+
+For each p the script prints the crossings, the peak number of states the
+sweep holds after a unit, the state-steps (the states summed over the
+units) and the process seconds of one jones(d). The counts are read from
+the sweep's comparison with invariant._STATE_LIMIT (helpers.StateTally).
+It exits 1 unless V(1) = 1, V(w) = 1 at the third root of unity w and
+V(i) = (-1)^Arf with Arf read off the determinant Delta(-1)
+(helpers.jones_at_roots_of_unity), and V is the mirror image of the closed
+form of V(T(p, p + 1)) (helpers.torus_jones). There is no timing gate.
+
+    python scripts/jones_wide.py --p 4 5 6 7 8
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the builder and checks
+
+from helpers import StateTally, jones_at_roots_of_unity, torus_closure, torus_jones  # noqa: E402
+from symunion import invariant  # noqa: E402
+from symunion.invariant import alexander_region, jones  # noqa: E402
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--p", type=int, nargs="+", default=[4, 5, 6, 7, 8, 9],
+                    help="braid strands p of T(p, p + 1) to run (default: 4 to 9)")
+    args = ap.parse_args()
+
+    failures = 0
+    limit = invariant._STATE_LIMIT
+    print("  p  crossings  peak_states  state_steps   jones_s  ok")
+    for p in args.p:
+        d = torus_closure(p)
+        invariant._STATE_LIMIT = tally = StateTally(limit)
+        try:
+            t0 = time.process_time()
+            v = jones(d)
+            t_jones = time.process_time() - t0
+        finally:
+            invariant._STATE_LIMIT = limit
+        det = alexander_region(d).evaluate(-1)
+        ok = v.evaluate(1) == 1 and jones_at_roots_of_unity(v, det) and v == torus_jones(p)
+        failures += not ok
+        print(f"{p:3} {len(d.crossings):10} {max(tally.counts):12} {sum(tally.counts):12} "
+              f"{t_jones:9.3f}  {'yes' if ok else 'NO'}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import permutations
 import math
 from operator import mul
 import threading
@@ -491,9 +492,11 @@ def alexander_fox(
 # -- Kauffman bracket and Jones --------------------------------------------------------
 
 # The most live states one sweep keeps; a planar frontier of width w has at
-# most Catalan(w/2) pairings. A state takes about 1.0 to 1.4 KB at 68
-# crossings and 15 KB at 820, mostly its packed coefficient, which grows
-# with the crossings.
+# most Catalan(w/2) pairings. A state takes about 0.8 to 1.6 KB at 68
+# crossings, 0.6 to 1.2 KB at 63 (T(8, 9), 1,430 states) and 15 to 21 KB
+# at 820, mostly its packed coefficient, which grows with the crossings;
+# its key, a tuple of partner positions, is 0.1 to 0.4 KB less than a
+# tuple of edge pairs.
 _STATE_LIMIT = 50_000
 
 # (mate, a, cs): a pairing of a unit's slots and its weight
@@ -513,7 +516,7 @@ class _Unit(NamedTuple):
 
 def _smooth(
     mate: Sequence[int], link: dict[int, int], ends: dict[int, int]
-) -> tuple[list[tuple[int, int]], int]:
+) -> tuple[tuple[tuple[int, int], ...], int]:
     """Walk a unit's slots along one smoothing. ends maps each slot that
     holds an open end to that end's edge; link joins the other slots in
     pairs. Returns the new pairs of open ends and the number of loops the
@@ -542,7 +545,26 @@ def _smooth(
                 u = mate[t]
                 seen[u] = True
                 t = link[u]
-    return made, loops
+    return tuple(made), loops
+
+
+# _smooth of every smoothing against every link pattern, by (mate, link):
+# the pairs of end slots it makes and the loops it closes. A unit has 0, 2
+# or 4 slots; mate is a perfect matching of them and link an involution,
+# link[s] the slot s is linked to, or s when s holds an open end. 1 + 2 +
+# 3 * 10 = 33 entries.
+_WALKS = {
+    (mate, link): _smooth(
+        mate,
+        {s: t for s, t in enumerate(link) if s != t},
+        {s: s for s, t in enumerate(link) if s == t},
+    )
+    for n in (0, 2, 4)
+    for link in permutations(range(n))
+    if all(link[t] == s for s, t in enumerate(link))
+    for mate in permutations(range(n))
+    if all(mate[t] == s != t for s, t in enumerate(mate))
+}
 
 
 def _bound(smoothings: Sequence[_Smoothing]) -> int:
@@ -644,9 +666,22 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
     left open and each pairing of them gets one smoothing.
 
     The weights are packed at B from the crossings' bound, as a sweep over
-    the box's crossings would take them, at lo = -3m - 4: no term is lower."""
+    the box's crossings would take them, at lo = -3m - 4: no term is lower.
+
+    A box of one crossing with no kink is the crossing's own two
+    smoothings (_SMOOTHINGS), moved onto its four edges in sorted order."""
     _check(cancel)
     mates = d.mates
+    if len(box) == 1 and all(mates[k] >> 2 != box[0] for k in range(4 * box[0], 4 * box[0] + 4)):
+        edges = d.crossings[box[0]]
+        slots = tuple(sorted(edges))
+        at = [slots.index(e) for e in edges]  # crossing slot -> unit slot
+        order = [edges.index(e) for e in slots]  # unit slot -> crossing slot
+        return _Unit(
+            slots,
+            tuple((tuple(at[mate[j]] for j in order), a, cs) for mate, a, cs in _SMOOTHINGS),
+            _CROSSING_BOUND,
+        )
     # Along one chain of faces: each next corner is opposite the corner the
     # last bigon arrives at, as an interior crossing's two bigons lead to
     # two other crossings. Two crossings may share two bigons, so c_m's
@@ -678,21 +713,21 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
         if x != box[-1]:
             end = mates[4 * x + end] & 3
     one = (2, 3, 0, 1) if end == corners[-1] else (3, 2, 1, 0)
-    link, ends = {}, {}
+    link, ends = [], {}
     for i, k in enumerate(darts):
         if mates[k] in darts:
-            link[i] = darts.index(mates[k])
+            link.append(darts.index(mates[k]))
         else:
+            link.append(i)
             ends[i] = d.crossings[k >> 2][k & 3]
     merged: dict[tuple[tuple[int, int], ...], int] = {}
     for mate, p in ((one, pa), ((1, 0, 3, 2), pb)):
-        made, loops = _smooth(mate, link, ends)
+        made, loops = _WALKS[mate, tuple(link)]
         for _ in range(loops):
             p = -(p + (p << 2 * bits))
-        key = tuple(sorted(made))
-        merged[key] = merged.get(key, 0) + (p << bits * (2 - loops))
+        merged[made] = merged.get(made, 0) + (p << bits * (2 - loops))
     slots = tuple(sorted(ends.values()))
-    at = {e: s for s, e in enumerate(slots)}
+    at = {i: slots.index(e) for i, e in ends.items()}  # dart -> unit slot
     smoothings = []
     for pairs, p in merged.items():
         mate = [0] * len(slots)
@@ -706,13 +741,19 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
 
 def _sweep(
     units: Sequence[_Unit], bits: int, cancel: CancelToken | None
-) -> tuple[dict[tuple[tuple[int, int], ...], tuple[int, int]], set[int]]:
-    """Insert units one at a time. A state is the pairing of the open edges
-    by the arcs of the processed part, a sorted tuple of edge pairs. A unit
-    changes only the pairs that end at it: each of its slots holds an open
-    end, or is linked to another slot by two closing edges paired with each
-    other. Walking the slots along each smoothing gives the new pairs and
-    the loops closed. Returns the states and the edges left open.
+) -> tuple[dict[tuple[int, ...], tuple[int, int]], tuple[int, ...]]:
+    """Insert units one at a time. Every state shares one frontier, the
+    open edges in a fixed order; a state is the pairing of them by the
+    arcs of the processed part, keyed by the tuple of each edge's
+    partner's position. A unit changes only the pairs that end at it: each
+    of its slots holds an open end, or is linked to another slot by two
+    closing edges paired with each other. _WALKS gives the new pairs and
+    the loops closed for each smoothing and link pattern. The edges left
+    open keep their order and the unit's new edges follow them, so once per
+    unit the positions of the closing edges, the survivors' new positions
+    and those of the new edges are known, and a next key is the survivors'
+    partners moved to their new positions with the new pairs written in.
+    Returns the states and the frontier left open.
 
     A state's coefficient is packed into one integer (Kronecker
     substitution): (lo, P) with P = sum c_j 2^(Bj) stands for
@@ -722,54 +763,69 @@ def _sweep(
     at any size; B = bits, from _width, lets the final coefficients be read
     back."""
     two = 2 * bits
-    states: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {(): (0, 1)}
-    frontier: set[int] = set()
+    states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
+    front: tuple[int, ...] = ()
     for u in units:
         _check(cancel)
-        opening: dict[int, int] = {}  # slot -> its own edge, newly open
-        closing: dict[int, int] = {}  # open edge -> slot
+        at = {e: i for i, e in enumerate(front)}
+        slot_at = [-1] * len(front)  # position -> the slot its edge closes at
+        closing = []  # (slot, position) of each closing edge
         for s, e in enumerate(u.slots):
-            if e in frontier:
-                closing[e] = s
-            else:
-                opening[s] = e
+            if e in at:
+                slot_at[at[e]] = s
+                closing.append((s, at[e]))
+        kept = [i for i, s in enumerate(slot_at) if s < 0]
+        moved = [0] * len(front)  # position -> its new position, if kept
+        for j, i in enumerate(kept):
+            moved[i] = j
+        opened = [s for s, e in enumerate(u.slots) if e not in at]
+        front = tuple(front[i] for i in kept) + tuple(u.slots[s] for s in opened)
+        # each slot's end: a new edge's own new position, or set per state
+        ident = list(range(len(u.slots)))
+        ends_at = ident.copy()
+        for j, s in enumerate(opened, len(kept)):
+            ends_at[s] = j
+        pad = [0] * len(opened)
         weights = [(mate, a, pack(enumerate(cs), bits)) for mate, a, cs in u.smoothings]
-        new: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
-        for pairs, (lo, p) in states.items():
-            link, ends, kept = {}, dict(opening), []
-            for x, y in pairs:
-                sx, sy = closing.get(x), closing.get(y)
-                if sx is None and sy is None:
-                    kept.append((x, y))
-                elif sy is None:
-                    ends[sx] = y
-                elif sx is None:
-                    ends[sy] = x
+        steps: dict[tuple[int, ...], list] = {}  # link pattern -> smoothings' walks
+        new: dict[tuple[int, ...], tuple[int, int]] = {}
+        for key, (lo, p) in states.items():
+            link, ends = ident.copy(), ends_at.copy()
+            for s, i in closing:
+                j = key[i]
+                if slot_at[j] < 0:
+                    ends[s] = moved[j]
                 else:
-                    link[sx], link[sy] = sy, sx
-            for mate, a, w in weights:
-                made, loops = _smooth(mate, link, ends)
+                    link[s] = slot_at[j]
+            link = tuple(link)
+            walks = steps.get(link)
+            if walks is None:
+                walks = steps[link] = [(*_WALKS[mate, link], a, w) for mate, a, w in weights]
+            base = [moved[key[i]] for i in kept] + pad
+            for made, loops, a, w in walks:
+                nk = base.copy()
+                for s, t in made:
+                    x, y = ends[s], ends[t]
+                    nk[x], nk[y] = y, x
+                nk = tuple(nk)
                 q = p if w == 1 else p * w
                 # delta = -A^-2 (1 + A^4); A^4 is two slots
                 for _ in range(loops):
                     q = -(q + (q << two))
                 lq = lo + a - 2 * loops
-                key = tuple(sorted(kept + made))
-                old = new.get(key)
+                old = new.get(nk)
                 if old is None:
-                    new[key] = (lq, q)
+                    new[nk] = (lq, q)
                 elif lq >= old[0]:
-                    new[key] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
+                    new[nk] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
                 else:
-                    new[key] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
+                    new[nk] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
         if len(new) > _STATE_LIMIT:
             raise TooLarge(
                 f"bracket state sum reaches {len(new)} states; limit is {_STATE_LIMIT}"
             )
         states = new
-        frontier -= closing.keys()
-        frontier.update(opening.values())
-    return states, frontier
+    return states, front
 
 
 def _unit_graph(d: PlanarDiagram, boxes: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -12,8 +12,12 @@ unions of the benchmark's scaling-family pool, cylinder grids and the
 unpruned search for the bracket sweep's order, the bracket sweep's unit
 bound by enumerating link patterns, and the loops pack and unpack split
 into halves, the two rebuilds the fraction certificate's complement
-closures were once taken from, and the Jones polynomial's values at the
-third and fourth roots of unity."""
+closures were once taken from, the Jones polynomial's values at the
+third and fourth roots of unity, the bracket sweep keyed by sorted edge
+pairs and the box walk by _smooth that the sweep over partner positions
+and the walk table replaced, a counter of the sweep's states, links on
+cylinder grids, and the torus knots T(p, p + 1) as braid closures with
+their Jones polynomials in closed form."""
 
 import itertools
 import json
@@ -27,6 +31,7 @@ from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
 from symunion.diagram import Crossing, DisconnectedDiagram, PlanarDiagram, along_orientation
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
+from symunion import invariant as inv
 from symunion.invariant import _smooth, alexander_region
 from symunion.poly import (
     ConwayPoly,
@@ -36,6 +41,9 @@ from symunion.poly import (
     NotSymmetric,
     ZeroPolynomial,
     normalize_alexander,
+    pack,
+    unpack,
+    width,
 )
 from symunion.tangle import (
     CORNERS,
@@ -419,6 +427,35 @@ def cylinder_grid(rows: int, cols: int) -> list[list[int]]:
     return nbrs
 
 
+
+def cylinder_link(rows: int, cols: int) -> PlanarDiagram:
+    """cylinder_grid(rows, cols) drawn as a link diagram, cols even: rows
+    concentric circles crossed by cols radial arcs, crossing (r, c) on
+    circle r at angle c. The arcs of columns 2j and 2j + 1 are joined by a
+    cap inside the innermost circle and another outside the outermost, so
+    each such pair is one component. Counterclockwise around (r, c) come
+    the edges out to circle r + 1, on to angle c + 1, in to circle r - 1
+    and back to angle c - 1. The circles run counterclockwise, the even
+    columns outward and the odd ones inward, and a circle passes under
+    where r + c is even."""
+    ids: dict = {}
+
+    def edge(*name):
+        return ids.setdefault(name, len(ids) + 1)
+
+    def radial(r, c):  # from circle r to circle r + 1, or a cap
+        if r < 0 or r == rows - 1:
+            return edge("cap", r < 0, c >> 1)
+        return edge("v", r, c)
+
+    xs = []
+    for r in range(rows):
+        for c in range(cols):
+            around = (radial(r, c), edge("h", r, c), radial(r - 1, c), edge("h", r, (c - 1) % cols))
+            start = 3 if (r + c) % 2 == 0 else 2 if c % 2 == 0 else 0  # the incoming under edge
+            xs.append(Crossing(*(around[start + i & 3] for i in range(4))))
+    return PlanarDiagram(tuple(xs))
+
 def sweep_order_unpruned(nbrs) -> list[int]:
     """invariant._sweep_order without its pruning and its memo: the greedy
     sweep from every start unit runs to the end. Adding unit i changes the
@@ -524,3 +561,183 @@ def jones_at_roots_of_unity(v: LaurentPoly, det: int) -> bool:
     s = [sum(c for e, c in v.items() if e % 4 == r) for r in range(4)]
     arf = det % 8 not in (1, 7)
     return t[0] - t[2] == 1 and t[1] == t[2] and s[1] == s[3] and s[0] - s[2] == (-1) ** arf
+
+
+def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
+    """invariant._box_unit as it was before a box of one crossing read
+    _SMOOTHINGS and the walks read _WALKS: every box goes through the
+    corner walk, the Temperley-Lieb recurrence and _smooth. The oracle for
+    both."""
+    mates = d.mates
+    if len(box) == 1:
+        corners = [0]
+    else:
+        corners = [next(j for j in range(4) if inv._across(mates, 4 * box[0] + j) >> 2 == box[1])]
+    for x in box[:-1]:
+        corners.append(inv._across(mates, 4 * x + corners[-1]) & 3 ^ 2)
+    bits = width(inv._CROSSING_BOUND ** len(box))
+    pa, pb = 1, 0
+    for j in corners:
+        if inv._SMOOTHINGS[j & 1][1] > 0:
+            pa, pb = pa << bits, (pa << 2 * bits) - (pb << 3 * bits)
+        else:
+            pa, pb = pa << 2 * bits, (pa << bits) - pb
+    first, last = 4 * box[0], 4 * box[-1]
+    darts = (
+        first + (corners[0] + 2 & 3),
+        first + (corners[0] + 3 & 3),
+        last + corners[-1],
+        last + (corners[-1] + 1 & 3),
+    )
+    end = darts[0] & 3
+    for x, j in zip(box, corners):
+        end = inv._SMOOTHINGS[j & 1 ^ 1][0][end]
+        if x != box[-1]:
+            end = mates[4 * x + end] & 3
+    one = (2, 3, 0, 1) if end == corners[-1] else (3, 2, 1, 0)
+    link, ends = {}, {}
+    for i, k in enumerate(darts):
+        if mates[k] in darts:
+            link[i] = darts.index(mates[k])
+        else:
+            ends[i] = d.crossings[k >> 2][k & 3]
+    merged: dict = {}
+    for mate, p in ((one, pa), ((1, 0, 3, 2), pb)):
+        made, loops = _smooth(mate, link, ends)
+        for _ in range(loops):
+            p = -(p + (p << 2 * bits))
+        key = tuple(sorted(made))
+        merged[key] = merged.get(key, 0) + (p << bits * (2 - loops))
+    slots = tuple(sorted(ends.values()))
+    at = {e: s for s, e in enumerate(slots)}
+    smoothings = []
+    for pairs, p in merged.items():
+        mate = [0] * len(slots)
+        for x, y in pairs:
+            mate[at[x]], mate[at[y]] = at[y], at[x]
+        low = ((p & -p).bit_length() - 1) // bits if p else 0
+        cs = unpack(p >> bits * low, bits)
+        smoothings.append((tuple(mate), 2 * low - 3 * len(box) - 4, cs))
+    return inv._Unit(slots, tuple(smoothings), inv._bound(smoothings))
+
+
+def sweep_by_pairs(units, bits: int):
+    """invariant._sweep as it was: a state is a sorted tuple of edge pairs,
+    each state scans its pairs for those that end at the unit, and each
+    smoothing walks the unit's slots with _smooth. Returns the states, the
+    edges left open, and the number of states after each unit; the oracle
+    for the sweep over partner tuples."""
+    two = 2 * bits
+    states: dict = {(): (0, 1)}
+    frontier: set[int] = set()
+    counts = []
+    for u in units:
+        opening: dict[int, int] = {}
+        closing: dict[int, int] = {}
+        for s, e in enumerate(u.slots):
+            if e in frontier:
+                closing[e] = s
+            else:
+                opening[s] = e
+        weights = [(mate, a, pack(enumerate(cs), bits)) for mate, a, cs in u.smoothings]
+        new: dict = {}
+        for pairs, (lo, p) in states.items():
+            link, ends, kept = {}, dict(opening), []
+            for x, y in pairs:
+                sx, sy = closing.get(x), closing.get(y)
+                if sx is None and sy is None:
+                    kept.append((x, y))
+                elif sy is None:
+                    ends[sx] = y
+                elif sx is None:
+                    ends[sy] = x
+                else:
+                    link[sx], link[sy] = sy, sx
+            for mate, a, w in weights:
+                made, loops = _smooth(mate, link, ends)
+                q = p if w == 1 else p * w
+                for _ in range(loops):
+                    q = -(q + (q << two))
+                lq = lo + a - 2 * loops
+                key = tuple(sorted(kept + list(made)))
+                old = new.get(key)
+                if old is None:
+                    new[key] = (lq, q)
+                elif lq >= old[0]:
+                    new[key] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
+                else:
+                    new[key] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
+        counts.append(len(new))
+        states = new
+        frontier -= closing.keys()
+        frontier.update(opening.values())
+    return states, frontier, counts
+
+
+def pairs_of(states, front):
+    """States keyed by partner positions over front, keyed instead by the
+    sorted tuple of the edge pairs they stand for, as sweep_by_pairs keys
+    them."""
+    return {
+        tuple(sorted((min(front[i], front[j]), max(front[i], front[j]))
+                     for i, j in enumerate(key) if i < j)): v
+        for key, v in states.items()
+    }
+
+
+class StateTally(int):
+    """A stand-in for invariant._STATE_LIMIT, equal to it, that records
+    the number of states the sweep holds after each unit. The sweep tests
+    len(states) > limit once per unit, and for an int subclass Python
+    tries the reflected __lt__ first."""
+
+    def __new__(cls, limit: int):
+        tally = super().__new__(cls, limit)
+        tally.counts = []
+        return tally
+
+    def __lt__(self, n):
+        self.counts.append(n)
+        return int(self) < n
+
+
+def torus_closure(p: int) -> PlanarDiagram:
+    """The closure of the p-strand braid (s_1 ... s_(p-1))^(p+1), with
+    p - 1 crossings per factor. The letter s_i is the row
+    X[x_i, x_(i+1), y, z], where x_i and x_(i+1) are the edges at
+    positions i and i + 1: position i + 1 goes on along the new edge y and
+    position i along z. The closure joins the last edge at each position
+    to the first, and the edges are numbered 1..E in order of appearance.
+    The diagram is the torus knot T(p, p + 1) in the handedness whose
+    Jones polynomial has negative exponents (the trefoil's for p = 2).
+    Cutting it anywhere leaves 2p open strands, so the bracket sweep peaks
+    at Catalan(p) states."""
+    pos = list(range(1, p + 1))
+    rows = []
+    for _ in range(p + 1):
+        for i in range(p - 1):
+            y, z = p + 2 * len(rows) + 1, p + 2 * len(rows) + 2
+            rows.append((pos[i], pos[i + 1], y, z))
+            pos[i], pos[i + 1] = z, y
+    first = {e: i + 1 for i, e in enumerate(pos)}
+    ids: dict[int, int] = {}
+    xs = [Crossing(*(ids.setdefault(first.get(e, e), len(ids) + 1) for e in r)) for r in rows]
+    return PlanarDiagram(tuple(xs))
+
+
+def torus_jones(p: int) -> LaurentPoly:
+    """The Jones polynomial of torus_closure(p) in closed form: the mirror
+    image, t -> 1/t, of V(T(p, q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) -
+    t^(q+1) + t^(p+q)) / (1 - t^2) at q = p + 1 (Jones, Ann. Math. 1987).
+    The division is exact: the numerator vanishes at t = 1 and t = -1."""
+    q = p + 1
+    rest = {0: 1, p + 1: -1, q + 1: -1, p + q: 1}
+    quotient: dict[int, int] = {}
+    for e in range(max(rest), 1, -1):  # divide by 1 - t^2 from the top
+        c = rest.pop(e, 0)
+        if c:
+            quotient[e - 2] = -c
+            rest[e - 2] = rest.get(e - 2, 0) + c
+    assert not any(rest.values()), "1 - t^2 does not divide the numerator"
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly({-(e + shift): c for e, c in quotient.items()})

@@ -14,17 +14,25 @@ import symunion.invariant as inv
 from bracket_oracle import bracket_naive
 from helpers import (
     FAMILY_POOL,
+    LINKS,
+    StateTally,
     bound_by_link_patterns,
+    box_unit_by_chain,
     circle_chain,
     complement_by_rebuild,
     cylinder_grid,
+    cylinder_link,
     display_form,
     jones_at_roots_of_unity,
+    pairs_of,
     parse_poly,
     pool_variant,
     random_spec,
     sparse,
+    sweep_by_pairs,
     sweep_order_unpruned,
+    torus_closure,
+    torus_jones,
 )
 from symunion import corpus
 from symunion.construct import (
@@ -904,6 +912,96 @@ def test_box_bounds_match_the_brute_force_bound():
     assert {len(u.slots) for u in units} == {0, 2, 4}
     for u in units:
         assert u.bound == bound_by_brute_force(u)
+
+
+def test_walk_table_matches_smooth():
+    """_WALKS holds _smooth of every perfect matching of 0, 2 or 4 slots
+    against every link pattern, an involution whose fixed points hold the
+    open ends, and nothing else."""
+    want = {}
+    for n, mates in LINKS.items():
+        for link in link_patterns(list(range(n))):
+            ends = {s: s for s in range(n) if s not in link}
+            for mate in mates:
+                key = mate, tuple(link.get(s, s) for s in range(n))
+                want[key] = inv._smooth(mate, link, ends)
+    assert len(want) == 33
+    assert inv._WALKS == want
+
+
+def every_box_diagram():
+    """The 64 pool variants, the 7 corpus unions and the torus closures
+    T(3, 4) to T(7, 8)."""
+    diagrams = [pool_variant(k) for k in sorted(FAMILY_POOL)]
+    diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
+    diagrams += [torus_closure(p) for p in range(3, 8)]
+    return diagrams
+
+
+def test_box_units_match_the_chain_walk():
+    """Every box, one crossing or many, against _box_unit as it was: the
+    same slots, smoothings and bound. Most one-crossing boxes have no kink
+    and read _SMOOTHINGS."""
+    single = 0
+    for d in every_box_diagram() + [d for d, _ in BOX_CASES.values()]:
+        for b in inv._boxes(d, faces(d)):
+            got, want = inv._box_unit(d, b, None), box_unit_by_chain(d, b)
+            assert got.slots == want.slots
+            assert set(got.smoothings) == set(want.smoothings)
+            assert len(got.smoothings) == len(want.smoothings)
+            assert got.bound == want.bound
+            single += len(b) == 1 and len(got.slots) == 4
+    assert single > 500
+
+
+def assert_sweep_matches_the_pairs(d, order=None):
+    """_sweep against the pair-keyed sweep over d's boxes, in order or in
+    _sweep_order's order: the same final states, the same number of states
+    after every unit, and the same states halfway, read as edge pairs."""
+    boxes = inv._boxes(d, faces(d))
+    if order is None:
+        order = inv._sweep_order(inv._unit_graph(d, boxes))
+    units = [inv._box_unit(d, boxes[i], None) for i in order]
+    bits = inv._width(units)
+    tally = StateTally(inv._STATE_LIMIT)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_STATE_LIMIT", tally)
+        states, front = inv._sweep(units, bits, None)
+    want, open_edges, counts = sweep_by_pairs(units, bits)
+    assert (states, front, open_edges) == (want, (), set())
+    assert tally.counts == counts
+    half = units[: len(units) // 2]
+    states, front = inv._sweep(half, bits, None)
+    want, open_edges, _ = sweep_by_pairs(half, bits)
+    assert set(front) == open_edges and len(front) == len(open_edges)
+    assert pairs_of(states, front) == want
+
+
+def test_sweep_matches_the_pairs_on_fixed_diagrams():
+    """The pool variants, the corpus unions, the torus closures, random
+    unions, chains of circles and links on cylinder grids."""
+    diagrams = every_box_diagram() + [random_union(seed) for seed in range(15)]
+    diagrams += [circle_chain(k) for k in range(2, 9)]
+    diagrams += [cylinder_link(r, c) for r, c in ((1, 2), (2, 4), (3, 6), (4, 8), (2, 10))]
+    for d in diagrams:
+        assert_sweep_matches_the_pairs(d)
+
+
+@given(diagrams_and_orders())
+@settings(max_examples=15, deadline=None)
+def test_sweep_matches_the_pairs_in_random_orders(case):
+    assert_sweep_matches_the_pairs(*case)
+
+
+@pytest.mark.parametrize("p", range(3, 8))
+def test_jones_of_torus_closures(p):
+    """The closed form of V(T(p, p + 1)), mirrored; the sweep peaks at
+    Catalan(p) states."""
+    tally = StateTally(inv._STATE_LIMIT)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_STATE_LIMIT", tally)
+        assert jones(torus_closure(p)) == torus_jones(p)
+    assert max(tally.counts) == math.comb(2 * p, p) // (p + 1)
 
 
 @pytest.mark.parametrize("k", range(2, 9))

@@ -3,20 +3,18 @@
 family and check them.
 
 The family member for m carries kt(m) x 4 over the 12-crossing rational
-knot N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings. Its marked arcs are the
-first draw that embeds under rejection sampling with random.Random(1): five
-edges on distinct over-arcs of the partial, drawn again until the union
-builds.
+knot N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings, built by
+helpers.kt_member, which the tests share.
 
 For each m the script prints the crossings, the best of --repeat process
 times of the region-route and Fox-route determinants, and for each route
 the size k of the block left once no unit pivot remains, the packing
 width B of that block, and the process seconds of one run of each phase:
-phase 1 (the unit pivots, invariant._unit_pivots) and phase 2 (the block's
-Bareiss, invariant._block_det). Then come the process seconds of one
+phase 1 (the unit pivots, poly._unit_pivots) and phase 2 (the block's
+Bareiss, poly._block_det). Then come the process seconds of one
 jones(k), the Kauffman-bracket sweep, and of region 1's two complement
 closures for the fraction certificate, taken both ways: from one rebuild
-and one phase 1 (construct.complement_closures) and from a rebuild
+and one phase 1 (invariant.complement_closures) and from a rebuild
 and a region-route determinant each (helpers.complement_by_rebuild). It
 exits 1 unless both routes give the polynomial the product formula
 predicts, Delta(partial)^2 prod Delta(N(kt(m))), unless |V(-1)| =
@@ -29,50 +27,30 @@ ways give the same complement closures.
 """
 
 import argparse
-import random
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the reference routes
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the family, the reference routes
 
-from helpers import complement_by_rebuild, jones_at_roots_of_unity  # noqa: E402
-from symunion import invariant  # noqa: E402
-from symunion.construct import (  # noqa: E402
-    NotPlanarInsertion,
-    SymUnionSpec,
-    build_symmetric_union,
-    complement_closures,
+from helpers import (  # noqa: E402
+    PARTIAL_12,
+    complement_by_rebuild,
+    jones_at_roots_of_unity,
+    kt_member,
 )
-from symunion.group import wirtinger  # noqa: E402
+from symunion import invariant, poly  # noqa: E402
+from symunion.group import presentation  # noqa: E402
 from symunion.invariant import (  # noqa: E402
     alexander_region,
-    det_laurent,
+    complement_closures,
     flanking_faces,
     fox_jacobian,
     jones,
     reduced,
 )
-from symunion.poly import normalize_alexander  # noqa: E402
-from symunion.tangle import kt_tangle, numerator, rational_tangle  # noqa: E402
-
-PARTIAL = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
-REGIONS = 4
-
-
-def member(m: int):
-    tangles = (kt_tangle(m),) * REGIONS
-    arcs = wirtinger(PARTIAL).arc_of_edge
-    edges = sorted(arcs)
-    rng = random.Random(1)
-    while True:
-        marked = tuple(rng.sample(edges, REGIONS + 1))
-        if len({arcs[e] for e in marked}) < REGIONS + 1:
-            continue
-        try:
-            return build_symmetric_union(SymUnionSpec(PARTIAL, marked, tangles))
-        except NotPlanarInsertion:
-            continue
+from symunion.poly import det_laurent, normalize_alexander  # noqa: E402
+from symunion.tangle import numerator  # noqa: E402
 
 
 def region_rows(k):
@@ -80,7 +58,7 @@ def region_rows(k):
 
 
 def fox_rows(k):
-    w = wirtinger(k)
+    w = presentation(k)
     n = len(w.generators)
     return [{j: p for j, p in row.items() if j < n - 1} for row in fox_jacobian(w)[: n - 1]]
 
@@ -100,13 +78,13 @@ def phases(rows) -> tuple[int, int, float, float]:
     (0 and 0 when no block is left), and the process seconds of phase 1
     and of phase 2 (0 when no block is left)."""
     t0 = time.process_time()
-    found = invariant._unit_pivots(rows, None)
+    found = poly._unit_pivots(rows, None)
     t1 = time.process_time()
     if found is None or not found[2]:
         return 0, 0, t1 - t0, 0.0
     block = found[2]
-    invariant._block_det(block, None)
-    return len(block), invariant._block_width(block), t1 - t0, time.process_time() - t1
+    poly._block_det(block, None)
+    return len(block), poly._block_width(block), t1 - t0, time.process_time() - t1
 
 
 def complements(k) -> tuple[float, float, bool]:
@@ -127,12 +105,12 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=3, help="best of this many runs")
     args = ap.parse_args()
 
-    half = alexander_region(PARTIAL)
+    half = alexander_region(PARTIAL_12)
     failures = 0
     print("crossings     m   region_s      fox_s  region k/B  phase1_s  phase2_s"
           "   fox k/B  phase1_s  phase2_s   jones_s  compl_s  rebuilt_s  ok")
     for m in args.m:
-        k = member(m)
+        k = kt_member(m)
         want = half * half
         for t in k.meta.spec.tangles:
             want = want * alexander_region(numerator(t))

@@ -34,6 +34,7 @@ from symunion.construct import (  # noqa: E402
     _rebuild,
     build_all_zero_replacement,
     build_symmetric_union,
+    expect_knot,
 )
 from symunion.diagram import to_doc  # noqa: E402
 from symunion.tangle import rational_tangle, vertical_twists  # noqa: E402
@@ -54,8 +55,8 @@ def union_docs(spec) -> dict:
     regions = {}
     for i in range(1, len(spec.tangles) + 1):
         regions[str(i)] = {
-            "denominator": _doc(_rebuild(k, {i: vertical_twists(0)}, require_knot=True)),
-            "numerator": _doc(_rebuild(k, {i: rational_tangle([])}, require_knot=False)),
+            "denominator": _doc(expect_knot(_rebuild(k, {i: vertical_twists(0)}))),
+            "numerator": _doc(_rebuild(k, {i: rational_tangle([])})),
         }
     return {
         "union": _doc(k),

@@ -98,7 +98,7 @@ class UnionMeta:
 _SIGMA = {0: 2, 1: 1, 2: 0, 3: 3}
 
 
-def _validate_inputs(spec: SymUnionSpec, require_even: bool) -> None:
+def _validate_inputs(spec: SymUnionSpec) -> None:
     d = spec.partial
     if not d.crossings or d.component_count() != 1:
         raise NotAKnot("partial diagram must be a one-component diagram "
@@ -118,10 +118,6 @@ def _validate_inputs(spec: SymUnionSpec, require_even: bool) -> None:
     for i, t in enumerate(spec.tangles, start=1):
         if t.has_closed_components():
             raise ClosedComponentInTangle(f"tangle {i} contains a closed component")
-        if require_even and not is_even_type(t):
-            raise NotEvenType(
-                f"tangle {i} pairs its ends {t.pairing()}, not north-to-south"
-            )
 
 
 def _oriented_for_box(t: Tangle, bit: int) -> Tangle:
@@ -170,8 +166,6 @@ def _assemble_with_bits(
     spec: SymUnionSpec,
     bits: tuple[int, ...],
     boxed: Sequence[Tangle],
-    *,
-    require_knot: bool,
 ) -> PlanarDiagram:
     """The union of spec at attachment bits, with boxed[i - 1], the tangle
     of region i oriented for its box at its bit, spliced in. Edges are
@@ -240,7 +234,7 @@ def _assemble_with_bits(
     except DiagramError as exc:
         raise NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
 
-    return expect_knot(built) if require_knot else built
+    return built
 
 
 def expect_knot(d: PlanarDiagram) -> PlanarDiagram:
@@ -264,7 +258,12 @@ def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
     is the side of m that face lies on: 0 for the face before m's head
     slot (flanking_faces(d, m)[0]), preferred when both sides qualify,
     else 1 for the face after it."""
-    _validate_inputs(spec, require_even=True)
+    _validate_inputs(spec)
+    for i, t in enumerate(spec.tangles, start=1):
+        if not is_even_type(t):
+            raise NotEvenType(
+                f"tangle {i} pairs its ends {t.pairing()}, not north-to-south"
+            )
     d = spec.partial
     axis, *marked = spec.marked_arcs
     try:
@@ -281,7 +280,7 @@ def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
             )
         bits.append(0 if before in corridors else 1)
     boxed = [_oriented_for_box(t, bit) for t, bit in zip(spec.tangles, bits)]
-    return _assemble_with_bits(spec, tuple(bits), boxed, require_knot=True)
+    return expect_knot(_assemble_with_bits(spec, tuple(bits), boxed))
 
 
 def build_all_zero_replacement(union: SymUnionSpec | PlanarDiagram) -> PlanarDiagram:
@@ -292,7 +291,7 @@ def build_all_zero_replacement(union: SymUnionSpec | PlanarDiagram) -> PlanarDia
     so the union's own bits embed it."""
     k = built_union(union)
     zeros = dict.fromkeys(range(1, len(k.meta.spec.tangles) + 1), rational_tangle([]))
-    return _rebuild(k, zeros, require_knot=False)
+    return _rebuild(k, zeros)
 
 
 # -- the built union --------------------------------------------------------------
@@ -352,9 +351,7 @@ def region_tangle(k: PlanarDiagram, i: int) -> Tangle:
     return tangles[i - 1]
 
 
-def _rebuild(
-    k: PlanarDiagram, replace: Mapping[int, Tangle], *, require_knot: bool
-) -> PlanarDiagram:
+def _rebuild(k: PlanarDiagram, replace: Mapping[int, Tangle]) -> PlanarDiagram:
     """Rebuild k with region i holding replace[i], at the attachment bits
     of k. Pinning the bits keeps the complement of each region the same
     tangle across rebuilds, which the decomposition checks rely on."""
@@ -363,12 +360,12 @@ def _rebuild(
         region_tangle(k, i)
     tangles = [replace.get(i, t) for i, t in enumerate(meta.spec.tangles, start=1)]
     spec = SymUnionSpec(meta.spec.partial, meta.spec.marked_arcs, tangles)
-    _validate_inputs(spec, require_even=False)
+    _validate_inputs(spec)
     bits = meta.attach_bits
     boxed = list(meta.boxed)
     for i, t in replace.items():
         boxed[i - 1] = _oriented_for_box(t, bits[i - 1])
-    return _assemble_with_bits(spec, bits, boxed, require_knot=require_knot)
+    return _assemble_with_bits(spec, bits, boxed)
 
 
 def open_box(
@@ -410,7 +407,7 @@ def open_box(
     and two more when C's strand from the top crossing returns to it (N(C)
     then closes each strand on itself), else one."""
     meta = _meta_of(k)
-    d = _rebuild(k, {i: vertical_twists(2)}, require_knot=False)
+    d = _rebuild(k, {i: vertical_twists(2)})
     p = 2 * len(meta.spec.partial.crossings) + sum(len(t.crossings) for t in meta.boxed[: i - 1])
     face = planar_faces(d)
     top, bottom = face[4 * p : 4 * p + 4], face[4 * p + 4 : 4 * p + 8]
@@ -425,52 +422,13 @@ def open_box(
     return d, p, at_box, closed + 1 + (end >> 2 == p)
 
 
-def complement_closures(
-    k: PlanarDiagram, i: int, cancel=None
-) -> Callable[[bool], tuple]:
-    """Both closures of region i's complement from one rebuild and one
-    elimination: the function that takes horizontal to the normalized
-    Alexander polynomial and the component count of N(C) (True) or of
-    D(C) (False), which must be a knot.
-
-    Phase 1 (invariant._unit_pivots) runs here, once, on the open box's
-    region matrix (open_box) without the twist's rows, over the faces but
-    the bigon, N and W, with E and S last and never pivoted on. A closure
-    finishes the block left with S's column or E's (invariant._block_det)
-    when it is asked for, so D(C) raises NotAKnot only then. cancel, an
-    invariant.CancelToken or None, is polled as det_laurent polls it."""
-    # the determinant engine and its polynomial type are imported at call
-    # time: invariant imports this module
-    from .invariant import _block_det, _unit_pivots, region_matrix
-    from .poly import LaurentPoly, normalize_alexander
-
-    d, filler, (bigon, n, e, s, w), numerator_components = open_box(k, i)
-    others = set(range(len(d.crossings) + 2)) - {bigon, n, e, s, w}
-    column = {f: j for j, f in enumerate([*sorted(others), e, s])}
-    rows = region_matrix(d)
-    del rows[filler : filler + 2]
-    rows = [{column[f]: p for f, p in row.items() if f in column} for row in rows]
-    found = _unit_pivots(rows, cancel, range(len(others), len(column)))
-
-    def closure(horizontal: bool) -> tuple:
-        m = numerator_components if horizontal else expect_knot(d).component_count()
-        # W = E: N(C) is split and D(C) keeps A alone (open_box)
-        kept = [] if e == w else [-1 if horizontal else -2]
-        det = LaurentPoly.zero()
-        if found is not None and not (horizontal and e == w):
-            det = _block_det([row[:-2] + [row[j] for j in kept] for row in found[2]], cancel)
-        return normalize_alexander(det, knot=m == 1), m
-
-    return closure
-
-
 def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:
     """The complement tangle: the symmetric union built on (e0, e1) with
     region 1 left as an open box. Summing the removed tangle (rotated a
     half turn) back on the west side and closing the numerator restores
     the union."""
     spec = SymUnionSpec(partial, (e0, e1), (rational_tangle([]),))
-    _validate_inputs(spec, require_even=False)
+    _validate_inputs(spec)
     h = _Halves(partial, e0)
     u, v, us, vs = h.cut(e1)
     xs, ends, _ = _join(h.next_id - 1, h.rows, (), (v, u, us, vs))
@@ -500,6 +458,13 @@ def parse_spec(doc: Mapping) -> SymUnionSpec:
         partial = parse_pd(doc["partial"])
         marked = tuple(json_int(e, ConstructError) for e in doc["marked_arcs"])
         tangles = tuple(parse_tangle(t) for t in doc["tangles"])
+        # after the entries, whose errors come first: "" and {} have no
+        # entry to refuse
+        for key in ("marked_arcs", "tangles"):
+            if not isinstance(doc[key], list):
+                raise ConstructError(
+                    f"spec document's {key} must be an array, not {type(doc[key]).__name__}"
+                )
     except KeyError as exc:
         raise ConstructError(f"spec document is missing {exc}") from exc
     except TypeError as exc:

@@ -1,6 +1,7 @@
 """Knot invariants: the Alexander polynomial by two independent routes
-(region matrix and Fox calculus), the Jones polynomial via the Kauffman
-bracket, and the formula verifications built on them.
+(region matrix and Fox calculus), both taking their determinants from
+poly.det_laurent, the Jones polynomial via the Kauffman bracket, and the
+formula verifications built on them.
 
 Both Alexander routes produce the polynomial only up to units; results are
 pushed through poly.normalize_alexander before comparison, which is the
@@ -10,12 +11,10 @@ only equality this module ever asserts.
 from __future__ import annotations
 
 from functools import cache
-from heapq import heapify, heappop, heappush
 from itertools import permutations
 import math
-from operator import mul
 import threading
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .diagram import (
     MultiComponentInput,
@@ -26,9 +25,10 @@ from .diagram import (
 from .construct import (
     build_all_zero_replacement,
     built_union,
-    complement_closures,
     derived,
+    expect_knot,
     flanking_faces,
+    open_box,
     planar_faces,
     region_tangle,
 )
@@ -37,9 +37,11 @@ from .poly import (
     ConwayPoly,
     LaurentPoly,
     NonIntegralSolution,
-    addmul,
-    coeff_map,
+    _block_det,
+    _check,
+    _unit_pivots,
     conway_from_alexander,
+    det_laurent,
     normalize_alexander,
     pack,
     unpack,
@@ -82,304 +84,6 @@ class CancelToken:
     def check(self) -> None:
         if self._event.is_set():
             raise Cancelled("computation cancelled")
-
-
-def _check(cancel: CancelToken | None) -> None:
-    if cancel is not None:
-        cancel.check()
-
-
-# -- exact determinant -------------------------------------------------------------
-
-
-def det_laurent(
-    rows: Sequence[Mapping[int, Mapping[int, int]]], cancel: CancelToken | None = None
-) -> LaurentPoly:
-    """Determinant over Z[t, 1/t] of the n x n matrix whose row i holds
-    rows[i] (column -> entry; a column left out is zero), each entry an
-    {exp: coeff} map of ints. Zero coefficients are dropped, and an entry
-    left with no coefficient is a zero entry; a bool, float or other
-    non-int exponent or coefficient raises TypeError. The rows are not
-    changed.
-
-    Phase 1 (_unit_pivots) expands along unit pivots +-t^k while any is
-    left. Phase 2 (_block_det) takes the determinant of the block that is
-    left by integer Bareiss at t = 2^B. The cancel token is polled once per
-    pivot of either phase."""
-    n = len(rows)
-    if any(not 0 <= j < n for row in rows for j in row):
-        raise ValueError("determinant needs a square matrix")
-    found = _unit_pivots(rows, cancel)
-    if found is None:
-        return LaurentPoly.zero()
-    unit, shift, block = found
-    return _block_det(block, cancel).shift(shift) * unit
-
-
-def _unit_pivots(
-    rows: Sequence[Mapping[int, Mapping[int, int]]],
-    cancel: CancelToken | None,
-    keep: range = range(0),
-) -> tuple[int, int, list[list[dict[int, int]]]] | None:
-    """Phase 1 of det_laurent: eliminate along unit pivots. Returns
-    (u, k, S) with det = u t^k det S, where S is the block left once no
-    unit entry remains, as dense rows of {exp: coeff} maps; None when a row
-    runs empty, so that det = 0. Works on checked copies of the entries.
-    The columns in keep, a range after every other column, are never
-    pivoted on. S keeps them last, and for a choice of them that makes the
-    rows square, det = u t^k det S holds for the rows and S over their
-    other columns and that choice.
-
-    The pivot is the unit entry of least Markowitz cost (r-1)(c-1), ties by
-    row and then column index. A queue in two levels finds it: each column
-    keeps a heap of (r-1, i) over its unit entries, whose head is the
-    column's best, and one heap holds (cost, i, j) of the column heads. A
-    pivot changes r for the rows it updates and c for its own row's
-    columns, so only the columns those rows touch offer their head again;
-    a column whose count c changes offers one entry, not all of them. Every
-    column's current head is in the queue at its current cost, so an entry
-    popped at its current cost is the least. Stale entries are dropped when
-    they come up. Each column marks the entry it last queued, and does not
-    queue an equal one while that entry is in the queue; popping the
-    marked entry clears the mark. Dividing by a unit is a shift.
-
-    The sign of the expansion is that of the permutation taking the pivot
-    rows, in the order they were taken, to the pivot columns: the parity of
-    the row sequence XOR that of the column sequence, with S's rows and
-    columns appended in increasing order."""
-    n, cols = len(rows), max(len(rows), keep.stop)
-    m: dict[int, dict[int, dict[int, int]]] = {}
-    users: list[set[int]] = [set() for _ in range(cols)]
-    # column j's heap: (r - 1, i) of its unit entries +-t^k. An entry has
-    # no zero coefficient, so it is a unit when it has one term in [-1, 1].
-    column: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
-    for i, row in enumerate(rows):
-        m[i] = mi = {j: q for j, p in row.items() if (q := coeff_map(p))}
-        r1 = len(mi) - 1
-        for j, p in mi.items():
-            users[j].add(i)
-            if len(p) == 1 and -1 <= sum(p.values()) <= 1:
-                column[j].append((r1, i))
-    if not all(m.values()):
-        return None
-    for h in column:
-        heapify(h)
-    queue: list[tuple[int, int, int]] = []
-    queued: list[tuple[int, int, int] | None] = [None] * cols
-    row_seq: list[int] = []
-    col_seq: list[int] = []
-    unit, shift = 1, 0
-    touched: Iterable[int] = range(cols - len(keep))
-    while True:
-        # each touched column queues its head at its current cost, dropping
-        # the heap entries of rows that have changed since they were pushed
-        for j in touched:
-            h = column[j]
-            while h:
-                r1, i = h[0]
-                row = m.get(i)
-                if row is not None and len(row) - 1 == r1:
-                    p = row.get(j)
-                    if p is not None and len(p) == 1 and -1 <= sum(p.values()) <= 1:
-                        entry = r1 * (len(users[j]) - 1), i, j
-                        if queued[j] != entry:
-                            queued[j] = entry
-                            heappush(queue, entry)
-                        break
-                heappop(h)
-        while queue:
-            entry = heappop(queue)
-            key, r, c = entry
-            if queued[c] is entry:
-                queued[c] = None
-            prow = m.get(r)
-            if prow is None or key != (len(prow) - 1) * (len(users[c]) - 1):
-                continue
-            p = prow.get(c)
-            if p is not None and len(p) == 1 and -1 <= sum(p.values()) <= 1:
-                break
-        else:
-            break
-        _check(cancel)
-        del m[r]
-        del prow[c]
-        ((k, u),) = p.items()
-        unit, shift, nu = unit * u, shift + k, -u
-        row_seq.append(r)
-        col_seq.append(c)
-        for j in prow:
-            users[j].discard(r)
-        below = users[c]
-        below.discard(r)
-        touched = set(prow)
-        for i in below:
-            row = m[i]
-            f = {e - k: nu * v for e, v in row.pop(c).items()}  # -entry / pivot
-            for j, a in prow.items():
-                acc = row.setdefault(j, {})
-                addmul(acc, f, a)
-                if acc:
-                    users[j].add(i)
-                else:
-                    del row[j]
-                    users[j].discard(i)
-            if not row:
-                return None
-            r1 = len(row) - 1
-            touched.update(row)
-            for j, p in row.items():
-                if len(p) == 1 and -1 <= sum(p.values()) <= 1:
-                    heappush(column[j], (r1, i))
-        touched.difference_update(keep)
-    left_rows = sorted(m)
-    taken = set(col_seq)
-    left_cols = [j for j in range(cols) if j not in taken]
-    if _parity(row_seq + left_rows) != _parity(col_seq + left_cols):
-        unit = -unit
-    return unit, shift, [[m[i].get(j, {}) for j in left_cols] for i in left_rows]
-
-
-def _parity(seq: Sequence[int]) -> int:
-    """The parity of seq as a permutation of range(len(seq)): a cycle of
-    length L is L - 1 transpositions."""
-    seen = [False] * len(seq)
-    cycles = 0
-    for start in range(len(seq)):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = seq[j]
-    return (len(seq) - cycles) & 1
-
-
-def _block_width(block: Sequence[Sequence[dict[int, int]]]) -> int:
-    """The packing width B of _block_det, from the lesser of Hadamard's
-    bounds on the coefficients of det S over rows and over columns.
-    Shifting a row or a column changes neither.
-
-    Over rows the bound is prod_i sqrt(sum_j ||S_ij||_1^2): the coefficient
-    of t^e in det S is the mean of det S(z) z^-e over |z| = 1, so it is at
-    most the largest |det S(z)| there, which by Hadamard's inequality is at
-    most the product of the rows' Euclidean norms, and |S_ij(z)| <=
-    ||S_ij||_1 on |z| = 1. Over columns it is the same for the transpose.
-    Each is at most the l1 product prod_i sum_j ||S_ij||_1 (a Euclidean
-    norm is at most the l1 norm), so no l1 bound can be less.
-
-    A coefficient is an integer, so it is at most the integer square root
-    of the squared bound. B - 1 is the bit length of the lesser bound, so
-    every coefficient is below 2^(B - 1)."""
-    rows = [[sum(map(abs, p.values())) for p in row] for row in block]
-    return width(
-        math.isqrt(
-            min(
-                math.prod([sum(map(mul, r, r)) for r in rows]),
-                math.prod([sum(map(mul, c, c)) for c in zip(*rows)]),
-            )
-        )
-    )
-
-
-def _odd(v: int) -> tuple[int, int]:
-    """(o, z) with v = o 2^z and o odd; (0, 0) for 0."""
-    if v & 1 or not v:
-        return v, 0
-    z = (v & -v).bit_length() - 1
-    return v >> z, z
-
-
-def _block_det(block: list[list[dict[int, int]]], cancel: CancelToken | None) -> LaurentPoly:
-    """Phase 2 of det_laurent: the determinant of a k x k block S with no
-    unit entry. A 1 x 1 block is its entry. Otherwise each row is shifted
-    to nonnegative exponents, each entry is evaluated at t = 2^B as one
-    integer (Kronecker substitution, as in the bracket), and fraction-free
-    Bareiss elimination (Bareiss 1968) takes the determinant of the
-    integers. The coefficients of det S are read back as balanced digits
-    (unpack), which B from _block_width allows.
-
-    Each Bareiss value is kept as (o, z), the value o 2^z with o odd, and
-    the step (x piv - f top) / prev divides the odd parts only. The
-    quotient Q is an integer by Sylvester's identity. With the numerator
-    n 2^m and prev = o 2^y, n and o odd, Q o 2^y = n 2^m gives o | n, so
-    Q = (n / o) 2^(m - y) with n / o odd and m >= y. Each step checks both,
-    a zero remainder of n by o and m >= y, and raises NonIntegralSolution
-    otherwise. The numerator is odd, and needs no strip, unless its two
-    products carry the same power of two.
-
-    The pivot of each step is the nonzero value of the trailing submatrix
-    with the fewest bits, o.bit_length() + z, the first in row order on a
-    tie; a row swap and a column swap bring it into place. The values
-    there are the minors of the leading rows and columns bordered by one
-    more row and column, so swapping two lines of the trailing submatrix
-    gives the values of S with those two lines swapped, whose determinant
-    is -det S: each swap of two distinct lines flips the sign. The cancel
-    token is polled once per step."""
-    k = len(block)
-    if k == 1:
-        _check(cancel)
-        return LaurentPoly(block[0][0])
-    if not k:
-        return LaurentPoly.one()
-    bits = _block_width(block)
-    # a zero row, which a closure's block can have
-    # (construct.complement_closures), finds no pivot
-    lows = [min((e for p in row for e in p), default=0) for row in block]
-    a = [
-        [_odd(pack(p.items(), bits, lo)) for p in row]
-        for row, lo in zip(block, lows)
-    ]
-    sign, prev, prev_z = 1, 1, 0
-    for s in range(k):
-        _check(cancel)
-        best = None
-        for i in range(s, k):
-            for j in range(s, k):
-                o, z = a[i][j]
-                if o and (best is None or o.bit_length() + z < best[0]):
-                    best = o.bit_length() + z, i, j
-        if best is None:
-            return LaurentPoly.zero()
-        _, p, q = best
-        if p != s:
-            a[s], a[p] = a[p], a[s]
-            sign = -sign
-        if q != s:
-            for row in a:
-                row[s], row[q] = row[q], row[s]
-            sign = -sign
-        top = a[s]
-        piv, piv_z = top[s]
-        for row in a[s + 1 :]:
-            f, f_z = row[s]
-            for j in range(s + 1, k):
-                x, x_z = row[j]
-                t, t_z = top[j]
-                # numerator x piv - f t as n 2^m
-                if not f or not t:
-                    n, m = x * piv, x_z + piv_z
-                elif not x:
-                    n, m = -f * t, f_z + t_z
-                else:
-                    m1, m2 = x_z + piv_z, f_z + t_z
-                    m = min(m1, m2)
-                    n = (x * piv << m1 - m) - (f * t << m2 - m)
-                    if m1 == m2:
-                        n, z = _odd(n)
-                        m += z
-                if not n:
-                    row[j] = 0, 0
-                    continue
-                n, rem = divmod(n, prev)
-                if rem or m < prev_z:
-                    raise NonIntegralSolution("Bareiss division left a remainder")
-                row[j] = n, m - prev_z
-        prev, prev_z = piv, piv_z
-    det, z = a[-1][-1]
-    low = sum(lows) + z // bits
-    return LaurentPoly(
-        {low + e: c for e, c in enumerate(unpack(sign * det << z % bits, bits)) if c}
-    )
 
 
 # -- Alexander via the region matrix -------------------------------------------------
@@ -451,6 +155,40 @@ def alexander_region(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     det = det_laurent(reduced(region_matrix(d), flanking_faces(d, 1)), cancel)
     knot = len(d.components) == 1
     return normalize_alexander(det, knot=knot)
+
+
+def complement_closures(
+    k: PlanarDiagram, i: int, cancel: CancelToken | None = None
+) -> Callable[[bool], tuple[LaurentPoly, int]]:
+    """Both closures of region i's complement from one rebuild and one
+    elimination: the function that takes horizontal to the normalized
+    Alexander polynomial and the component count of N(C) (True) or of
+    D(C) (False), which must be a knot.
+
+    Phase 1 (poly._unit_pivots) runs here, once, on the open box's region
+    matrix (construct.open_box) without the twist's rows, over the faces
+    but the bigon, N and W, with E and S last and never pivoted on. A
+    closure finishes the block left with S's column or E's
+    (poly._block_det) when it is asked for, so D(C) raises NotAKnot only
+    then. cancel is polled as det_laurent polls it."""
+    d, filler, (bigon, n, e, s, w), numerator_components = open_box(k, i)
+    others = set(range(len(d.crossings) + 2)) - {bigon, n, e, s, w}
+    column = {f: j for j, f in enumerate([*sorted(others), e, s])}
+    rows = region_matrix(d)
+    del rows[filler : filler + 2]
+    rows = [{column[f]: p for f, p in row.items() if f in column} for row in rows]
+    found = _unit_pivots(rows, cancel, range(len(others), len(column)))
+
+    def closure(horizontal: bool) -> tuple[LaurentPoly, int]:
+        m = numerator_components if horizontal else expect_knot(d).component_count()
+        # W = E: N(C) is split and D(C) keeps A alone (open_box)
+        kept = [] if e == w else [-1 if horizontal else -2]
+        det = LaurentPoly.zero()
+        if found is not None and not (horizontal and e == w):
+            det = _block_det([row[:-2] + [row[j] for j in kept] for row in found[2]], cancel)
+        return normalize_alexander(det, knot=m == 1), m
+
+    return closure
 
 
 # -- Alexander via Fox calculus -------------------------------------------------------
@@ -1100,9 +838,8 @@ def verify_fraction_region(
     """Decompose the union at one tangle box: the whole diagram is the
     numerator closure of (inserted tangle + everything else), so the sum
     rule of verify_fraction_formula applies, with both closures of the
-    complement from one rebuild and one phase 1
-    (construct.complement_closures). Its numerator closure splits the
-    diagram and vanishes."""
+    complement from one rebuild and one phase 1 (complement_closures). Its
+    numerator closure splits the diagram and vanishes."""
     k = built_union(union)
     t = region_tangle(k, region)
     rep = VerificationReport(f"fraction decomposition at region {region}")

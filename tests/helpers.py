@@ -8,7 +8,8 @@ builder's face rule is checked against, the one-strand reversal
 tangle.orient is checked against and the strand-reversal searches it
 replaced, dense matrices as the sparse rows det_laurent
 takes, a generator of small random union specs, a chain of circles, the
-unions of the benchmark's scaling-family pool, cylinder grids and the
+unions of the benchmark's scaling-family pool, the kt(m) x 4 family the
+scaling script and the tests share (kt_member), cylinder grids and the
 unpruned search for the bracket sweep's order, the bracket sweep's unit
 bound by enumerating link patterns, and the loops pack and unpack split
 into halves, the two rebuilds the fraction certificate's complement
@@ -127,12 +128,15 @@ def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
     """The union built by trying every attachment vector in product order,
     bit 0 first, and keeping the first that embeds; the oracle for the
     face rule of construct.build_symmetric_union."""
-    construct._validate_inputs(spec, require_even=True)
+    construct._validate_inputs(spec)
+    for t in spec.tangles:
+        if not tangle.is_even_type(t):
+            raise construct.NotEvenType(f"{t.pairing()} is not north-to-south")
     first_err = None
     for bits in itertools.product((0, 1), repeat=len(spec.tangles)):
         try:
             boxed = list(map(construct._oriented_for_box, spec.tangles, bits))
-            return construct._assemble_with_bits(spec, bits, boxed, require_knot=True)
+            return construct.expect_knot(construct._assemble_with_bits(spec, bits, boxed))
         except construct.NotPlanarInsertion as exc:
             if first_err is None:
                 first_err = exc
@@ -409,6 +413,21 @@ def pool_variant(key: str) -> PlanarDiagram:
     )
 
 
+PARTIAL_12 = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
+
+
+def kt_member(m: int) -> PlanarDiagram:
+    """The scaling family's member for m: kt(m) x 4 over
+    N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings. The marked arcs are the
+    first draw that embeds under rejection sampling with random.Random(1)
+    of five edges on distinct over-arcs of the partial."""
+    k = build_symmetric_union(
+        SymUnionSpec(PARTIAL_12, (12, 14, 1, 18, 20), (kt_tangle(m),) * 4)
+    )
+    assert len(k.crossings) == 24 + 4 * (2 * m - 1)
+    return k
+
+
 def cylinder_grid(rows: int, cols: int) -> list[list[int]]:
     """The graph of a rows x cols grid wrapped around a cylinder, as the
     nbrs lists invariant._sweep_order takes: unit r * cols + c is joined to
@@ -535,18 +554,18 @@ def complement_by_rebuild(
     """The Alexander polynomial and component count of N(C) (horizontal)
     or D(C), the closures of region's complement C, from its own rebuild
     with the crossingless tangle that closes the box; D(C) must be a knot.
-    The reference for construct.complement_closures. A rebuild refuses a
+    The reference for invariant.complement_closures. A rebuild refuses a
     disconnected diagram, so a split N(C) gives (0, None): 0 is
     alexander_region's value there, and the count is not known."""
     if horizontal:
         try:
-            d = construct._rebuild(k, {region: rational_tangle([])}, require_knot=False)
+            d = construct._rebuild(k, {region: rational_tangle([])})
         except construct.NotPlanarInsertion as exc:
             if not isinstance(exc.__cause__, DisconnectedDiagram):
                 raise
             return LaurentPoly.zero(), None
     else:
-        d = construct._rebuild(k, {region: vertical_twists(0)}, require_knot=True)
+        d = construct.expect_knot(construct._rebuild(k, {region: vertical_twists(0)}))
     return alexander_region(d), d.component_count()
 
 

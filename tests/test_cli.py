@@ -109,6 +109,20 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize("value", ["", {}, "ab"], ids=["empty-string", "object", "string"])
+    def test_tangles_not_an_array_is_exit_2(self, command, value, tmp_path, capsys):
+        # "" and {} read as no tangles, which built the bare union
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(
+            {"partial": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "marked_arcs": [1], "tangles": value}
+        ))
+        rc, out, err = run(capsys, command, str(p))
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestIntegerFields:
     """Every integer field must be a JSON integer: a bool, a float or a

@@ -25,6 +25,7 @@ from symunion.construct import (
     _rebuild,
     build_all_zero_replacement,
     build_symmetric_union,
+    expect_knot,
     glued_pair,
     open_box,
     parse_spec,
@@ -204,13 +205,13 @@ class TestReplacement:
     def test_identity_round_trip(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
-        again = _rebuild(k, {1: vertical_twists(2)}, require_knot=True)
+        again = expect_knot(_rebuild(k, {1: vertical_twists(2)}))
         assert again == k
 
     def test_replacement_changes_region_only(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
-        k2 = _rebuild(k, {1: vertical_twists(4)}, require_knot=True)
+        k2 = expect_knot(_rebuild(k, {1: vertical_twists(4)}))
         assert len(k2.crossings) == len(k.crossings) + 2
         assert k2.meta.spec.tangles[0] == vertical_twists(4)
         assert k2.meta.attach_bits == k.meta.attach_bits
@@ -219,7 +220,7 @@ class TestReplacement:
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
         with pytest.raises(UnknownRegion):
-            _rebuild(k, {2: vertical_twists(2)}, require_knot=True)
+            expect_knot(_rebuild(k, {2: vertical_twists(2)}))
 
     @pytest.mark.parametrize("region", [0, -1, 2])
     def test_fraction_check_rejects_unknown_region_before_computing(self, region):
@@ -232,15 +233,15 @@ class TestReplacement:
 
     def test_requires_metadata(self):
         with pytest.raises(ConstructError):
-            _rebuild(trefoil(), {1: vertical_twists(2)}, require_knot=True)
+            expect_knot(_rebuild(trefoil(), {1: vertical_twists(2)}))
 
     def test_non_even_replacement_rejected(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
         # a rebuild checks no tangle type; a tangle pairing west to east
-        # splits the union, and a rebuild that asks for a knot refuses it
+        # splits the union, and expect_knot refuses the rebuild
         with pytest.raises(NotAKnot):
-            _rebuild(k, {1: rational_tangle([2])}, require_knot=True)
+            expect_knot(_rebuild(k, {1: rational_tangle([2])}))
 
 
 class TestZeroReplacement:
@@ -459,7 +460,7 @@ class TestAttachmentSearch:
         spec = SymUnionSpec(TWO_BRIDGE, (40, 43), (vertical_twists(2),))
         for bit in (0, 1):
             boxed = [construct._oriented_for_box(vertical_twists(2), bit)]
-            construct._assemble_with_bits(spec, (bit,), boxed, require_knot=True)
+            expect_knot(construct._assemble_with_bits(spec, (bit,), boxed))
         assert _matches_the_product_loop(spec)
         assert build_symmetric_union(spec).meta.attach_bits == (0,)
 
@@ -557,7 +558,7 @@ class TestOnePass:
         zero = rational_tangle([])
         with pytest.MonkeyPatch.context() as mp:
             oriented = _recording(mp, construct, "_oriented_for_box")
-            _rebuild(k, {2: zero}, require_knot=False)
+            _rebuild(k, {2: zero})
             assert oriented == [(zero, k.meta.attach_bits[1])]
             oriented.clear()
             build_all_zero_replacement(k)

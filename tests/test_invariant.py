@@ -11,10 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symunion.invariant as inv
+import symunion.poly as poly
 from bracket_oracle import bracket_naive
 from helpers import (
     FAMILY_POOL,
     LINKS,
+    PARTIAL_12,
     StateTally,
     bound_by_link_patterns,
     box_unit_by_chain,
@@ -24,6 +26,7 @@ from helpers import (
     cylinder_link,
     display_form,
     jones_at_roots_of_unity,
+    kt_member,
     pairs_of,
     parse_poly,
     pool_variant,
@@ -41,7 +44,6 @@ from symunion.construct import (
     _rebuild,
     build_all_zero_replacement,
     build_symmetric_union,
-    complement_closures,
     glued_pair,
     open_box,
 )
@@ -63,6 +65,7 @@ from symunion.invariant import (
     UnsupportedLinkCase,
     alexander_fox,
     alexander_region,
+    complement_closures,
     det_laurent,
     flanking_faces,
     fox_jacobian,
@@ -312,7 +315,7 @@ def block_width_with_l1_bounds(block):
     columns beside Hadamard's two bounds: the least of the four."""
     rows = [[sum(map(abs, p.values())) for p in row] for row in block]
     cols = list(zip(*rows))
-    return inv.width(
+    return poly.width(
         min(
             math.prod(map(sum, rows)),
             math.prod(map(sum, cols)),
@@ -326,16 +329,16 @@ def block_width_with_l1_bounds(block):
 @settings(max_examples=100, deadline=None)
 def test_block_width_matches_the_four_bounds(rows):
     block = [[p.to_dict() for p in row] for row in rows]
-    assert inv._block_width(block) == block_width_with_l1_bounds(block)
+    assert poly._block_width(block) == block_width_with_l1_bounds(block)
 
 
 def test_block_width_matches_the_four_bounds_on_the_determinants_of_unions():
     blocks = []
-    real = inv._block_width
+    real = poly._block_width
     diagrams = [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
     diagrams += [pool_variant(f"x{n}/v00") for n in (15, 30, 47, 68)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inv, "_block_width", lambda block: blocks.append(block) or real(block))
+        mp.setattr(poly, "_block_width", lambda block: blocks.append(block) or real(block))
         for d in diagrams:
             alexander_region(d)
             alexander_fox(wirtinger(d))
@@ -346,7 +349,7 @@ def test_block_width_matches_the_four_bounds_on_the_determinants_of_unions():
 
 def test_bareiss_checks_each_division(monkeypatch):
     rows = [[LaurentPoly({0: 2 + i, 1: j - 3}) for j in range(3)] for i in range(3)]
-    monkeypatch.setattr(inv, "divmod", lambda n, d: (n // d, 1), raising=False)
+    monkeypatch.setattr(poly, "divmod", lambda n, d: (n // d, 1), raising=False)
     with pytest.raises(NonIntegralSolution):
         det_laurent(sparse(rows))
 
@@ -355,7 +358,7 @@ def unit_pivots_by_scan(rows, keep=range(0)):
     """Phase 1 of det_laurent by a full scan: at every step the unit entry
     of least ((r-1)(c-1), i, j) outside the columns in keep, with the sign
     of the step from the pivot's position among the live rows and columns.
-    The reference for the pivot queue of inv._unit_pivots."""
+    The reference for the pivot queue of poly._unit_pivots."""
     m = {i: {j: LaurentPoly(p) for j, p in row.items() if p} for i, row in enumerate(rows)}
     live_rows, live_cols = list(range(len(rows))), list(range(max(len(rows), keep.stop)))
     unit, shift = 1, 0
@@ -391,7 +394,7 @@ def unit_pivots_by_scan(rows, keep=range(0)):
 @given(laurent_matrices())
 @settings(max_examples=100, deadline=None)
 def test_pivot_queue_takes_the_pivots_of_a_full_scan(rows):
-    assert inv._unit_pivots(sparse(rows), None) == unit_pivots_by_scan(sparse(rows))
+    assert poly._unit_pivots(sparse(rows), None) == unit_pivots_by_scan(sparse(rows))
 
 
 @given(laurent_matrices(), st.integers(1, 3), st.data())
@@ -403,7 +406,7 @@ def test_kept_columns_are_never_pivoted_and_finish_any_square_choice(rows, extra
     n = len(rows)
     rows = [row + [data.draw(laurent_entries) for _ in range(extra)] for row in rows]
     keep = range(n - 1, n + extra)
-    found = inv._unit_pivots(sparse(rows), None, keep)
+    found = poly._unit_pivots(sparse(rows), None, keep)
     assert found == unit_pivots_by_scan(sparse(rows), keep)
     for x in keep:
         want = leibniz([row[: n - 1] + [row[x]] for row in rows])
@@ -412,7 +415,7 @@ def test_kept_columns_are_never_pivoted_and_finish_any_square_choice(rows, extra
             continue
         unit, shift, block = found
         square = [row[: -len(keep)] + [row[x - len(rows[0])]] for row in block]
-        assert inv._block_det(square, None).shift(shift) * unit == want
+        assert poly._block_det(square, None).shift(shift) * unit == want
 
 
 def test_pivot_queue_queues_a_head_again_after_its_entry_is_popped():
@@ -426,7 +429,7 @@ def test_pivot_queue_queues_a_head_again_after_its_entry_is_popped():
         {1: {0: 1}, 2: {0: 1, 1: -1}, 4: {0: 1, 1: -1}},
         {0: {0: 1, 1: 1}, 4: {0: -1, 1: 1}},
     ]
-    assert inv._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
+    assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
 
 
 def alexander_matrices(k):
@@ -441,7 +444,7 @@ def alexander_matrices(k):
 
 def test_pivot_queue_takes_the_pivots_of_a_full_scan_at_68_crossings(union68):
     for rows in alexander_matrices(union68):
-        assert inv._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
+        assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, "1"])
@@ -476,7 +479,7 @@ def padded(draw, rows):
 @settings(max_examples=100, deadline=None)
 def test_det_drops_zero_coefficients_and_empty_entries(pair):
     rows, with_zeros = pair
-    assert inv._unit_pivots(with_zeros, None) == inv._unit_pivots(rows, None)
+    assert poly._unit_pivots(with_zeros, None) == poly._unit_pivots(rows, None)
     assert det_laurent(with_zeros) == det_laurent(rows)
 
 
@@ -1136,20 +1139,6 @@ def test_jones_at_roots_of_unity_fails_on_a_wrong_value():
     assert not jones_at_roots_of_unity(v + LaurentPoly({0: 1, 4: -1}), det)
 
 
-PARTIAL_12 = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
-
-
-def kt_member(m):
-    """kt(m) x 4 over N([2,2,2,2,2,1,1]), 24 + 4(2m - 1) crossings. The
-    marked arcs are the first draw that embeds under the benchmark's
-    rejection sampling with random.Random(1)."""
-    k = build_symmetric_union(
-        SymUnionSpec(PARTIAL_12, (12, 14, 1, 18, 20), (kt_tangle(m),) * 4)
-    )
-    assert len(k.crossings) == 24 + 4 * (2 * m - 1)
-    return k
-
-
 @pytest.mark.parametrize("m", [25, 50])
 def test_jones_matches_alexander_at_minus_one_at_220_and_420_crossings(m):
     """Delta is the factor product the product formula certifies, not a
@@ -1235,7 +1224,7 @@ def test_a_box_beside_a_split_one():
     # kt_union_3 with box 2 closed west to east: at region 1, D(C) has
     # two components and N(C) three, and N(kt(3)) is a knot, so the sum
     # rule reads D(C) and raises, as the rebuild does
-    k = _rebuild(CORPUS_UNIONS["kt_union_3"], {2: rational_tangle([])}, require_knot=False)
+    k = _rebuild(CORPUS_UNIONS["kt_union_3"], {2: rational_tangle([])})
     closure = complement_closures(k, 1)
     assert closure(True) == complement_by_rebuild(k, 1, True)
     d, _, _, numerator_components = open_box(k, 1)
@@ -1266,7 +1255,8 @@ def test_a_nonzero_numerator_closure_of_a_link_complement_is_refused(monkeypatch
     # 1, its Alexander polynomial is not 0, outside the Conway conversion
     k = CORPUS_UNIONS["kt_union_1"]
     assert complement_closures(k, 1)(True)[1] == 2
-    monkeypatch.setattr(inv, "_block_det", lambda block, cancel: LaurentPoly.one())
+    for module in (inv, poly):
+        monkeypatch.setattr(module, "_block_det", lambda block, cancel: LaurentPoly.one())
     with pytest.raises(UnsupportedLinkCase, match="2-component closure"):
         verify_fraction_region(k, 1)
 

@@ -92,6 +92,8 @@ class UnionMeta:
     # spec.tangles[i - 1] oriented for the box of region i at its bit; a
     # rebuild orients only the tangles it replaces
     boxed: tuple[Tangle, ...]
+    # fold[e - 1]: the partial edge union edge e folds onto (group.build_epimorphism)
+    fold: tuple[int, ...]
 
 
 # slot of edge e+E in the mirror row (c, b, a, d), given e's slot in (a, b, c, d)
@@ -176,14 +178,19 @@ def _assemble_with_bits(
     E = d.edge_count
 
     labels: dict[int, str] = {}
+    # x<j> and x<j>* fold onto edge j, the axis pair onto the axis arc, and
+    # region i's edges onto marked arc i
+    fold: dict[int, int] = {}
     for j in range(1, E + 1):
         if j not in spec.marked_arcs:
             labels[j] = f"x{j}"
             labels[j + E] = f"x{j}*"
+            fold[j] = fold[j + E] = j
 
     h = _Halves(d, spec.marked_arcs[0])
     rows, flags = h.rows, h.flags
     labels[h.a0], labels[h.a1] = "a0", "a1"
+    fold[h.a0] = fold[h.a1] = spec.marked_arcs[0]
 
     # a crossingless strand joins two stubs of one box; the pairs are
     # disjoint, and each merged pair keeps its lower id
@@ -193,6 +200,7 @@ def _assemble_with_bits(
         return alias.get(e, e)
 
     for i, (t, bit) in enumerate(zip(boxed, bits), start=1):
+        first = h.next_id
         u, v, us, vs = h.cut(spec.marked_arcs[i])
         if bit == 0:
             at_corner = {"NW": u, "SW": v, "NE": vs, "SE": us}
@@ -212,6 +220,7 @@ def _assemble_with_bits(
                 emap[te] = h.fresh()
                 labels[emap[te]] = f"s{k}_{i}"
                 k += 1
+        fold.update(dict.fromkeys(range(first, h.next_id), spec.marked_arcs[i]))
         for corner, kk in (("NW", 1), ("NE", 2), ("SW", 3), ("SE", 4)):
             eid = find(emap[t.boundary[corner]])
             if eid not in labels:
@@ -222,13 +231,14 @@ def _assemble_with_bits(
 
     if alias:
         rows = [[alias.get(e, e) for e in row] for row in rows]
+    # perm numbers the ids 1, 2, ... in the order it lists them
     perm = along_orientation(rows, flags, h.a0)
     try:
         built = PlanarDiagram(
             tuple(Crossing(perm[a], perm[b], perm[c], perm[d]) for a, b, c, d in rows),
             tuple(flags),
             labels={perm[e]: lbl for e, lbl in labels.items() if e in perm and e not in alias},
-            meta=UnionMeta(spec, tuple(bits), tuple(boxed)),
+            meta=UnionMeta(spec, tuple(bits), tuple(boxed), tuple(map(fold.__getitem__, perm))),
         )
         planar_faces(built)
     except DiagramError as exc:

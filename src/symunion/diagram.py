@@ -193,23 +193,25 @@ def orient_ends(
     n: int,
     corners: Sequence[tuple[int, str | None]] = (),
 ) -> tuple[tuple[bool, ...], tuple[str, ...], tuple[int, ...]]:
-    """Check or resolve the orientation of a diagram or tangle with edges
+    """Check and resolve the orientation of a diagram or tangle with edges
     1..n. corners lists a tangle's boundary ends as (edge, flow); an "in"
     corner is its edge's tail, and a flow of None is left to resolve.
 
     Raises InconsistentEdges unless the edge ids are exactly 1..n with two
     ends each, and pairs the ends once (pair_ends numbers them: the darts,
     then the corners in order). Every end is a head or a tail: an end and
-    its mate differ, and so do ends k and k ^ 2 of a crossing. Slot a is a
-    head, and the flag of a crossing is whether its slot d is a head.
+    its mate differ, and so do ends k and k ^ 2 of a crossing.
 
-    Given the flags and every flow, each edge is checked for one head and
-    one tail (OrientationError otherwise). Else they are resolved: seeds
-    propagate in turn, the under slots a, the given flags and flows, each
-    corner left open as entering, then, for a crossing whose over-strand
-    never passes under and so is genuinely ambiguous, a deterministic
-    numbering rule; a seed that contradicts another raises OrientationError.
-    Returns the flags, the flow at every corner and the mates."""
+    Every end the input fixes is filled first: slot a is a head and slot c
+    a tail, a given flag is whether slot d is a head (slot b is the
+    opposite), and a given flow sets its corner. Each edge whose two ends
+    are filled is checked for one head and one tail (OrientationError
+    otherwise). Ends still open are resolved: the filled ends propagate,
+    then each corner left open is taken as entering, then, for a crossing
+    whose over-strand never passes under and so is genuinely ambiguous, a
+    deterministic numbering rule decides; a value that contradicts another
+    raises OrientationError. Returns the flags, the flow at every corner
+    and the mates."""
     ids = [e for x in crossings for e in x] + [e for e, _ in corners]
     for e in ids:
         if not isinstance(e, int) or e < 1 or e > n:
@@ -217,22 +219,19 @@ def orient_ends(
     if len(ids) != 2 * n:
         raise InconsistentEdges(f"{len(ids)} edge ends for {n} edges, expected {2 * n}")
     mate = pair_ends(ids)
-    flows = [f for _, f in corners]
-    if over_from_d is not None and None not in flows:
-        # slot a is a head, and slot d or b as the over-strand enters there
-        heads = [s == 0 or s == (3 if f else 1) for f in over_from_d for s in range(4)]
-        heads += [f == "out" for f in flows]
-        for k, m in enumerate(mate):
-            if heads[k] == heads[m]:
-                h = 2 * heads[k]
-                raise OrientationError(f"edge {ids[k]} has {h} heads and {2 - h} tails")
-        return tuple(over_from_d), tuple(flows), mate  # type: ignore[arg-type]
-
     darts = 4 * len(crossings)
-    head: list[bool | None] = [None] * len(mate)
+    head: list[bool | None] = [True, None, False, None] * len(crossings)
+    for i, f in enumerate(over_from_d or ()):
+        head[4 * i + 1], head[4 * i + 3] = not f, f
+    head += [None if f is None else f == "out" for _, f in corners]
+    for k, m in enumerate(mate):
+        if head[k] is not None and head[k] == head[m]:
+            h = 2 * head[k]
+            raise OrientationError(f"edge {ids[k]} has {h} heads and {2 - h} tails")
 
-    def seed(k: int, h: bool) -> None:
-        todo = [(k, h)]
+    def seed(todo: list[tuple[int, bool]]) -> None:
+        # each (end, value): an open end takes the value, and its mate and
+        # the end across its crossing the opposite
         while todo:
             k, h = todo.pop()
             if head[k] is None:
@@ -243,25 +242,16 @@ def orient_ends(
             elif head[k] != h:
                 raise OrientationError(f"conflicting orientation at edge end {k}")
 
-    for k in range(0, darts, 4):
-        seed(k, True)
-    for i, f in enumerate(over_from_d or ()):
-        seed(4 * i + 3, f)
-    for k, f in enumerate(flows, start=darts):
-        if f is not None:
-            seed(k, f != "in")
-    for k in range(darts, len(mate)):
-        if head[k] is None:
-            seed(k, False)
-    for i, x in enumerate(crossings):
-        if head[4 * i + 3] is None:
-            b, d = x[1], x[3]
-            if (b - d) % n == 1:
-                seed(4 * i + 3, True)
-            elif (d - b) % n == 1:
-                seed(4 * i + 3, False)
-            else:
-                seed(4 * i + 3, b > d)
+    if None in head:
+        # a filled end's k ^ 2 is filled too, so only its mate may be open
+        seed([(m, not head[k]) for k, m in enumerate(mate) if head[k] is not None])
+        for k in range(darts, len(mate)):
+            if head[k] is None:
+                seed([(k, False)])
+        for i, (_, b, _, d) in enumerate(crossings):
+            if head[4 * i + 3] is None:
+                # slot d is a head if b follows d, not if d follows b, else if b > d
+                seed([(4 * i + 3, (b - d) % n == 1 or (d - b) % n != 1 and b > d)])
     flags = tuple(head[k] for k in range(3, darts, 4))
     ends = tuple("out" if head[k] else "in" for k in range(darts, len(mate)))
     return flags, ends, mate  # type: ignore[return-value]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .construct import built_union, derived
+from .construct import UnionMeta, built_union, derived
 from .diagram import NoCrossings, PlanarDiagram, over_arcs
 from .report import VerificationReport
 
@@ -201,36 +201,27 @@ def apply_map(phi: Mapping[str, GroupWord], w: Sequence[tuple[str, int]]) -> Gro
     return tuple(out)
 
 
-def build_epimorphism(spec, k: PlanarDiagram, khat: WirtingerPresentation) -> GroupMap:
+def build_epimorphism(k: PlanarDiagram, khat: WirtingerPresentation) -> GroupMap:
     """Map the group of a built symmetric union onto the group of its
-    partial diagram, using the edge-label roles the builder recorded.
+    partial diagram, using the fold targets the builder recorded
+    (UnionMeta.fold).
 
-    Edges labeled x<j> or x<j>* fold onto the arc of partial edge j; the
-    axis edges a0/a1 and all tangle-region edges s*_i fold onto the arcs at
-    the marked edges. Every edge of an arc must agree on the target; that
-    consistency is asserted at runtime.
+    Edges of the partial and of its mirror fold onto the arc of their
+    partial edge; the axis edges a0/a1 and all tangle-region edges fold
+    onto the arcs at the marked edges. Every edge of an arc must agree on
+    the target; that consistency is asserted at runtime.
     """
-    if not k.labels:
-        raise MissingMetadata("diagram carries no construction labels")
+    if not isinstance(k.meta, UnionMeta):
+        raise MissingMetadata("diagram carries no construction metadata")
     if khat.arc_of_edge is None:
         raise MissingMetadata("target presentation carries no arc data")
     src = presentation(k)
-
-    def target_of_label(lbl: str) -> str:
-        if lbl in ("a0", "a1"):
-            return khat.generator_of_edge(spec.marked_arcs[0])
-        if lbl.startswith("s"):
-            region = int(lbl.split("_")[1])
-            return khat.generator_of_edge(spec.marked_arcs[region])
-        if lbl.startswith("x"):
-            j = int(lbl.rstrip("*")[1:])
-            return khat.generator_of_edge(j)
-        raise MissingMetadata(f"unrecognized edge label {lbl}")
+    fold = k.meta.fold
 
     phi: GroupMap = {}
     assert src.arcs is not None
     for i, arc in enumerate(src.arcs):
-        targets = {target_of_label(k.labels[e]) for e in arc if e in k.labels}
+        targets = {khat.generator_of_edge(fold[e - 1]) for e in arc}
         if len(targets) != 1:
             raise MissingMetadata(
                 f"arc {i} folds onto several targets: {sorted(targets)}"
@@ -294,10 +285,9 @@ def certify_epimorphism(union) -> VerificationReport:
     map is onto, the meridian goes to a meridian, and the longitude word
     dies in the free group."""
     k = built_union(union)
-    spec = k.meta.spec
     src = presentation(k)
-    dst = wirtinger(spec.partial)
-    phi = build_epimorphism(spec, k, dst)
+    dst = wirtinger(k.meta.spec.partial)
+    phi = build_epimorphism(k, dst)
 
     rep = VerificationReport("fold-down epimorphism certificate")
     hom = verify_homomorphism(phi, src, dst)

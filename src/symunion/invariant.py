@@ -587,9 +587,7 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
     unit i. From every start unit a greedy sweep adds, among the units that
     touch the swept part, the one that changes the number of open edges
     least (ties by index); the sweep with the least (peak width, sum of
-    2^(width/2)) wins, the earliest start on a tie. A sweep stops once it
-    cannot win: its peak never falls, and each unit still to add costs at
-    least 1.
+    2^(width/2)) wins, the earliest start on a tie.
 
     The sweep ranks candidates by one integer, key[j] = change * n + j,
     where change is j's degree less twice its swept neighbours: key[j] // n
@@ -601,11 +599,11 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
     the number of edges that leave S. So two sweeps that reach the same S
     go on alike, and the rest of the sweep after S, its peak and its cost,
     is a function of S. memo keeps, for each S (a bitmask) on the path of a
-    sweep that was not stopped, the next unit and that rest; the full set
-    has no next unit and an empty rest. A sweep that reaches a kept S ends
-    there with the score the whole sweep would reach, (max(peak, rest
-    peak), cost + rest cost), so each start wins or loses as it would
-    without memo, and the winning order is read back from memo."""
+    sweep, the next unit and that rest; the full set has no next unit and
+    an empty rest. Every sweep ends at a kept S with the score the whole
+    sweep would reach, (max(peak, rest peak), cost + rest cost), so each
+    start wins or loses as it would without memo, and the winning order is
+    read back from memo."""
     n = len(nbrs)
     base = [len(nbrs[j]) * n + j for j in range(n)]
     step = 2 * n
@@ -618,11 +616,9 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
         touching: set[int] = set()
         path: list[tuple[int, int, int]] = []  # (swept set, unit added, width)
         swept = width = peak = cost = 0
-        left = n
         i = start
         while True:
             swept |= 1 << i
-            left -= 1
             touching.discard(i)
             width += key[i] // n
             if width > peak:
@@ -632,8 +628,6 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
             rest = memo.get(swept)
             if rest is not None:
                 break
-            if (peak, cost + left) >= best_score:
-                break  # can no longer beat the best sweep
             for j in nbrs[i]:
                 key[j] -= step
                 if not swept >> j & 1:
@@ -642,8 +636,6 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
                 touching or [j for j in range(n) if not swept >> j & 1],
                 key=key.__getitem__,
             )
-        if rest is None:
-            continue
         _, rest_peak, rest_cost = rest
         score = (max(peak, rest_peak), cost + rest_cost)
         if score < best_score:

@@ -10,7 +10,7 @@ replaced, dense matrices as the sparse rows det_laurent
 takes, a generator of small random union specs, a chain of circles, the
 unions of the benchmark's scaling-family pool, the kt(m) x 4 family the
 scaling script and the tests share (kt_member), cylinder grids and the
-unpruned search for the bracket sweep's order, the bracket sweep's unit
+search for the bracket sweep's order without its memo, the bracket sweep's unit
 bound by enumerating link patterns, and the loops pack and unpack split
 into halves, the two rebuilds the fraction certificate's complement
 closures were once taken from, the Jones polynomial's values at the
@@ -476,7 +476,7 @@ def cylinder_link(rows: int, cols: int) -> PlanarDiagram:
     return PlanarDiagram(tuple(xs))
 
 def sweep_order_unpruned(nbrs) -> list[int]:
-    """invariant._sweep_order without its pruning and its memo: the greedy
+    """invariant._sweep_order without its memo: the greedy
     sweep from every start unit runs to the end. Adding unit i changes the
     number of open edges by its degree less twice its edges to the swept
     units; each step adds, among the units that touch the swept ones (else

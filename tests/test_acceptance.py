@@ -160,7 +160,7 @@ def test_criterion_7_negative_controls():
     k = build_symmetric_union(spec)
     src = wirtinger(k)
     dst = wirtinger(spec.partial)
-    phi = build_epimorphism(spec, k, dst)
+    phi = build_epimorphism(k, dst)
 
     wrong = dict(phi)
     victim = next(g for g in src.generators if len(src.generators) > 1)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end, including exit codes."""
 
 import importlib.util
+import io
 import json
 import time
 from pathlib import Path
@@ -11,7 +12,7 @@ from symunion import cli, construct, corpus, invariant
 from symunion.construct import SymUnionSpec, to_spec_doc
 from symunion.diagram import MAX_CROSSINGS, parse_pd
 from symunion.report import VerificationReport
-from symunion.tangle import kt_tangle, numerator, rational_tangle
+from symunion.tangle import kt_tangle, numerator, parse_tangle, rational_tangle
 
 
 def run(capsys, *argv):
@@ -45,6 +46,18 @@ class TestFixtures:
         assert set(doc) == {"partial", "marked_arcs", "tangles"}
         assert doc["marked_arcs"] == [5, 8]
 
+    @pytest.mark.parametrize(
+        "name, parse, fixture",
+        [
+            ("trefoil", parse_pd, corpus.DIAGRAM_FIXTURES["trefoil"]),
+            ("kt_tangle_3", parse_tangle, corpus.TANGLE_FIXTURES["kt_tangle_3"]),
+        ],
+    )
+    def test_diagram_and_tangle_round_trip(self, name, parse, fixture, capsys):
+        rc, out, err = run(capsys, "fixtures", name)
+        assert (rc, err) == (0, "")
+        assert parse(json.loads(out)) == fixture
+
 
 class TestBuild:
     def test_doc_output(self, spec_path, tmp_path, capsys):
@@ -70,6 +83,15 @@ class TestBuild:
     def test_missing_file_is_exit_2(self, capsys):
         rc, _, _ = run(capsys, "build", "/nonexistent/spec.json")
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_repeated_marked_edge_is_exit_2(self, command, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(_set("marked_arcs", value=[5, 5])))
+        rc, out, err = run(capsys, command, str(p))
+        assert rc == 2
+        assert err == "error: ConstructError: marked arcs must be distinct edges\n"
+        assert out == ""
 
 
 def _set(*path, value):
@@ -266,6 +288,18 @@ class TestInvariants:
         assert (rc, err) == (0, "")
         assert json.loads(out) == {"alexander": "0", "conway": "0", "crossings": 0}
 
+    def test_fox_disagreement_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        fox = cli.alexander_fox
+        monkeypatch.setattr(cli, "alexander_fox", lambda p: fox(p).shift(1))
+        path = tmp_path / "trefoil.txt"
+        path.write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+        rc, out, err = run(capsys, "invariants", str(path))
+        assert (rc, err) == (1, "")
+        assert out.splitlines()[-1] == "methods agree: NO"
+        rc, out, err = run(capsys, "invariants", str(path), "--format", "doc")
+        assert (rc, err) == (1, "")
+        assert json.loads(out)["alexander_methods_agree"] is False
+
     def test_doc_format_with_selected_flags(self, tmp_path, capsys):
         p = tmp_path / "trefoil.txt"
         p.write_text("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -320,6 +354,13 @@ class TestVerify:
         assert out1 == out2
         titles = [r["title"] for r in json.loads(out1)]
         assert len(titles) == 4
+
+    def test_spec_from_stdin(self, spec_path, capsys, monkeypatch):
+        rc, want, _ = run(capsys, "verify", str(spec_path), "--format", "doc")
+        monkeypatch.setattr("sys.stdin", io.StringIO(spec_path.read_text()))
+        rc2, out, err = run(capsys, "verify", "-", "--format", "doc")
+        assert (rc, rc2, err) == (0, 0, "")
+        assert out == want
 
     def test_flag_subsets(self, spec_path, capsys):
         rc, out, _ = run(capsys, "verify", str(spec_path), "--lemma", "--format", "doc")

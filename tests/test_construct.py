@@ -4,12 +4,20 @@ join arcs."""
 import importlib.util
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import PARTIAL_POOL, TANGLE_POOL, exhaustive_build
+from helpers import (
+    FAMILY_POOL,
+    PARTIAL_POOL,
+    TANGLE_POOL,
+    exhaustive_build,
+    pool_variant,
+    random_spec,
+)
 from symunion import construct, corpus
 from symunion.cli import verify_reports
 from symunion.corpus import SPEC_FIXTURES
@@ -36,6 +44,7 @@ from symunion.diagram import (
     PlanarDiagram,
     over_arcs,
     parse_pd,
+    to_doc,
     writhe,
 )
 from symunion.invariant import (
@@ -186,6 +195,10 @@ class TestValidation:
             build_symmetric_union(
                 SymUnionSpec(trefoil(), (1, 6), (vertical_twists(2),))
             )
+
+    def test_marked_edges_must_differ(self):
+        with pytest.raises(ConstructError, match="marked arcs must be distinct edges"):
+            SymUnionSpec(trefoil(), (1, 1), (vertical_twists(2),))
 
     def test_arity_mismatch(self):
         with pytest.raises(ConstructError):
@@ -575,3 +588,43 @@ def test_union_documents_match_the_pin_file():
     pins = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(pins)
     assert pins.documents() == json.loads(pins.PIN_FILE.read_text())
+
+
+def _unions(kind):
+    if kind == "corpus":
+        return [build_symmetric_union(spec) for spec in SPEC_FIXTURES.values()]
+    if kind == "random":
+        rng = random.Random(7)
+        return [build_symmetric_union(random_spec(rng)) for _ in range(40)]
+    if kind == "crossingless boxes":
+        # a crossingless tangle merges the stubs of its box in pairs
+        ks = _unions("corpus")
+        return [build_all_zero_replacement(k) for k in ks] + [
+            _rebuild(k, {1: vertical_twists(0)}) for k in ks if k.meta.spec.tangles
+        ]
+    return [pool_variant(key) for key in sorted(FAMILY_POOL)]
+
+
+@pytest.mark.parametrize("kind", ["corpus", "random", "pool"])
+def test_union_documents_round_trip(kind):
+    """A parsed document resolves its flags from the crossings alone; they
+    equal the flags the builder set."""
+    for k in _unions(kind):
+        assert parse_pd(to_doc(k)) == k
+
+
+@pytest.mark.parametrize("kind", ["corpus", "random", "pool", "crossingless boxes"])
+def test_fold_targets_follow_the_labels(kind):
+    """x<j> and x<j>* fold onto edge j, a0 and a1 onto the axis arc, and
+    s<k>_<i> onto marked arc i."""
+    for k in _unions(kind):
+        marked = k.meta.spec.marked_arcs
+        assert len(k.meta.fold) == k.edge_count == len(k.labels)
+        for e, label in k.labels.items():
+            if label in ("a0", "a1"):
+                want = marked[0]
+            elif label.startswith("s"):
+                want = marked[int(label.split("_")[1])]
+            else:
+                want = int(label.rstrip("*")[1:])
+            assert k.meta.fold[e - 1] == want, (e, label)

@@ -677,6 +677,15 @@ def test_fox_square_equals_granny():
     assert alexander_fox(wirtinger(granny)) == alexander_fox(wirtinger(square))
 
 
+@pytest.mark.parametrize("text", ["X[1,1,2,2]", "X[1,2,2,1]"])
+def test_fox_row_of_a_kink_cancels_to_nothing(text):
+    # the relator is g g^s g^-1 g^-s for sign s; in the positive kink the
+    # third letter cancels one term of the two-term entry 1 + t
+    d = parse_pd(text)
+    assert fox_jacobian(wirtinger(d)) == [{}]
+    assert alexander_fox(wirtinger(d)) == alexander_region(d) == LaurentPoly.one()
+
+
 def test_large_union_routes_agree_and_equal_the_product(union68):
     assert len(union68.crossings) == 68
     spec = union68.meta.spec

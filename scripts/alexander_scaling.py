@@ -12,16 +12,19 @@ the size k of the block left once no unit pivot remains, the packing
 width B of that block, and the process seconds of one run of each phase:
 phase 1 (the unit pivots, poly._unit_pivots) and phase 2 (the block's
 Bareiss, poly._block_det). Then come the process seconds of one
-jones(k), the Kauffman-bracket sweep, and of region 1's two complement
-closures for the fraction certificate, taken both ways: from one rebuild
-and one phase 1 (invariant.complement_closures) and from a rebuild
-and a region-route determinant each (helpers.complement_by_rebuild). It
-exits 1 unless both routes give the polynomial the product formula
-predicts, Delta(partial)^2 prod Delta(N(kt(m))), unless |V(-1)| =
-|Delta(-1)|, both the knot's determinant, and V(w) = 1 at the third root
-of unity w and V(i) = (-1)^Arf with Arf read off Delta(-1) mod 8, so that
-the bracket is checked at every size the script runs, and unless the two
-ways give the same complement closures.
+jones(k), the Kauffman-bracket sweep, of region 1's two complement
+closures for the fraction certificate, taken both ways: read off the
+built union with box 1 contracted to one vertex, with one phase 1
+(invariant.complement_closures), and from a rebuild and a region-route
+determinant each (helpers.complement_by_rebuild), and of all four
+certificates on the member (cli.verify_reports, as `symunion verify`
+runs them). It exits 1 unless both routes give the polynomial the
+product formula predicts, Delta(partial)^2 prod Delta(N(kt(m))), unless
+|V(-1)| = |Delta(-1)|, both the knot's determinant, and V(w) = 1 at the
+third root of unity w and V(i) = (-1)^Arf with Arf read off Delta(-1)
+mod 8, so that the bracket is checked at every size the script runs,
+unless the two ways give the same complement closures, and unless every
+certificate's report passes.
 
     python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
 """
@@ -40,6 +43,7 @@ from helpers import (  # noqa: E402
     kt_member,
 )
 from symunion import invariant, poly  # noqa: E402
+from symunion.cli import verify_reports  # noqa: E402
 from symunion.group import presentation  # noqa: E402
 from symunion.invariant import (  # noqa: E402
     alexander_region,
@@ -88,14 +92,22 @@ def phases(rows) -> tuple[int, int, float, float]:
 
 
 def complements(k) -> tuple[float, float, bool]:
-    """The process seconds of region 1's two complement closures from one
-    phase 1 and from two rebuilds, and whether they agree."""
+    """The process seconds of region 1's two complement closures read off
+    the union and from two rebuilds, and whether they agree."""
     t0 = time.process_time()
     closure = complement_closures(k, 1)
     got = [closure(h) for h in (False, True)]
     t1 = time.process_time()
     want = [complement_by_rebuild(k, 1, h) for h in (False, True)]
     return t1 - t0, time.process_time() - t1, got == want
+
+
+def certificates(k) -> tuple[float, bool]:
+    """The process seconds of every certificate on k, and whether all of
+    their reports pass."""
+    t0 = time.process_time()
+    reports = verify_reports(k)
+    return time.process_time() - t0, all(r.passed for r in reports)
 
 
 def main() -> int:
@@ -108,7 +120,7 @@ def main() -> int:
     half = alexander_region(PARTIAL_12)
     failures = 0
     print("crossings     m   region_s      fox_s  region k/B  phase1_s  phase2_s"
-          "   fox k/B  phase1_s  phase2_s   jones_s  compl_s  rebuilt_s  ok")
+          "   fox k/B  phase1_s  phase2_s   jones_s  compl_s  rebuilt_s  verify_s  ok")
     for m in args.m:
         k = kt_member(m)
         want = half * half
@@ -125,12 +137,13 @@ def main() -> int:
         ok = ok and abs(v.evaluate(-1)) == abs(want.evaluate(-1))
         ok = ok and jones_at_roots_of_unity(v, want.evaluate(-1))
         t_one, t_two, same = complements(k)
-        ok = ok and same
+        t_verify, passed = certificates(k)
+        ok = ok and same and passed
         failures += not ok
         (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
               f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f} "
-              f"{t_jones:9.3f} {t_one:8.3f} {t_two:10.3f}  {'yes' if ok else 'NO'}")
+              f"{t_jones:9.3f} {t_one:8.3f} {t_two:10.3f} {t_verify:9.3f}  {'yes' if ok else 'NO'}")
     return 1 if failures else 0
 
 

@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
-"""Pin the output of `symunion verify --format doc` on the corpus.
+"""Pin the output of `symunion verify --format doc` on the corpus and on
+three unions where the fraction certificate takes a special case.
 
 For each of the 7 corpus specs the pin file holds the exit status of
 `symunion verify <spec> --format doc` and its output, line by line, as the
 CLI writes it: all four certificates, every report's checks and details,
-no timings. The output is meant to stay byte-identical across refactors,
-so any change to a union's assembly, a polynomial or a word shows up here.
+no timings. It holds the same for trefoil_union_2 with both boxes holding
+the crossingless tangle {"rational": "inf"}, and the output of `verify
+--fraction --format doc` on the scaling-family pool variants x15/v10 and
+x47/v03, where the axis edge and region 1's marked edge cut the partial in
+two (W = E, so the numerator closure of the complement is split; the
+zero-replacement lemma refuses these unions, as its rebuild is a
+disconnected diagram). The output is meant to stay byte-identical
+across refactors, so any change to a union's assembly, a polynomial or a
+word shows up here.
 
     python scripts/pin_verify_docs.py    # write tests/data/verify_docs.json
 
@@ -19,26 +27,37 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))  # pool_variant lives with the tests
+
+from helpers import pool_variant  # noqa: E402
 
 from symunion import corpus  # noqa: E402
 from symunion.cli import main as cli_main  # noqa: E402
-from symunion.construct import to_spec_doc  # noqa: E402
+from symunion.construct import SymUnionSpec, to_spec_doc  # noqa: E402
+from symunion.tangle import rational_tangle  # noqa: E402
 
 PIN_FILE = ROOT / "tests" / "data" / "verify_docs.json"
 
 
-def verify_doc(spec) -> dict:
+def verify_doc(spec, *certificates: str) -> dict:
     """The exit status and the output lines of `verify --format doc` on
-    spec, run through the CLI on a spec document written to a file."""
+    spec, run through the CLI on a spec document written to a file, with
+    the certificate options given (none: all four)."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "spec.json", Path(tmp) / "verify.json"
         path.write_text(json.dumps(to_spec_doc(spec)))
-        status = cli_main(["verify", str(path), "--format", "doc", "-o", str(out)])
+        status = cli_main(["verify", str(path), *certificates, "--format", "doc", "-o", str(out)])
         return {"exit": status, "lines": out.read_text().split("\n")}
 
 
 def documents() -> dict:
-    return {name: verify_doc(spec) for name, spec in sorted(corpus.SPEC_FIXTURES.items())}
+    docs = {name: verify_doc(spec) for name, spec in corpus.SPEC_FIXTURES.items()}
+    base = corpus.SPEC_FIXTURES["trefoil_union_2"]
+    inf = (rational_tangle("inf"),) * len(base.tangles)
+    docs["trefoil_union_2/inf"] = verify_doc(SymUnionSpec(base.partial, base.marked_arcs, inf))
+    for key in ("x15/v10", "x47/v03"):
+        docs[key] = verify_doc(pool_variant(key).meta.spec, "--fraction")
+    return docs
 
 
 def main() -> int:

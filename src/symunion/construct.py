@@ -20,6 +20,7 @@ from .diagram import (
     DiagramError,
     along_orientation,
     cap_crossings,
+    faces,
     json_int,
     over_arcs,
     parse_pd,
@@ -35,7 +36,6 @@ from .tangle import (
     parse_tangle,
     rational_tangle,
     to_tangle_doc,
-    vertical_twists,
 )
 
 
@@ -94,6 +94,9 @@ class UnionMeta:
     boxed: tuple[Tangle, ...]
     # fold[e - 1]: the partial edge union edge e folds onto (group.build_epimorphism)
     fold: tuple[int, ...]
+    # corners[i - 1]: the union darts just outside box i's corners NW, SW,
+    # SE and NE, counterclockwise (contract_box)
+    corners: tuple[tuple[int, ...], ...]
 
 
 # slot of edge e+E in the mirror row (c, b, a, d), given e's slot in (a, b, c, d)
@@ -117,7 +120,11 @@ def _validate_inputs(spec: SymUnionSpec) -> None:
                 f"marked edges {seen[arcs[e]]} and {e} lie on the same arc"
             )
         seen[arcs[e]] = e
-    for i, t in enumerate(spec.tangles, start=1):
+    _refuse_closed_components(dict(enumerate(spec.tangles, start=1)))
+
+
+def _refuse_closed_components(tangles: Mapping[int, Tangle]) -> None:
+    for i, t in tangles.items():
         if t.has_closed_components():
             raise ClosedComponentInTangle(f"tangle {i} contains a closed component")
 
@@ -147,21 +154,25 @@ class _Halves:
         self.next_id += 1
         return self.next_id - 1
 
-    def _rewire(self, m: int, host: tuple[int, int], mirror: tuple[int, int]) -> None:
-        """Give the (tail, head) ends of edge m new ids in each half."""
+    def _rewire(self, m: int, host: tuple[int, int], mirror: tuple[int, int]) -> dict[int, int]:
+        """Give the (tail, head) ends of edge m new ids in each half.
+        Returns the dart (row 4r + slot) each new id ends at."""
         c = len(self.d.crossings)
         i, s = self.d.head_of[m]
+        at = {}
         for k, h, ms in zip((self.d.mates[4 * i + s], 4 * i + s), host, mirror):
             self.rows[k >> 2][k & 3] = h
             self.rows[c + (k >> 2)][_SIGMA[k & 3]] = ms
+            at[h], at[ms] = k, 4 * (c + (k >> 2)) + _SIGMA[k & 3]
+        return at
 
-    def cut(self, m: int) -> tuple[int, int, int, int]:
-        """Open marked arc m on both halves. Returns the new stubs: the
-        host's outgoing and incoming ends, then the mirror's, whose roles
-        are reversed."""
+    def cut(self, m: int) -> dict[int, int]:
+        """Open marked arc m on both halves. Returns the new stubs, each
+        with the dart at its far end: the host's outgoing and incoming
+        ends, then the mirror's, whose roles are reversed."""
         u, v, us, vs = (self.fresh() for _ in range(4))
-        self._rewire(m, (u, v), (vs, us))
-        return u, v, us, vs
+        at = self._rewire(m, (u, v), (vs, us))
+        return {e: at[e] for e in (u, v, us, vs)}
 
 
 def _assemble_with_bits(
@@ -172,8 +183,10 @@ def _assemble_with_bits(
     """The union of spec at attachment bits, with boxed[i - 1], the tangle
     of region i oriented for its box at its bit, spliced in. Edges are
     numbered along the orientation from a0, so the one diagram built is
-    the union itself; its faces are walked here (planar_faces), and its
-    metadata keeps boxed for the rebuilds (_rebuild)."""
+    the union itself; its faces are walked here (planar_faces). Its
+    metadata keeps boxed for the rebuilds (_rebuild) and each box's corner
+    darts, its edges' ends outside it, for contract_box; a crossingless
+    strand's edge runs from the dart at its "in" corner to the "out" one."""
     d = spec.partial
     E = d.edge_count
 
@@ -181,6 +194,7 @@ def _assemble_with_bits(
     # x<j> and x<j>* fold onto edge j, the axis pair onto the axis arc, and
     # region i's edges onto marked arc i
     fold: dict[int, int] = {}
+    corners = []
     for j in range(1, E + 1):
         if j not in spec.marked_arcs:
             labels[j] = f"x{j}"
@@ -201,11 +215,12 @@ def _assemble_with_bits(
 
     for i, (t, bit) in enumerate(zip(boxed, bits), start=1):
         first = h.next_id
-        u, v, us, vs = h.cut(spec.marked_arcs[i])
+        u, v, us, vs = stubs = h.cut(spec.marked_arcs[i])
         if bit == 0:
             at_corner = {"NW": u, "SW": v, "NE": vs, "SE": us}
         else:
             at_corner = {"NW": v, "SW": u, "NE": us, "SE": vs}
+        corners.append(tuple(stubs[at_corner[c]] for c in ("NW", "SW", "SE", "NE")))
 
         emap: dict[int, int] = {}
         for corner in CORNERS:
@@ -238,7 +253,9 @@ def _assemble_with_bits(
             tuple(Crossing(perm[a], perm[b], perm[c], perm[d]) for a, b, c, d in rows),
             tuple(flags),
             labels={perm[e]: lbl for e, lbl in labels.items() if e in perm and e not in alias},
-            meta=UnionMeta(spec, tuple(bits), tuple(boxed), tuple(map(fold.__getitem__, perm))),
+            meta=UnionMeta(
+                spec, tuple(bits), tuple(boxed), tuple(map(fold.__getitem__, perm)), tuple(corners)
+            ),
         )
         planar_faces(built)
     except DiagramError as exc:
@@ -364,13 +381,14 @@ def region_tangle(k: PlanarDiagram, i: int) -> Tangle:
 def _rebuild(k: PlanarDiagram, replace: Mapping[int, Tangle]) -> PlanarDiagram:
     """Rebuild k with region i holding replace[i], at the attachment bits
     of k. Pinning the bits keeps the complement of each region the same
-    tangle across rebuilds, which the decomposition checks rely on."""
+    tangle across rebuilds, which the decomposition checks rely on. Only
+    the replacements are checked; the build of k checked the rest."""
     meta = _meta_of(k)
     for i in replace:
         region_tangle(k, i)
+    _refuse_closed_components(replace)
     tangles = [replace.get(i, t) for i, t in enumerate(meta.spec.tangles, start=1)]
     spec = SymUnionSpec(meta.spec.partial, meta.spec.marked_arcs, tangles)
-    _validate_inputs(spec)
     bits = meta.attach_bits
     boxed = list(meta.boxed)
     for i, t in replace.items():
@@ -378,34 +396,25 @@ def _rebuild(k: PlanarDiagram, replace: Mapping[int, Tangle]) -> PlanarDiagram:
     return _assemble_with_bits(spec, bits, boxed)
 
 
-def open_box(
-    k: PlanarDiagram, i: int
-) -> tuple[PlanarDiagram, int, tuple[int, int, int, int, int], int]:
-    """k rebuilt with vertical_twists(2) in box i, the one diagram both
-    closures of region i's complement are read from. Returns it, the index
-    of the twist's top crossing (its bottom crossing follows), the faces
-    (bigon, N, E, S, W) defined below, and N(C)'s component count.
+def contract_box(k: PlanarDiagram, i: int) -> tuple[tuple[int, ...], int, tuple[int, int]]:
+    """Region i's complement C, read off the built union k: box i is
+    contracted to one 4-valent vertex, at the index p of its first
+    crossing, with slots 0 to 3 wired to the darts just outside its
+    corners NW, SW, SE and NE (UnionMeta.corners). Returns the faces of
+    that graph (diagram.faces), p, and the component counts of D(C) and
+    N(C), which close the box with two vertical arcs and with two
+    horizontal ones. Nothing is rebuilt or renumbered.
 
-    The complement C is k with box i left open; D(C) closes the box with
-    two vertical arcs and N(C) with two horizontal ones. The twist orients
-    under either attachment bit and joins the corners as D(C) does, so the
-    diagram has D(C)'s components, and without the twist's crossings its
-    region matrix is C's crossings against C's faces and the twist's
-    bigon.
-
-    The faces at the twist's corners are the bigon between its crossings
-    and the box's sides: N at the top crossing and S at the bottom one,
-    each opposite the bigon, and W and E at both; counterclockwise around
-    the top crossing, the bigon, E, N, W. Adjacent sectors of a crossing
-    never share a face, as a 4-valent graph has no bridge. N = S, or
-    W = E, makes a closed curve in that face cross the diagram only at
-    the box's two west edges, or at the two between its crossings, and so
-    splits C into a west and an east part, or a north and a south one.
-    The west corners are the host half's stubs and the east ones the
-    mirror's, and each part of a half cut at the axis edge and the marked
-    edge holds an axis stub, so the axis keeps N and S apart. W = E
-    happens when those two edges cut the partial in two; N(C) is then a
-    split diagram.
+    The vertex's corners, in slot order, hold the box's sides W, S, E and
+    N, and C's region matrix is k's rows but box i's over these faces.
+    Adjacent corners of a vertex never share a face, as a 4-valent graph
+    has no bridge. N = S, or W = E, makes a closed curve in that face
+    cross the graph only at the vertex, and so splits C into a west and
+    an east part, or a north and a south one. The west corners are the
+    host half's stubs and the east ones the mirror's, and each part of a
+    half cut at the axis edge and the marked edge holds an axis stub, so
+    the axis keeps N and S apart. W = E happens when those two edges cut
+    the partial in two; N(C) is then a split diagram.
 
     Closing the box merges two sides, and a closure's polynomial may
     delete the merged face and a side beside it: D(C) merges N and S and
@@ -413,23 +422,25 @@ def open_box(
     columns of the other faces, Delta(D(C)) = det[A | E] (det[A] when
     W = E) and Delta(N(C)) = det[A | S] (0 when W = E) up to units.
 
-    N(C)'s components are C's closed components, which miss the twist,
-    and two more when C's strand from the top crossing returns to it (N(C)
-    then closes each strand on itself), else one."""
+    A closure's components are C's closed components, k's that miss the
+    box's corner edges, and one more, or two when C's strand from NW
+    returns at the corner the closure joins NW to (SW for D(C), NE for
+    N(C)), which then closes each strand on itself."""
     meta = _meta_of(k)
-    d = _rebuild(k, {i: vertical_twists(2)})
+    region_tangle(k, i)
     p = 2 * len(meta.spec.partial.crossings) + sum(len(t.crossings) for t in meta.boxed[: i - 1])
-    face = planar_faces(d)
-    top, bottom = face[4 * p : 4 * p + 4], face[4 * p + 4 : 4 * p + 8]
-    (j,) = [j for j in range(4) if top[j] not in bottom]  # N, between two ends of C
-    (s,) = [f for f in bottom if f not in top]
-    end = d.mates[4 * p + j]
-    while not p <= end >> 2 <= p + 1:
-        end = d.mates[end ^ 2]  # straight through a crossing of C
-    twist = {*d.crossings[p], *d.crossings[p + 1]}
-    closed = sum(twist.isdisjoint(c) for c in d.components)
-    at_box = (top[j + 2 & 3], top[j], top[j + 3 & 3], s, top[j + 1 & 3])
-    return d, p, at_box, closed + 1 + (end >> 2 == p)
+    shift = 4 - 4 * len(meta.boxed[i - 1].crossings)
+    mate = [m + shift * (m >= 4 * p) for m in k.mates]
+    mate[4 * p : 4 * p + 4 - shift] = [-1] * 4  # the box's darts give way to the vertex's
+    for j, m in enumerate(meta.corners[i - 1]):
+        m += shift * (m >= 4 * p)
+        mate[4 * p + j], mate[m] = m, 4 * p + j
+    end = mate[4 * p]
+    while end >> 2 != p:
+        end = mate[end ^ 2]  # straight through a crossing of C
+    edges = {k.crossings[m >> 2][m & 3] for m in meta.corners[i - 1]}
+    closed = sum(edges.isdisjoint(c) for c in k.components)
+    return faces(mate), p, (closed + 1 + (end & 3 == 1), closed + 1 + (end & 3 == 3))
 
 
 def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:

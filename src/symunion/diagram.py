@@ -379,17 +379,17 @@ def over_arcs(d: PlanarDiagram) -> tuple[tuple[int, ...], ...]:
 # -- faces ---------------------------------------------------------------------
 
 
-def faces(d: PlanarDiagram) -> tuple[int, ...]:
-    """Trace the regions of the diagram from its rotation system: the face
-    id at each corner, where corner 4i + j is the sector between edge slots
-    j and j + 1 of crossing i. Faces are numbered in the order the walks
-    find them.
+def faces(mate: Sequence[int]) -> tuple[int, ...]:
+    """Trace the regions of a diagram from its rotation system, given as
+    the mate of each edge end (PlanarDiagram.mates): the face id at each
+    corner, where corner 4i + j is the sector between edge slots j and
+    j + 1 of crossing i. Faces are numbered in the order the walks find
+    them.
 
-    Walk rule: after arriving at a crossing on some edge end (the dart m,
-    numbered as in d.mates), pass through corner m and leave through the
-    next slot counterclockwise. Each region is traced once; together the
-    walks use every edge end exactly once in each direction."""
-    mate = d.mates
+    Walk rule: after arriving at a crossing on some edge end (the dart m),
+    pass through corner m and leave through the next slot
+    counterclockwise. Each region is traced once; together the walks use
+    every edge end exactly once in each direction."""
     face = [-1] * len(mate)
     n = 0
     for start in range(len(mate)):
@@ -411,7 +411,7 @@ def validate_planarity(d: PlanarDiagram) -> tuple[int, ...]:
     iff the face walk yields exactly c + 2 regions. Returns the faces."""
     if not d.connected:
         raise DisconnectedDiagram("planarity check needs a connected diagram")
-    fs = faces(d)
+    fs = faces(d.mates)
     if d.crossings and max(fs) + 1 != len(d.crossings) + 2:
         raise NotPlanar(f"face count {max(fs) + 1}, expected {len(d.crossings) + 2}")
     return fs

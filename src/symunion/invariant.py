@@ -23,12 +23,12 @@ from .diagram import (
     writhe,
 )
 from .construct import (
+    NotAKnot,
     build_all_zero_replacement,
     built_union,
+    contract_box,
     derived,
-    expect_knot,
     flanking_faces,
-    open_box,
     planar_faces,
     region_tangle,
 )
@@ -121,7 +121,11 @@ def region_matrix(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
     its corners there, an {exp: coeff} map, when that sum is not zero."""
     if not d.crossings:
         raise NoCrossings("region matrix needs at least one crossing")
-    face = planar_faces(d)
+    return _corner_rows(planar_faces(d))
+
+
+def _corner_rows(face: Sequence[int]) -> list[dict[int, dict[int, int]]]:
+    """region_matrix's rows, one per 4 corners of face (diagram.faces)."""
     # Corner labels around each crossing, by corner slot (slot j is the
     # sector between edge slots j and j+1): t and -t on slots 0 and 1, the
     # two corners flanking edge slot 1, then 1 and -1 on slots 2 and 3, the
@@ -160,28 +164,32 @@ def alexander_region(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
 def complement_closures(
     k: PlanarDiagram, i: int, cancel: CancelToken | None = None
 ) -> Callable[[bool], tuple[LaurentPoly, int]]:
-    """Both closures of region i's complement from one rebuild and one
-    elimination: the function that takes horizontal to the normalized
-    Alexander polynomial and the component count of N(C) (True) or of
-    D(C) (False), which must be a knot.
+    """Both closures of region i's complement C, read off the built union
+    with one elimination: the function that takes horizontal to the
+    normalized Alexander polynomial and the component count of N(C)
+    (True) or of D(C) (False), which must be a knot.
 
-    Phase 1 (poly._unit_pivots) runs here, once, on the open box's region
-    matrix (construct.open_box) without the twist's rows, over the faces
-    but the bigon, N and W, with E and S last and never pivoted on. A
-    closure finishes the block left with S's column or E's
+    C's rows are the union's but box i's, labelled as region_matrix labels
+    them, over the faces of the union with box i contracted to one vertex
+    (construct.contract_box). Phase 1 (poly._unit_pivots) runs here, once,
+    over the faces but the sides N and W, with E and S last and never
+    pivoted on. A closure finishes the block left with S's column or E's
     (poly._block_det) when it is asked for, so D(C) raises NotAKnot only
     then. cancel is polled as det_laurent polls it."""
-    d, filler, (bigon, n, e, s, w), numerator_components = open_box(k, i)
-    others = set(range(len(d.crossings) + 2)) - {bigon, n, e, s, w}
+    face, v, components = contract_box(k, i)
+    w, s, e, n = face[4 * v : 4 * v + 4]
+    others = set(face) - {n, e, s, w}
     column = {f: j for j, f in enumerate([*sorted(others), e, s])}
-    rows = region_matrix(d)
-    del rows[filler : filler + 2]
+    rows = _corner_rows(face)
+    del rows[v]
     rows = [{column[f]: p for f, p in row.items() if f in column} for row in rows]
     found = _unit_pivots(rows, cancel, range(len(others), len(column)))
 
     def closure(horizontal: bool) -> tuple[LaurentPoly, int]:
-        m = numerator_components if horizontal else expect_knot(d).component_count()
-        # W = E: N(C) is split and D(C) keeps A alone (open_box)
+        m = components[horizontal]
+        if m != 1 and not horizontal:
+            raise NotAKnot(f"result has {m} components, expected a knot")
+        # W = E: N(C) is split and D(C) keeps A alone (contract_box)
         kept = [] if e == w else [-1 if horizontal else -2]
         det = LaurentPoly.zero()
         if found is not None and not (horizontal and e == w):
@@ -830,8 +838,9 @@ def verify_fraction_region(
     """Decompose the union at one tangle box: the whole diagram is the
     numerator closure of (inserted tangle + everything else), so the sum
     rule of verify_fraction_formula applies, with both closures of the
-    complement from one rebuild and one phase 1 (complement_closures). Its
-    numerator closure splits the diagram and vanishes."""
+    complement read off the union with the box contracted to one vertex,
+    from one phase 1 (complement_closures). Its numerator closure splits
+    the diagram and vanishes."""
     k = built_union(union)
     t = region_tangle(k, region)
     rep = VerificationReport(f"fraction decomposition at region {region}")

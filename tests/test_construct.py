@@ -34,8 +34,8 @@ from symunion.construct import (
     build_all_zero_replacement,
     build_symmetric_union,
     expect_knot,
+    contract_box,
     glued_pair,
-    open_box,
     parse_spec,
     to_spec_doc,
 )
@@ -247,6 +247,20 @@ class TestReplacement:
     def test_requires_metadata(self):
         with pytest.raises(ConstructError):
             expect_knot(_rebuild(trefoil(), {1: vertical_twists(2)}))
+
+    def test_a_rebuild_checks_only_its_replacements(self):
+        # the build checked the partial, the marked arcs and the tangles;
+        # a rebuild refuses a replacement with a closed component, naming
+        # its region as the build would
+        k = build_symmetric_union(SPEC_FIXTURES["kt_union_3"])
+        ring = tangle_sum(vertical_twists(0), vertical_twists(0))
+        with pytest.MonkeyPatch.context() as mp:
+            validated = _recording(mp, construct, "_validate_inputs")
+            _rebuild(k, {2: vertical_twists(0)})
+            message = "^tangle 2 contains a closed component$"
+            with pytest.raises(ClosedComponentInTangle, match=message):
+                _rebuild(k, {2: ring})
+        assert validated == []
 
     def test_non_even_replacement_rejected(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
@@ -538,13 +552,13 @@ class TestOnePass:
         )
         assert (assemblies, diagrams) == (1, 1)
         for i in range(1, len(spec.tangles) + 1):
-            _, assemblies, diagrams = self._assemblies_and_diagrams(lambda: open_box(k, i))
-            assert (assemblies, diagrams) == (1, 1)
-            # both closures of the complement come from that one rebuild
+            _, assemblies, diagrams = self._assemblies_and_diagrams(lambda: contract_box(k, i))
+            assert (assemblies, diagrams) == (0, 0)
+            # both closures of the complement are read off the built union
             _, assemblies, _ = self._assemblies_and_diagrams(
                 lambda: verify_fraction_region(k, i)
             )
-            assert assemblies == 1
+            assert assemblies == 0
 
     def test_one_connectivity_walk_per_diagram(self):
         with pytest.MonkeyPatch.context() as mp:

@@ -69,14 +69,14 @@ def test_parse_figure_eight(fig8):
 
 
 def test_face_counts(trefoil, fig8):
-    assert len(set(faces(trefoil))) == 5
-    assert len(set(faces(fig8))) == 6
+    assert len(set(faces(trefoil.mates))) == 5
+    assert len(set(faces(fig8.mates))) == 6
 
 
 def test_negative_kink():
     d = parse_pd(KINK_NEG)
     assert writhe(d) == -1
-    fs = faces(d)
+    fs = faces(d.mates)
     assert len(set(fs)) == 3
     # one region is bounded by a single edge-side, that is, has one corner
     assert sorted(fs.count(f) for f in set(fs)) == [1, 1, 2]
@@ -87,7 +87,7 @@ def test_positive_kink():
     # Reidemeister-1 kink, the mirror of X[1,2,2,1]
     d = parse_pd(KINK_POS)
     assert writhe(d) == +1
-    assert len(set(faces(d))) == 3
+    assert len(set(faces(d.mates))) == 3
     assert d.component_count() == 1
 
 
@@ -123,7 +123,7 @@ def test_wrong_flags_rejected(trefoil):
 
 def test_torus_projection_fails_euler_check():
     d = parse_pd("X[1,2,1,2]")
-    assert len(set(faces(d))) != 3
+    assert len(set(faces(d.mates))) != 3
     with pytest.raises(NotPlanar):
         validate_planarity(d)
 
@@ -148,7 +148,7 @@ def test_face_partition(trefoil, fig8):
         return k - 1 if k & 3 else k + 3
 
     for d in (trefoil, fig8, parse_pd(KINK_NEG), parse_pd(KINK_POS)):
-        fs = faces(d)
+        fs = faces(d.mates)
         # every corner has a face, and there are c + 2 faces
         assert len(fs) == 4 * len(d.crossings)
         assert set(fs) == set(range(len(d.crossings) + 2))
@@ -222,7 +222,7 @@ def test_unknot_basics():
     assert u.component_count() == 1
     assert u.connected
     assert writhe(u) == 0
-    assert faces(u) == ()
+    assert faces(u.mates) == ()
 
 
 def test_connected_sum_counts():

@@ -44,8 +44,10 @@ from symunion.construct import (
     _rebuild,
     build_all_zero_replacement,
     build_symmetric_union,
+    contract_box,
     glued_pair,
-    open_box,
+    parse_spec,
+    to_spec_doc,
 )
 from symunion.diagram import (
     DiagramError,
@@ -751,7 +753,7 @@ def diagrams_and_orders(draw):
     is a random connected sweep: a random start, then at each step a
     random box that touches the boxes swept so far."""
     d = draw(unions)
-    boxes = inv._boxes(d, faces(d))
+    boxes = inv._boxes(d, faces(d.mates))
     if len(d.crossings) <= FREE_ORDER_CROSSINGS:
         return d, draw(st.permutations(range(len(boxes))))
     box_of = {ci: i for i, box in enumerate(boxes) for ci in box}
@@ -810,7 +812,7 @@ def test_sweep_order_matches_the_unpruned_search_on_fixed_graphs():
     diagrams += [circle_chain(k) for k in range(2, 9)]
     assert len(diagrams) == 64 + 7 + 7
     for d in diagrams:
-        nbrs = inv._unit_graph(d, inv._boxes(d, faces(d)))
+        nbrs = inv._unit_graph(d, inv._boxes(d, faces(d.mates)))
         assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
 
 
@@ -859,7 +861,7 @@ BOX_CASES = {
 @pytest.mark.parametrize("name", BOX_CASES)
 def test_boxes_match_the_naive_bracket(name):
     d, shape = BOX_CASES[name]
-    boxes = inv._boxes(d, faces(d))
+    boxes = inv._boxes(d, faces(d.mates))
     assert [(len(b), len(inv._box_unit(d, b, None).slots)) for b in boxes] == shape
     assert kauffman_bracket(d) == bracket_naive(d)
 
@@ -868,7 +870,7 @@ def test_boxes_match_the_naive_bracket(name):
 def test_a_one_crossing_diagram_is_one_box(text):
     # its bigon has both corners at the one crossing
     d = parse_pd(text)
-    assert inv._boxes(d, faces(d)) == [[0]]
+    assert inv._boxes(d, faces(d.mates)) == [[0]]
 
 
 def link_patterns(slots):
@@ -911,7 +913,7 @@ def test_bound_matches_the_link_pattern_enumeration():
     diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
     diagrams += list(corpus.DIAGRAM_FIXTURES.values())
     diagrams += [circle_chain(k) for k in range(2, 9)]
-    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d))]
+    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d.mates))]
     assert {len(u.slots) for u in units} == {0, 2, 4}
     assert inv._bound(inv._SMOOTHINGS) == bound_by_link_patterns(inv._SMOOTHINGS) == 6
     for u in units:
@@ -920,7 +922,7 @@ def test_bound_matches_the_link_pattern_enumeration():
 
 def test_box_bounds_match_the_brute_force_bound():
     diagrams = [d for d, _ in BOX_CASES.values()] + [pool_variant(k) for k in sorted(FAMILY_POOL)]
-    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d))]
+    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d.mates))]
     assert {len(u.slots) for u in units} == {0, 2, 4}
     for u in units:
         assert u.bound == bound_by_brute_force(u)
@@ -956,7 +958,7 @@ def test_box_units_match_the_chain_walk():
     and read _SMOOTHINGS."""
     single = 0
     for d in every_box_diagram() + [d for d, _ in BOX_CASES.values()]:
-        for b in inv._boxes(d, faces(d)):
+        for b in inv._boxes(d, faces(d.mates)):
             got, want = inv._box_unit(d, b, None), box_unit_by_chain(d, b)
             assert got.slots == want.slots
             assert set(got.smoothings) == set(want.smoothings)
@@ -970,7 +972,7 @@ def assert_sweep_matches_the_pairs(d, order=None):
     """_sweep against the pair-keyed sweep over d's boxes, in order or in
     _sweep_order's order: the same final states, the same number of states
     after every unit, and the same states halfway, read as edge pairs."""
-    boxes = inv._boxes(d, faces(d))
+    boxes = inv._boxes(d, faces(d.mates))
     if order is None:
         order = inv._sweep_order(inv._unit_graph(d, boxes))
     units = [inv._box_unit(d, boxes[i], None) for i in order]
@@ -1193,13 +1195,35 @@ def test_complement_matches_the_rebuilds_at_420_crossings():
     assert_complements_match_the_rebuilds(kt_member(50), [1])
 
 
+def test_complements_match_the_rebuilds_beside_a_crossingless_box():
+    # box 1 holds vertical_twists(0): each of its strands is one union
+    # edge, from the dart outside its "in" corner to the dart outside its
+    # "out" corner, and the vertex takes a row that the box did not have
+    for k in CORPUS_UNIONS.values():
+        if k.meta.spec.tangles:
+            assert_complements_match_the_rebuilds(_rebuild(k, {1: vertical_twists(0)}))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_UNIONS))
+def test_complements_match_the_rebuilds_when_every_box_is_empty(name):
+    # every tangle {"rational": "inf"}, which verify passes
+    # (tests/data/verify_docs.json pins trefoil_union_2 so)
+    spec = corpus.SPEC_FIXTURES[name]
+    doc = to_spec_doc(spec)
+    doc["tangles"] = [{"rational": "inf"}] * len(spec.tangles)
+    k = build_symmetric_union(parse_spec(doc))
+    assert sum(len(t.crossings) for t in k.meta.boxed) == 0
+    assert_complements_match_the_rebuilds(k)
+
+
 @pytest.mark.parametrize("key", ["x15/v10", "x47/v03"])
 def test_a_complement_that_falls_apart(key):
     # the axis edge and region 1's marked edge cut the partial in two, so
     # W = E and N(C) is a split diagram, which a rebuild refuses: verify
     # exited 2 here with NotPlanarInsertion while it rebuilt N(C)
     k = pool_variant(key)
-    _, _, (_, _, e, _, w), _ = open_box(k, 1)
+    face, p, _ = contract_box(k, 1)
+    w, _, e, _ = face[4 * p : 4 * p + 4]
     assert e == w
     closure = complement_closures(k, 1)
     assert closure(False) == complement_by_rebuild(k, 1, False)
@@ -1211,22 +1235,25 @@ def test_a_complement_that_falls_apart(key):
     assert verify_fraction_region(k, 1).passed
 
 
-def test_open_box_reads_the_sides_off_the_twist():
-    # the twist's crossings are rows p and p + 1; around the top one the
-    # corners hold the bigon, E, N and W counterclockwise, and S is
-    # opposite the bigon at the bottom one
+def test_the_contraction_reads_the_sides_at_the_vertex():
+    # box i's corner darts end its edges s1_i (NW), s3_i (SW), s4_i (SE)
+    # and s2_i (NE), the west ones at crossings of the host half and the
+    # east ones at the mirror's; the box contracted to one vertex at row p
+    # embeds (c + 2 faces for c crossings), and the vertex's corners hold
+    # four sides
     for k in CORPUS_UNIONS.values():
+        half = len(k.meta.spec.partial.crossings)
         for i in range(1, len(k.meta.spec.tangles) + 1):
-            d, p, at_box, _ = open_box(k, i)
-            bigon, n, e, s, w = at_box
-            face = faces(d)
-            top, bottom = face[4 * p : 4 * p + 4], face[4 * p + 4 : 4 * p + 8]
-            assert len(set(at_box)) == 5  # W = E only where a partial is cut in two
-            j = top.index(bigon)
-            assert [top[j + r & 3] for r in range(4)] == [bigon, e, n, w]
-            assert sorted(bottom) == sorted([bigon, e, s, w])
-            assert bottom[bottom.index(bigon) + 2 & 3] == s
-            assert face.count(bigon) == 2
+            corners = k.meta.corners[i - 1]
+            labels = [k.labels[k.crossings[m >> 2][m & 3]] for m in corners]
+            assert labels == [f"s{j}_{i}" for j in (1, 3, 4, 2)]
+            assert [m >> 2 < half for m in corners] == [True, True, False, False]
+            face, p, _ = contract_box(k, i)
+            c = len(k.crossings) - len(k.meta.boxed[i - 1].crossings) + 1
+            assert len(face) == 4 * c and len(set(face)) == max(face) + 1 == c + 2
+            assert p == 2 * half + sum(len(t.crossings) for t in k.meta.boxed[: i - 1])
+            # W = E only where a partial is cut in two
+            assert len(set(face[4 * p : 4 * p + 4])) == 4
 
 
 def test_a_box_beside_a_split_one():
@@ -1236,9 +1263,9 @@ def test_a_box_beside_a_split_one():
     k = _rebuild(CORPUS_UNIONS["kt_union_3"], {2: rational_tangle([])})
     closure = complement_closures(k, 1)
     assert closure(True) == complement_by_rebuild(k, 1, True)
-    d, _, _, numerator_components = open_box(k, 1)
+    _, _, (denominator_components, numerator_components) = contract_box(k, 1)
     assert numerator_components == 3
-    assert d.component_count() == 2
+    assert denominator_components == 2
     with pytest.raises(NotAKnot):
         complement_by_rebuild(k, 1, False)
     with pytest.raises(NotAKnot):

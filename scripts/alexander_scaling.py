@@ -23,8 +23,11 @@ product formula predicts, Delta(partial)^2 prod Delta(N(kt(m))), unless
 |V(-1)| = |Delta(-1)|, both the knot's determinant, and V(w) = 1 at the
 third root of unity w and V(i) = (-1)^Arf with Arf read off Delta(-1)
 mod 8, so that the bracket is checked at every size the script runs,
-unless the two ways give the same complement closures, and unless every
-certificate's report passes.
+unless the two ways give the same complement closures, unless every
+certificate's report passes, and unless the zero-replacement lemma's
+report, read off the union, gives the components of the zero
+replacement's rebuild (helpers.build_all_zero_replacement) and
+Delta = 0, as the rebuild's region-route polynomial does.
 
     python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
 """
@@ -38,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the fa
 
 from helpers import (  # noqa: E402
     PARTIAL_12,
+    build_all_zero_replacement,
     complement_by_rebuild,
     jones_at_roots_of_unity,
     kt_member,
@@ -104,10 +108,15 @@ def complements(k) -> tuple[float, float, bool]:
 
 def certificates(k) -> tuple[float, bool]:
     """The process seconds of every certificate on k, and whether all of
-    their reports pass."""
+    their reports pass and the lemma's, the first, matches the rebuild."""
     t0 = time.process_time()
     reports = verify_reports(k)
-    return time.process_time() - t0, all(r.passed for r in reports)
+    seconds = time.process_time() - t0
+    flat = build_all_zero_replacement(k)
+    lemma = reports[0].data
+    same = lemma["components"] == str(flat.component_count())
+    same = same and lemma["alexander of replacement"] == alexander_region(flat).text() == "0"
+    return seconds, same and all(r.passed for r in reports)
 
 
 def main() -> int:

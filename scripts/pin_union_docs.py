@@ -27,15 +27,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))  # random_spec lives with the tests
 
-from helpers import random_spec  # noqa: E402
+from helpers import _rebuild, build_all_zero_replacement, random_spec  # noqa: E402
 
 from symunion import corpus  # noqa: E402
-from symunion.construct import (  # noqa: E402
-    _rebuild,
-    build_all_zero_replacement,
-    build_symmetric_union,
-    expect_knot,
-)
+from symunion.construct import build_symmetric_union, expect_knot  # noqa: E402
 from symunion.diagram import to_doc  # noqa: E402
 from symunion.tangle import rational_tangle, vertical_twists  # noqa: E402
 

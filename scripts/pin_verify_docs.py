@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Pin the output of `symunion verify --format doc` on the corpus and on
-three unions where the fraction certificate takes a special case.
+unions where a certificate takes a special case.
 
 For each of the 7 corpus specs the pin file holds the exit status of
 `symunion verify <spec> --format doc` and its output, line by line, as the
 CLI writes it: all four certificates, every report's checks and details,
 no timings. It holds the same for trefoil_union_2 with both boxes holding
-the crossingless tangle {"rational": "inf"}, and the output of `verify
---fraction --format doc` on the scaling-family pool variants x15/v10 and
-x47/v03, where the axis edge and region 1's marked edge cut the partial in
-two (W = E, so the numerator closure of the complement is split; the
-zero-replacement lemma refuses these unions, as its rebuild is a
-disconnected diagram). The output is meant to stay byte-identical
+the crossingless tangle {"rational": "inf"}, and for the scaling-family
+pool variants x15/v10, x47/v03 and x47/v08 (keys "<variant>/all"), where
+the axis edge and a marked edge cut the partial in two, so the zero
+replacement is a split diagram. On x15/v10 and x47/v03 that marked edge is
+region 1's (W = E, so the numerator closure of the complement is split),
+and the file also holds the output of `verify --fraction --format doc` on
+them (keys "<variant>"). The output is meant to stay byte-identical
 across refactors, so any change to a union's assembly, a polynomial or a
 word shows up here.
 
@@ -57,6 +58,8 @@ def documents() -> dict:
     docs["trefoil_union_2/inf"] = verify_doc(SymUnionSpec(base.partial, base.marked_arcs, inf))
     for key in ("x15/v10", "x47/v03"):
         docs[key] = verify_doc(pool_variant(key).meta.spec, "--fraction")
+    for key in ("x15/v10", "x47/v03", "x47/v08"):
+        docs[f"{key}/all"] = verify_doc(pool_variant(key).meta.spec)
     return docs
 
 

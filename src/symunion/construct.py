@@ -4,15 +4,16 @@ along an axis, with even tangles spliced into chosen arcs.
 The construction takes a partial diagram D, one marked arc that becomes the
 axis pair a0/a1, and one further marked arc per tangle. The result carries
 edge labels recording where every edge came from (x<j> for D, x<j>* for the
-mirror half, s<k>_<i> for tangle region i), and its metadata keeps the spec
-and the attachment orientations, so that a certificate can rebuild the
-union with other tangles in its boxes.
+mirror half, s<k>_<i> for tangle region i), and its metadata keeps the spec,
+the attachment orientations and the darts around each box, so that a
+certificate can read what other tangles in the boxes would give off the
+one built union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Mapping, TypeVar
 
 from .diagram import (
     Crossing,
@@ -85,17 +86,18 @@ class SymUnionSpec:
 
 @dataclass(frozen=True)
 class UnionMeta:
+    """What the builder records with a union, so that every certificate
+    reads the one built union: no certificate assembles another."""
+
     spec: SymUnionSpec
     # per box: 0 attaches the host's outgoing stub at NW, 1 swaps north
     # and south on both sides
     attach_bits: tuple[int, ...]
-    # spec.tangles[i - 1] oriented for the box of region i at its bit; a
-    # rebuild orients only the tangles it replaces
-    boxed: tuple[Tangle, ...]
     # fold[e - 1]: the partial edge union edge e folds onto (group.build_epimorphism)
     fold: tuple[int, ...]
     # corners[i - 1]: the union darts just outside box i's corners NW, SW,
-    # SE and NE, counterclockwise (contract_box)
+    # SE and NE, counterclockwise, all in the halves' rows (contract_box,
+    # zero_replacement)
     corners: tuple[tuple[int, ...], ...]
 
 
@@ -120,11 +122,7 @@ def _validate_inputs(spec: SymUnionSpec) -> None:
                 f"marked edges {seen[arcs[e]]} and {e} lie on the same arc"
             )
         seen[arcs[e]] = e
-    _refuse_closed_components(dict(enumerate(spec.tangles, start=1)))
-
-
-def _refuse_closed_components(tangles: Mapping[int, Tangle]) -> None:
-    for i, t in tangles.items():
+    for i, t in enumerate(spec.tangles, start=1):
         if t.has_closed_components():
             raise ClosedComponentInTangle(f"tangle {i} contains a closed component")
 
@@ -175,18 +173,14 @@ class _Halves:
         return {e: at[e] for e in (u, v, us, vs)}
 
 
-def _assemble_with_bits(
-    spec: SymUnionSpec,
-    bits: tuple[int, ...],
-    boxed: Sequence[Tangle],
-) -> PlanarDiagram:
-    """The union of spec at attachment bits, with boxed[i - 1], the tangle
-    of region i oriented for its box at its bit, spliced in. Edges are
-    numbered along the orientation from a0, so the one diagram built is
-    the union itself; its faces are walked here (planar_faces). Its
-    metadata keeps boxed for the rebuilds (_rebuild) and each box's corner
-    darts, its edges' ends outside it, for contract_box; a crossingless
-    strand's edge runs from the dart at its "in" corner to the "out" one."""
+def _assemble_with_bits(spec: SymUnionSpec, bits: tuple[int, ...]) -> PlanarDiagram:
+    """The union of spec at attachment bits, with the tangle of region i
+    oriented for its box at its bit and spliced in. Edges are numbered
+    along the orientation from a0, so the one diagram built is the union
+    itself; its faces are walked here (planar_faces). Its metadata keeps
+    each box's corner darts, its edges' ends outside it, for contract_box
+    and zero_replacement; a crossingless strand's edge runs from the dart
+    at its "in" corner to the "out" one."""
     d = spec.partial
     E = d.edge_count
 
@@ -213,7 +207,8 @@ def _assemble_with_bits(
     def find(e: int) -> int:
         return alias.get(e, e)
 
-    for i, (t, bit) in enumerate(zip(boxed, bits), start=1):
+    for i, (t, bit) in enumerate(zip(spec.tangles, bits), start=1):
+        t = _oriented_for_box(t, bit)
         first = h.next_id
         u, v, us, vs = stubs = h.cut(spec.marked_arcs[i])
         if bit == 0:
@@ -253,9 +248,7 @@ def _assemble_with_bits(
             tuple(Crossing(perm[a], perm[b], perm[c], perm[d]) for a, b, c, d in rows),
             tuple(flags),
             labels={perm[e]: lbl for e, lbl in labels.items() if e in perm and e not in alias},
-            meta=UnionMeta(
-                spec, tuple(bits), tuple(boxed), tuple(map(fold.__getitem__, perm)), tuple(corners)
-            ),
+            meta=UnionMeta(spec, tuple(bits), tuple(map(fold.__getitem__, perm)), tuple(corners)),
         )
         planar_faces(built)
     except DiagramError as exc:
@@ -306,19 +299,7 @@ def build_symmetric_union(spec: SymUnionSpec) -> PlanarDiagram:
                 f"borders neither face beside the axis edge {axis}"
             )
         bits.append(0 if before in corridors else 1)
-    boxed = [_oriented_for_box(t, bit) for t, bit in zip(spec.tangles, bits)]
-    return expect_knot(_assemble_with_bits(spec, tuple(bits), boxed))
-
-
-def build_all_zero_replacement(union: SymUnionSpec | PlanarDiagram) -> PlanarDiagram:
-    """Every tangle of the union (a spec is built first) replaced by the
-    trivial west-to-east pair; the diagram falls apart into n+1
-    components. That tangle joins the host's outgoing stub to the
-    mirror's incoming one, and vice versa, under either attachment bit,
-    so the union's own bits embed it."""
-    k = built_union(union)
-    zeros = dict.fromkeys(range(1, len(k.meta.spec.tangles) + 1), rational_tangle([]))
-    return _rebuild(k, zeros)
+    return expect_knot(_assemble_with_bits(spec, tuple(bits)))
 
 
 # -- the built union --------------------------------------------------------------
@@ -378,24 +359,6 @@ def region_tangle(k: PlanarDiagram, i: int) -> Tangle:
     return tangles[i - 1]
 
 
-def _rebuild(k: PlanarDiagram, replace: Mapping[int, Tangle]) -> PlanarDiagram:
-    """Rebuild k with region i holding replace[i], at the attachment bits
-    of k. Pinning the bits keeps the complement of each region the same
-    tangle across rebuilds, which the decomposition checks rely on. Only
-    the replacements are checked; the build of k checked the rest."""
-    meta = _meta_of(k)
-    for i in replace:
-        region_tangle(k, i)
-    _refuse_closed_components(replace)
-    tangles = [replace.get(i, t) for i, t in enumerate(meta.spec.tangles, start=1)]
-    spec = SymUnionSpec(meta.spec.partial, meta.spec.marked_arcs, tangles)
-    bits = meta.attach_bits
-    boxed = list(meta.boxed)
-    for i, t in replace.items():
-        boxed[i - 1] = _oriented_for_box(t, bits[i - 1])
-    return _assemble_with_bits(spec, bits, boxed)
-
-
 def contract_box(k: PlanarDiagram, i: int) -> tuple[tuple[int, ...], int, tuple[int, int]]:
     """Region i's complement C, read off the built union k: box i is
     contracted to one 4-valent vertex, at the index p of its first
@@ -428,12 +391,13 @@ def contract_box(k: PlanarDiagram, i: int) -> tuple[tuple[int, ...], int, tuple[
     N(C)), which then closes each strand on itself."""
     meta = _meta_of(k)
     region_tangle(k, i)
-    p = 2 * len(meta.spec.partial.crossings) + sum(len(t.crossings) for t in meta.boxed[: i - 1])
-    shift = 4 - 4 * len(meta.boxed[i - 1].crossings)
+    tangles = meta.spec.tangles
+    p = 2 * len(meta.spec.partial.crossings) + sum(len(t.crossings) for t in tangles[: i - 1])
+    shift = 4 - 4 * len(tangles[i - 1].crossings)
     mate = [m + shift * (m >= 4 * p) for m in k.mates]
     mate[4 * p : 4 * p + 4 - shift] = [-1] * 4  # the box's darts give way to the vertex's
+    # the corner darts lie in the halves' rows, below row p, so none moves
     for j, m in enumerate(meta.corners[i - 1]):
-        m += shift * (m >= 4 * p)
         mate[4 * p + j], mate[m] = m, 4 * p + j
     end = mate[4 * p]
     while end >> 2 != p:
@@ -441,6 +405,30 @@ def contract_box(k: PlanarDiagram, i: int) -> tuple[tuple[int, ...], int, tuple[
     edges = {k.crossings[m >> 2][m & 3] for m in meta.corners[i - 1]}
     closed = sum(edges.isdisjoint(c) for c in k.components)
     return faces(mate), p, (closed + 1 + (end & 3 == 1), closed + 1 + (end & 3 == 3))
+
+
+def zero_replacement(k: PlanarDiagram) -> tuple[list[int], int]:
+    """The zero replacement of the built union k, where every box holds
+    the crossingless west-to-east tangle, read off k with nothing rebuilt:
+    its mates, k's over the halves' rows (the first 2c(D) crossings, which
+    hold every corner dart) with each box's corner darts wired NW to NE and
+    SW to SE, and its component count, traced through those mates. Where
+    the axis edge and a marked edge cut the partial in two, its graph
+    falls apart too: a split diagram, which no rebuild could embed."""
+    meta = _meta_of(k)
+    mate = list(k.mates[: 8 * len(meta.spec.partial.crossings)])
+    for nw, sw, se, ne in meta.corners:
+        mate[nw], mate[ne], mate[sw], mate[se] = ne, nw, se, sw
+    seen = bytearray(len(mate))
+    components = 0
+    for start in range(len(mate)):
+        if not seen[start]:
+            components += 1
+            m = start
+            while not seen[m]:
+                seen[m] = seen[m ^ 2] = 1  # both ways through the crossing
+                m = mate[m ^ 2]
+    return mate, components
 
 
 def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:

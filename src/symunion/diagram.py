@@ -147,24 +147,9 @@ class PlanarDiagram:
     def connected(self) -> bool:
         """Connectivity of the underlying 4-valent graph (loops split),
         walked once per diagram."""
-        if self.free_loops and self.crossings:
-            return False
-        if self.free_loops > 1:
-            return False
-        if not self.crossings:
-            return True
-        mate = self.mates
-        seen = bytearray(len(self.crossings))
-        seen[0] = 1
-        todo = [0]
-        while todo:
-            i = todo.pop()
-            for m in mate[4 * i : 4 * i + 4]:
-                j = m >> 2
-                if not seen[j]:
-                    seen[j] = 1
-                    todo.append(j)
-        return all(seen)
+        if self.free_loops:
+            return self.free_loops == 1 and not self.crossings
+        return graph_connected(self.mates)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -404,6 +389,22 @@ def faces(mate: Sequence[int]) -> tuple[int, ...]:
                 break
         n += 1
     return tuple(face)
+
+
+def graph_connected(mate: Sequence[int]) -> bool:
+    """Whether the 4-valent graph whose darts 4i to 4i + 3 at vertex i pair
+    as mate (PlanarDiagram.mates) is connected; it has a vertex."""
+    seen = bytearray(len(mate) >> 2)
+    seen[0] = 1
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for m in mate[4 * i : 4 * i + 4]:
+            j = m >> 2
+            if not seen[j]:
+                seen[j] = 1
+                todo.append(j)
+    return all(seen)
 
 
 def validate_planarity(d: PlanarDiagram) -> tuple[int, ...]:

@@ -12,13 +12,15 @@ unions of the benchmark's scaling-family pool, the kt(m) x 4 family the
 scaling script and the tests share (kt_member), cylinder grids and the
 search for the bracket sweep's order without its memo, the bracket sweep's unit
 bound by enumerating link patterns, and the loops pack and unpack split
-into halves, the two rebuilds the fraction certificate's complement
-closures were once taken from, the Jones polynomial's values at the
-third and fourth roots of unity, the bracket sweep keyed by sorted edge
-pairs and the box walk by _smooth that the sweep over partner positions
-and the walk table replaced, a counter of the sweep's states, links on
-cylinder grids, and the torus knots T(p, p + 1) as braid closures with
-their Jones polynomials in closed form."""
+into halves, the rebuild of a union with other tangles in its boxes, and
+the zero replacement and the fraction certificate's complement closures
+taken from rebuilds, as they were before they were read off the union,
+the Jones polynomial's values at the third and fourth roots of unity,
+the bracket sweep keyed by sorted edge pairs and the box walk by _smooth
+that the sweep over partner positions and the walk table replaced, a
+counter of the sweep's states, links on cylinder grids, and the torus
+knots T(p, p + 1) as braid closures with their Jones polynomials in
+closed form."""
 
 import itertools
 import json
@@ -135,8 +137,7 @@ def exhaustive_build(spec: construct.SymUnionSpec) -> PlanarDiagram:
     first_err = None
     for bits in itertools.product((0, 1), repeat=len(spec.tangles)):
         try:
-            boxed = list(map(construct._oriented_for_box, spec.tangles, bits))
-            return construct.expect_knot(construct._assemble_with_bits(spec, bits, boxed))
+            return construct.expect_knot(construct._assemble_with_bits(spec, bits))
         except construct.NotPlanarInsertion as exc:
             if first_err is None:
                 first_err = exc
@@ -548,6 +549,34 @@ def unpack_by_loop(p: int, bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rebuild(k: PlanarDiagram, replace) -> PlanarDiagram:
+    """The built union k rebuilt with region i holding replace[i], at the
+    attachment bits of k. Pinning the bits keeps the complement of each
+    region the same tangle across rebuilds. The new spec is validated and
+    every tangle oriented for its box again. The reference for what
+    construct.contract_box and construct.zero_replacement read off k."""
+    for i in replace:
+        construct.region_tangle(k, i)
+    spec = k.meta.spec
+    tangles = [replace.get(i, t) for i, t in enumerate(spec.tangles, start=1)]
+    spec = SymUnionSpec(spec.partial, spec.marked_arcs, tangles)
+    construct._validate_inputs(spec)
+    return construct._assemble_with_bits(spec, k.meta.attach_bits)
+
+
+def build_all_zero_replacement(union) -> PlanarDiagram:
+    """Every tangle of the union (a spec is built first) replaced by the
+    trivial west-to-east pair, rebuilt; the diagram falls apart into n+1
+    components. That tangle joins the host's outgoing stub to the
+    mirror's incoming one, and vice versa, under either attachment bit,
+    so the union's own bits embed it. The reference for
+    construct.zero_replacement; like any rebuild it refuses a
+    disconnected diagram (NotPlanarInsertion)."""
+    k = construct.built_union(union)
+    zeros = dict.fromkeys(range(1, len(k.meta.spec.tangles) + 1), rational_tangle([]))
+    return _rebuild(k, zeros)
+
+
 def complement_by_rebuild(
     k: PlanarDiagram, region: int, horizontal: bool
 ) -> tuple[LaurentPoly, int]:
@@ -559,13 +588,13 @@ def complement_by_rebuild(
     alexander_region's value there, and the count is not known."""
     if horizontal:
         try:
-            d = construct._rebuild(k, {region: rational_tangle([])})
+            d = _rebuild(k, {region: rational_tangle([])})
         except construct.NotPlanarInsertion as exc:
             if not isinstance(exc.__cause__, DisconnectedDiagram):
                 raise
             return LaurentPoly.zero(), None
     else:
-        d = construct.expect_knot(construct._rebuild(k, {region: vertical_twists(0)}))
+        d = construct.expect_knot(_rebuild(k, {region: vertical_twists(0)}))
     return alexander_region(d), d.component_count()
 
 

@@ -15,12 +15,11 @@ import time
 
 import pytest
 
-from helpers import is_monic, random_spec
+from helpers import build_all_zero_replacement, is_monic, random_spec
 from symunion import corpus
 from symunion.construct import (
     NotEvenType,
     SymUnionSpec,
-    build_all_zero_replacement,
     build_symmetric_union,
     glued_pair,
 )

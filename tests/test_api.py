@@ -7,6 +7,7 @@ import symunion
 # in tests/helpers.py, and capabilities nothing in the package used.
 NOT_EXPORTED = (
     "alexander_from_conway",
+    "build_all_zero_replacement",
     "connected_sum",
     "is_monic",
     "parse_poly",

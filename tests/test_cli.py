@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import FAMILY_POOL, pool_variant
 from symunion import cli, construct, corpus, invariant
 from symunion.construct import SymUnionSpec, to_spec_doc
 from symunion.diagram import MAX_CROSSINGS, parse_pd
@@ -420,15 +421,15 @@ class TestVerify:
         rc, _, _ = run(capsys, "verify", str(path), "--format", "doc")
         assert rc == 0
         # one build, for the union; the zero replacement and the fraction
-        # complements are rebuilt at its attachment bits
+        # complements are read off it
         assert built == [spec]
         assert sum(d.crossings == union.crossings for d in matrices) == 1
 
     def test_equal_tangles_share_one_numerator_closure(self, tmp_path, capsys, monkeypatch):
         # kt_union_3 holds kt(3) in all three regions: one Alexander
-        # polynomial each for the union, the partial, N(kt(3)) and the zero
-        # replacement, and one phase 1 per region for both closures of its
-        # complement
+        # polynomial each for the union, the partial and N(kt(3)), and one
+        # phase 1 per region for both closures of its complement; the zero
+        # replacement's is read off the union's mates
         spec = corpus.SPEC_FIXTURES["kt_union_3"]
         path = tmp_path / "kt_union_3.json"
         path.write_text(json.dumps(to_spec_doc(spec)))
@@ -447,7 +448,7 @@ class TestVerify:
         monkeypatch.setattr(invariant, "complement_closures", counting_complements)
         rc, out, _ = run(capsys, "verify", str(path), "--format", "doc")
         assert rc == 0
-        assert len(computed) == 4
+        assert len(computed) == 3
         assert complements == [1, 2, 3]
         factors = [json.loads(out)[1]["data"][f"numerator factor {i}"] for i in (1, 2, 3)]
         assert factors == [factors[0]] * 3
@@ -475,6 +476,13 @@ class TestVerify:
         assert lemma["checks"] == []
         assert "vacuous" in lemma["data"]["tangle regions"]
 
+    def test_every_pool_variant_passes(self):
+        # all four certificates on the benchmark's 64 scaling-family
+        # variants, the split zero replacements among them
+        for key in sorted(FAMILY_POOL):
+            reports = cli.verify_reports(pool_variant(key))
+            assert [r.passed for r in reports] == [True] * len(reports), key
+
     def test_failing_check_is_exit_1(self, spec_path, capsys, monkeypatch):
         bad = VerificationReport("alexander product formula")
         bad.add("union polynomial equals product", False, "forced for the test")
@@ -485,8 +493,9 @@ class TestVerify:
 
 
 def test_verify_documents_match_the_pin_file():
-    """`verify --format doc` on the 7 corpus specs, exit status and output
-    byte for byte, as scripts/pin_verify_docs.py wrote them."""
+    """`verify --format doc` on the 7 corpus specs and on the special cases
+    scripts/pin_verify_docs.py names, exit status and output byte for
+    byte, as that script wrote them."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "pin_verify_docs.py"
     loader = importlib.util.spec_from_file_location("pin_verify_docs", path)
     pins = importlib.util.module_from_spec(loader)

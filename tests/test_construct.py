@@ -14,6 +14,8 @@ from helpers import (
     FAMILY_POOL,
     PARTIAL_POOL,
     TANGLE_POOL,
+    _rebuild,
+    build_all_zero_replacement,
     exhaustive_build,
     pool_variant,
     random_spec,
@@ -30,14 +32,13 @@ from symunion.construct import (
     SymUnionSpec,
     UnionMeta,
     UnknownRegion,
-    _rebuild,
-    build_all_zero_replacement,
     build_symmetric_union,
     expect_knot,
     contract_box,
     glued_pair,
     parse_spec,
     to_spec_doc,
+    zero_replacement,
 )
 from symunion.diagram import (
     Crossing,
@@ -54,6 +55,7 @@ from symunion.invariant import (
     jones,
     verify_fraction_region,
     verify_product_formula,
+    verify_zero_replacement,
 )
 from symunion.group import certify_epimorphism, wirtinger
 from symunion.poly import LaurentPoly, normalize_alexander
@@ -248,20 +250,6 @@ class TestReplacement:
         with pytest.raises(ConstructError):
             expect_knot(_rebuild(trefoil(), {1: vertical_twists(2)}))
 
-    def test_a_rebuild_checks_only_its_replacements(self):
-        # the build checked the partial, the marked arcs and the tangles;
-        # a rebuild refuses a replacement with a closed component, naming
-        # its region as the build would
-        k = build_symmetric_union(SPEC_FIXTURES["kt_union_3"])
-        ring = tangle_sum(vertical_twists(0), vertical_twists(0))
-        with pytest.MonkeyPatch.context() as mp:
-            validated = _recording(mp, construct, "_validate_inputs")
-            _rebuild(k, {2: vertical_twists(0)})
-            message = "^tangle 2 contains a closed component$"
-            with pytest.raises(ClosedComponentInTangle, match=message):
-                _rebuild(k, {2: ring})
-        assert validated == []
-
     def test_non_even_replacement_rejected(self):
         spec = SymUnionSpec(trefoil(), (1, 4), (vertical_twists(2),))
         k = build_symmetric_union(spec)
@@ -269,6 +257,10 @@ class TestReplacement:
         # splits the union, and expect_knot refuses the rebuild
         with pytest.raises(NotAKnot):
             expect_knot(_rebuild(k, {1: rational_tangle([2])}))
+
+
+# the pool variants whose zero replacement is split, with its components
+SPLIT_ZERO = {"x15/v10": 2, "x47/v03": 4, "x47/v08": 4}
 
 
 class TestZeroReplacement:
@@ -287,6 +279,49 @@ class TestZeroReplacement:
         assert flat.meta.attach_bits == k.meta.attach_bits
         assert flat.component_count() == len(tangles) + 1
         assert alexander_region(flat) == LaurentPoly.zero()
+
+    @pytest.mark.parametrize("kind", ["corpus", "random", "pool"])
+    def test_the_lemma_reads_the_rebuild_off_the_union(self, kind):
+        # the same mates, components and polynomial as the rebuild, where
+        # the rebuild embeds: it refuses the pool variants whose zero
+        # replacement is split (test_a_split_zero_replacement)
+        refused = []
+        for k in _unions(kind):
+            if not k.meta.spec.tangles:
+                continue
+            try:
+                flat = build_all_zero_replacement(k)
+            except NotPlanarInsertion:
+                refused.append(k)
+                continue
+            mate, components = zero_replacement(k)
+            assert mate == list(flat.mates)
+            assert components == flat.component_count() == len(k.meta.spec.tangles) + 1
+            rep = verify_zero_replacement(k)
+            assert rep.passed
+            assert rep.data["components"] == str(components)
+            assert rep.data["alexander of replacement"] == alexander_region(flat).text()
+        want = [pool_variant(key) for key in SPLIT_ZERO] if kind == "pool" else []
+        assert refused == want
+
+    @pytest.mark.parametrize("key", sorted(SPLIT_ZERO))
+    def test_a_split_zero_replacement(self, key):
+        # the axis edge and a marked edge cut the partial in two, so the
+        # zero replacement's graph falls apart: its polynomial is 0, and
+        # the rebuild refuses it as disconnected (verify exited 2 here)
+        k = pool_variant(key)
+        rep = verify_zero_replacement(k)
+        assert rep.passed
+        assert rep.data["alexander of replacement"] == "0"
+        assert rep.data["components"] == str(SPLIT_ZERO[key])
+        with pytest.raises(NotPlanarInsertion, match="needs a connected diagram"):
+            build_all_zero_replacement(k)
+        # the same rows assembled with no face walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "planar_faces", lambda d: None)
+            flat = build_all_zero_replacement(k)
+        assert not flat.connected
+        assert flat.component_count() == SPLIT_ZERO[key]
 
 
 class TestGluedPair:
@@ -486,8 +521,7 @@ class TestAttachmentSearch:
         assert set(flanking_faces(TWO_BRIDGE, 40)) == set(flanking_faces(TWO_BRIDGE, 43))
         spec = SymUnionSpec(TWO_BRIDGE, (40, 43), (vertical_twists(2),))
         for bit in (0, 1):
-            boxed = [construct._oriented_for_box(vertical_twists(2), bit)]
-            expect_knot(construct._assemble_with_bits(spec, (bit,), boxed))
+            expect_knot(construct._assemble_with_bits(spec, (bit,)))
         assert _matches_the_product_loop(spec)
         assert build_symmetric_union(spec).meta.attach_bits == (0,)
 
@@ -551,6 +585,11 @@ class TestOnePass:
             lambda: build_all_zero_replacement(k)
         )
         assert (assemblies, diagrams) == (1, 1)
+        # the lemma reads the zero replacement off the built union
+        _, assemblies, diagrams = self._assemblies_and_diagrams(
+            lambda: verify_zero_replacement(k)
+        )
+        assert (assemblies, diagrams) == (0, 0)
         for i in range(1, len(spec.tangles) + 1):
             _, assemblies, diagrams = self._assemblies_and_diagrams(lambda: contract_box(k, i))
             assert (assemblies, diagrams) == (0, 0)
@@ -559,6 +598,14 @@ class TestOnePass:
                 lambda: verify_fraction_region(k, i)
             )
             assert assemblies == 0
+
+    @pytest.mark.parametrize("name", sorted(SPEC_FIXTURES))
+    def test_one_assembly_per_verify(self, name):
+        reports, assemblies, _ = self._assemblies_and_diagrams(
+            lambda: verify_reports(SPEC_FIXTURES[name])
+        )
+        assert all(r.passed for r in reports)
+        assert assemblies == 1
 
     def test_one_connectivity_walk_per_diagram(self):
         with pytest.MonkeyPatch.context() as mp:
@@ -578,19 +625,6 @@ class TestOnePass:
             k = build_symmetric_union(spec)
         keys = [(id(t), bit) for t, bit in oriented]
         assert keys == [(id(t), bit) for t, bit in zip(tangles, k.meta.attach_bits)]
-
-    def test_a_rebuild_orients_only_its_replacements(self):
-        spec = SPEC_FIXTURES["kt_union_3"]
-        k = build_symmetric_union(spec)
-        zero = rational_tangle([])
-        with pytest.MonkeyPatch.context() as mp:
-            oriented = _recording(mp, construct, "_oriented_for_box")
-            _rebuild(k, {2: zero})
-            assert oriented == [(zero, k.meta.attach_bits[1])]
-            oriented.clear()
-            build_all_zero_replacement(k)
-            assert [t for t, _ in oriented] == [rational_tangle([])] * 3
-            assert [bit for _, bit in oriented] == list(k.meta.attach_bits)
 
 
 def test_union_documents_match_the_pin_file():

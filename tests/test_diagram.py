@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import circle_chain, renumber_edges
+from helpers import build_all_zero_replacement, circle_chain, renumber_edges
 from symunion import diagram, tangle
 from symunion.diagram import (
     Crossing,
@@ -23,7 +23,6 @@ from symunion.diagram import (
     validate_planarity,
     writhe,
 )
-from symunion.construct import build_all_zero_replacement
 from symunion.corpus import SPEC_FIXTURES
 from symunion.tangle import (
     numerator,

@@ -18,8 +18,10 @@ from helpers import (
     LINKS,
     PARTIAL_12,
     StateTally,
+    _rebuild,
     bound_by_link_patterns,
     box_unit_by_chain,
+    build_all_zero_replacement,
     circle_chain,
     complement_by_rebuild,
     cylinder_grid,
@@ -41,8 +43,6 @@ from symunion import corpus
 from symunion.construct import (
     NotAKnot,
     SymUnionSpec,
-    _rebuild,
-    build_all_zero_replacement,
     build_symmetric_union,
     contract_box,
     glued_pair,
@@ -1212,7 +1212,7 @@ def test_complements_match_the_rebuilds_when_every_box_is_empty(name):
     doc = to_spec_doc(spec)
     doc["tangles"] = [{"rational": "inf"}] * len(spec.tangles)
     k = build_symmetric_union(parse_spec(doc))
-    assert sum(len(t.crossings) for t in k.meta.boxed) == 0
+    assert sum(len(t.crossings) for t in k.meta.spec.tangles) == 0
     assert_complements_match_the_rebuilds(k)
 
 
@@ -1240,7 +1240,8 @@ def test_the_contraction_reads_the_sides_at_the_vertex():
     # and s2_i (NE), the west ones at crossings of the host half and the
     # east ones at the mirror's; the box contracted to one vertex at row p
     # embeds (c + 2 faces for c crossings), and the vertex's corners hold
-    # four sides
+    # four sides; every corner dart lies in the halves' rows, below 8c(D)
+    # and so below row p, where contract_box moves no dart
     for k in CORPUS_UNIONS.values():
         half = len(k.meta.spec.partial.crossings)
         for i in range(1, len(k.meta.spec.tangles) + 1):
@@ -1248,10 +1249,12 @@ def test_the_contraction_reads_the_sides_at_the_vertex():
             labels = [k.labels[k.crossings[m >> 2][m & 3]] for m in corners]
             assert labels == [f"s{j}_{i}" for j in (1, 3, 4, 2)]
             assert [m >> 2 < half for m in corners] == [True, True, False, False]
+            assert max(corners) < 8 * half
             face, p, _ = contract_box(k, i)
-            c = len(k.crossings) - len(k.meta.boxed[i - 1].crossings) + 1
+            tangles = k.meta.spec.tangles
+            c = len(k.crossings) - len(tangles[i - 1].crossings) + 1
             assert len(face) == 4 * c and len(set(face)) == max(face) + 1 == c + 2
-            assert p == 2 * half + sum(len(t.crossings) for t in k.meta.boxed[: i - 1])
+            assert p == 2 * half + sum(len(t.crossings) for t in tangles[: i - 1])
             # W = E only where a partial is cut in two
             assert len(set(face[4 * p : 4 * p + 4])) == 4
 

@@ -27,7 +27,10 @@ unless the two ways give the same complement closures, unless every
 certificate's report passes, and unless the zero-replacement lemma's
 report, read off the union, gives the components of the zero
 replacement's rebuild (helpers.build_all_zero_replacement) and
-Delta = 0, as the rebuild's region-route polynomial does.
+Delta = 0, as the rebuild's region-route polynomial does, and unless the
+member, which build_symmetric_union assembles by pairing darts, has the
+document and metadata of the reference assembly by provisional edge ids
+(helpers.assemble_by_ids).
 
     python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
 """
@@ -41,6 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the fa
 
 from helpers import (  # noqa: E402
     PARTIAL_12,
+    assemble_by_ids,
     build_all_zero_replacement,
     complement_by_rebuild,
     jones_at_roots_of_unity,
@@ -48,6 +52,7 @@ from helpers import (  # noqa: E402
 )
 from symunion import invariant, poly  # noqa: E402
 from symunion.cli import verify_reports  # noqa: E402
+from symunion.diagram import to_doc  # noqa: E402
 from symunion.group import presentation  # noqa: E402
 from symunion.invariant import (  # noqa: E402
     alexander_region,
@@ -106,6 +111,13 @@ def complements(k) -> tuple[float, float, bool]:
     return t1 - t0, time.process_time() - t1, got == want
 
 
+def same_as_the_reference(k) -> bool:
+    """Whether the reference assembly of k's spec at k's bits gives k's
+    document and metadata."""
+    ref = assemble_by_ids(k.meta.spec, k.meta.attach_bits)
+    return to_doc(ref) == to_doc(k) and ref.meta == k.meta
+
+
 def certificates(k) -> tuple[float, bool]:
     """The process seconds of every certificate on k, and whether all of
     their reports pass and the lemma's, the first, matches the rebuild."""
@@ -147,7 +159,7 @@ def main() -> int:
         ok = ok and jones_at_roots_of_unity(v, want.evaluate(-1))
         t_one, t_two, same = complements(k)
         t_verify, passed = certificates(k)
-        ok = ok and same and passed
+        ok = ok and same and passed and same_as_the_reference(k)
         failures += not ok
         (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "

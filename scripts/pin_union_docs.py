@@ -9,7 +9,11 @@ crossingless horizontal tangle (numerator side) in that region's box.
 For 25 unions drawn by `random_spec(random.Random(2026))` it holds the
 sha256 digest of the same documents. Edge numbering, labels and component
 starts are all part of a document, so any change to how a union is
-assembled shows up here.
+assembled shows up here. The unions come from `build_symmetric_union`,
+which pairs darts; the zero replacements and complements from the
+rebuilds in `tests/helpers.py` (`_rebuild`), which go through the
+reference assembly by provisional edge ids (`assemble_by_ids`), so one
+pin file holds the output of both assemblies.
 
     python scripts/pin_union_docs.py    # write tests/data/union_docs.json
 

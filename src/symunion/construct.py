@@ -13,13 +13,12 @@ one built union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, TypeVar
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .diagram import (
     Crossing,
     PlanarDiagram,
     DiagramError,
-    along_orientation,
     cap_crossings,
     faces,
     json_int,
@@ -31,11 +30,9 @@ from .diagram import (
 from .tangle import (
     CORNERS,
     Tangle,
-    _join,
     is_even_type,
     orient,
     parse_tangle,
-    rational_tangle,
     to_tangle_doc,
 )
 
@@ -101,7 +98,7 @@ class UnionMeta:
     corners: tuple[tuple[int, ...], ...]
 
 
-# slot of edge e+E in the mirror row (c, b, a, d), given e's slot in (a, b, c, d)
+# the slot of the mirror of slot s: the mirror row of (a, b, c, d) is (c, b, a, d)
 _SIGMA = {0: 2, 1: 1, 2: 0, 3: 3}
 
 
@@ -131,124 +128,88 @@ def _oriented_for_box(t: Tangle, bit: int) -> Tangle:
     return orient(t, dict.fromkeys(("NW", "SE") if bit == 0 else ("SW", "NE"), "in"))
 
 
-class _Halves:
-    """The partial diagram d beside its mirror image, as PD rows with
-    provisional edge ids (d keeps 1..E, the mirror gets E+1..2E, fresh ids
-    follow), and the axis arc cut and rejoined across the halves: d's
-    outgoing stub meets the mirror's incoming stub as a0, and vice versa
-    as a1."""
-
-    def __init__(self, d: PlanarDiagram, axis: int):
-        E = d.edge_count
-        self.d = d
-        self.rows = [list(x) for x in d.crossings]
-        self.rows += [[x.c + E, x.b + E, x.a + E, x.d + E] for x in d.crossings]
-        self.flags = list(d.over_from_d) + [not f for f in d.over_from_d]
-        self.next_id = 2 * E + 1
-        self.a0, self.a1 = self.fresh(), self.fresh()
-        self._rewire(axis, (self.a0, self.a1), (self.a0, self.a1))
-
-    def fresh(self) -> int:
-        self.next_id += 1
-        return self.next_id - 1
-
-    def _rewire(self, m: int, host: tuple[int, int], mirror: tuple[int, int]) -> dict[int, int]:
-        """Give the (tail, head) ends of edge m new ids in each half.
-        Returns the dart (row 4r + slot) each new id ends at."""
-        c = len(self.d.crossings)
-        i, s = self.d.head_of[m]
-        at = {}
-        for k, h, ms in zip((self.d.mates[4 * i + s], 4 * i + s), host, mirror):
-            self.rows[k >> 2][k & 3] = h
-            self.rows[c + (k >> 2)][_SIGMA[k & 3]] = ms
-            at[h], at[ms] = k, 4 * (c + (k >> 2)) + _SIGMA[k & 3]
-        return at
-
-    def cut(self, m: int) -> dict[int, int]:
-        """Open marked arc m on both halves. Returns the new stubs, each
-        with the dart at its far end: the host's outgoing and incoming
-        ends, then the mirror's, whose roles are reversed."""
-        u, v, us, vs = (self.fresh() for _ in range(4))
-        at = self._rewire(m, (u, v), (vs, us))
-        return {e: at[e] for e in (u, v, us, vs)}
+def _is_head(k: int, flags: Sequence[bool]) -> bool:
+    """Whether dart k is its edge's head: slot a always, slot d when the
+    over-strand enters there, slot b when it does not."""
+    s = k & 3
+    return s == 0 or s & 1 == 1 and flags[k >> 2] == (s == 3)
 
 
 def _assemble_with_bits(spec: SymUnionSpec, bits: tuple[int, ...]) -> PlanarDiagram:
-    """The union of spec at attachment bits, with the tangle of region i
-    oriented for its box at its bit and spliced in. Edges are numbered
-    along the orientation from a0, so the one diagram built is the union
-    itself; its faces are walked here (planar_faces). Its metadata keeps
-    each box's corner darts, its edges' ends outside it, for contract_box
-    and zero_replacement; a crossingless strand's edge runs from the dart
-    at its "in" corner to the "out" one."""
+    """The union of spec at attachment bits, built as a pairing of darts.
+    Rows 0..c-1 hold the partial and rows c..2c-1 its mirror, whose dart
+    4(c + r) + _SIGMA[s] is the mirror of dart 4r + s; a tail's mirror is
+    a head. The axis arc's tail and head are paired with their mirrors as
+    a0 and a1. Then come the rows of the tangle of each region i, oriented
+    for its box at its bit, whose corner ends are paired with the four
+    darts its box opens, the ends of marked arc i and their mirrors; a
+    crossingless strand pairs two of them. One walk numbers the edges
+    along the orientation from a0, each further component from its lowest
+    dart, so the one diagram built is the union itself; its faces are
+    walked here (planar_faces). Its metadata keeps each box's corner darts
+    for contract_box and zero_replacement."""
     d = spec.partial
-    E = d.edge_count
+    c = len(d.crossings)
+    tangles = [_oriented_for_box(t, bit) for t, bit in zip(spec.tangles, bits)]
+    size = 8 * c + 4 * sum(len(t.crossings) for t in tangles)
+    # per dart: its mate, and the label and fold target of its edge
+    mate, label, fold = [0] * size, [""] * size, [0] * size
+    mirror = [4 * (c + (k >> 2)) + _SIGMA[k & 3] for k in range(4 * c)]
 
-    labels: dict[int, str] = {}
+    def ends(m: int) -> tuple[int, int]:
+        i, s = d.head_of[m]
+        return d.mates[4 * i + s], 4 * i + s
+
     # x<j> and x<j>* fold onto edge j, the axis pair onto the axis arc, and
     # region i's edges onto marked arc i
-    fold: dict[int, int] = {}
+    for k, m in enumerate(d.mates):
+        e = d.crossings[k >> 2][k & 3]
+        mate[k], mate[mirror[k]] = m, mirror[m]
+        label[k], label[mirror[k]] = f"x{e}", f"x{e}*"
+        fold[k] = fold[mirror[k]] = e
+    a0, a1 = ends(spec.marked_arcs[0])
+    for k, name in ((a0, "a0"), (a1, "a1")):
+        mate[k], mate[mirror[k]] = mirror[k], k
+        label[k] = label[mirror[k]] = name
+
     corners = []
-    for j in range(1, E + 1):
-        if j not in spec.marked_arcs:
-            labels[j] = f"x{j}"
-            labels[j + E] = f"x{j}*"
-            fold[j] = fold[j + E] = j
+    flags = [*d.over_from_d, *(not f for f in d.over_from_d)]
+    base = 8 * c
+    for i, t in enumerate(tangles, start=1):
+        m = spec.marked_arcs[i]
+        # bit 0 opens the host's outgoing stub at NW, bit 1 at SW
+        nw, sw = ends(m) if bits[i - 1] == 0 else ends(m)[::-1]
+        corners.append((nw, sw, mirror[sw], mirror[nw]))
+        top = base + 4 * len(t.crossings)
+        at = [*range(base, top), nw, mirror[nw], sw, mirror[sw]]  # t's ends, CORNERS last
+        for j, x in enumerate(t.mates):
+            mate[at[j]] = at[x]
+        names: dict[int, str] = {}
+        for j, q in enumerate(CORNERS, start=1):
+            names.setdefault(t.boundary[q], f"s{j}_{i}")
+        inner = [e for e in range(1, t.edge_count + 1) if e not in names]
+        names.update((e, f"s{j}_{i}") for j, e in enumerate(inner, start=5))
+        label[base:top] = [names[e] for x in t.crossings for e in x]
+        for k, q in zip(at[-4:], CORNERS):
+            label[k] = names[t.boundary[q]]
+        fold[base:top] = [m] * (top - base)
+        flags += t.over_from_d
+        base = top
 
-    h = _Halves(d, spec.marked_arcs[0])
-    rows, flags = h.rows, h.flags
-    labels[h.a0], labels[h.a1] = "a0", "a1"
-    fold[h.a0] = fold[h.a1] = spec.marked_arcs[0]
-
-    # a crossingless strand joins two stubs of one box; the pairs are
-    # disjoint, and each merged pair keeps its lower id
-    alias: dict[int, int] = {}
-
-    def find(e: int) -> int:
-        return alias.get(e, e)
-
-    for i, (t, bit) in enumerate(zip(spec.tangles, bits), start=1):
-        t = _oriented_for_box(t, bit)
-        first = h.next_id
-        u, v, us, vs = stubs = h.cut(spec.marked_arcs[i])
-        if bit == 0:
-            at_corner = {"NW": u, "SW": v, "NE": vs, "SE": us}
-        else:
-            at_corner = {"NW": v, "SW": u, "NE": us, "SE": vs}
-        corners.append(tuple(stubs[at_corner[c]] for c in ("NW", "SW", "SE", "NE")))
-
-        emap: dict[int, int] = {}
-        for corner in CORNERS:
-            te = t.boundary[corner]
-            if te in emap:
-                alias[max(emap[te], at_corner[corner])] = min(emap[te], at_corner[corner])
-            else:
-                emap[te] = at_corner[corner]
-        k = 5
-        for te in range(1, t.edge_count + 1):
-            if te not in emap:
-                emap[te] = h.fresh()
-                labels[emap[te]] = f"s{k}_{i}"
-                k += 1
-        fold.update(dict.fromkeys(range(first, h.next_id), spec.marked_arcs[i]))
-        for corner, kk in (("NW", 1), ("NE", 2), ("SW", 3), ("SE", 4)):
-            eid = find(emap[t.boundary[corner]])
-            if eid not in labels:
-                labels[eid] = f"s{kk}_{i}"
-
-        rows.extend([emap[e] for e in x] for x in t.crossings)
-        flags.extend(t.over_from_d)
-
-    if alias:
-        rows = [[alias.get(e, e) for e in row] for row in rows]
-    # perm numbers the ids 1, 2, ... in the order it lists them
-    perm = along_orientation(rows, flags, h.a0)
+    eid = [0] * size
+    heads = []  # each edge's head, in the order the walks number the edges
+    for k in (mirror[a0], *range(size)):
+        k = k if eid[k] or _is_head(k, flags) else mate[k]
+        while not eid[k]:
+            heads.append(k)
+            eid[k] = eid[mate[k]] = len(heads)
+            k = mate[k ^ 2]  # straight through the crossing to the next edge's head
     try:
         built = PlanarDiagram(
-            tuple(Crossing(perm[a], perm[b], perm[c], perm[d]) for a, b, c, d in rows),
+            tuple(Crossing(*eid[k : k + 4]) for k in range(0, size, 4)),
             tuple(flags),
-            labels={perm[e]: lbl for e, lbl in labels.items() if e in perm and e not in alias},
-            meta=UnionMeta(spec, tuple(bits), tuple(map(fold.__getitem__, perm)), tuple(corners)),
+            labels={e: label[k] for e, k in enumerate(heads, start=1)},
+            meta=UnionMeta(spec, tuple(bits), tuple(fold[k] for k in heads), tuple(corners)),
         )
         planar_faces(built)
     except DiagramError as exc:
@@ -429,21 +390,6 @@ def zero_replacement(k: PlanarDiagram) -> tuple[list[int], int]:
                 seen[m] = seen[m ^ 2] = 1  # both ways through the crossing
                 m = mate[m ^ 2]
     return mate, components
-
-
-def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:
-    """The complement tangle: the symmetric union built on (e0, e1) with
-    region 1 left as an open box. Summing the removed tangle (rotated a
-    half turn) back on the west side and closing the numerator restores
-    the union."""
-    spec = SymUnionSpec(partial, (e0, e1), (rational_tangle([]),))
-    _validate_inputs(spec)
-    h = _Halves(partial, e0)
-    u, v, us, vs = h.cut(e1)
-    xs, ends, _ = _join(h.next_id - 1, h.rows, (), (v, u, us, vs))
-    boundary = dict(zip(("NW", "SW", "NE", "SE"), ends))
-    flows = {"NW": "in", "SW": "out", "NE": "out", "SE": "in"}
-    return Tangle(tuple(xs), tuple(h.flags), boundary, flows)
 
 
 # -- spec documents -------------------------------------------------------------------

@@ -250,11 +250,6 @@ def find_root(parent: dict[int, int], e: int) -> int:
     return e
 
 
-def unknot() -> PlanarDiagram:
-    """The crossing-free round unknot."""
-    return PlanarDiagram((), (), free_loops=1)
-
-
 # -- parsing and serialization ---------------------------------------------------
 
 # The most crossings a parsed PD document or tangle document may describe,
@@ -430,30 +425,3 @@ def mirror(d: PlanarDiagram) -> PlanarDiagram:
 
 def writhe(d: PlanarDiagram) -> int:
     return sum(d.signs)
-
-
-# -- renumbering -----------------------------------------------------------------
-
-
-def along_orientation(
-    rows: Sequence[Sequence[int]], flags: Sequence[bool], start: int
-) -> dict[int, int]:
-    """New ids 1..n for the edge ids in PD rows with over flags, given
-    along the orientation one component at a time: the component of start
-    first, from start, then the others in order of their lowest id, each
-    from that id. The ids need not be 1..n. An edge with no head in the
-    rows ends its walk, so every id is numbered, and the PlanarDiagram
-    built from bad rows reports them."""
-    succ = {}
-    for (a, b, c, d), over_from_d in zip(rows, flags):
-        succ[a] = c
-        if over_from_d:
-            succ[d] = b
-        else:
-            succ[b] = d
-    perm: dict[int, int] = {}
-    for e in (start, *sorted({e for row in rows for e in row})):
-        while e not in perm:
-            perm[e] = len(perm) + 1
-            e = succ.get(e, e)
-    return perm

@@ -81,13 +81,11 @@ class WirtingerPresentation:
     generators: tuple[str, ...]
     relators: tuple[GroupWord, ...]
     meridian: str
-    # diagram bookkeeping; None for a presentation written by hand
-    arcs: tuple[tuple[int, ...], ...] | None = None
-    arc_of_edge: Mapping[int, int] | None = None
+    # the diagram's arcs (over_arcs), and the index of each edge's arc
+    arcs: tuple[tuple[int, ...], ...]
+    arc_of_edge: Mapping[int, int]
 
     def generator_of_edge(self, e: int) -> str:
-        if self.arc_of_edge is None:
-            raise MissingMetadata("presentation carries no arc data")
         return self.generators[self.arc_of_edge[e]]
 
 
@@ -125,13 +123,7 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
     base_edge = a0_edges[0] if a0_edges else 1
     meridian = names[arc_of_edge[base_edge]]
 
-    return WirtingerPresentation(
-        tuple(names),
-        tuple(relators),
-        meridian,
-        arcs=arcs,
-        arc_of_edge=arc_of_edge,
-    )
+    return WirtingerPresentation(tuple(names), tuple(relators), meridian, arcs, arc_of_edge)
 
 
 def presentation(d: PlanarDiagram) -> WirtingerPresentation:
@@ -167,10 +159,7 @@ def longitude_word(d: PlanarDiagram) -> GroupWord:
     """
     p = presentation(d)
     a0, a1 = _labeled_edge(d, "a0"), _labeled_edge(d, "a1")
-
-    def gen(edge: int) -> str:
-        return p.generators[p.arc_of_edge[edge]]
-
+    gen = p.generator_of_edge
     word: list[tuple[str, int]] = []
     e, half = a1, -1
     while True:
@@ -213,13 +202,10 @@ def build_epimorphism(k: PlanarDiagram, khat: WirtingerPresentation) -> GroupMap
     """
     if not isinstance(k.meta, UnionMeta):
         raise MissingMetadata("diagram carries no construction metadata")
-    if khat.arc_of_edge is None:
-        raise MissingMetadata("target presentation carries no arc data")
     src = presentation(k)
     fold = k.meta.fold
 
     phi: GroupMap = {}
-    assert src.arcs is not None
     for i, arc in enumerate(src.arcs):
         targets = {khat.generator_of_edge(fold[e - 1]) for e in arc}
         if len(targets) != 1:

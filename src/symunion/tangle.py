@@ -28,7 +28,6 @@ from .diagram import (
     find_root,
     json_int,
     orient_ends,
-    pair_ends,
 )
 
 CORNERS = ("NW", "NE", "SW", "SE")
@@ -55,6 +54,9 @@ class Tangle:
     boundary: Mapping[str, int]
     flows: Mapping[str, str]
     closed_loops: int = 0
+    # not a field: mates, the other end of each edge end (diagram.pair_ends),
+    # darts 4i + s then the corners in CORNERS order, set by the constructor
+    # and by orient
 
     def __post_init__(self):
         if set(self.boundary) != set(CORNERS) or not set(self.flows) <= set(CORNERS):
@@ -90,14 +92,6 @@ class Tangle:
             tuple(sorted(v.items())) if isinstance(v, Mapping) else v
             for v in (getattr(self, f.name) for f in fields(self))
         )
-
-    @cached_property
-    def mates(self) -> tuple[int, ...]:
-        """The other end of each edge end (diagram.pair_ends): darts
-        4i + s, then the corners in CORNERS order. The constructor keeps
-        the mates its checks pair."""
-        ids = [e for x in self.crossings for e in x]
-        return pair_ends(ids + [self.boundary[c] for c in CORNERS])
 
     @cached_property
     def strands(self) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
@@ -194,10 +188,11 @@ def orient(t: Tangle, want: Mapping[str, str]) -> Tangle:
 
     Every strand to turn is collected first, then the result is built once:
     a crossing a turned strand passes under turns a half turn, so that the
-    under strand enters at slot a again; its over flag flips when exactly
-    one of its two passages is turned; and the flows at a turned strand's
-    two ends swap. That keeps every check of t true, so the result is built
-    without a second one."""
+    under strand enters at slot a again and its dart at slot s moves to
+    slot s ^ 2; its over flag flips when exactly one of its two passages is
+    turned; and the flows at a turned strand's two ends swap. That keeps
+    every check of t true, so the result is built without a second one,
+    and its mates are t's with the darts moved."""
     under: set[int] = set()
     over: set[int] = set()
     flows = dict(t.flows)
@@ -219,12 +214,17 @@ def orient(t: Tangle, want: Mapping[str, str]) -> Tangle:
         xs[i] = Crossing(xs[i].c, xs[i].d, xs[i].a, xs[i].b)
     for i in under ^ over:
         flags[i] = not flags[i]
+    moved = [k ^ 2 if k >> 2 in under else k for k in range(len(t.mates))]
+    mates = [0] * len(moved)
+    for k, m in enumerate(t.mates):
+        mates[moved[k]] = moved[m]
     fields = {
         "crossings": tuple(xs),
         "over_from_d": tuple(flags),
         "boundary": dict(t.boundary),
         "flows": flows,
         "closed_loops": t.closed_loops,
+        "mates": tuple(mates),
     }
     r = object.__new__(Tangle)
     for name, v in fields.items():
@@ -309,16 +309,6 @@ def vertical_stack(t1: Tangle, t2: Tangle) -> Tangle:
     """t1 placed on top of t2: the south side of t1 joins the north side
     of t2."""
     return _glue(t1, t2, (("SW", "NW"), ("SE", "NE")))
-
-
-def rotate_pi(t: Tangle) -> Tangle:
-    """Rotate the box a half turn: corners swap diagonally; the crossing
-    tuples are unchanged because the rotation preserves both the cyclic
-    order and the under-strand entry."""
-    swap = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
-    boundary = {c: t.boundary[swap[c]] for c in CORNERS}
-    flows = {c: t.flows[swap[c]] for c in CORNERS}
-    return Tangle(t.crossings, t.over_from_d, boundary, flows, t.closed_loops)
 
 
 def _close(t: Tangle, pairs: Sequence[tuple[str, str]]) -> PlanarDiagram:

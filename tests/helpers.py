@@ -1,6 +1,10 @@
 """Helpers only the tests use: a display layout for Alexander polynomials,
 parsers for the text forms of Laurent polynomials and free-group words,
-edge renumbering along the orientation, the Conway-to-Alexander
+edge renumbering along the orientation (along_orientation), the
+crossing-free unknot, the half-turn rotation of a tangle, the union's
+assembly by provisional edge ids that the builder's dart pairing is
+checked against (assemble_by_ids), the complement tangle of a one-region
+union (glued_pair), the Conway-to-Alexander
 substitution and the Conway peel by powers of z^2 = t - 2 + 1/t, a
 monicity check, the slopes of rational tangles, the rank of a
 presentation's abelianization, the exhaustive attachment search the
@@ -12,7 +16,8 @@ unions of the benchmark's scaling-family pool, the kt(m) x 4 family the
 scaling script and the tests share (kt_member), cylinder grids and the
 search for the bracket sweep's order without its memo, the bracket sweep's unit
 bound by enumerating link patterns, and the loops pack and unpack split
-into halves, the rebuild of a union with other tangles in its boxes, and
+into halves, the rebuild of a union with other tangles in its boxes
+(through assemble_by_ids), and
 the zero replacement and the fraction certificate's complement closures
 taken from rebuilds, as they were before they were read off the union,
 the Jones polynomial's values at the third and fourth roots of unity,
@@ -26,13 +31,15 @@ import itertools
 import json
 import random
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
 from symunion import construct, tangle
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
-from symunion.diagram import Crossing, DisconnectedDiagram, PlanarDiagram, along_orientation
+from symunion.construct import _SIGMA, UnionMeta
+from symunion.diagram import Crossing, DiagramError, DisconnectedDiagram, PlanarDiagram
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
 from symunion import invariant as inv
 from symunion.invariant import _smooth, alexander_region
@@ -72,9 +79,33 @@ def sparse(rows) -> list[dict[int, dict[int, int]]]:
     return [{j: p.to_dict() for j, p in enumerate(row) if p} for row in rows]
 
 
+def along_orientation(
+    rows: Sequence[Sequence[int]], flags: Sequence[bool], start: int
+) -> dict[int, int]:
+    """New ids 1..n for the edge ids in PD rows with over flags, given
+    along the orientation one component at a time: the component of start
+    first, from start, then the others in order of their lowest id, each
+    from that id. The ids need not be 1..n. An edge with no head in the
+    rows ends its walk, so every id is numbered, and the PlanarDiagram
+    built from bad rows reports them."""
+    succ = {}
+    for (a, b, c, d), over_from_d in zip(rows, flags):
+        succ[a] = c
+        if over_from_d:
+            succ[d] = b
+        else:
+            succ[b] = d
+    perm: dict[int, int] = {}
+    for e in (start, *sorted({e for row in rows for e in row})):
+        while e not in perm:
+            perm[e] = len(perm) + 1
+            e = succ.get(e, e)
+    return perm
+
+
 def renumber_edges(d: PlanarDiagram, start_edge: int) -> PlanarDiagram:
     """Assign ids 1..2c along the orientation, one component at a time
-    (diagram.along_orientation), starting at ``start_edge``. Labels are
+    (along_orientation), starting at ``start_edge``. Labels are
     carried over; metadata is dropped because it holds edge references.
     Diagrams built in different orders compare equal after it."""
     if not d.crossings:
@@ -549,6 +580,162 @@ def unpack_by_loop(p: int, bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Halves:
+    """The partial diagram d beside its mirror image, as PD rows with
+    provisional edge ids (d keeps 1..E, the mirror gets E+1..2E, fresh ids
+    follow), and the axis arc cut and rejoined across the halves: d's
+    outgoing stub meets the mirror's incoming stub as a0, and vice versa
+    as a1."""
+
+    def __init__(self, d: PlanarDiagram, axis: int):
+        E = d.edge_count
+        self.d = d
+        self.rows = [list(x) for x in d.crossings]
+        self.rows += [[x.c + E, x.b + E, x.a + E, x.d + E] for x in d.crossings]
+        self.flags = list(d.over_from_d) + [not f for f in d.over_from_d]
+        self.next_id = 2 * E + 1
+        self.a0, self.a1 = self.fresh(), self.fresh()
+        self._rewire(axis, (self.a0, self.a1), (self.a0, self.a1))
+
+    def fresh(self) -> int:
+        self.next_id += 1
+        return self.next_id - 1
+
+    def _rewire(self, m: int, host: tuple[int, int], mirror: tuple[int, int]) -> dict[int, int]:
+        """Give the (tail, head) ends of edge m new ids in each half.
+        Returns the dart (row 4r + slot) each new id ends at."""
+        c = len(self.d.crossings)
+        i, s = self.d.head_of[m]
+        at = {}
+        for k, h, ms in zip((self.d.mates[4 * i + s], 4 * i + s), host, mirror):
+            self.rows[k >> 2][k & 3] = h
+            self.rows[c + (k >> 2)][_SIGMA[k & 3]] = ms
+            at[h], at[ms] = k, 4 * (c + (k >> 2)) + _SIGMA[k & 3]
+        return at
+
+    def cut(self, m: int) -> dict[int, int]:
+        """Open marked arc m on both halves. Returns the new stubs, each
+        with the dart at its far end: the host's outgoing and incoming
+        ends, then the mirror's, whose roles are reversed."""
+        u, v, us, vs = (self.fresh() for _ in range(4))
+        at = self._rewire(m, (u, v), (vs, us))
+        return {e: at[e] for e in (u, v, us, vs)}
+
+
+def assemble_by_ids(spec: SymUnionSpec, bits: tuple[int, ...]) -> PlanarDiagram:
+    """construct._assemble_with_bits as it was before it paired darts: the
+    halves get provisional edge ids (_Halves), each box's stubs fresh ones,
+    a crossingless strand merges two stubs through an alias map, and the
+    rows, labels and fold targets are renumbered along the orientation
+    from a0 (along_orientation), the other components from their lowest
+    provisional id. The reference for the builder, and the assembly the
+    rebuilds below use, so that they share no assembly code with what
+    they check. On a knot it gives the builder's diagram; on a link only
+    the numbering of the components other than a0's may differ."""
+    d = spec.partial
+    E = d.edge_count
+
+    labels: dict[int, str] = {}
+    fold: dict[int, int] = {}
+    corners = []
+    for j in range(1, E + 1):
+        if j not in spec.marked_arcs:
+            labels[j] = f"x{j}"
+            labels[j + E] = f"x{j}*"
+            fold[j] = fold[j + E] = j
+
+    h = _Halves(d, spec.marked_arcs[0])
+    rows, flags = h.rows, h.flags
+    labels[h.a0], labels[h.a1] = "a0", "a1"
+    fold[h.a0] = fold[h.a1] = spec.marked_arcs[0]
+
+    # a crossingless strand joins two stubs of one box; the pairs are
+    # disjoint, and each merged pair keeps its lower id
+    alias: dict[int, int] = {}
+
+    def find(e: int) -> int:
+        return alias.get(e, e)
+
+    for i, (t, bit) in enumerate(zip(spec.tangles, bits), start=1):
+        t = construct._oriented_for_box(t, bit)
+        first = h.next_id
+        u, v, us, vs = stubs = h.cut(spec.marked_arcs[i])
+        if bit == 0:
+            at_corner = {"NW": u, "SW": v, "NE": vs, "SE": us}
+        else:
+            at_corner = {"NW": v, "SW": u, "NE": us, "SE": vs}
+        corners.append(tuple(stubs[at_corner[c]] for c in ("NW", "SW", "SE", "NE")))
+
+        emap: dict[int, int] = {}
+        for corner in CORNERS:
+            te = t.boundary[corner]
+            if te in emap:
+                alias[max(emap[te], at_corner[corner])] = min(emap[te], at_corner[corner])
+            else:
+                emap[te] = at_corner[corner]
+        k = 5
+        for te in range(1, t.edge_count + 1):
+            if te not in emap:
+                emap[te] = h.fresh()
+                labels[emap[te]] = f"s{k}_{i}"
+                k += 1
+        fold.update(dict.fromkeys(range(first, h.next_id), spec.marked_arcs[i]))
+        for corner, kk in (("NW", 1), ("NE", 2), ("SW", 3), ("SE", 4)):
+            eid = find(emap[t.boundary[corner]])
+            if eid not in labels:
+                labels[eid] = f"s{kk}_{i}"
+
+        rows.extend([emap[e] for e in x] for x in t.crossings)
+        flags.extend(t.over_from_d)
+
+    if alias:
+        rows = [[alias.get(e, e) for e in row] for row in rows]
+    # perm numbers the ids 1, 2, ... in the order it lists them
+    perm = along_orientation(rows, flags, h.a0)
+    try:
+        built = PlanarDiagram(
+            tuple(Crossing(perm[a], perm[b], perm[c], perm[d]) for a, b, c, d in rows),
+            tuple(flags),
+            labels={perm[e]: lbl for e, lbl in labels.items() if e in perm and e not in alias},
+            meta=UnionMeta(spec, tuple(bits), tuple(map(fold.__getitem__, perm)), tuple(corners)),
+        )
+        construct.planar_faces(built)
+    except DiagramError as exc:
+        raise construct.NotPlanarInsertion(f"insertion does not embed: {exc}") from exc
+
+    return built
+
+
+def glued_pair(partial: PlanarDiagram, e0: int, e1: int) -> Tangle:
+    """The complement tangle: the symmetric union built on (e0, e1) with
+    region 1 left as an open box. Summing the removed tangle (rotated a
+    half turn) back on the west side and closing the numerator restores
+    the union."""
+    spec = SymUnionSpec(partial, (e0, e1), (rational_tangle([]),))
+    construct._validate_inputs(spec)
+    h = _Halves(partial, e0)
+    u, v, us, vs = h.cut(e1)
+    xs, ends, _ = tangle._join(h.next_id - 1, h.rows, (), (v, u, us, vs))
+    boundary = dict(zip(("NW", "SW", "NE", "SE"), ends))
+    flows = {"NW": "in", "SW": "out", "NE": "out", "SE": "in"}
+    return Tangle(tuple(xs), tuple(h.flags), boundary, flows)
+
+
+def rotate_pi(t: Tangle) -> Tangle:
+    """Rotate the box a half turn: corners swap diagonally; the crossing
+    tuples are unchanged because the rotation preserves both the cyclic
+    order and the under-strand entry."""
+    swap = {"NW": "SE", "SE": "NW", "NE": "SW", "SW": "NE"}
+    boundary = {c: t.boundary[swap[c]] for c in CORNERS}
+    flows = {c: t.flows[swap[c]] for c in CORNERS}
+    return Tangle(t.crossings, t.over_from_d, boundary, flows, t.closed_loops)
+
+
+def unknot() -> PlanarDiagram:
+    """The crossing-free round unknot."""
+    return PlanarDiagram((), (), free_loops=1)
+
+
 def _rebuild(k: PlanarDiagram, replace) -> PlanarDiagram:
     """The built union k rebuilt with region i holding replace[i], at the
     attachment bits of k. Pinning the bits keeps the complement of each
@@ -561,7 +748,7 @@ def _rebuild(k: PlanarDiagram, replace) -> PlanarDiagram:
     tangles = [replace.get(i, t) for i, t in enumerate(spec.tangles, start=1)]
     spec = SymUnionSpec(spec.partial, spec.marked_arcs, tangles)
     construct._validate_inputs(spec)
-    return construct._assemble_with_bits(spec, k.meta.attach_bits)
+    return assemble_by_ids(spec, k.meta.attach_bits)
 
 
 def build_all_zero_replacement(union) -> PlanarDiagram:

@@ -15,13 +15,12 @@ import time
 
 import pytest
 
-from helpers import build_all_zero_replacement, is_monic, random_spec
+from helpers import build_all_zero_replacement, glued_pair, is_monic, random_spec, rotate_pi
 from symunion import corpus
 from symunion.construct import (
     NotEvenType,
     SymUnionSpec,
     build_symmetric_union,
-    glued_pair,
 )
 from symunion.group import (
     build_epimorphism,
@@ -43,7 +42,6 @@ from symunion.tangle import (
     kt_tangle,
     numerator,
     rational_tangle,
-    rotate_pi,
     vertical_twists,
 )
 

@@ -9,12 +9,15 @@ NOT_EXPORTED = (
     "alexander_from_conway",
     "build_all_zero_replacement",
     "connected_sum",
+    "glued_pair",
     "is_monic",
     "parse_poly",
     "renumber_edges",
     "reverse",
     "reverse_strand",
+    "rotate_pi",
     "tangle_fraction",
+    "unknot",
 )
 
 

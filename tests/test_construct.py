@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from helpers import (
     FAMILY_POOL,
     PARTIAL_POOL,
@@ -17,8 +18,10 @@ from helpers import (
     _rebuild,
     build_all_zero_replacement,
     exhaustive_build,
+    glued_pair,
     pool_variant,
     random_spec,
+    rotate_pi,
 )
 from symunion import construct, corpus
 from symunion.cli import verify_reports
@@ -35,7 +38,6 @@ from symunion.construct import (
     build_symmetric_union,
     expect_knot,
     contract_box,
-    glued_pair,
     parse_spec,
     to_spec_doc,
     zero_replacement,
@@ -65,7 +67,6 @@ from symunion.tangle import (
     numerator,
     denominator,
     rational_tangle,
-    rotate_pi,
     tangle_sum,
     vertical_twists,
 )
@@ -567,9 +568,9 @@ class TestOnePass:
     """Each diagram an assembly makes is constructed, checked and walked
     once, and each tangle is oriented for its box once."""
 
-    def _assemblies_and_diagrams(self, run):
+    def _assemblies_and_diagrams(self, run, owner=construct, assembly="_assemble_with_bits"):
         with pytest.MonkeyPatch.context() as mp:
-            assemblies = _recording(mp, construct, "_assemble_with_bits")
+            assemblies = _recording(mp, owner, assembly)
             diagrams = _recording(mp, PlanarDiagram, "__post_init__")
             out = run()
         return out, len(assemblies), len(diagrams)
@@ -581,8 +582,9 @@ class TestOnePass:
             lambda: build_symmetric_union(spec)
         )
         assert (assemblies, diagrams) == (1, 1)
+        # the rebuild goes through the reference assembly
         _, assemblies, diagrams = self._assemblies_and_diagrams(
-            lambda: build_all_zero_replacement(k)
+            lambda: build_all_zero_replacement(k), helpers, "assemble_by_ids"
         )
         assert (assemblies, diagrams) == (1, 1)
         # the lemma reads the zero replacement off the built union
@@ -676,3 +678,78 @@ def test_fold_targets_follow_the_labels(kind):
             else:
                 want = int(label.rstrip("*")[1:])
             assert k.meta.fold[e - 1] == want, (e, label)
+
+
+def _assembly_inputs(kind):
+    """(spec, bits) pairs for both assemblies: every bit vector of each
+    small marking, whether or not it embeds; the built unions of a kind at
+    their bits; or the corpus, random and pool unions at their bits with
+    crossingless tangles in their boxes: all of them, or one box at a time
+    with either tangle."""
+    if kind == "every bit vector":
+        for partial in (corpus.TREFOIL, corpus.FIGURE_EIGHT, corpus.FIVE_TWO):
+            for n in (1, 2):
+                for marked in _markings(partial, n):
+                    spec = SymUnionSpec(partial, marked, (vertical_twists(2),) * n)
+                    yield from ((spec, bits) for bits in itertools.product((0, 1), repeat=n))
+    elif kind != "crossingless boxes":
+        yield from ((k.meta.spec, k.meta.attach_bits) for k in _unions(kind))
+    else:
+        for k in (k for kind in ("corpus", "random", "pool") for k in _unions(kind)):
+            spec, n = k.meta.spec, len(k.meta.spec.tangles)
+            boxes = [(rational_tangle([]),) * n] + [
+                spec.tangles[:i] + (t,) + spec.tangles[i + 1 :]
+                for i in range(n)
+                for t in (rational_tangle([]), vertical_twists(0))
+            ]
+            for tangles in boxes:
+                yield SymUnionSpec(spec.partial, spec.marked_arcs, tangles), k.meta.attach_bits
+
+
+def _assembly(assemble, spec, bits):
+    """assemble(spec, bits), or the class and message of what it raised."""
+    try:
+        return assemble(spec, bits)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _per_dart(k):
+    """What the numbering of a link's other components leaves alone: the
+    mates, the flags, each dart's label and fold target, the components."""
+    ends = [e for x in k.crossings for e in x]
+    labels = [k.labels[e] for e in ends]
+    return k.mates, k.over_from_d, labels, [k.meta.fold[e - 1] for e in ends], k.component_count()
+
+
+@pytest.mark.parametrize(
+    "kind, count, knots, refused",
+    [
+        ("corpus", 7, 7, 0),
+        ("random", 40, 40, 0),
+        ("pool", 64, 64, 0),
+        ("crossingless boxes", 611, 250, 5),
+        ("every bit vector", 3184, 288, 2896),
+    ],
+)
+def test_the_dart_pairing_matches_the_id_assembly(kind, count, knots, refused):
+    """_assemble_with_bits pairs darts; helpers.assemble_by_ids, the
+    assembly it replaced, renumbers provisional edge ids. A knot comes out
+    the same document with the same metadata, a link with the same darts,
+    and a refused input with the same error."""
+    tally = {"knots": 0, "refused": 0}
+    inputs = list(_assembly_inputs(kind))
+    for spec, bits in inputs:
+        got = _assembly(construct._assemble_with_bits, spec, bits)
+        want = _assembly(helpers.assemble_by_ids, spec, bits)
+        if isinstance(want, tuple):
+            assert got == want
+            tally["refused"] += 1
+            continue
+        assert _per_dart(got) == _per_dart(want)
+        assert (got.meta.corners, got.meta.attach_bits) == (want.meta.corners, want.meta.attach_bits)
+        if want.component_count() == 1:
+            assert to_doc(got) == to_doc(want)
+            assert got.meta.fold == want.meta.fold
+            tally["knots"] += 1
+    assert (len(inputs), tally["knots"], tally["refused"]) == (count, knots, refused)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from helpers import build_all_zero_replacement, circle_chain, renumber_edges
-from symunion import diagram, tangle
+from helpers import build_all_zero_replacement, circle_chain, renumber_edges, unknot
+from symunion import diagram
 from symunion.diagram import (
     Crossing,
     DisconnectedDiagram,
@@ -19,7 +19,6 @@ from symunion.diagram import (
     parse_pd,
     to_doc,
     to_text,
-    unknot,
     validate_planarity,
     writhe,
 )
@@ -342,7 +341,6 @@ def test_parsing_pairs_the_ends_once(parse, source, monkeypatch):
         return real(ids)
 
     monkeypatch.setattr(diagram, "pair_ends", counted)
-    monkeypatch.setattr(tangle, "pair_ends", counted)
     parsed = parse(source)
     assert len(calls) == 1
     # the parsed value keeps those mates: reading them pairs nothing again

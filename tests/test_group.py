@@ -1,15 +1,22 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import abelianization_rank, parse_word
-from symunion.diagram import NoCrossings, parse_pd, unknot
+from helpers import abelianization_rank, parse_word, unknot
+from symunion.construct import build_symmetric_union
+from symunion.corpus import SPEC_FIXTURES
+from symunion.diagram import NoCrossings, PlanarDiagram, parse_pd
 from symunion.group import (
+    MissingMetadata,
     apply_map,
+    build_epimorphism,
     canonical_relator_key,
     exponent_sum,
     free_reduce,
     inverse_word,
+    longitude_word,
     meridian_image,
     verify_homomorphism,
     verify_surjective,
@@ -137,3 +144,33 @@ def test_partial_map_reported():
     rep = verify_homomorphism({}, p, p)
     assert not rep.passed
     assert not rep.checks[0].passed
+
+
+def test_an_arc_folding_onto_two_partial_arcs_is_refused():
+    # the corpus union rebuilt with one edge of a long arc folded onto a
+    # partial edge on another arc than the rest of that arc
+    k = build_symmetric_union(SPEC_FIXTURES["trefoil_union_2"])
+    khat = wirtinger(k.meta.spec.partial)
+    assert build_epimorphism(k, khat)
+    first, second, *_ = next(arc for arc in wirtinger(k).arcs if len(arc) > 1)
+    target = khat.arc_of_edge[k.meta.fold[second - 1]]
+    other = next(e for e, arc in khat.arc_of_edge.items() if arc != target)
+    fold = list(k.meta.fold)
+    fold[first - 1] = other
+    bad = PlanarDiagram(
+        k.crossings, k.over_from_d, labels=k.labels,
+        meta=dataclasses.replace(k.meta, fold=tuple(fold)),
+    )
+    with pytest.raises(MissingMetadata, match=r"arc \d+ folds onto several targets"):
+        build_epimorphism(bad, khat)
+
+
+def test_the_longitude_needs_the_axis_labels():
+    with pytest.raises(MissingMetadata, match="no edge labeled a0"):
+        longitude_word(parse_pd(TREFOIL))
+
+
+def test_the_fold_needs_the_construction_metadata():
+    d = parse_pd(TREFOIL)
+    with pytest.raises(MissingMetadata, match="no construction metadata"):
+        build_epimorphism(d, wirtinger(d))

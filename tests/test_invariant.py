@@ -27,6 +27,7 @@ from helpers import (
     cylinder_grid,
     cylinder_link,
     display_form,
+    glued_pair,
     jones_at_roots_of_unity,
     kt_member,
     pairs_of,
@@ -38,6 +39,7 @@ from helpers import (
     sweep_order_unpruned,
     torus_closure,
     torus_jones,
+    unknot,
 )
 from symunion import corpus
 from symunion.construct import (
@@ -45,7 +47,6 @@ from symunion.construct import (
     SymUnionSpec,
     build_symmetric_union,
     contract_box,
-    glued_pair,
     parse_spec,
     to_spec_doc,
 )
@@ -57,7 +58,6 @@ from symunion.diagram import (
     faces,
     mirror,
     parse_pd,
-    unknot,
 )
 from symunion.group import wirtinger
 from symunion.invariant import (

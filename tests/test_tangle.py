@@ -12,6 +12,7 @@ from helpers import (
     four_variants,
     renumber_edges,
     reverse_strand,
+    rotate_pi,
     tangle_fraction,
 )
 from symunion import tangle
@@ -33,7 +34,6 @@ from symunion.tangle import (
     orient,
     parse_tangle,
     rational_tangle,
-    rotate_pi,
     tangle_sum,
     to_tangle_doc,
     vertical_stack,
@@ -325,6 +325,7 @@ class TestReversal:
             again = Tangle(*(getattr(t, f.name) for f in dataclasses.fields(Tangle)))
             assert again == t
             assert again.key == t.key
+            assert again.mates == t.mates  # orient moves the mates with the darts
 
     def test_reversal_does_not_move_the_strand(self):
         t = rational_tangle([1, 1, 3])

@@ -7,17 +7,21 @@ up to Catalan(p) states, where the kt family keeps a few dozen.
 
 For each p the script prints the crossings, the peak number of states the
 sweep holds after a unit, the state-steps (the states summed over the
-units) and the process seconds of one jones(d). The counts are read from
-the sweep's comparison with invariant._STATE_LIMIT (helpers.StateTally).
-It exits 1 unless V(1) = 1, V(w) = 1 at the third root of unity w and
-V(i) = (-1)^Arf with Arf read off the determinant Delta(-1)
-(helpers.jones_at_roots_of_unity), and V is the mirror image of the closed
-form of V(T(p, p + 1)) (helpers.torus_jones). There is no timing gate.
+units), the process seconds of one jones(d) and those seconds in
+microseconds per state-step. The counts are read from the sweep's
+comparison with invariant._STATE_LIMIT (helpers.StateTally). It exits 1
+unless the peak is at most Catalan(p), which a sweep order that keeps the
+frontier at 2p open edges reaches, unless V(1) = 1, V(w) = 1 at the third
+root of unity w and V(i) = (-1)^Arf with Arf read off the determinant
+Delta(-1) (helpers.jones_at_roots_of_unity), and unless V is the mirror
+image of the closed form of V(T(p, p + 1)) (helpers.torus_jones). There is
+no timing gate.
 
     python scripts/jones_wide.py --p 4 5 6 7 8
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -37,7 +41,7 @@ def main() -> int:
 
     failures = 0
     limit = invariant._STATE_LIMIT
-    print("  p  crossings  peak_states  state_steps   jones_s  ok")
+    print("  p  crossings  peak_states  state_steps   jones_s  us_per_step  ok")
     for p in args.p:
         d = torus_closure(p)
         invariant._STATE_LIMIT = tally = StateTally(limit)
@@ -48,10 +52,16 @@ def main() -> int:
         finally:
             invariant._STATE_LIMIT = limit
         det = alexander_region(d).evaluate(-1)
-        ok = v.evaluate(1) == 1 and jones_at_roots_of_unity(v, det) and v == torus_jones(p)
+        peak, steps = max(tally.counts), sum(tally.counts)
+        ok = (
+            peak <= math.comb(2 * p, p) // (p + 1)
+            and v.evaluate(1) == 1
+            and jones_at_roots_of_unity(v, det)
+            and v == torus_jones(p)
+        )
         failures += not ok
-        print(f"{p:3} {len(d.crossings):10} {max(tally.counts):12} {sum(tally.counts):12} "
-              f"{t_jones:9.3f}  {'yes' if ok else 'NO'}")
+        print(f"{p:3} {len(d.crossings):10} {peak:12} {steps:12} {t_jones:9.3f} "
+              f"{1e6 * t_jones / steps:12.2f}  {'yes' if ok else 'NO'}")
     return 1 if failures else 0
 
 

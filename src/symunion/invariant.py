@@ -11,6 +11,7 @@ only equality this module ever asserts.
 from __future__ import annotations
 
 from functools import cache
+from heapq import heappop, heappush
 from itertools import permutations
 import math
 import threading
@@ -243,8 +244,9 @@ def alexander_fox(
 # most Catalan(w/2) pairings. A state takes about 0.8 to 1.6 KB at 68
 # crossings, 0.6 to 1.2 KB at 63 (T(8, 9), 1,430 states) and 15 to 21 KB
 # at 820, mostly its packed coefficient, which grows with the crossings;
-# its key, a tuple of partner positions, is 0.1 to 0.4 KB less than a
-# tuple of edge pairs.
+# its key, a tuple of partner positions with a hole for each closed edge
+# (as long as the most edges open at once), takes 0.05 to 0.24 KB less
+# than a tuple of edge pairs at 68 crossings.
 _STATE_LIMIT = 50_000
 
 # (mate, a, cs): a pairing of a unit's slots and its weight
@@ -340,6 +342,15 @@ def _bound(smoothings: Sequence[_Smoothing]) -> int:
 _SMOOTHINGS = (((1, 0, 3, 2), 1, (1,)), ((3, 2, 1, 0), -1, (1,)))
 _CROSSING_BOUND = _bound(_SMOOTHINGS)
 
+# _SMOOTHINGS moved onto a crossing's four edges in sorted order, by the
+# unit slot of each crossing slot: at[j] is the rank of slot j's edge, and
+# order, its inverse, the crossing slot of each unit slot. 4! = 24 entries.
+_ONE = {
+    at: tuple((tuple(at[mate[j]] for j in order), a, cs) for mate, a, cs in _SMOOTHINGS)
+    for at in permutations(range(4))
+    for order in [tuple(sorted(range(4), key=at.__getitem__))]
+}
+
 
 def _width(units: Sequence[_Unit]) -> int:
     """The packing width B of a sweep over units. Merging states can only
@@ -416,20 +427,16 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
     The weights are packed at B from the crossings' bound, as a sweep over
     the box's crossings would take them, at lo = -3m - 4: no term is lower.
 
-    A box of one crossing with no kink is the crossing's own two
-    smoothings (_SMOOTHINGS), moved onto its four edges in sorted order."""
+    A box of one crossing with no kink, four distinct edges, is the
+    crossing's own two smoothings (_SMOOTHINGS) moved onto its edges in
+    sorted order, read from _ONE by the rank of each crossing slot's edge."""
     _check(cancel)
-    mates = d.mates
-    if len(box) == 1 and all(mates[k] >> 2 != box[0] for k in range(4 * box[0], 4 * box[0] + 4)):
+    if len(box) == 1:
         edges = d.crossings[box[0]]
-        slots = tuple(sorted(edges))
-        at = [slots.index(e) for e in edges]  # crossing slot -> unit slot
-        order = [edges.index(e) for e in slots]  # unit slot -> crossing slot
-        return _Unit(
-            slots,
-            tuple((tuple(at[mate[j]] for j in order), a, cs) for mate, a, cs in _SMOOTHINGS),
-            _CROSSING_BOUND,
-        )
+        slots = sorted(edges)
+        if slots[0] < slots[1] < slots[2] < slots[3]:
+            return _Unit(tuple(slots), _ONE[tuple(map(slots.index, edges))], _CROSSING_BOUND)
+    mates = d.mates
     # Along one chain of faces: each next corner is opposite the corner the
     # last bigon arrives at, as an interior crossing's two bigons lead to
     # two other crossings. Two crossings may share two bigons, so c_m's
@@ -489,19 +496,23 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
 
 def _sweep(
     units: Sequence[_Unit], bits: int, cancel: CancelToken | None
-) -> tuple[dict[tuple[int, ...], tuple[int, int]], tuple[int, ...]]:
-    """Insert units one at a time. Every state shares one frontier, the
-    open edges in a fixed order; a state is the pairing of them by the
-    arcs of the processed part, keyed by the tuple of each edge's
-    partner's position. A unit changes only the pairs that end at it: each
-    of its slots holds an open end, or is linked to another slot by two
-    closing edges paired with each other. _WALKS gives the new pairs and
-    the loops closed for each smoothing and link pattern. The edges left
-    open keep their order and the unit's new edges follow them, so once per
-    unit the positions of the closing edges, the survivors' new positions
-    and those of the new edges are known, and a next key is the survivors'
-    partners moved to their new positions with the new pairs written in.
-    Returns the states and the frontier left open.
+) -> tuple[dict[tuple[int, ...], tuple[int, int]], dict[int, int]]:
+    """Insert units one at a time. Every state shares one frontier: each
+    open edge keeps one position from the unit that opens it to the unit
+    that closes it, and a state, the pairing of the open edges by the arcs
+    of the processed part, is keyed by the tuple of each position's
+    partner's position. An edge that a unit closes leaves a hole, which
+    holds its own position in every key (a live edge is never its own
+    partner), and the unit's new edges take the lowest holes first, so a
+    key is as long as the most edges ever open at once. A unit changes
+    only the pairs that end at it: each of its slots holds an open end, or
+    is linked to another slot by two closing edges paired with each other.
+    _WALKS gives the new pairs and the loops closed for each smoothing and
+    link pattern. So a unit's set-up touches only its own slots, a state
+    reads the partners at its at most four closing positions, and a next
+    key is a copy of the old one, padded to the new length, with the
+    unit's holes reset and the new pairs written in. Returns the states and
+    the edges left open, by position.
 
     A state's coefficient is packed into one integer (Kronecker
     substitution): (lo, P) with P = sum c_j 2^(Bj) stands for
@@ -512,46 +523,54 @@ def _sweep(
     back."""
     two = 2 * bits
     states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
-    front: tuple[int, ...] = ()
+    where: dict[int, int] = {}  # open edge -> its position
+    holes: list[int] = []  # a heap of the free positions below size
+    size = 0
     for u in units:
         _check(cancel)
-        at = {e: i for i, e in enumerate(front)}
-        slot_at = [-1] * len(front)  # position -> the slot its edge closes at
         closing = []  # (slot, position) of each closing edge
+        opened = []  # the slots of the new edges
         for s, e in enumerate(u.slots):
-            if e in at:
-                slot_at[at[e]] = s
-                closing.append((s, at[e]))
-        kept = [i for i, s in enumerate(slot_at) if s < 0]
-        moved = [0] * len(front)  # position -> its new position, if kept
-        for j, i in enumerate(kept):
-            moved[i] = j
-        opened = [s for s, e in enumerate(u.slots) if e not in at]
-        front = tuple(front[i] for i in kept) + tuple(u.slots[s] for s in opened)
-        # each slot's end: a new edge's own new position, or set per state
-        ident = list(range(len(u.slots)))
-        ends_at = ident.copy()
-        for j, s in enumerate(opened, len(kept)):
-            ends_at[s] = j
-        pad = [0] * len(opened)
+            i = where.pop(e, None)
+            if i is None:
+                opened.append(s)
+            else:
+                closing.append((s, i))
+                heappush(holes, i)
+        slot_of = {i: s for s, i in closing}
+        # each slot's end: a new edge's own position, or set per state
+        ident = range(len(u.slots))
+        ends_at = list(ident)
+        grown = size
+        for s in opened:
+            if holes:
+                i = heappop(holes)
+            else:
+                i, size = size, size + 1
+            where[u.slots[s]] = ends_at[s] = i
+        pad = list(range(grown, size))
+        taken = {ends_at[s] for s in opened}
+        left = [i for i in slot_of if i not in taken]  # the holes the unit leaves
         weights = [(mate, a, pack(enumerate(cs), bits)) for mate, a, cs in u.smoothings]
         steps: dict[tuple[int, ...], list] = {}  # link pattern -> smoothings' walks
         new: dict[tuple[int, ...], tuple[int, int]] = {}
         for key, (lo, p) in states.items():
-            link, ends = ident.copy(), ends_at.copy()
+            link, ends = list(ident), ends_at.copy()
             for s, i in closing:
                 j = key[i]
-                if slot_at[j] < 0:
-                    ends[s] = moved[j]
+                t = slot_of.get(j)
+                if t is None:
+                    ends[s] = j
                 else:
-                    link[s] = slot_at[j]
+                    link[s] = t
             link = tuple(link)
             walks = steps.get(link)
             if walks is None:
                 walks = steps[link] = [(*_WALKS[mate, link], a, w) for mate, a, w in weights]
-            base = [moved[key[i]] for i in kept] + pad
             for made, loops, a, w in walks:
-                nk = base.copy()
+                nk = [*key, *pad]
+                for i in left:
+                    nk[i] = i
                 for s, t in made:
                     x, y = ends[s], ends[t]
                     nk[x], nk[y] = y, x
@@ -573,7 +592,7 @@ def _sweep(
                 f"bracket state sum reaches {len(new)} states; limit is {_STATE_LIMIT}"
             )
         states = new
-    return states, front
+    return states, {i: e for e, i in where.items()}
 
 
 def _unit_graph(d: PlanarDiagram, boxes: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -610,10 +629,11 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
     go on alike, and the rest of the sweep after S, its peak and its cost,
     is a function of S. memo keeps, for each S (a bitmask) on the path of a
     sweep, the next unit and that rest; the full set has no next unit and
-    an empty rest. Every sweep ends at a kept S with the score the whole
-    sweep would reach, (max(peak, rest peak), cost + rest cost), so each
-    start wins or loses as it would without memo, and the winning order is
-    read back from memo."""
+    an empty rest. Every sweep ends at a kept S. The walk back along its
+    path adds each step's width to the rest after the set before it, which
+    fills memo and, at the start, gives the score the whole sweep would
+    reach, so each start wins or loses as it would without memo, and the
+    winning order is read back from memo."""
     n = len(nbrs)
     base = [len(nbrs[j]) * n + j for j in range(n)]
     step = 2 * n
@@ -622,22 +642,21 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
     # a width never exceeds the number of edge ends, so any whole sweep wins
     best_start, best_score = -1, (sum(map(len, nbrs)) + 1, 0)
     for start in range(n):
-        key = list(base)
+        key = base.copy()
         touching: set[int] = set()
-        path: list[tuple[int, int, int]] = []  # (swept set, unit added, width)
-        swept = width = peak = cost = 0
+        # the path: each swept set, the unit that made it and its width
+        sets, added, widths = [], [], []
+        swept = width = 0
         i = start
         while True:
             swept |= 1 << i
-            touching.discard(i)
             width += key[i] // n
-            if width > peak:
-                peak = width
-            cost += 1 << (width >> 1)
-            path.append((swept, i, width))
-            rest = memo.get(swept)
-            if rest is not None:
+            sets.append(swept)
+            added.append(i)
+            widths.append(width)
+            if swept in memo:
                 break
+            touching.discard(i)
             for j in nbrs[i]:
                 key[j] -= step
                 if not swept >> j & 1:
@@ -646,14 +665,15 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
                 touching or [j for j in range(n) if not swept >> j & 1],
                 key=key.__getitem__,
             )
-        _, rest_peak, rest_cost = rest
-        score = (max(peak, rest_peak), cost + rest_cost)
+        # back along the path: each swept set, with the step that follows it
+        _, peak, cost = memo[swept]
+        for s, j, w in zip(sets[-2::-1], added[:0:-1], widths[:0:-1]):
+            peak, cost = max(peak, w), cost + (1 << (w >> 1))
+            memo[s] = (j, peak, cost)
+        w = widths[0]
+        score = (max(peak, w), cost + (1 << (w >> 1)))
         if score < best_score:
             best_start, best_score = start, score
-        # back along the path: each swept set, with the step that follows it
-        for (s, _, _), (_, j, w) in zip(path[-2::-1], path[:0:-1]):
-            rest_peak, rest_cost = max(rest_peak, w), rest_cost + (1 << (w >> 1))
-            memo[s] = (j, rest_peak, rest_cost)
     order, swept, i = [], 0, best_start
     while i >= 0:
         order.append(i)
@@ -686,10 +706,10 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     boxes = _boxes(d, planar_faces(d))
     units = [_box_unit(d, box, cancel) for box in boxes]
     bits = _width(units)
-    states, _ = _sweep([units[i] for i in _sweep_order(_unit_graph(d, boxes))], bits, cancel)
-    if set(states) != {()}:
+    states, front = _sweep([units[i] for i in _sweep_order(_unit_graph(d, boxes))], bits, cancel)
+    if front or len(states) != 1:
         raise InvariantError("open strands left after processing all crossings")
-    lo, p = states[()]
+    ((lo, p),) = states.values()
     q, r = divmod(p, 1 + (1 << 2 * bits))
     if r:
         raise NonIntegralSolution("bracket state sum is not a multiple of delta")

@@ -2,12 +2,14 @@
 frozen with."""
 
 import random
+import time
 
 import pytest
 
-from helpers import TANGLE_POOL, random_spec
+import helpers
+from helpers import RANDOM_SPEC_DRAWS, TANGLE_POOL, random_spec
 from symunion import corpus
-from symunion.construct import build_symmetric_union
+from symunion.construct import NotPlanarInsertion, build_symmetric_union
 from symunion.diagram import validate_planarity
 from symunion.group import wirtinger
 from symunion.invariant import alexander_fox, alexander_region, jones
@@ -106,3 +108,20 @@ class TestRandomSpec:
             assert k.component_count() == 1
             assert len(spec.partial.crossings) <= 6
             assert all(len(t.crossings) <= 4 for t in spec.tangles)
+
+    def test_a_builder_that_refuses_every_marking_stops_the_draws(self, monkeypatch):
+        """A fault that makes the builder refuse every insertion fails
+        within a second, naming the partial and the tangle count, instead
+        of drawing markings forever."""
+        builds = []
+
+        def refuse(spec):
+            builds.append(spec)
+            raise NotPlanarInsertion("refused")
+
+        monkeypatch.setattr(helpers, "build_symmetric_union", refuse)
+        t0 = time.process_time()
+        with pytest.raises(RuntimeError, match=r"PARTIAL_POOL\[\d\] \(\d+ crossings\) embeds [123] tangles"):
+            random_spec(random.Random(7))
+        assert time.process_time() - t0 < 1
+        assert 0 < len(builds) <= RANDOM_SPEC_DRAWS

@@ -36,6 +36,7 @@ from helpers import (
     random_spec,
     sparse,
     sweep_by_pairs,
+    sweep_order_reference,
     sweep_order_unpruned,
     torus_closure,
     torus_jones,
@@ -822,12 +823,47 @@ def test_sweep_order_matches_the_unpruned_search_on_cylinder_grids(rows, cols):
     assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
 
 
+def test_sweep_order_matches_the_reference_on_fixed_graphs():
+    """The same order as _sweep_order before its path became parallel
+    lists, on the unit graphs of the 64 pool variants, the corpus unions,
+    the torus closures T(p, p + 1) for p up to 9 and 15 random unions."""
+    diagrams = [pool_variant(k) for k in sorted(FAMILY_POOL)]
+    diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
+    diagrams += [torus_closure(p) for p in range(2, 10)]
+    diagrams += [random_union(seed) for seed in range(15)]
+    for d in diagrams:
+        nbrs = inv._unit_graph(d, inv._boxes(d, faces(d.mates)))
+        assert inv._sweep_order(nbrs) == sweep_order_reference(nbrs)
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A random connected multigraph without loops, as nbrs lists: a
+    random tree on n vertices, then more edges, parallel ones allowed."""
+    n = draw(st.integers(1, 14))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(pairs, max_size=2 * n))
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in draw(st.permutations(edges)):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+@given(connected_multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_sweep_order_matches_the_reference_on_random_multigraphs(nbrs):
+    assert inv._sweep_order(nbrs) == sweep_order_reference(nbrs) == sweep_order_unpruned(nbrs)
+
+
 def test_sweep_order_of_disconnected_and_empty_graphs():
     """Once a part is swept, the sweep goes on from the unswept unit of
     least change, ties by index, and the empty graph has the empty order."""
     nbrs = [[1, 1], [0, 0], [3, 4], [2, 4], [2, 3], []]
-    assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
-    assert inv._sweep_order([]) == []
+    assert inv._sweep_order(nbrs) == sweep_order_reference(nbrs) == sweep_order_unpruned(nbrs)
+    assert inv._sweep_order([]) == sweep_order_reference([]) == []
 
 
 TWISTED_UNION = build_symmetric_union(
@@ -968,10 +1004,22 @@ def test_box_units_match_the_chain_walk():
     assert single > 500
 
 
+def peak_open(units) -> int:
+    """The most edges open at once while units are swept in order."""
+    open_edges: set[int] = set()
+    peak = 0
+    for u in units:
+        open_edges ^= set(u.slots)
+        peak = max(peak, len(open_edges))
+    return peak
+
+
 def assert_sweep_matches_the_pairs(d, order=None):
     """_sweep against the pair-keyed sweep over d's boxes, in order or in
     _sweep_order's order: the same final states, the same number of states
-    after every unit, and the same states halfway, read as edge pairs."""
+    after every unit, and the same states halfway, read as edge pairs.
+    Every key is as long as the most edges open at once, never longer, as
+    new edges fill the holes that closed ones leave."""
     boxes = inv._boxes(d, faces(d.mates))
     if order is None:
         order = inv._sweep_order(inv._unit_graph(d, boxes))
@@ -982,13 +1030,15 @@ def assert_sweep_matches_the_pairs(d, order=None):
         mp.setattr(inv, "_STATE_LIMIT", tally)
         states, front = inv._sweep(units, bits, None)
     want, open_edges, counts = sweep_by_pairs(units, bits)
-    assert (states, front, open_edges) == (want, (), set())
+    assert (pairs_of(states, front), front, open_edges) == (want, {}, set())
     assert tally.counts == counts
+    assert {len(key) for key in states} == {peak_open(units)}
     half = units[: len(units) // 2]
     states, front = inv._sweep(half, bits, None)
     want, open_edges, _ = sweep_by_pairs(half, bits)
-    assert set(front) == open_edges and len(front) == len(open_edges)
+    assert set(front.values()) == open_edges and len(front) == len(open_edges)
     assert pairs_of(states, front) == want
+    assert {len(key) for key in states} == {peak_open(half)}
 
 
 def test_sweep_matches_the_pairs_on_fixed_diagrams():

@@ -32,7 +32,16 @@ member, which build_symmetric_union assembles by pairing darts, has the
 document and metadata of the reference assembly by provisional edge ids
 (helpers.assemble_by_ids).
 
+With --torus it runs both routes on the wide family too: the torus knots
+T(p, p + 1) as p-strand braid closures (helpers.torus_closure), whose
+Fox matrices keep few two-row columns. For each p it prints the
+crossings, the best of --repeat process times of each route and each
+route's k/B and phase seconds, and exits 1 unless both routes give the
+closed form of Delta(T(p, p + 1)) (helpers.torus_alexander). --m runs
+by default only when --torus is not given.
+
     python scripts/alexander_scaling.py --m 6 12 25 --repeat 3
+    python scripts/alexander_scaling.py --torus 8 14 20
 """
 
 import argparse
@@ -49,6 +58,8 @@ from helpers import (  # noqa: E402
     complement_by_rebuild,
     jones_at_roots_of_unity,
     kt_member,
+    torus_alexander,
+    torus_closure,
 )
 from symunion import invariant, poly  # noqa: E402
 from symunion.cli import verify_reports  # noqa: E402
@@ -131,26 +142,22 @@ def certificates(k) -> tuple[float, bool]:
     return seconds, same and all(r.passed for r in reports)
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--m", type=int, nargs="+", default=[6, 12, 25, 50, 100, 200],
-                    help="kt twist parameters to run (default: 68 to 1,620 crossings)")
-    ap.add_argument("--repeat", type=int, default=3, help="best of this many runs")
-    args = ap.parse_args()
-
+def scaling_family(ms, repeat: int) -> int:
+    """Print one row per kt twist parameter m; the number of rows that
+    fail their checks."""
     half = alexander_region(PARTIAL_12)
     failures = 0
     print("crossings     m   region_s      fox_s  region k/B  phase1_s  phase2_s"
           "   fox k/B  phase1_s  phase2_s   jones_s  compl_s  rebuilt_s  verify_s  ok")
-    for m in args.m:
+    for m in ms:
         k = kt_member(m)
         want = half * half
         for t in k.meta.spec.tangles:
             want = want * alexander_region(numerator(t))
         want = normalize_alexander(want, knot=True)
         rrows, frows = region_rows(k), fox_rows(k)
-        t_region, d_region = best_time(rrows, args.repeat)
-        t_fox, d_fox = best_time(frows, args.repeat)
+        t_region, d_region = best_time(rrows, repeat)
+        t_fox, d_fox = best_time(frows, repeat)
         t0 = time.process_time()
         v = jones(k)
         t_jones = time.process_time() - t0
@@ -165,6 +172,45 @@ def main() -> int:
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
               f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f} "
               f"{t_jones:9.3f} {t_one:8.3f} {t_two:10.3f} {t_verify:9.3f}  {'yes' if ok else 'NO'}")
+    return failures
+
+
+def wide_family(ps, repeat: int) -> int:
+    """Print one row per torus knot T(p, p + 1); the number of rows whose
+    routes do not both give the closed form."""
+    failures = 0
+    print("  p  crossings   region_s      fox_s  region k/B  phase1_s  phase2_s"
+          "   fox k/B  phase1_s  phase2_s  ok")
+    for p in ps:
+        d = torus_closure(p)
+        rrows, frows = region_rows(d), fox_rows(d)
+        t_region, d_region = best_time(rrows, repeat)
+        t_fox, d_fox = best_time(frows, repeat)
+        ok = (normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True)
+              == torus_alexander(p))
+        failures += not ok
+        (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
+        print(f"{p:3} {len(d.crossings):10} {t_region:10.3f} {t_fox:10.3f} "
+              f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f}  "
+              f"{'yes' if ok else 'NO'}")
+    return failures
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--m", type=int, nargs="+",
+                    help="kt twist parameters to run (default: 68 to 1,620 crossings, "
+                         "unless --torus is given)")
+    ap.add_argument("--torus", type=int, nargs="+", default=[],
+                    help="braid strands p of the torus knots T(p, p + 1) to run")
+    ap.add_argument("--repeat", type=int, default=3, help="best of this many runs")
+    args = ap.parse_args()
+    if args.m is None:
+        args.m = [] if args.torus else [6, 12, 25, 50, 100, 200]
+
+    failures = scaling_family(args.m, args.repeat) if args.m else 0
+    if args.torus:
+        failures += wide_family(args.torus, args.repeat)
     return 1 if failures else 0
 
 

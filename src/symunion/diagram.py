@@ -255,7 +255,7 @@ def find_root(parent: dict[int, int], e: int) -> int:
 # The most crossings a parsed PD document or tangle document may describe,
 # checked before anything is built. The benchmark's largest union has 68
 # crossings; scripts/alexander_scaling.py runs unions of up to 1,620, where
-# `verify` takes about 0.9 s (whole process, wall clock, Python 3.11, one
+# `verify` takes about 0.65 s (whole process, wall clock, Python 3.11, one
 # Xeon core).
 MAX_CROSSINGS = 2_000
 

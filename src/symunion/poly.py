@@ -426,9 +426,10 @@ def det_laurent(
     changed.
 
     Phase 1 (_unit_pivots) expands along unit pivots +-t^k while any is
-    left. Phase 2 (_block_det) takes the determinant of the block that is
-    left by integer Bareiss at t = 2^B. The cancel token is polled once per
-    pivot of either phase."""
+    left: first in the columns with two live rows, where a pivot updates
+    one other row, then in Markowitz order. Phase 2 (_block_det) takes the
+    determinant of the block that is left by integer Bareiss at t = 2^B.
+    The cancel token is polled once per pivot of either phase."""
     n = len(rows)
     if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError("determinant needs a square matrix")
@@ -453,46 +454,103 @@ def _unit_pivots(
     rows square, det = u t^k det S holds for the rows and S over their
     other columns and that choice.
 
-    The pivot is the unit entry of least Markowitz cost (r-1)(c-1), ties by
-    row and then column index. A queue in two levels finds it: each column
-    keeps a heap of (r-1, i) over its unit entries, whose head is the
-    column's best, and one heap holds (cost, i, j) of the column heads. A
-    pivot changes r for the rows it updates and c for its own row's
-    columns, so only the columns those rows touch offer their head again;
-    a column whose count c changes offers one entry, not all of them. Every
-    column's current head is in the queue at its current cost, so an entry
-    popped at its current cost is the least. Stale entries are dropped when
-    they come up. Each column marks the entry it last queued, and does not
-    queue an equal one while that entry is in the queue; popping the
-    marked entry clears the mark. Dividing by a unit is a shift.
+    Phase 0 clears the columns outside keep with two live rows first: a
+    pivot there updates one other row and needs no cost. A stack holds
+    such columns, at first all of them in ascending order, and is popped
+    from the top. A popped column that still has two rows pivots at the
+    lower of its rows that holds a unit, and is skipped when neither does;
+    the pivot row's columns left with two rows are then pushed, in
+    ascending order.
+
+    On what is left, the pivot is the unit entry of least Markowitz cost
+    (r-1)(c-1), ties by row and then column index. A queue in two levels
+    finds it: each column keeps a heap of (r-1, i) over its unit entries,
+    whose head is the column's best, and one heap holds (cost, i, j) of
+    the column heads. Every column's current head is in the queue at its
+    current cost, so an entry popped at its current cost is the least.
+    A pivot keeps that true by re-offering only what it changed. Besides
+    its own column, which goes, it changes the count c only of its row's
+    columns, and entries only in those columns, so those columns offer
+    their head again. An updated row of the same length keeps its other
+    heap entries valid and pushes only its units in the pivot row's
+    columns. An updated row whose length changed pushes all its units at
+    the new length, and their columns offer their head again; a column
+    outside the pivot row's where it holds no unit held none before
+    either, so the row was not that column's head. Stale heap entries are
+    dropped when they come up. Each column marks the entry it last queued,
+    and does not queue an equal one while that entry is in the queue;
+    popping the marked entry clears the mark. Dividing by a unit is a
+    shift.
 
     The sign of the expansion is that of the permutation taking the pivot
     rows, in the order they were taken, to the pivot columns: the parity of
     the row sequence XOR that of the column sequence, with S's rows and
     columns appended in increasing order."""
-    n, cols = len(rows), max(len(rows), keep.stop)
+    cols = max(len(rows), keep.stop)
+    free = cols - len(keep)
     m: dict[int, dict[int, dict[int, int]]] = {}
     users: list[set[int]] = [set() for _ in range(cols)]
-    # column j's heap: (r - 1, i) of its unit entries +-t^k. An entry has
-    # no zero coefficient, so it is a unit when it has one term in [-1, 1].
-    column: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
     for i, row in enumerate(rows):
-        m[i] = mi = {j: q for j, p in row.items() if (q := coeff_map(p))}
-        r1 = len(mi) - 1
-        for j, p in mi.items():
-            users[j].add(i)
-            if len(p) == 1 and -1 <= sum(p.values()) <= 1:
-                column[j].append((r1, i))
+        m[i] = mi = {}
+        for j, p in row.items():
+            q = {}
+            for e, v in p.items():
+                if type(e) is not int:
+                    _check_int(e, "exponent")
+                if type(v) is not int:
+                    _check_int(v, "coefficient")
+                if v:
+                    q[e] = v
+            if q:
+                mi[j] = q
+                users[j].add(i)
     if not all(m.values()):
         return None
-    for h in column:
-        heapify(h)
-    queue: list[tuple[int, int, int]] = []
-    queued: list[tuple[int, int, int] | None] = [None] * cols
     row_seq: list[int] = []
     col_seq: list[int] = []
     unit, shift = 1, 0
-    touched: Iterable[int] = range(cols - len(keep))
+    # an entry has no zero coefficient, so it is a unit +-t^k when it has
+    # one term in [-1, 1]
+    stack = [j for j in range(free) if len(users[j]) == 2]
+    while stack:
+        c = stack.pop()
+        pair = users[c]
+        if len(pair) != 2:
+            continue
+        r, i = sorted(pair)
+        p = m[r][c]
+        if not (len(p) == 1 and -1 <= sum(p.values()) <= 1):
+            r, i = i, r
+            p = m[r][c]
+            if not (len(p) == 1 and -1 <= sum(p.values()) <= 1):
+                continue
+        _check(cancel)
+        prow = m.pop(r)
+        del prow[c]
+        ((k, u),) = p.items()
+        unit, shift = unit * u, shift + k
+        row_seq.append(r)
+        col_seq.append(c)
+        pair.clear()
+        for j in prow:
+            users[j].discard(r)
+        row = m[i]
+        _eliminate(row, i, prow, k, -u, c, users)
+        if not row:
+            return None
+        stack.extend(j for j in sorted(prow) if j < free and len(users[j]) == 2)
+    # column j's heap: (r - 1, i) of its unit entries
+    column: list[list[tuple[int, int]]] = [[] for _ in range(free)]
+    for i, row in m.items():
+        r1 = len(row) - 1
+        for j, p in row.items():
+            if j < free and len(p) == 1 and -1 <= sum(p.values()) <= 1:
+                column[j].append((r1, i))
+    for h in column:
+        heapify(h)
+    queue: list[tuple[int, int, int]] = []
+    queued: list[tuple[int, int, int] | None] = [None] * free
+    touched: Iterable[int] = range(free)
     while True:
         # each touched column queues its head at its current cost, dropping
         # the heap entries of rows that have changed since they were pushed
@@ -534,32 +592,49 @@ def _unit_pivots(
             users[j].discard(r)
         below = users[c]
         below.discard(r)
-        touched = set(prow)
+        touched = {j for j in prow if j < free}
         for i in below:
             row = m[i]
-            f = {e - k: nu * v for e, v in row.pop(c).items()}  # -entry / pivot
-            for j, a in prow.items():
-                acc = row.setdefault(j, {})
-                addmul(acc, f, a)
-                if acc:
-                    users[j].add(i)
-                else:
-                    del row[j]
-                    users[j].discard(i)
+            before = len(row)
+            _eliminate(row, i, prow, k, nu, c, users)
             if not row:
                 return None
             r1 = len(row) - 1
-            touched.update(row)
-            for j, p in row.items():
-                if len(p) == 1 and -1 <= sum(p.values()) <= 1:
-                    heappush(column[j], (r1, i))
-        touched.difference_update(keep)
+            if r1 == before - 1:
+                for j in prow:
+                    p = row.get(j)
+                    if p is not None and j < free and len(p) == 1 and -1 <= sum(p.values()) <= 1:
+                        heappush(column[j], (r1, i))
+            else:
+                for j, p in row.items():
+                    if j < free and len(p) == 1 and -1 <= sum(p.values()) <= 1:
+                        heappush(column[j], (r1, i))
+                        touched.add(j)
     left_rows = sorted(m)
     taken = set(col_seq)
     left_cols = [j for j in range(cols) if j not in taken]
     if _parity(row_seq + left_rows) != _parity(col_seq + left_cols):
         unit = -unit
     return unit, shift, [[m[i].get(j, {}) for j in left_cols] for i in left_rows]
+
+
+def _eliminate(row, i, prow, k, nu, c, users) -> None:
+    """Row i -= (its entry at c / the pivot u t^k) times the pivot row prow,
+    whose entry at c is gone, for nu = -u: row i drops column c, and the
+    users of prow's columns follow the entries that appear or cancel. A
+    new entry is a product of two nonzero polynomials, so it is not 0."""
+    f = {e - k: nu * v for e, v in row.pop(c).items()}  # -entry / pivot
+    for j, a in prow.items():
+        acc = row.get(j)
+        if acc is None:
+            row[j] = acc = {}
+            users[j].add(i)
+            addmul(acc, f, a)
+        else:
+            addmul(acc, f, a)
+            if not acc:
+                del row[j]
+                users[j].discard(i)
 
 
 def _parity(seq: Sequence[int]) -> int:

@@ -1046,3 +1046,24 @@ def torus_jones(p: int) -> LaurentPoly:
     assert not any(rest.values()), "1 - t^2 does not divide the numerator"
     shift = (p - 1) * (q - 1) // 2
     return LaurentPoly({-(e + shift): c for e, c in quotient.items()})
+
+
+def torus_alexander(p: int) -> LaurentPoly:
+    """The Alexander polynomial of torus_closure(p) in closed form,
+    normalized: (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) at q = p + 1.
+    The long division runs on integers from the top term down, and is
+    exact: the divisor is monic, and the remainder is checked to be 0."""
+    q = p + 1
+    rest = (LaurentPoly({p * q: 1, 0: -1}) * LaurentPoly({1: 1, 0: -1})).to_dict()
+    divisor = (LaurentPoly({p: 1, 0: -1}) * LaurentPoly({q: 1, 0: -1})).to_dict()
+    top = p + q
+    quotient: dict[int, int] = {}
+    for e in range(max(rest), top - 1, -1):
+        c = rest.pop(e, 0)
+        if c:
+            quotient[e - top] = c
+            for d, v in divisor.items():
+                if d != top:
+                    rest[e - top + d] = rest.get(e - top + d, 0) - c * v
+    assert not any(rest.values()), "the divisor does not divide the numerator"
+    return normalize_alexander(LaurentPoly(quotient), knot=True)

@@ -38,6 +38,7 @@ from helpers import (
     sweep_by_pairs,
     sweep_order_reference,
     sweep_order_unpruned,
+    torus_alexander,
     torus_closure,
     torus_jones,
     unknot,
@@ -358,25 +359,24 @@ def test_bareiss_checks_each_division(monkeypatch):
 
 
 def unit_pivots_by_scan(rows, keep=range(0)):
-    """Phase 1 of det_laurent by a full scan: at every step the unit entry
-    of least ((r-1)(c-1), i, j) outside the columns in keep, with the sign
-    of the step from the pivot's position among the live rows and columns.
-    The reference for the pivot queue of poly._unit_pivots."""
+    """Phase 1 of det_laurent by a full scan, after the same phase 0 as
+    poly._unit_pivots: first the columns outside keep with two live rows,
+    off a stack that starts with all of them in ascending order, pops from
+    the top, pivots at the lower row holding a unit, skips a column where
+    neither does, and pushes the pivot row's columns that are left with
+    two live rows, in ascending order. Then at every step the unit entry
+    of least ((r-1)(c-1), i, j) outside the columns in keep. The sign of
+    each step comes from the pivot's position among the live rows and
+    columns. The reference for the pivot queue of poly._unit_pivots."""
     m = {i: {j: LaurentPoly(p) for j, p in row.items() if p} for i, row in enumerate(rows)}
     live_rows, live_cols = list(range(len(rows))), list(range(max(len(rows), keep.stop)))
     unit, shift = 1, 0
-    while all(m.values()):
-        candidates = [
-            ((len(row) - 1) * (sum(j in other for other in m.values()) - 1), i, j)
-            for i, row in m.items()
-            for j, p in row.items()
-            if is_unit(p) and j not in keep
-        ]
-        if not candidates:
-            block = [[m[i][j].to_dict() if j in m[i] else {} for j in live_cols]
-                     for i in live_rows]
-            return unit, shift, block
-        _, r, c = min(candidates)
+
+    def rows_of(j):
+        return sorted(i for i, row in m.items() if j in row)
+
+    def pivot(r, c):
+        nonlocal unit, shift
         prow = m.pop(r)
         ((k, u),) = prow.pop(c).items()
         if (live_rows.index(r) + live_cols.index(c)) % 2:
@@ -391,6 +391,29 @@ def unit_pivots_by_scan(rows, keep=range(0)):
                     row[j] = row.get(j, LaurentPoly.zero()) - f * a
                     if not row[j]:
                         del row[j]
+        return prow
+
+    stack = [j for j in live_cols if j not in keep and len(rows_of(j)) == 2]
+    while stack and all(m.values()):
+        c = stack.pop()
+        pair = rows_of(c)
+        units = [i for i in pair if len(pair) == 2 and is_unit(m[i][c])]
+        if units:
+            prow = pivot(units[0], c)
+            stack += [j for j in sorted(prow) if j not in keep and len(rows_of(j)) == 2]
+    while all(m.values()):
+        candidates = [
+            ((len(row) - 1) * (len(rows_of(j)) - 1), i, j)
+            for i, row in m.items()
+            for j, p in row.items()
+            if is_unit(p) and j not in keep
+        ]
+        if not candidates:
+            block = [[m[i][j].to_dict() if j in m[i] else {} for j in live_cols]
+                     for i in live_rows]
+            return unit, shift, block
+        _, r, c = min(candidates)
+        pivot(r, c)
     return None
 
 
@@ -422,17 +445,86 @@ def test_kept_columns_are_never_pivoted_and_finish_any_square_choice(rows, extra
 
 
 def test_pivot_queue_queues_a_head_again_after_its_entry_is_popped():
-    # found by a random search against the full scan: a queued head is
+    # found by random searches against the full scan: a queued head is
     # popped and dropped, and later heads its column again at the same
-    # cost, so the pop has to clear the column's mark
-    rows = [
+    # cost, so the pop has to clear the column's mark. Phase 0 now takes
+    # the first matrix's pivot at (0, 3), so that it no longer reaches the
+    # case; the second, an integer matrix, reaches it after phase 0
+    first = [
         {0: {0: 1, 1: 1}, 1: {1: 1}, 2: {0: 2}, 3: {0: 1}, 4: {1: 1, 2: -1}},
         {3: {0: 1, 1: 1}, 4: {0: 1}},
         {1: {0: 2}, 4: {0: 2}},
         {1: {0: 1}, 2: {0: 1, 1: -1}, 4: {0: 1, 1: -1}},
         {0: {0: 1, 1: 1}, 4: {0: -1, 1: 1}},
     ]
-    assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
+    second = [
+        {2: {0: 1}, 3: {0: -1}, 4: {0: -1}, 5: {0: 1}},
+        {0: {0: -2}, 1: {0: -1}, 2: {0: -1}, 3: {0: 3}},
+        {0: {0: 2}, 4: {0: -1}},
+        {0: {0: -1}, 2: {0: 2}, 4: {0: -1}},
+        {0: {0: -1}, 1: {0: 1}, 5: {0: 2}},
+        {3: {0: -2}, 4: {0: -2}, 5: {0: -2}},
+    ]
+    for rows in (first, second):
+        assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
+
+
+def test_phase_0_skips_a_two_row_column_with_no_unit():
+    # column 1, popped first, holds 2 and 3: no unit, so phase 0 moves on
+    # to column 0; a pivot at 2 would divide by a non-unit
+    rows = [{0: {0: 1}, 1: {0: 2}}, {0: {0: 1}, 1: {0: 3}}]
+    assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows) == (1, 0, [])
+    assert det_laurent(rows) == LaurentPoly.one()
+
+
+def test_phase_0_pivots_at_the_lower_row_when_both_hold_a_unit():
+    # column 1 holds -1 in row 0 and t in row 1: phase 0 takes row 0, where
+    # the Markowitz tie-break alone would take t^3 at (0, 0) and a pivot at
+    # row 1 would leave t^3 + t and shift 1
+    rows = [{0: {3: 1}, 1: {0: -1}}, {0: {2: 1}, 1: {1: 1}}]
+    assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows) == (1, 0, [[{2: 1, 4: 1}]])
+    assert det_laurent(rows) == LaurentPoly({2: 1, 4: 1})
+
+
+def test_phase_0_never_pivots_a_kept_two_row_column():
+    # kept columns 1 and 2 hold units in both rows; free column 0 holds none
+    rows = [{0: {0: 2}, 1: {0: 1}, 2: {0: 1}}, {0: {0: 3}, 1: {0: 1}, 2: {1: 1}}]
+    block = [[{0: 2}, {0: 1}, {0: 1}], [{0: 3}, {0: 1}, {1: 1}]]
+    assert poly._unit_pivots(rows, None, range(1, 3)) == (1, 0, block)
+    assert unit_pivots_by_scan(rows, range(1, 3)) == (1, 0, block)
+
+
+def test_cancel_stops_phase_1_at_its_first_phase_0_pivot():
+    class FiresAt(CancelToken):
+        def __init__(self, poll):
+            super().__init__()
+            self.polls, self.poll = 0, poll
+
+        def check(self):
+            self.polls += 1
+            if self.polls == self.poll:
+                self.cancel()
+            super().check()
+
+    # column 1 has two rows, both units, so the first pivot is phase 0's;
+    # the second is Markowitz's, at (1, 0)
+    rows = [{0: {0: 1}, 1: {0: 1}}, {1: {0: 1}}]
+    for poll in (1, 2):
+        tok = FiresAt(poll)
+        with pytest.raises(Cancelled):
+            poly._unit_pivots(rows, tok)
+        assert tok.polls == poll
+    tok = FiresAt(3)
+    assert poly._unit_pivots(rows, tok) == unit_pivots_by_scan(rows) == (1, 0, [])
+    assert tok.polls == 2
+
+
+def test_a_row_emptied_in_phase_0_makes_the_determinant_0():
+    # row 1 is twice row 0, so the pivot at (0, 1) leaves it empty
+    rows = [{0: {0: 1}, 1: {0: 1}}, {0: {0: 2}, 1: {0: 2}}, {2: {0: 1}}]
+    assert poly._unit_pivots(rows, None) is None
+    assert unit_pivots_by_scan(rows) is None
+    assert det_laurent(rows).is_zero()
 
 
 def alexander_matrices(k):
@@ -1066,6 +1158,16 @@ def test_jones_of_torus_closures(p):
         mp.setattr(inv, "_STATE_LIMIT", tally)
         assert jones(torus_closure(p)) == torus_jones(p)
     assert max(tally.counts) == math.comb(2 * p, p) // (p + 1)
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_alexander_of_torus_closures(p):
+    """The closed form of Delta(T(p, p + 1)) by both routes: the trefoil's
+    t - 1 + 1/t at p = 2, and a span of (p - 1)(q - 1), twice the genus."""
+    d = torus_closure(p)
+    want = torus_alexander(p)
+    assert alexander_region(d) == alexander_fox(wirtinger(d)) == want
+    assert want.max_exp() - want.min_exp() == (p - 1) * p
 
 
 @pytest.mark.parametrize("k", range(2, 9))

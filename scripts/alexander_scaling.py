@@ -9,9 +9,9 @@ helpers.kt_member, which the tests share.
 For each m the script prints the crossings, the best of --repeat process
 times of the region-route and Fox-route determinants, and for each route
 the size k of the block left once no unit pivot remains, the packing
-width B of that block, and the process seconds of one run of each phase:
-phase 1 (the unit pivots, poly._unit_pivots) and phase 2 (the block's
-Bareiss, poly._block_det). Then come the process seconds of one
+width B of that block, and the best of --repeat process seconds of each
+phase: phase 1 (the unit pivots, poly._unit_pivots) and phase 2 (the
+block's Bareiss, poly._block_det). Then come the process seconds of one
 jones(k), the Kauffman-bracket sweep, of region 1's two complement
 closures for the fraction certificate, taken both ways: read off the
 built union with box 1 contracted to one vertex, with one phase 1
@@ -36,7 +36,7 @@ With --torus it runs both routes on the wide family too: the torus knots
 T(p, p + 1) as p-strand braid closures (helpers.torus_closure), whose
 Fox matrices keep few two-row columns. For each p it prints the
 crossings, the best of --repeat process times of each route and each
-route's k/B and phase seconds, and exits 1 unless both routes give the
+route's k/B and best phase seconds, and exits 1 unless both routes give the
 closed form of Delta(T(p, p + 1)) (helpers.torus_alexander). --m runs
 by default only when --torus is not given.
 
@@ -97,18 +97,23 @@ def best_time(rows, repeat: int):
     return best, value
 
 
-def phases(rows) -> tuple[int, int, float, float]:
+def phases(rows, repeat: int) -> tuple[int, int, float, float]:
     """The size k of the block left after the unit pivots and its width B
-    (0 and 0 when no block is left), and the process seconds of phase 1
-    and of phase 2 (0 when no block is left)."""
-    t0 = time.process_time()
-    found = poly._unit_pivots(rows, None)
-    t1 = time.process_time()
-    if found is None or not found[2]:
-        return 0, 0, t1 - t0, 0.0
-    block = found[2]
-    poly._block_det(block, None)
-    return len(block), poly._block_width(block), t1 - t0, time.process_time() - t1
+    (0 and 0 when no block is left), and the best of repeat process
+    seconds of phase 1 and of phase 2 (0 when no block is left)."""
+    best = [float("inf")] * 2
+    k = width = 0
+    for _ in range(repeat):
+        t0 = time.process_time()
+        found = poly._unit_pivots(rows, None)
+        t1 = time.process_time()
+        block = found[2] if found is not None else []
+        if block:
+            poly._block_det(block, None)
+            k, width = len(block), poly._block_width(block)
+        t2 = time.process_time() if block else t1
+        best = [min(best[0], t1 - t0), min(best[1], t2 - t1)]
+    return k, width, best[0], best[1]
 
 
 def complements(k) -> tuple[float, float, bool]:
@@ -168,7 +173,7 @@ def scaling_family(ms, repeat: int) -> int:
         t_verify, passed = certificates(k)
         ok = ok and same and passed and same_as_the_reference(k)
         failures += not ok
-        (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
+        (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows, repeat), phases(frows, repeat)
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
               f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f} "
               f"{t_jones:9.3f} {t_one:8.3f} {t_two:10.3f} {t_verify:9.3f}  {'yes' if ok else 'NO'}")
@@ -189,7 +194,7 @@ def wide_family(ps, repeat: int) -> int:
         ok = (normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True)
               == torus_alexander(p))
         failures += not ok
-        (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows), phases(frows)
+        (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows, repeat), phases(frows, repeat)
         print(f"{p:3} {len(d.crossings):10} {t_region:10.3f} {t_fox:10.3f} "
               f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f}  "
               f"{'yes' if ok else 'NO'}")

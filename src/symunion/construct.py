@@ -13,15 +13,15 @@ one built union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Mapping, TypeVar
 
 from .diagram import (
-    Crossing,
     PlanarDiagram,
     DiagramError,
     cap_crossings,
     faces,
     json_int,
+    number_edges,
     over_arcs,
     parse_pd,
     to_doc,
@@ -84,7 +84,8 @@ class SymUnionSpec:
 @dataclass(frozen=True)
 class UnionMeta:
     """What the builder records with a union, so that every certificate
-    reads the one built union: no certificate assembles another."""
+    reads the one built union: no certificate assembles another, and the
+    zero replacement is a diagram made from its mates and corners."""
 
     spec: SymUnionSpec
     # per box: 0 attaches the host's outgoing stub at NW, 1 swaps north
@@ -93,8 +94,8 @@ class UnionMeta:
     # fold[e - 1]: the partial edge union edge e folds onto (group.build_epimorphism)
     fold: tuple[int, ...]
     # corners[i - 1]: the union darts just outside box i's corners NW, SW,
-    # SE and NE, counterclockwise, all in the halves' rows (contract_box,
-    # zero_replacement)
+    # SE and NE, counterclockwise, all in the halves' rows (contract_box;
+    # zero_replacement wires them into the zero replacement's diagram)
     corners: tuple[tuple[int, ...], ...]
 
 
@@ -128,13 +129,6 @@ def _oriented_for_box(t: Tangle, bit: int) -> Tangle:
     return orient(t, dict.fromkeys(("NW", "SE") if bit == 0 else ("SW", "NE"), "in"))
 
 
-def _is_head(k: int, flags: Sequence[bool]) -> bool:
-    """Whether dart k is its edge's head: slot a always, slot d when the
-    over-strand enters there, slot b when it does not."""
-    s = k & 3
-    return s == 0 or s & 1 == 1 and flags[k >> 2] == (s == 3)
-
-
 def _assemble_with_bits(spec: SymUnionSpec, bits: tuple[int, ...]) -> PlanarDiagram:
     """The union of spec at attachment bits, built as a pairing of darts.
     Rows 0..c-1 hold the partial and rows c..2c-1 its mirror, whose dart
@@ -145,7 +139,8 @@ def _assemble_with_bits(spec: SymUnionSpec, bits: tuple[int, ...]) -> PlanarDiag
     darts its box opens, the ends of marked arc i and their mirrors; a
     crossingless strand pairs two of them. One walk numbers the edges
     along the orientation from a0, each further component from its lowest
-    dart, so the one diagram built is the union itself; its faces are
+    dart (diagram.number_edges), and the diagram takes the pairing as it
+    is, so the one diagram built is the union itself; its faces are
     walked here (planar_faces). Its metadata keeps each box's corner darts
     for contract_box and zero_replacement."""
     d = spec.partial
@@ -196,20 +191,14 @@ def _assemble_with_bits(spec: SymUnionSpec, bits: tuple[int, ...]) -> PlanarDiag
         flags += t.over_from_d
         base = top
 
-    eid = [0] * size
-    heads = []  # each edge's head, in the order the walks number the edges
-    for k in (mirror[a0], *range(size)):
-        k = k if eid[k] or _is_head(k, flags) else mate[k]
-        while not eid[k]:
-            heads.append(k)
-            eid[k] = eid[mate[k]] = len(heads)
-            k = mate[k ^ 2]  # straight through the crossing to the next edge's head
+    xs, heads = number_edges(mate, flags, mirror[a0])
     try:
         built = PlanarDiagram(
-            tuple(Crossing(*eid[k : k + 4]) for k in range(0, size, 4)),
+            xs,
             tuple(flags),
             labels={e: label[k] for e, k in enumerate(heads, start=1)},
             meta=UnionMeta(spec, tuple(bits), tuple(fold[k] for k in heads), tuple(corners)),
+            mates=tuple(mate),
         )
         planar_faces(built)
     except DiagramError as exc:
@@ -368,28 +357,23 @@ def contract_box(k: PlanarDiagram, i: int) -> tuple[tuple[int, ...], int, tuple[
     return faces(mate), p, (closed + 1 + (end & 3 == 1), closed + 1 + (end & 3 == 3))
 
 
-def zero_replacement(k: PlanarDiagram) -> tuple[list[int], int]:
+def zero_replacement(k: PlanarDiagram) -> PlanarDiagram:
     """The zero replacement of the built union k, where every box holds
     the crossingless west-to-east tangle, read off k with nothing rebuilt:
-    its mates, k's over the halves' rows (the first 2c(D) crossings, which
-    hold every corner dart) with each box's corner darts wired NW to NE and
-    SW to SE, and its component count, traced through those mates. Where
-    the axis edge and a marked edge cut the partial in two, its graph
-    falls apart too: a split diagram, which no rebuild could embed."""
+    k's mates and flags over the halves' rows (the first 2c(D) crossings,
+    which hold every corner dart), each box's corner darts wired NW to NE
+    and SW to SE, numbered by the builder's walk from k's edge 1. Where the
+    axis edge and a marked edge cut the partial in two, it is a split
+    diagram, which no rebuild could embed."""
     meta = _meta_of(k)
-    mate = list(k.mates[: 8 * len(meta.spec.partial.crossings)])
+    halves = 2 * len(meta.spec.partial.crossings)
+    mate = list(k.mates[: 4 * halves])
     for nw, sw, se, ne in meta.corners:
         mate[nw], mate[ne], mate[sw], mate[se] = ne, nw, se, sw
-    seen = bytearray(len(mate))
-    components = 0
-    for start in range(len(mate)):
-        if not seen[start]:
-            components += 1
-            m = start
-            while not seen[m]:
-                seen[m] = seen[m ^ 2] = 1  # both ways through the crossing
-                m = mate[m ^ 2]
-    return mate, components
+    flags = k.over_from_d[:halves]
+    i, s = k.head_of[1]
+    xs, _ = number_edges(mate, flags, 4 * i + s)
+    return PlanarDiagram(xs, flags, mates=tuple(mate))
 
 
 # -- spec documents -------------------------------------------------------------------

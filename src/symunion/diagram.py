@@ -5,9 +5,12 @@ starting at the incoming under-strand edge, so the under-strand runs a -> c.
 Which way the over-strand runs is not part of the tuple; it is stored per
 crossing as the flag ``over_from_d`` (True: the over-strand enters at the
 d slot and leaves at b, which makes the crossing positive; False is the
-negative case). A diagram built without flags, as parsing builds one,
-recovers them from the requirement that every edge has exactly one head
-and one tail (orient_ends).
+negative case). A diagram keeps the other end of each edge end
+(``mates``): a maker that pairs them hands its pairing over and numbers
+the edges in one walk (number_edges), and parsed edge ids are paired from
+the ids (pair_ends). One check runs either way, and recovers flags not
+given from the requirement that every edge has exactly one head and one
+tail (orient_ends).
 
 Edge ids of a diagram with c crossings are exactly 1..2c. Crossing-free
 circle components are counted separately in ``free_loops``; they carry no
@@ -73,12 +76,11 @@ class PlanarDiagram:
     free_loops: int = 0
     labels: Mapping[int, str] = field(default_factory=dict)
     meta: object = field(default=None, compare=False)
+    # the other end of each dart; None: paired from the edge ids (orient_ends)
+    mates: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     # values other layers derive from this diagram and keep with it; only
     # construct.derived writes here
     computed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    # the other end of each edge end, as orient_ends pairs them
-    mates: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.crossings and self.free_loops == 0:
@@ -88,7 +90,7 @@ class PlanarDiagram:
         if self.over_from_d is not None and len(self.over_from_d) != len(self.crossings):
             raise MalformedPD("one over flag per crossing required")
         n = 2 * len(self.crossings)
-        flags, _, mates = orient_ends(self.crossings, self.over_from_d, n)
+        flags, _, mates = orient_ends(self.crossings, self.over_from_d, n, mates=self.mates)
         object.__setattr__(self, "over_from_d", flags)
         object.__setattr__(self, "mates", mates)
         for e in self.labels:
@@ -146,10 +148,19 @@ class PlanarDiagram:
     @cached_property
     def connected(self) -> bool:
         """Connectivity of the underlying 4-valent graph (loops split),
-        walked once per diagram."""
+        walked over the mates once per diagram."""
         if self.free_loops:
             return self.free_loops == 1 and not self.crossings
-        return graph_connected(self.mates)
+        seen = bytearray(len(self.crossings))
+        seen[0] = 1
+        todo = [0]
+        while todo:
+            i = todo.pop()
+            for m in self.mates[4 * i : 4 * i + 4]:
+                if not seen[m >> 2]:
+                    seen[m >> 2] = 1
+                    todo.append(m >> 2)
+        return all(seen)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -177,15 +188,19 @@ def orient_ends(
     over_from_d: Sequence[bool] | None,
     n: int,
     corners: Sequence[tuple[int, str | None]] = (),
+    mates: Sequence[int] | None = None,
 ) -> tuple[tuple[bool, ...], tuple[str, ...], tuple[int, ...]]:
     """Check and resolve the orientation of a diagram or tangle with edges
     1..n. corners lists a tangle's boundary ends as (edge, flow); an "in"
     corner is its edge's tail, and a flow of None is left to resolve.
 
-    Raises InconsistentEdges unless the edge ids are exactly 1..n with two
-    ends each, and pairs the ends once (pair_ends numbers them: the darts,
-    then the corners in order). Every end is a head or a tail: an end and
-    its mate differ, and so do ends k and k ^ 2 of a crossing.
+    mates pair the ends as pair_ends numbers them: the darts, then the
+    corners in order. None pairs them from the edge ids, and raises
+    InconsistentEdges unless the ids are exactly 1..n with two ends each.
+    Either way the mates must be an involution with no fixed point
+    (InconsistentEdges as pair_ends words an edge with one end or three),
+    and every end is a head or a tail: an end and its mate differ, and so
+    do ends k and k ^ 2 of a crossing.
 
     Every end the input fixes is filled first: slot a is a head and slot c
     a tail, a given flag is whether slot d is a head (slot b is the
@@ -198,18 +213,24 @@ def orient_ends(
     raises OrientationError. Returns the flags, the flow at every corner
     and the mates."""
     ids = [e for x in crossings for e in x] + [e for e, _ in corners]
-    for e in ids:
-        if not isinstance(e, int) or e < 1 or e > n:
-            raise InconsistentEdges(f"edge id {e} outside 1..{n}")
-    if len(ids) != 2 * n:
-        raise InconsistentEdges(f"{len(ids)} edge ends for {n} edges, expected {2 * n}")
-    mate = pair_ends(ids)
+    if mates is None:
+        for e in ids:
+            if not isinstance(e, int) or e < 1 or e > n:
+                raise InconsistentEdges(f"edge id {e} outside 1..{n}")
+        if len(ids) != 2 * n:
+            raise InconsistentEdges(f"{len(ids)} edge ends for {n} edges, expected {2 * n}")
+        mates = pair_ends(ids)
+    elif len(mates) != len(ids):
+        raise InconsistentEdges(f"{len(mates)} mates for {len(ids)} edge ends")
     darts = 4 * len(crossings)
     head: list[bool | None] = [True, None, False, None] * len(crossings)
-    for i, f in enumerate(over_from_d or ()):
-        head[4 * i + 1], head[4 * i + 3] = not f, f
+    if over_from_d is not None:
+        head[1::4], head[3::4] = [not f for f in over_from_d], over_from_d
     head += [None if f is None else f == "out" for _, f in corners]
+    mate, size = tuple(mates), len(ids)
     for k, m in enumerate(mate):
+        if m == k or not 0 <= m < size or mate[m] != k:
+            raise InconsistentEdges(f"edge {ids[k]} has {1 if m == k else 3} ends, expected 2")
         if head[k] is not None and head[k] == head[m]:
             h = 2 * head[k]
             raise OrientationError(f"edge {ids[k]} has {h} heads and {2 - h} tails")
@@ -237,9 +258,34 @@ def orient_ends(
             if head[4 * i + 3] is None:
                 # slot d is a head if b follows d, not if d follows b, else if b > d
                 seed([(4 * i + 3, (b - d) % n == 1 or (d - b) % n != 1 and b > d)])
-    flags = tuple(head[k] for k in range(3, darts, 4))
-    ends = tuple("out" if head[k] else "in" for k in range(darts, len(mate)))
+    flags = tuple(head[3:darts:4])
+    ends = tuple("out" if h else "in" for h in head[darts:])
     return flags, ends, mate  # type: ignore[return-value]
+
+
+def is_head(k: int, flags: Sequence[bool]) -> bool:
+    """Whether dart k is its edge's head: slot a always, slot d when the
+    over-strand enters there, slot b when it does not."""
+    s = k & 3
+    return s == 0 or s & 1 == 1 and flags[k >> 2] == (s == 3)
+
+
+def number_edges(
+    mate: Sequence[int], flags: Sequence[bool], first: int
+) -> tuple[tuple[Crossing, ...], list[int]]:
+    """Number the edges of the darts paired as mate, with over flags flags,
+    in one walk along the orientation: from the edge at dart first, then
+    each further component from its lowest dart. Returns the crossings
+    and the head of each edge, in order."""
+    eid = [0] * len(mate)
+    heads: list[int] = []
+    for k in (first, *range(len(mate))):
+        k = k if eid[k] or is_head(k, flags) else mate[k]
+        while not eid[k]:
+            heads.append(k)
+            eid[k] = eid[mate[k]] = len(heads)
+            k = mate[k ^ 2]  # straight through the crossing to the next edge's head
+    return tuple(Crossing(*eid[k : k + 4]) for k in range(0, len(mate), 4)), heads
 
 
 def find_root(parent: dict[int, int], e: int) -> int:
@@ -386,22 +432,6 @@ def faces(mate: Sequence[int]) -> tuple[int, ...]:
     return tuple(face)
 
 
-def graph_connected(mate: Sequence[int]) -> bool:
-    """Whether the 4-valent graph whose darts 4i to 4i + 3 at vertex i pair
-    as mate (PlanarDiagram.mates) is connected; it has a vertex."""
-    seen = bytearray(len(mate) >> 2)
-    seen[0] = 1
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for m in mate[4 * i : 4 * i + 4]:
-            j = m >> 2
-            if not seen[j]:
-                seen[j] = 1
-                todo.append(j)
-    return all(seen)
-
-
 def validate_planarity(d: PlanarDiagram) -> tuple[int, ...]:
     """Euler check: a connected c-crossing diagram embeds in the sphere
     iff the face walk yields exactly c + 2 regions. Returns the faces."""
@@ -417,10 +447,13 @@ def validate_planarity(d: PlanarDiagram) -> tuple[int, ...]:
 
 
 def mirror(d: PlanarDiagram) -> PlanarDiagram:
-    """Reflect across the projection plane: all crossing signs flip."""
+    """Reflect across the projection plane: all crossing signs flip. Slots
+    b and d trade places, and the mates move with their darts."""
     xs = tuple(Crossing(x.a, x.d, x.c, x.b) for x in d.crossings)
     flags = tuple(not f for f in d.over_from_d)
-    return PlanarDiagram(xs, flags, d.free_loops, dict(d.labels), None)
+    moved = [k ^ (k & 1) << 1 for k in range(len(d.mates))]  # its own inverse
+    mates = tuple(moved[d.mates[j]] for j in moved)
+    return PlanarDiagram(xs, flags, d.free_loops, dict(d.labels), None, mates)
 
 
 def writhe(d: PlanarDiagram) -> int:

@@ -21,8 +21,6 @@ from .diagram import (
     MultiComponentInput,
     NoCrossings,
     PlanarDiagram,
-    faces,
-    graph_connected,
     writhe,
 )
 from .construct import (
@@ -778,23 +776,20 @@ def _shared_alexander(
 def verify_zero_replacement(union) -> VerificationReport:
     """Replacing every inserted tangle by the crossingless west-to-east
     tangle splits the union and kills its Alexander polynomial, read off
-    the built union (construct.zero_replacement) and computed as
-    alexander_region computes it, without the faces beside dart 0's edge.
-    Where the axis edge and a marked edge cut the partial in two, its
-    graph falls apart: a split diagram, whose polynomial is 0. A union
-    with no tangle region has nothing to replace: the lemma says nothing
-    about it, and the report records that and holds no check."""
+    the diagram of the zero replacement that the built union's mates give
+    (construct.zero_replacement). Where the axis edge and a marked edge
+    cut the partial in two, its graph falls apart: a split diagram, whose
+    polynomial is 0. A union with no tangle region has nothing to replace:
+    the lemma says nothing about it, and the report records that and
+    holds no check."""
     k = built_union(union)
     rep = VerificationReport("zero replacement collapses the polynomial")
     if not k.meta.spec.tangles:
         rep.record("tangle regions", "none, so the lemma is vacuous")
         return rep
-    mate, components = zero_replacement(k)
-    a = LaurentPoly.zero()
-    if graph_connected(mate):
-        face = faces(mate)
-        a = normalize_alexander(det_laurent(reduced(_corner_rows(face), (face[3], face[0]))))
-    rep.record("components", components)
+    z = zero_replacement(k)
+    a = alexander_region(z)
+    rep.record("components", z.component_count())
     rep.record("alexander of replacement", a.text())
     rep.add("alexander polynomial vanishes", a.is_zero())
     return rep

@@ -16,7 +16,7 @@ OrientationMismatch.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .diagram import (
@@ -54,9 +54,9 @@ class Tangle:
     boundary: Mapping[str, int]
     flows: Mapping[str, str]
     closed_loops: int = 0
-    # not a field: mates, the other end of each edge end (diagram.pair_ends),
-    # darts 4i + s then the corners in CORNERS order, set by the constructor
-    # and by orient
+    # the other end of each edge end, darts 4i + s then the corners in
+    # CORNERS order; None: paired from the edge ids (diagram.orient_ends)
+    mates: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if set(self.boundary) != set(CORNERS) or not set(self.flows) <= set(CORNERS):
@@ -70,7 +70,7 @@ class Tangle:
         corners = [(self.boundary[c], self.flows.get(c)) for c in CORNERS]
         try:
             flags, flows, mates = orient_ends(
-                self.crossings, self.over_from_d, self.edge_count, corners
+                self.crossings, self.over_from_d, self.edge_count, corners, self.mates
             )
         except InconsistentEdges as exc:
             raise TangleError(str(exc)) from exc
@@ -190,9 +190,8 @@ def orient(t: Tangle, want: Mapping[str, str]) -> Tangle:
     a crossing a turned strand passes under turns a half turn, so that the
     under strand enters at slot a again and its dart at slot s moves to
     slot s ^ 2; its over flag flips when exactly one of its two passages is
-    turned; and the flows at a turned strand's two ends swap. That keeps
-    every check of t true, so the result is built without a second one,
-    and its mates are t's with the darts moved."""
+    turned; and the flows at a turned strand's two ends swap. The result
+    takes t's mates with the darts moved, so nothing is paired again."""
     under: set[int] = set()
     over: set[int] = set()
     flows = dict(t.flows)
@@ -214,22 +213,10 @@ def orient(t: Tangle, want: Mapping[str, str]) -> Tangle:
         xs[i] = Crossing(xs[i].c, xs[i].d, xs[i].a, xs[i].b)
     for i in under ^ over:
         flags[i] = not flags[i]
+    # moved is its own inverse: dart moved[k] of the result is t's dart k
     moved = [k ^ 2 if k >> 2 in under else k for k in range(len(t.mates))]
-    mates = [0] * len(moved)
-    for k, m in enumerate(t.mates):
-        mates[moved[k]] = moved[m]
-    fields = {
-        "crossings": tuple(xs),
-        "over_from_d": tuple(flags),
-        "boundary": dict(t.boundary),
-        "flows": flows,
-        "closed_loops": t.closed_loops,
-        "mates": tuple(mates),
-    }
-    r = object.__new__(Tangle)
-    for name, v in fields.items():
-        object.__setattr__(r, name, v)
-    return r
+    mates = tuple(moved[t.mates[j]] for j in moved)
+    return Tangle(tuple(xs), tuple(flags), dict(t.boundary), flows, t.closed_loops, mates)
 
 
 # -- gluing: sum, stack, closures ------------------------------------------------------

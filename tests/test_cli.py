@@ -429,7 +429,7 @@ class TestVerify:
         # kt_union_3 holds kt(3) in all three regions: one Alexander
         # polynomial each for the union, the partial and N(kt(3)), and one
         # phase 1 per region for both closures of its complement; the zero
-        # replacement's is read off the union's mates
+        # replacement is the fourth, a diagram made from the union's mates
         spec = corpus.SPEC_FIXTURES["kt_union_3"]
         path = tmp_path / "kt_union_3.json"
         path.write_text(json.dumps(to_spec_doc(spec)))
@@ -448,7 +448,9 @@ class TestVerify:
         monkeypatch.setattr(invariant, "complement_closures", counting_complements)
         rc, out, _ = run(capsys, "verify", str(path), "--format", "doc")
         assert rc == 0
-        assert len(computed) == 3
+        assert len(computed) == 4
+        assert computed[0].meta is None
+        assert len(computed[0].crossings) == 2 * len(spec.partial.crossings)
         assert complements == [1, 2, 3]
         factors = [json.loads(out)[1]["data"][f"numerator factor {i}"] for i in (1, 2, 3)]
         assert factors == [factors[0]] * 3

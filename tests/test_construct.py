@@ -23,7 +23,7 @@ from helpers import (
     random_spec,
     rotate_pi,
 )
-from symunion import construct, corpus
+from symunion import construct, corpus, diagram
 from symunion.cli import verify_reports
 from symunion.corpus import SPEC_FIXTURES
 from symunion.construct import (
@@ -45,6 +45,7 @@ from symunion.construct import (
 from symunion.diagram import (
     Crossing,
     PlanarDiagram,
+    mirror,
     over_arcs,
     parse_pd,
     to_doc,
@@ -295,8 +296,9 @@ class TestZeroReplacement:
             except NotPlanarInsertion:
                 refused.append(k)
                 continue
-            mate, components = zero_replacement(k)
-            assert mate == list(flat.mates)
+            z = zero_replacement(k)
+            assert z.mates == flat.mates
+            components = z.component_count()
             assert components == flat.component_count() == len(k.meta.spec.tangles) + 1
             rep = verify_zero_replacement(k)
             assert rep.passed
@@ -587,11 +589,12 @@ class TestOnePass:
             lambda: build_all_zero_replacement(k), helpers, "assemble_by_ids"
         )
         assert (assemblies, diagrams) == (1, 1)
-        # the lemma reads the zero replacement off the built union
+        # the lemma reads the zero replacement off the built union: one
+        # diagram made from its mates, no assembly
         _, assemblies, diagrams = self._assemblies_and_diagrams(
             lambda: verify_zero_replacement(k)
         )
-        assert (assemblies, diagrams) == (0, 0)
+        assert (assemblies, diagrams) == (0, 1 if spec.tangles else 0)
         for i in range(1, len(spec.tangles) + 1):
             _, assemblies, diagrams = self._assemblies_and_diagrams(lambda: contract_box(k, i))
             assert (assemblies, diagrams) == (0, 0)
@@ -600,6 +603,19 @@ class TestOnePass:
                 lambda: verify_fraction_region(k, i)
             )
             assert assemblies == 0
+
+    def test_a_build_pairs_no_edge_ids(self):
+        # the builder, the tangles it orients, the zero replacement and the
+        # mirror image hand their mates over; a parse pairs its ids once
+        with pytest.MonkeyPatch.context() as mp:
+            paired = _recording(mp, diagram, "pair_ends")
+            for spec in SPEC_FIXTURES.values():
+                k = build_symmetric_union(spec)
+                verify_zero_replacement(k)
+                mirror(k)
+            assert paired == []
+            parse_pd(to_doc(k))
+            assert len(paired) == 1
 
     @pytest.mark.parametrize("name", sorted(SPEC_FIXTURES))
     def test_one_assembly_per_verify(self, name):

@@ -16,14 +16,20 @@ from symunion.diagram import (
     faces,
     mirror,
     orient_ends,
+    pair_ends,
     parse_pd,
     to_doc,
     to_text,
     validate_planarity,
     writhe,
 )
+from symunion.construct import build_symmetric_union
 from symunion.corpus import SPEC_FIXTURES
 from symunion.tangle import (
+    OrientationMismatch,
+    Tangle,
+    TangleError,
+    horizontal_twists,
     numerator,
     parse_tangle,
     rational_tangle,
@@ -166,6 +172,15 @@ def test_mirror_negates_writhe(trefoil, fig8):
         validate_planarity(m)
 
 
+def test_mirror_hands_over_the_mates_of_its_crossings(trefoil, fig8):
+    # slots b and d trade places, so the mates mirror hands over are those
+    # its edge ids pair
+    unions = [build_symmetric_union(spec) for spec in SPEC_FIXTURES.values()]
+    for d in [trefoil, fig8, numerator(rational_tangle([2, 1, 3])), *unions]:
+        m = mirror(d)
+        assert m.mates == pair_ends([e for x in m.crossings for e in x])
+
+
 def test_renumber_identity(trefoil):
     assert renumber_edges(trefoil, start_edge=1) == trefoil
 
@@ -288,6 +303,68 @@ def test_check_ends_raises_as_before(rows, flags, n, corners, error):
     if error is InconsistentEdges:
         with pytest.raises(error):
             orient_ends(xs, None, n, [(e, None) for e, _ in corners])
+
+
+TREFOIL_MATES = (7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4)
+
+
+# A pairing handed to the constructor with one defect, beside trefoil
+# rows whose edge ids pair the ends the same way: both routes raise the
+# same exception with the same message.
+@pytest.mark.parametrize(
+    "defect, rows, error, message",
+    [
+        (
+            {0: 0, 7: 7},
+            [(1, 4, 2, 5), (3, 6, 4, 4), (5, 2, 6, 3)],
+            InconsistentEdges,
+            "edge 1 has 1 ends, expected 2",
+        ),
+        (
+            {7: 1},
+            [(1, 1, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)],
+            InconsistentEdges,
+            "edge 1 has 3 ends, expected 2",
+        ),
+        (
+            {0: 1, 1: 0, 6: 7, 7: 6},
+            [(1, 1, 2, 5), (3, 6, 4, 4), (5, 2, 6, 3)],
+            OrientationError,
+            "edge 1 has 2 heads and 0 tails",
+        ),
+    ],
+    ids=["fixed point", "not an involution", "two heads"],
+)
+def test_a_handed_pairing_is_refused_as_its_edge_ids_are(defect, rows, error, message):
+    assert TREFOIL_MATES == pair_ends([e for row in TREFOIL_ROWS for e in row])
+    mates = [defect.get(k, m) for k, m in enumerate(TREFOIL_MATES)]
+    xs = tuple(Crossing(*row) for row in TREFOIL_ROWS)
+    PlanarDiagram(xs, TREFOIL_FLAGS, mates=TREFOIL_MATES)
+    with pytest.raises(error, match=f"^{message}$"):
+        PlanarDiagram(tuple(Crossing(*row) for row in rows), TREFOIL_FLAGS)
+    with pytest.raises(error, match=f"^{message}$"):
+        PlanarDiagram(xs, TREFOIL_FLAGS, mates=tuple(mates))
+
+
+def test_a_handed_pairing_of_the_wrong_size_or_range_is_refused():
+    xs = tuple(Crossing(*row) for row in TREFOIL_ROWS)
+    with pytest.raises(InconsistentEdges, match="^11 mates for 12 edge ends$"):
+        PlanarDiagram(xs, TREFOIL_FLAGS, mates=TREFOIL_MATES[:-1])
+    with pytest.raises(InconsistentEdges, match="^edge 1 has 3 ends, expected 2$"):
+        PlanarDiagram(xs, TREFOIL_FLAGS, mates=(12, *TREFOIL_MATES[1:]))
+
+
+def test_a_tangle_checks_its_handed_pairing():
+    t = horizontal_twists(1)  # heads at slots a and d of its one crossing
+    args = (t.crossings, t.over_from_d, dict(t.boundary), dict(t.flows))
+    assert Tangle(*args, mates=t.mates).mates == t.mates
+    with pytest.raises(TangleError, match="^edge 3 has 1 ends, expected 2$"):
+        Tangle(*args, mates=(0, *t.mates[1:]))
+    two_heads = list(t.mates)
+    a, d = t.mates[0], t.mates[3]
+    two_heads[0], two_heads[3], two_heads[a], two_heads[d] = 3, 0, d, a
+    with pytest.raises(OrientationMismatch, match="^edge 3 has 2 heads and 0 tails$"):
+        Tangle(*args, mates=tuple(two_heads))
 
 
 # The first circle of circle_chain(3) passes over at both of its crossings,

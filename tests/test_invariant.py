@@ -469,6 +469,23 @@ def test_pivot_queue_queues_a_head_again_after_its_entry_is_popped():
         assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows)
 
 
+def test_pivot_queue_re_offers_a_new_unit_in_a_row_of_unchanged_length():
+    # found by a random search against the full scan: no column has two
+    # rows, so phase 0 does nothing. The pivot at (1, 0) turns row 2, -2
+    # and -3 at columns 0 and 3, into 2 and 1 at columns 1 and 3: the same
+    # length, with a new unit in the pivot row's column 3, the only unit
+    # left, which the queue must offer
+    rows = [
+        {1: {0: 3}, 2: {0: -2}, 3: {0: -3}},
+        {0: {0: -1}, 1: {0: -1}, 3: {0: -2}},
+        {0: {0: -2}, 3: {0: -3}},
+        {0: {0: 3}, 1: {0: -1}, 3: {0: 1}},
+    ]
+    block = [[{0: 9}, {0: -2}], [{0: 6}, {}]]
+    assert poly._unit_pivots(rows, None) == unit_pivots_by_scan(rows) == (-1, 0, block)
+    assert det_laurent(rows) == LaurentPoly({0: -12})
+
+
 def test_phase_0_skips_a_two_row_column_with_no_unit():
     # column 1, popped first, holds 2 and 3: no unit, so phase 0 moves on
     # to column 0; a pivot at 2 would divide by a non-unit

@@ -315,14 +315,16 @@ class TestReversal:
     )
     @settings(max_examples=80, deadline=None)
     def test_reversal_result_passes_the_constructor_checks(self, t, wants):
-        # orient skips Tangle.__post_init__; rebuilding its result through
-        # the constructor runs every check again
+        # orient hands its moved mates to the constructor; building its
+        # result again from the edge ids pairs the ends and runs every
+        # check on them
         for want in wants:
             try:
                 t = orient(t, want)
             except OrientationMismatch:
                 continue
-            again = Tangle(*(getattr(t, f.name) for f in dataclasses.fields(Tangle)))
+            fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(Tangle)}
+            again = Tangle(**{**fields, "mates": None})
             assert again == t
             assert again.key == t.key
             assert again.mates == t.mates  # orient moves the mates with the darts
@@ -380,6 +382,20 @@ def test_orient_matches_the_reversals_one_strand_at_a_time():
             r = orient(t, want)
             assert r == expected and r.key == expected.key
     assert refused
+
+
+def test_orient_equals_a_tangle_built_from_its_edge_ids():
+    # the mates orient moves equal those pair_ends gives the result's edge
+    # ids, and its flags those the flows resolve
+    turned = 0
+    for t in ORIENTED_POOL:
+        for want in ({"NW": "out"}, {"NE": "in"}, {"SW": "out", "NE": "in"}):
+            r = orient(t, want)
+            turned += r is not t
+            for flags in (r.over_from_d, None):
+                fresh = Tangle(r.crossings, flags, dict(r.boundary), dict(r.flows), r.closed_loops)
+                assert fresh == r and fresh.key == r.key and fresh.mates == r.mates
+    assert turned
 
 
 @pytest.mark.parametrize("glue", [tangle_sum, vertical_stack])

@@ -152,8 +152,8 @@ def _assemble_with_bits(spec: SymUnionSpec, bits: tuple[int, ...]) -> PlanarDiag
     mirror = [4 * (c + (k >> 2)) + _SIGMA[k & 3] for k in range(4 * c)]
 
     def ends(m: int) -> tuple[int, int]:
-        i, s = d.head_of[m]
-        return d.mates[4 * i + s], 4 * i + s
+        head = d.heads[m - 1]
+        return d.mates[head], head
 
     # x<j> and x<j>* fold onto edge j, the axis pair onto the axis arc, and
     # region i's edges onto marked arc i
@@ -289,16 +289,16 @@ def planar_faces(d: PlanarDiagram) -> tuple[int, ...]:
 
 
 def flanking_faces(d: PlanarDiagram, edge: int) -> tuple[int, int]:
-    """The two faces on either side of an edge. At the edge's head, dart
-    4i + s, they are the faces at the corners before and after slot s.
+    """The two faces on either side of an edge: at its head dart k, those
+    at the corners before and after it, k - 1 (k + 3 at slot a) and k.
 
     The two differ: a 4-valent graph has no bridge, so no face lies on
     both sides of an edge (planar_faces has checked the embedding)."""
-    if edge not in d.head_of:
+    if not 1 <= edge <= d.edge_count:
         raise DiagramError(f"edge {edge} is not in the diagram")
-    i, s = d.head_of[edge]
+    k = d.heads[edge - 1]
     face = planar_faces(d)
-    return face[4 * i + (s - 1) % 4], face[4 * i + s]
+    return face[k - 1 if k & 3 else k + 3], face[k]
 
 
 def region_tangle(k: PlanarDiagram, i: int) -> Tangle:
@@ -371,8 +371,7 @@ def zero_replacement(k: PlanarDiagram) -> PlanarDiagram:
     for nw, sw, se, ne in meta.corners:
         mate[nw], mate[ne], mate[sw], mate[se] = ne, nw, se, sw
     flags = k.over_from_d[:halves]
-    i, s = k.head_of[1]
-    xs, _ = number_edges(mate, flags, 4 * i + s)
+    xs, _ = number_edges(mate, flags, k.heads[0])
     return PlanarDiagram(xs, flags, mates=tuple(mate))
 
 

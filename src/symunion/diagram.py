@@ -12,6 +12,10 @@ the ids (pair_ends). One check runs either way, and recovers flags not
 given from the requirement that every edge has exactly one head and one
 tail (orient_ends).
 
+Every walk steps over the darts (edge ends, 4i + s for slot s of crossing
+i): a strand runs from head dart k to mates[k ^ 2], straight through the
+crossing, and a walk from an edge id starts at its head dart (``heads``).
+
 Edge ids of a diagram with c crossings are exactly 1..2c. Crossing-free
 circle components are counted separately in ``free_loops``; they carry no
 edges.
@@ -104,31 +108,29 @@ class PlanarDiagram:
         return 2 * len(self.crossings)
 
     @cached_property
-    def head_of(self) -> dict[int, tuple[int, int]]:
-        """The crossing and slot where each edge ends: slot a for the
-        under-strand, slot d or b for the over-strand."""
-        out = {}
+    def heads(self) -> tuple[int, ...]:
+        """The head dart of each edge, edge e's at heads[e - 1]: slot a,
+        and slot d or b as the over-strand enters there (is_head)."""
+        out = [0] * self.edge_count
         for i, x in enumerate(self.crossings):
             s = 3 if self.over_from_d[i] else 1
-            out[x.a], out[x[s]] = (i, 0), (i, s)
-        return out
+            out[x.a - 1], out[x[s] - 1] = 4 * i, 4 * i + s
+        return tuple(out)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        head, xs = self.head_of, self.crossings
-        seen: set[int] = set()
+        """The edge ids of each component in order, each from its lowest."""
+        mates, xs = self.mates, self.crossings
+        seen = bytearray(len(mates))
         comps = []
-        for e0 in range(1, self.edge_count + 1):
-            if e0 in seen:
-                continue
+        for k in self.heads:
             cycle = []
-            e = e0
-            while e not in seen:
-                seen.add(e)
-                cycle.append(e)
-                i, s = head[e]
-                e = xs[i][s ^ 2]  # straight through the crossing
-            comps.append(tuple(cycle))
+            while not seen[k]:
+                seen[k] = 1
+                cycle.append(xs[k >> 2][k & 3])
+                k = mates[k ^ 2]  # straight through the crossing to the next edge's head
+            if cycle:
+                comps.append(tuple(cycle))
         return tuple(comps)
 
     @property
@@ -196,11 +198,12 @@ def orient_ends(
 
     mates pair the ends as pair_ends numbers them: the darts, then the
     corners in order. None pairs them from the edge ids, and raises
-    InconsistentEdges unless the ids are exactly 1..n with two ends each.
-    Either way the mates must be an involution with no fixed point
-    (InconsistentEdges as pair_ends words an edge with one end or three),
-    and every end is a head or a tail: an end and its mate differ, and so
-    do ends k and k ^ 2 of a crossing.
+    InconsistentEdges unless the ids are exactly 1..n with two ends each,
+    as handed mates need them too. Either way the mates must be an
+    involution with no fixed point (InconsistentEdges as pair_ends words
+    an edge with one end or three) that pairs ends of one edge id, and
+    every end is a head or a tail: an end and its mate differ, and so do
+    ends k and k ^ 2 of a crossing.
 
     Every end the input fixes is filled first: slot a is a head and slot c
     a tail, a given flag is whether slot d is a head (slot b is the
@@ -222,6 +225,8 @@ def orient_ends(
         mates = pair_ends(ids)
     elif len(mates) != len(ids):
         raise InconsistentEdges(f"{len(mates)} mates for {len(ids)} edge ends")
+    elif set(ids) != set(range(1, n + 1)):
+        raise InconsistentEdges(f"edge ids are not exactly 1..{n}")
     darts = 4 * len(crossings)
     head: list[bool | None] = [True, None, False, None] * len(crossings)
     if over_from_d is not None:
@@ -231,6 +236,8 @@ def orient_ends(
     for k, m in enumerate(mate):
         if m == k or not 0 <= m < size or mate[m] != k:
             raise InconsistentEdges(f"edge {ids[k]} has {1 if m == k else 3} ends, expected 2")
+        if ids[m] != ids[k]:
+            raise InconsistentEdges(f"end {k} of edge {ids[k]} is paired with edge {ids[m]}")
         if head[k] is not None and head[k] == head[m]:
             h = 2 * head[k]
             raise OrientationError(f"edge {ids[k]} has {h} heads and {2 - h} tails")

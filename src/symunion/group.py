@@ -158,20 +158,19 @@ def longitude_word(d: PlanarDiagram) -> GroupWord:
     is zero, so the word has zero linking with the knot.
     """
     p = presentation(d)
-    a0, a1 = _labeled_edge(d, "a0"), _labeled_edge(d, "a1")
+    a0, a1 = (d.heads[_labeled_edge(d, a) - 1] for a in ("a0", "a1"))
     gen = p.generator_of_edge
     word: list[tuple[str, int]] = []
-    e, half = a1, -1
+    k, half = a1, -1
     while True:
-        if e == a0:
+        if k == a0:
             half = 1
-        i, s = d.head_of[e]
-        x = d.crossings[i]
-        if s == 0:
-            sg = half * d.sign(i)
+        if k & 3 == 0:  # an undercrossing, entered at slot a
+            x = d.crossings[k >> 2]
+            sg = half * d.sign(k >> 2)
             word += [(gen(x.a), sg), (gen(x.c), -sg)]
-        e = x[s ^ 2]  # straight through the crossing
-        if e == a1:
+        k = d.mates[k ^ 2]  # straight through the crossing to the next head
+        if k == a1:
             return tuple(word)
 
 

@@ -358,39 +358,37 @@ def _width(units: Sequence[_Unit]) -> int:
     return width(math.prod(u.bound for u in units))
 
 
-def _boxes(d: PlanarDiagram, face: Sequence[int]) -> list[list[int]]:
-    """The crossings grouped into boxes, each in chain order: a box is a
-    connected set of crossings joined by bigon faces, and a crossing on no
-    bigon is a box of its own. face is the face id at each corner
-    (diagram.faces); a bigon is a face at exactly two corners.
+def _boxes(d: PlanarDiagram) -> list[tuple[list[int], list[int]]]:
+    """The crossings grouped into boxes, each as its crossings in chain
+    order and the corner of each that _box_unit reads: a box is a
+    connected set of crossings joined by bigon faces (_across), and a
+    crossing on no bigon is a box of its own, at corner 0.
 
     A bigon at corner j of crossing x takes slots j and j + 1 of x to one
-    other crossing, so x has at most two bigon neighbours (at corners j and
-    j + 2). Every box is therefore a path or a cycle, and has at most four
-    external edge ends: neighbours on a path share at least two edges, and
-    4k - 2 * 2(k - 1) = 4. Only in a one-crossing diagram does a bigon have
-    both corners at one crossing; the walk skips that self-neighbour as
-    seen."""
-    at: list[list[int]] = [[] for _ in range(max(face) + 1)]
-    for k, f in enumerate(face):
-        at[f].append(k >> 2)
-    nbr: list[set[int]] = [set() for _ in d.crossings]
-    for xs in at:
-        if len(xs) == 2:
-            x, y = xs
-            nbr[x].add(y)
-            nbr[y].add(x)
-    seen = [False] * len(nbr)
+    other crossing, so x has at most two bigon neighbours, across corners
+    j and j + 2. Every box is therefore a path or a cycle, and has at most
+    four external edge ends: neighbours on a path share at least two
+    edges, and 4k - 2 * 2(k - 1) = 4. A path is walked from its lowest
+    end, a cycle from its lowest crossing toward its lower neighbour, at
+    the lowest corner of c_1 toward c_2, then across the corner opposite
+    the one each bigon arrives at. A monogon, or a bigon with both corners
+    at the one crossing of a diagram, joins no two crossings."""
+    far = [_across(d.mates, k) for k in range(len(d.mates))]
+    nbrs = [{n >> 2 for n in far[k : k + 4]} - {-1, k >> 2} for k in range(0, len(far), 4)]
+    seen = [False] * len(nbrs)
     boxes = []
     # paths are walked from an end, so ends come first
-    for x in sorted(range(len(nbr)), key=lambda c: len(nbr[c]) > 1):
-        box = []
-        while x is not None and not seen[x]:
-            seen[x] = True
-            box.append(x)
-            x = next((y for y in nbr[x] if not seen[y]), None)
-        if box:
-            boxes.append(box)
+    for x in sorted(range(len(nbrs)), key=lambda c: len(nbrs[c]) > 1):
+        if seen[x]:
+            continue
+        seen[x] = True
+        y = min(nbrs[x], default=None)
+        box, corners = [x], [next((j for j in range(4) if far[4 * x + j] >> 2 == y), 0)]
+        while (n := far[4 * box[-1] + corners[-1]]) >= 0 and not seen[n >> 2]:
+            seen[n >> 2] = True
+            box.append(n >> 2)
+            corners.append(n & 3 ^ 2)
+        boxes.append((box, corners))
     return boxes
 
 
@@ -403,14 +401,17 @@ def _across(mates: Sequence[int], k: int) -> int:
     return n if mates[n + 1 if n & 3 != 3 else n - 3] == k else -1
 
 
-def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _Unit:
+def _box_unit(
+    d: PlanarDiagram, box: list[int], corners: list[int], cancel: CancelToken | None
+) -> _Unit:
     """A box as one step, its weights in closed form. The bracket skein
     module of a two-string tangle is free on its two crossingless pairings
     (Kauffman 1987), and a chain of crossings c_1 ... c_m joined by bigons
     is a product in the Temperley-Lieb algebra TL_2 on {1, e}, e^2 = delta e.
 
-    Let j_i be the corner of c_i on its bigon with c_(i+1), and j_m the
-    corner of c_m on its bigon with c_(m-1), plus 2. At c_i the smoothing
+    corners are j_1 ... j_m as _boxes walks them: j_i is the corner of c_i
+    on its bigon with c_(i+1), and j_m the corner of c_m on its bigon with
+    c_(m-1), plus 2. At c_i the smoothing
     that pairs slots j_i and j_i + 1 is e, the other one is 1, so the box
     is a 1 + b e with (a, b) = (1, 0) before c_1 and
     (a, b) <- (a w_1, a w_e + b (w_1 + w_e delta)) at each crossing. As
@@ -435,17 +436,6 @@ def _box_unit(d: PlanarDiagram, box: list[int], cancel: CancelToken | None) -> _
         if slots[0] < slots[1] < slots[2] < slots[3]:
             return _Unit(tuple(slots), _ONE[tuple(map(slots.index, edges))], _CROSSING_BOUND)
     mates = d.mates
-    # Along one chain of faces: each next corner is opposite the corner the
-    # last bigon arrives at, as an interior crossing's two bigons lead to
-    # two other crossings. Two crossings may share two bigons, so c_m's
-    # corner comes from the face the chain arrives by, not from a search.
-    # A box of one crossing is taken at corner 0.
-    if len(box) == 1:
-        corners = [0]
-    else:
-        corners = [next(j for j in range(4) if _across(mates, 4 * box[0] + j) >> 2 == box[1])]
-    for x in box[:-1]:
-        corners.append(_across(mates, 4 * x + corners[-1]) & 3 ^ 2)
     bits = width(_CROSSING_BOUND ** len(box))
     pa, pb = 1, 0  # after i crossings, a = A^(-3i) pa(A^2), and b likewise
     for j in corners:
@@ -593,10 +583,10 @@ def _sweep(
     return states, {i: e for e, i in where.items()}
 
 
-def _unit_graph(d: PlanarDiagram, boxes: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The graph _sweep_order takes: for each box, the box at the far end
-    of each edge that leaves it. An edge inside a box never opens."""
-    unit_of = {ci: i for i, box in enumerate(boxes) for ci in box}
+def _unit_graph(d: PlanarDiagram, boxes: Sequence[tuple[list[int], list[int]]]) -> list[list[int]]:
+    """The graph _sweep_order takes: for each box (_boxes), the box at the
+    far end of each edge that leaves it. An edge inside a box never opens."""
+    unit_of = {ci: i for i, (box, _) in enumerate(boxes) for ci in box}
     nbrs: list[list[int]] = [[] for _ in boxes]
     for k, m in enumerate(d.mates):
         if k > m:  # each edge once, from its first end
@@ -682,8 +672,8 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
 
 def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> LaurentPoly:
     """Bracket polynomial in the variable A (free loops excluded; the
-    caller handles those). The diagram must pass validate_planarity, whose
-    face ids by corner give the boxes' bigons (planar_faces).
+    caller handles those). The diagram must pass validate_planarity
+    (planar_faces, kept with a built union).
 
     The crossings are grouped into boxes (_boxes), each box's weights come
     from a two-term Temperley-Lieb recurrence over its crossings
@@ -701,8 +691,9 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     raised, exactly when the polynomial one does."""
     if not d.crossings:
         raise NoCrossings("bracket of a crossing-free diagram is handled upstream")
-    boxes = _boxes(d, planar_faces(d))
-    units = [_box_unit(d, box, cancel) for box in boxes]
+    planar_faces(d)
+    boxes = _boxes(d)
+    units = [_box_unit(d, box, corners, cancel) for box, corners in boxes]
     bits = _width(units)
     states, front = _sweep([units[i] for i in _sweep_order(_unit_graph(d, boxes))], bits, cancel)
     if front or len(states) != 1:

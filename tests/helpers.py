@@ -12,7 +12,7 @@ builder's face rule is checked against, the one-strand reversal
 tangle.orient is checked against and the strand-reversal searches it
 replaced, dense matrices as the sparse rows det_laurent
 takes, a generator of small random union specs, a chain of circles, the
-unions of the benchmark's scaling-family pool, the kt(m) x 4 family the
+unions of the benchmark's scaling-family pool and random pool, the kt(m) x 4 family the
 scaling script and the tests share (kt_member), cylinder grids and the
 search for the bracket sweep's order without its memo, the bracket sweep's unit
 bound by enumerating link patterns, and the loops pack and unpack split
@@ -22,7 +22,9 @@ the zero replacement and the fraction certificate's complement closures
 taken from rebuilds, as they were before they were read off the union,
 the Jones polynomial's values at the third and fourth roots of unity,
 the bracket sweep keyed by sorted edge pairs and the box walk by _smooth
-that the sweep over partner positions and the walk table replaced, a
+that the sweep over partner positions and the walk table replaced, the
+boxes grouped by bucketing face corners and their chain corners derived
+per box, as they were before _boxes walked the bigons, a
 counter of the sweep's states, links on cylinder grids, and the torus
 knots T(p, p + 1) as braid closures with their Jones polynomials in
 closed form."""
@@ -39,7 +41,7 @@ from symunion import construct, tangle
 from symunion.construct import SymUnionSpec, build_symmetric_union
 from symunion.corpus import FIGURE_EIGHT, FIVE_TWO, TREFOIL
 from symunion.construct import _SIGMA, UnionMeta
-from symunion.diagram import Crossing, DiagramError, DisconnectedDiagram, PlanarDiagram
+from symunion.diagram import Crossing, DiagramError, DisconnectedDiagram, PlanarDiagram, faces
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
 from symunion import invariant as inv
 from symunion.invariant import _smooth, alexander_region
@@ -441,9 +443,10 @@ def random_spec(rng: random.Random) -> SymUnionSpec:
 
 # The benchmark's scaling-family pool: kt(m) x n over a rational-knot
 # partial, with marked arcs drawn once so that the insertion embeds.
-FAMILY_POOL = json.loads(
+_POOLS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "pools.json").read_text()
-)["family"]
+)
+FAMILY_POOL = _POOLS["family"]
 FAMILY_TANGLES = {"x15": (3, 1), "x30": (4, 2), "x47": (5, 3), "x68": (6, 4)}
 
 
@@ -455,6 +458,20 @@ def pool_variant(key: str) -> PlanarDiagram:
     return build_symmetric_union(
         SymUnionSpec(partial, tuple(entry["marked_arcs"]), (kt_tangle(m),) * n)
     )
+
+
+# The benchmark's random pool: 66 unions of a partial of PARTIAL_POOL,
+# keyed by its crossings, with tangles of TANGLE_POOL.
+RANDOM_POOL = _POOLS["random"]
+
+
+def random_pool_union(key: str) -> PlanarDiagram:
+    """The union of one entry of the random pool, such as "c5_n2/p3"."""
+    c = int(key.split("_")[0][1:])
+    partial = next(d for d in PARTIAL_POOL if len(d.crossings) == c)
+    entry = RANDOM_POOL[key]
+    tangles = tuple(TANGLE_POOL[i] for i in entry["tangles"])
+    return build_symmetric_union(SymUnionSpec(partial, tuple(entry["marked_arcs"]), tangles))
 
 
 PARTIAL_12 = numerator(rational_tangle([2, 2, 2, 2, 2, 1, 1]))
@@ -672,9 +689,9 @@ class _Halves:
         """Give the (tail, head) ends of edge m new ids in each half.
         Returns the dart (row 4r + slot) each new id ends at."""
         c = len(self.d.crossings)
-        i, s = self.d.head_of[m]
+        head = self.d.heads[m - 1]
         at = {}
-        for k, h, ms in zip((self.d.mates[4 * i + s], 4 * i + s), host, mirror):
+        for k, h, ms in zip((self.d.mates[head], head), host, mirror):
             self.rows[k >> 2][k & 3] = h
             self.rows[c + (k >> 2)][_SIGMA[k & 3]] = ms
             at[h], at[ms] = k, 4 * (c + (k >> 2)) + _SIGMA[k & 3]
@@ -865,11 +882,39 @@ def jones_at_roots_of_unity(v: LaurentPoly, det: int) -> bool:
     return t[0] - t[2] == 1 and t[1] == t[2] and s[1] == s[3] and s[0] - s[2] == (-1) ** arf
 
 
-def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
-    """invariant._box_unit as it was before a box of one crossing read
-    _SMOOTHINGS and the walks read _WALKS: every box goes through the
-    corner walk, the Temperley-Lieb recurrence and _smooth. The oracle for
-    both."""
+def boxes_by_faces(d: PlanarDiagram) -> list[list[int]]:
+    """The crossings of invariant._boxes as it was before it found the
+    bigons with _across: the corners of diagram.faces bucketed by face, a
+    bigon being a face at exactly two corners, and each box walked from an
+    end along sets of bigon neighbours. The oracle for _boxes."""
+    face = faces(d.mates)
+    at: list[list[int]] = [[] for _ in range(max(face) + 1)]
+    for k, f in enumerate(face):
+        at[f].append(k >> 2)
+    nbr: list[set[int]] = [set() for _ in d.crossings]
+    for xs in at:
+        if len(xs) == 2:
+            x, y = xs
+            nbr[x].add(y)
+            nbr[y].add(x)
+    seen = [False] * len(nbr)
+    boxes = []
+    for x in sorted(range(len(nbr)), key=lambda c: len(nbr[c]) > 1):
+        box = []
+        while x is not None and not seen[x]:
+            seen[x] = True
+            box.append(x)
+            x = next((y for y in nbr[x] if not seen[y]), None)
+        if box:
+            boxes.append(box)
+    return boxes
+
+
+def chain_corners(d: PlanarDiagram, box: list[int]) -> list[int]:
+    """The corners invariant._box_unit derived for a box in chain order
+    before _boxes handed them over: the lowest corner of c_1 toward c_2,
+    then each next one opposite the corner the last bigon arrives at; a
+    box of one crossing is taken at corner 0."""
     mates = d.mates
     if len(box) == 1:
         corners = [0]
@@ -877,6 +922,16 @@ def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
         corners = [next(j for j in range(4) if inv._across(mates, 4 * box[0] + j) >> 2 == box[1])]
     for x in box[:-1]:
         corners.append(inv._across(mates, 4 * x + corners[-1]) & 3 ^ 2)
+    return corners
+
+
+def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
+    """invariant._box_unit as it was before a box of one crossing read
+    _SMOOTHINGS and the walks read _WALKS: every box goes through the
+    corner walk (chain_corners), the Temperley-Lieb recurrence and
+    _smooth. The oracle for both."""
+    mates = d.mates
+    corners = chain_corners(d, box)
     bits = width(inv._CROSSING_BOUND ** len(box))
     pa, pb = 1, 0
     for j in corners:

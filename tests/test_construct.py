@@ -14,12 +14,14 @@ import helpers
 from helpers import (
     FAMILY_POOL,
     PARTIAL_POOL,
+    RANDOM_POOL,
     TANGLE_POOL,
     _rebuild,
     build_all_zero_replacement,
     exhaustive_build,
     glued_pair,
     pool_variant,
+    random_pool_union,
     random_spec,
     rotate_pi,
 )
@@ -46,6 +48,7 @@ from symunion.diagram import (
     Crossing,
     PlanarDiagram,
     mirror,
+    number_edges,
     over_arcs,
     parse_pd,
     to_doc,
@@ -769,3 +772,17 @@ def test_the_dart_pairing_matches_the_id_assembly(kind, count, knots, refused):
             assert got.meta.fold == want.meta.fold
             tally["knots"] += 1
     assert (len(inputs), tally["knots"], tally["refused"]) == (count, knots, refused)
+
+
+def test_the_head_table_is_the_numbering_walks():
+    """On every corpus union and every union of the benchmark's two pools,
+    the head table equals the heads number_edges returns when it walks the
+    union again from edge 1's head, and that walk numbers the edges as the
+    union does."""
+    unions = [build_symmetric_union(s) for s in SPEC_FIXTURES.values()]
+    unions += [pool_variant(key) for key in sorted(FAMILY_POOL)]
+    unions += [random_pool_union(key) for key in sorted(RANDOM_POOL)]
+    assert len(unions) == 7 + 64 + 66
+    for k in unions:
+        xs, heads = number_edges(k.mates, k.over_from_d, k.heads[0])
+        assert (xs, tuple(heads)) == (k.crossings, k.heads)

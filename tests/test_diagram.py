@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import build_all_zero_replacement, circle_chain, renumber_edges, unknot
-from symunion import diagram
+from symunion import corpus, diagram
 from symunion.diagram import (
     Crossing,
     DisconnectedDiagram,
@@ -14,6 +14,7 @@ from symunion.diagram import (
     OrientationError,
     PlanarDiagram,
     faces,
+    is_head,
     mirror,
     orient_ends,
     pair_ends,
@@ -308,7 +309,7 @@ def test_check_ends_raises_as_before(rows, flags, n, corners, error):
 TREFOIL_MATES = (7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4)
 
 
-# A pairing handed to the constructor with one defect, beside trefoil
+# The trefoil's pairing handed to the constructor with one defect, on
 # rows whose edge ids pair the ends the same way: both routes raise the
 # same exception with the same message.
 @pytest.mark.parametrize(
@@ -338,12 +339,38 @@ TREFOIL_MATES = (7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4)
 def test_a_handed_pairing_is_refused_as_its_edge_ids_are(defect, rows, error, message):
     assert TREFOIL_MATES == pair_ends([e for row in TREFOIL_ROWS for e in row])
     mates = [defect.get(k, m) for k, m in enumerate(TREFOIL_MATES)]
-    xs = tuple(Crossing(*row) for row in TREFOIL_ROWS)
-    PlanarDiagram(xs, TREFOIL_FLAGS, mates=TREFOIL_MATES)
+    PlanarDiagram(tuple(Crossing(*row) for row in TREFOIL_ROWS), TREFOIL_FLAGS, mates=TREFOIL_MATES)
+    xs = tuple(Crossing(*row) for row in rows)
     with pytest.raises(error, match=f"^{message}$"):
-        PlanarDiagram(tuple(Crossing(*row) for row in rows), TREFOIL_FLAGS)
+        PlanarDiagram(xs, TREFOIL_FLAGS)
     with pytest.raises(error, match=f"^{message}$"):
         PlanarDiagram(xs, TREFOIL_FLAGS, mates=tuple(mates))
+
+
+def test_a_handed_pairing_of_ends_of_other_edges_is_refused():
+    """Partners of darts 0 and 4 swapped on the trefoil rows: still an
+    involution with one head and one tail per pair, but the mates would
+    walk other faces and strands than the edge ids read."""
+    xs = tuple(Crossing(*row) for row in TREFOIL_ROWS)
+    mates = list(TREFOIL_MATES)
+    mates[0], mates[4], mates[7], mates[11] = 11, 7, 4, 0
+    with pytest.raises(InconsistentEdges, match="^end 0 of edge 1 is paired with edge 3$"):
+        PlanarDiagram(xs, TREFOIL_FLAGS, mates=tuple(mates))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 7)],  # 7 for 3
+        [(1, 4, 2, 5), (1, 6, 4, 1), (5, 2, 6, 1)],  # 1 for 3: four ends
+    ],
+    ids=["outside 1..6", "four ends"],
+)
+def test_a_handed_pairing_needs_the_edge_ids_1_to_n(rows):
+    # the mates pair ends of one id on these rows, as on the trefoil's
+    xs = tuple(Crossing(*row) for row in rows)
+    with pytest.raises(InconsistentEdges, match="^edge ids are not exactly 1..6$"):
+        PlanarDiagram(xs, TREFOIL_FLAGS, mates=TREFOIL_MATES)
 
 
 def test_a_handed_pairing_of_the_wrong_size_or_range_is_refused():
@@ -363,8 +390,14 @@ def test_a_tangle_checks_its_handed_pairing():
     two_heads = list(t.mates)
     a, d = t.mates[0], t.mates[3]
     two_heads[0], two_heads[3], two_heads[a], two_heads[d] = 3, 0, d, a
-    with pytest.raises(OrientationMismatch, match="^edge 3 has 2 heads and 0 tails$"):
+    with pytest.raises(TangleError, match="^end 0 of edge 3 is paired with edge 1$"):
         Tangle(*args, mates=tuple(two_heads))
+    # ids that pair the ends as two_heads does: edge 1 at slots a and d,
+    # edge 3 at NW and SW
+    xs, boundary = (Crossing(1, 4, 2, 1),), {"NW": 3, "NE": 2, "SW": 3, "SE": 4}
+    for mates in (None, tuple(two_heads)):
+        with pytest.raises(OrientationMismatch, match="^edge 1 has 2 heads and 0 tails$"):
+            Tangle(xs, t.over_from_d, boundary, dict(t.flows), mates=mates)
 
 
 # The first circle of circle_chain(3) passes over at both of its crossings,
@@ -423,6 +456,19 @@ def test_parsing_pairs_the_ends_once(parse, source, monkeypatch):
     # the parsed value keeps those mates: reading them pairs nothing again
     assert parsed.mates == real(calls[0])
     assert len(calls) == 1
+
+
+def test_the_head_table_holds_a_head_dart_of_each_edge():
+    """On every parsed fixture, entry e - 1 of the head table is a head
+    dart (is_head) whose slot carries edge id e."""
+    sources = [TREFOIL, KINK_NEG, KINK_POS]
+    sources += [to_doc(d) for d in corpus.DIAGRAM_FIXTURES.values()]
+    sources += [to_doc(build_symmetric_union(s)) for s in SPEC_FIXTURES.values()]
+    for d in map(parse_pd, sources):
+        assert len(d.heads) == d.edge_count
+        for e, k in enumerate(d.heads, start=1):
+            assert is_head(k, d.over_from_d)
+            assert d.crossings[k >> 2][k & 3] == e
 
 
 def test_renumber_walks_the_start_component_then_the_rest_by_lowest_id():

@@ -17,11 +17,14 @@ from helpers import (
     FAMILY_POOL,
     LINKS,
     PARTIAL_12,
+    RANDOM_POOL,
     StateTally,
     _rebuild,
     bound_by_link_patterns,
     box_unit_by_chain,
+    boxes_by_faces,
     build_all_zero_replacement,
+    chain_corners,
     circle_chain,
     complement_by_rebuild,
     cylinder_grid,
@@ -33,6 +36,7 @@ from helpers import (
     pairs_of,
     parse_poly,
     pool_variant,
+    random_pool_union,
     random_spec,
     sparse,
     sweep_by_pairs,
@@ -57,7 +61,6 @@ from symunion.diagram import (
     MultiComponentInput,
     NoCrossings,
     PlanarDiagram,
-    faces,
     mirror,
     parse_pd,
 )
@@ -863,10 +866,10 @@ def diagrams_and_orders(draw):
     is a random connected sweep: a random start, then at each step a
     random box that touches the boxes swept so far."""
     d = draw(unions)
-    boxes = inv._boxes(d, faces(d.mates))
+    boxes = inv._boxes(d)
     if len(d.crossings) <= FREE_ORDER_CROSSINGS:
         return d, draw(st.permutations(range(len(boxes))))
-    box_of = {ci: i for i, box in enumerate(boxes) for ci in box}
+    box_of = {ci: i for i, (box, _) in enumerate(boxes) for ci in box}
     nbrs: list[set[int]] = [set() for _ in boxes]
     for k, m in enumerate(d.mates):
         nbrs[box_of[k >> 2]].add(box_of[m >> 2])
@@ -896,7 +899,7 @@ def test_boxes_give_the_bracket_of_single_crossings(d):
     of its own, whose width comes from the crossings' bound alone."""
     want = kauffman_bracket(d)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inv, "_boxes", lambda d, _: [[i] for i in range(len(d.crossings))])
+        mp.setattr(inv, "_boxes", lambda d: [([i], [0]) for i in range(len(d.crossings))])
         assert kauffman_bracket(d) == want
 
 
@@ -922,7 +925,7 @@ def test_sweep_order_matches_the_unpruned_search_on_fixed_graphs():
     diagrams += [circle_chain(k) for k in range(2, 9)]
     assert len(diagrams) == 64 + 7 + 7
     for d in diagrams:
-        nbrs = inv._unit_graph(d, inv._boxes(d, faces(d.mates)))
+        nbrs = inv._unit_graph(d, inv._boxes(d))
         assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
 
 
@@ -941,7 +944,7 @@ def test_sweep_order_matches_the_reference_on_fixed_graphs():
     diagrams += [torus_closure(p) for p in range(2, 10)]
     diagrams += [random_union(seed) for seed in range(15)]
     for d in diagrams:
-        nbrs = inv._unit_graph(d, inv._boxes(d, faces(d.mates)))
+        nbrs = inv._unit_graph(d, inv._boxes(d))
         assert inv._sweep_order(nbrs) == sweep_order_reference(nbrs)
 
 
@@ -1006,16 +1009,45 @@ BOX_CASES = {
 @pytest.mark.parametrize("name", BOX_CASES)
 def test_boxes_match_the_naive_bracket(name):
     d, shape = BOX_CASES[name]
-    boxes = inv._boxes(d, faces(d.mates))
-    assert [(len(b), len(inv._box_unit(d, b, None).slots)) for b in boxes] == shape
+    boxes = inv._boxes(d)
+    assert [(len(b), len(inv._box_unit(d, b, c, None).slots)) for b, c in boxes] == shape
     assert kauffman_bracket(d) == bracket_naive(d)
+
+
+def test_boxes_match_the_face_buckets():
+    """_boxes, which finds the bigons with _across, against the grouping
+    by bucketing the corners of the faces: the same boxes in the same
+    chain order, on the corpus unions, both benchmark pools, the torus
+    closures T(p, p + 1) for p = 2 to 10, kt members and 60 random unions.
+    Each corner it hands over is the one _box_unit derived, and lies on a
+    bigon toward the next crossing of the chain; the last one, plus 2,
+    on the bigon back to the one before."""
+    diagrams = list(CORPUS_UNIONS.values())
+    diagrams += [pool_variant(k) for k in sorted(FAMILY_POOL)]
+    diagrams += [random_pool_union(k) for k in sorted(RANDOM_POOL)]
+    diagrams += [torus_closure(p) for p in range(2, 11)]
+    diagrams += [kt_member(m) for m in range(3, 7)]
+    diagrams += [random_union(seed) for seed in range(60)]
+    chains = 0
+    for d in diagrams:
+        boxes = inv._boxes(d)
+        assert [b for b, _ in boxes] == boxes_by_faces(d)
+        for b, corners in boxes:
+            assert corners == chain_corners(d, b)
+            ends = [4 * x + j for x, j in zip(b, corners)]
+            for k, y in zip(ends, b[1:]):
+                assert inv._across(d.mates, k) >> 2 == y
+            if len(b) > 1:
+                assert inv._across(d.mates, ends[-1] ^ 2) >> 2 == b[-2]
+                chains += 1
+    assert chains > 100
 
 
 @pytest.mark.parametrize("text", ["X[1,2,2,1]", "X[1,1,2,2]"])
 def test_a_one_crossing_diagram_is_one_box(text):
     # its bigon has both corners at the one crossing
     d = parse_pd(text)
-    assert inv._boxes(d, faces(d.mates)) == [[0]]
+    assert inv._boxes(d) == [([0], [0])]
 
 
 def link_patterns(slots):
@@ -1058,7 +1090,7 @@ def test_bound_matches_the_link_pattern_enumeration():
     diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
     diagrams += list(corpus.DIAGRAM_FIXTURES.values())
     diagrams += [circle_chain(k) for k in range(2, 9)]
-    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d.mates))]
+    units = [inv._box_unit(d, b, c, None) for d in diagrams for b, c in inv._boxes(d)]
     assert {len(u.slots) for u in units} == {0, 2, 4}
     assert inv._bound(inv._SMOOTHINGS) == bound_by_link_patterns(inv._SMOOTHINGS) == 6
     for u in units:
@@ -1067,7 +1099,7 @@ def test_bound_matches_the_link_pattern_enumeration():
 
 def test_box_bounds_match_the_brute_force_bound():
     diagrams = [d for d, _ in BOX_CASES.values()] + [pool_variant(k) for k in sorted(FAMILY_POOL)]
-    units = [inv._box_unit(d, b, None) for d in diagrams for b in inv._boxes(d, faces(d.mates))]
+    units = [inv._box_unit(d, b, c, None) for d in diagrams for b, c in inv._boxes(d)]
     assert {len(u.slots) for u in units} == {0, 2, 4}
     for u in units:
         assert u.bound == bound_by_brute_force(u)
@@ -1103,8 +1135,8 @@ def test_box_units_match_the_chain_walk():
     and read _SMOOTHINGS."""
     single = 0
     for d in every_box_diagram() + [d for d, _ in BOX_CASES.values()]:
-        for b in inv._boxes(d, faces(d.mates)):
-            got, want = inv._box_unit(d, b, None), box_unit_by_chain(d, b)
+        for b, c in inv._boxes(d):
+            got, want = inv._box_unit(d, b, c, None), box_unit_by_chain(d, b)
             assert got.slots == want.slots
             assert set(got.smoothings) == set(want.smoothings)
             assert len(got.smoothings) == len(want.smoothings)
@@ -1129,10 +1161,10 @@ def assert_sweep_matches_the_pairs(d, order=None):
     after every unit, and the same states halfway, read as edge pairs.
     Every key is as long as the most edges open at once, never longer, as
     new edges fill the holes that closed ones leave."""
-    boxes = inv._boxes(d, faces(d.mates))
+    boxes = inv._boxes(d)
     if order is None:
         order = inv._sweep_order(inv._unit_graph(d, boxes))
-    units = [inv._box_unit(d, boxes[i], None) for i in order]
+    units = [inv._box_unit(d, *boxes[i], None) for i in order]
     bits = inv._width(units)
     tally = StateTally(inv._STATE_LIMIT)
     with pytest.MonkeyPatch.context() as mp:

@@ -12,9 +12,12 @@ the size k of the block left once no unit pivot remains, the packing
 width B of that block, and the best of --repeat process seconds of each
 phase: phase 1 (the unit pivots, poly._unit_pivots) and phase 2 (the
 block's Bareiss, poly._block_det). Then come the process seconds of one
-jones(k), the Kauffman-bracket sweep, of region 1's two complement
-closures for the fraction certificate, taken both ways: read off the
-built union with box 1 contracted to one vertex, with one phase 1
+jones(k), the Kauffman-bracket sweep, the sweep's units before and after
+the merge of four-slot pairs joined by two edges (helpers.merged_units;
+each kt box's two twist columns become one), then the process seconds
+of region 1's two complement closures for the fraction certificate,
+taken both ways: read off the built union with box 1 contracted to one
+vertex, with one phase 1
 (invariant.complement_closures), and from a rebuild and a region-route
 determinant each (helpers.complement_by_rebuild), and of all four
 certificates on the member (cli.verify_reports, as `symunion verify`
@@ -58,6 +61,7 @@ from helpers import (  # noqa: E402
     complement_by_rebuild,
     jones_at_roots_of_unity,
     kt_member,
+    merged_units,
     torus_alexander,
     torus_closure,
 )
@@ -153,7 +157,7 @@ def scaling_family(ms, repeat: int) -> int:
     half = alexander_region(PARTIAL_12)
     failures = 0
     print("crossings     m   region_s      fox_s  region k/B  phase1_s  phase2_s"
-          "   fox k/B  phase1_s  phase2_s   jones_s  compl_s  rebuilt_s  verify_s  ok")
+          "   fox k/B  phase1_s  phase2_s   jones_s  boxes/units  compl_s  rebuilt_s  verify_s  ok")
     for m in ms:
         k = kt_member(m)
         want = half * half
@@ -166,6 +170,7 @@ def scaling_family(ms, repeat: int) -> int:
         t0 = time.process_time()
         v = jones(k)
         t_jones = time.process_time() - t0
+        boxes, units = len(invariant._boxes(k)), len(merged_units(k)[0])
         ok = normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True) == want
         ok = ok and abs(v.evaluate(-1)) == abs(want.evaluate(-1))
         ok = ok and jones_at_roots_of_unity(v, want.evaluate(-1))
@@ -176,7 +181,8 @@ def scaling_family(ms, repeat: int) -> int:
         (kr, br, r1, r2), (kf, bf, f1, f2) = phases(rrows, repeat), phases(frows, repeat)
         print(f"{len(k.crossings):9} {m:5} {t_region:10.3f} {t_fox:10.3f} "
               f"{kr:5}/{br:<5} {r1:9.3f} {r2:9.3f} {kf:4}/{bf:<5} {f1:9.3f} {f2:9.3f} "
-              f"{t_jones:9.3f} {t_one:8.3f} {t_two:10.3f} {t_verify:9.3f}  {'yes' if ok else 'NO'}")
+              f"{t_jones:9.3f} {boxes:6}/{units:<6} {t_one:8.3f} {t_two:10.3f} {t_verify:9.3f}  "
+              f"{'yes' if ok else 'NO'}")
     return failures
 
 

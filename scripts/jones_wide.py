@@ -5,17 +5,20 @@ T(p, p + 1), each drawn as the closure of the p-strand braid
 Cutting such a closure leaves 2p open strands, so the bracket sweep keeps
 up to Catalan(p) states, where the kt family keeps a few dozen.
 
-For each p the script prints the crossings, the peak number of states the
-sweep holds after a unit, the state-steps (the states summed over the
-units), the process seconds of one jones(d) and those seconds in
-microseconds per state-step. The counts are read from the sweep's
-comparison with invariant._STATE_LIMIT (helpers.StateTally). It exits 1
-unless the peak is at most Catalan(p), which a sweep order that keeps the
-frontier at 2p open edges reaches, unless V(1) = 1, V(w) = 1 at the third
-root of unity w and V(i) = (-1)^Arf with Arf read off the determinant
-Delta(-1) (helpers.jones_at_roots_of_unity), and unless V is the mirror
-image of the closed form of V(T(p, p + 1)) (helpers.torus_jones). There is
-no timing gate.
+For each p the script prints the crossings, the sweep's units before and
+after the merge of four-slot pairs joined by two edges
+(helpers.merged_units), the peak number of states the sweep holds after a
+unit, the state-steps (the states summed over the units), the process
+seconds of one jones(d) and those seconds in microseconds per state-step.
+The counts are read from the sweep's comparison with
+invariant._STATE_LIMIT (helpers.StateTally). It exits 1 if the merge
+joins any units, as the peak guard counts on single-crossing units. It
+also exits 1 unless the peak is at most Catalan(p), which a sweep order
+that keeps the frontier at 2p open edges reaches, unless V(1) = 1,
+V(w) = 1 at the third root of unity w and V(i) = (-1)^Arf with Arf read
+off the determinant Delta(-1) (helpers.jones_at_roots_of_unity), and
+unless V is the mirror image of the closed form of V(T(p, p + 1))
+(helpers.torus_jones). There is no timing gate.
 
     python scripts/jones_wide.py --p 4 5 6 7 8
 """
@@ -28,7 +31,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the builder and checks
 
-from helpers import StateTally, jones_at_roots_of_unity, torus_closure, torus_jones  # noqa: E402
+from helpers import (  # noqa: E402
+    StateTally,
+    jones_at_roots_of_unity,
+    merged_units,
+    torus_closure,
+    torus_jones,
+)
 from symunion import invariant  # noqa: E402
 from symunion.invariant import alexander_region, jones  # noqa: E402
 
@@ -41,9 +50,10 @@ def main() -> int:
 
     failures = 0
     limit = invariant._STATE_LIMIT
-    print("  p  crossings  peak_states  state_steps   jones_s  us_per_step  ok")
+    print("  p  crossings  boxes/units  peak_states  state_steps   jones_s  us_per_step  ok")
     for p in args.p:
         d = torus_closure(p)
+        boxes, units = len(invariant._boxes(d)), len(merged_units(d)[0])
         invariant._STATE_LIMIT = tally = StateTally(limit)
         try:
             t0 = time.process_time()
@@ -54,13 +64,14 @@ def main() -> int:
         det = alexander_region(d).evaluate(-1)
         peak, steps = max(tally.counts), sum(tally.counts)
         ok = (
-            peak <= math.comb(2 * p, p) // (p + 1)
+            units == boxes
+            and peak <= math.comb(2 * p, p) // (p + 1)
             and v.evaluate(1) == 1
             and jones_at_roots_of_unity(v, det)
             and v == torus_jones(p)
         )
         failures += not ok
-        print(f"{p:3} {len(d.crossings):10} {peak:12} {steps:12} {t_jones:9.3f} "
+        print(f"{p:3} {len(d.crossings):10} {boxes:6}/{units:<5} {peak:12} {steps:12} {t_jones:9.3f} "
               f"{1e6 * t_jones / steps:12.2f}  {'yes' if ok else 'NO'}")
     return 1 if failures else 0
 

@@ -239,13 +239,20 @@ def alexander_fox(
 # -- Kauffman bracket and Jones --------------------------------------------------------
 
 # The most live states one sweep keeps; a planar frontier of width w has at
-# most Catalan(w/2) pairings. A state takes about 0.8 to 1.6 KB at 68
-# crossings, 0.6 to 1.2 KB at 63 (T(8, 9), 1,430 states) and 15 to 21 KB
-# at 820, mostly its packed coefficient, which grows with the crossings;
-# its key, a tuple of partner positions with a hole for each closed edge
-# (as long as the most edges open at once), takes 0.05 to 0.24 KB less
-# than a tuple of edge pairs at 68 crossings.
+# most Catalan(w/2) pairings. At the sweep's peak a state takes about 0.9
+# to 1.1 KB at 68 crossings (B = 61 to 77), 0.6 KB at 63 (T(8, 9), 1,430
+# states, B = 164) and 15 KB at 820 (B = 94), mostly its packed
+# coefficient, which grows with the crossings; its key, a tuple of partner
+# positions with a hole for each closed edge (as long as the most edges
+# open at once), takes 88 to 168 bytes.
 _STATE_LIMIT = 50_000
+
+# The most packed bits the live states may hold, by the figure _sweep
+# bounds them with: states times B times the slots a state can have. The
+# sweeps measured took at most 0.12 bytes of peak RSS per bit of that
+# figure (the T(9, 10) partial with two kt(100) boxes: 392 MB at 3.3e9;
+# T(10, 11): 52 MB at 1.3e9), so 2^32 keeps the states to about 0.5 GB.
+_BIT_LIMIT = 1 << 32
 
 # (mate, a, cs): a pairing of a unit's slots and its weight
 _Smoothing = tuple[tuple[int, ...], int, tuple[int, ...]]
@@ -253,7 +260,8 @@ _Smoothing = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 class _Unit(NamedTuple):
     """One step of the bracket sweep: a box of crossings summed up in
-    closed form (_box_unit). slots are the edge ids of its open ends. Each
+    closed form (_box_unit), or two units merged (_joined). slots are the
+    edge ids of its open ends. Each
     smoothing pairs the slots (mate[s] is the slot joined to s) with weight
     sum cs[j] A^(a + 2j). bound is _bound of the smoothings."""
 
@@ -508,12 +516,26 @@ def _sweep(
     of crossings processed, so one slot per power of A^2 suffices. P is the
     polynomial at A^2 = 2^B, so sums, shifts and products of it are exact
     at any size; B = bits, from _width, lets the final coefficients be read
-    back."""
+    back.
+
+    A smoothing whose packed weight is not 1 first sums the states it
+    sends to each next key, unweighted, and the sum is multiplied by the
+    weight once: the product distributes over the sum. So a long weight
+    costs one product per next key, not one per state.
+
+    A state's P has at most span slots: each unit moves every term by the
+    A^a W of one of its smoothings and by delta^L, L at most half its
+    slots, so the lowest term can fall by at most 2L - min a and the
+    highest rise by at most max (a + 2 len(cs) - 2) + 2L. Every coefficient
+    is below 2^(B - 1) (_width), so P has at most B span bits, and the
+    states at most len(states) B span; the sweep refuses past _BIT_LIMIT,
+    as past _STATE_LIMIT, with TooLarge."""
     two = 2 * bits
     states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
     where: dict[int, int] = {}  # open edge -> its position
     holes: list[int] = []  # a heap of the free positions below size
     size = 0
+    span = 1  # the most slots any state's P has (below)
     for u in units:
         _check(cancel)
         closing = []  # (slot, position) of each closing edge
@@ -539,9 +561,21 @@ def _sweep(
         pad = list(range(grown, size))
         taken = {ends_at[s] for s in opened}
         left = [i for i in slot_of if i not in taken]  # the holes the unit leaves
-        weights = [(mate, a, pack(enumerate(cs), bits)) for mate, a, cs in u.smoothings]
-        steps: dict[tuple[int, ...], list] = {}  # link pattern -> smoothings' walks
         new: dict[tuple[int, ...], tuple[int, int]] = {}
+        # a smoothing of weight 1 adds its next states into new; another
+        # sums them per next key in a table of its own, multiplied below.
+        # low and high bound the a and a + 2 len(cs) of the smoothings (span)
+        weights = []
+        low = high = u.smoothings[0][1]
+        for mate, a, cs in u.smoothings:
+            w = pack(enumerate(cs), bits)
+            weights.append((mate, a, w, new if w == 1 else {}))
+            if a < low:
+                low = a
+            if a + 2 * len(cs) > high:
+                high = a + 2 * len(cs)
+        span += (high - low >> 1) + len(u.slots) - 1
+        steps: dict[tuple[int, ...], list] = {}  # link pattern -> smoothings' walks
         for key, (lo, p) in states.items():
             link, ends = list(ident), ends_at.copy()
             for s, i in closing:
@@ -554,8 +588,11 @@ def _sweep(
             link = tuple(link)
             walks = steps.get(link)
             if walks is None:
-                walks = steps[link] = [(*_WALKS[mate, link], a, w) for mate, a, w in weights]
-            for made, loops, a, w in walks:
+                walks = steps[link] = [
+                    (*_WALKS[mate, link], a if table is new else 0, table)
+                    for mate, a, _, table in weights
+                ]
+            for made, loops, a, table in walks:
                 nk = [*key, *pad]
                 for i in left:
                     nk[i] = i
@@ -563,21 +600,33 @@ def _sweep(
                     x, y = ends[s], ends[t]
                     nk[x], nk[y] = y, x
                 nk = tuple(nk)
-                q = p if w == 1 else p * w
+                q = p
                 # delta = -A^-2 (1 + A^4); A^4 is two slots
                 for _ in range(loops):
                     q = -(q + (q << two))
                 lq = lo + a - 2 * loops
-                old = new.get(nk)
+                old = table.get(nk)
                 if old is None:
-                    new[nk] = (lq, q)
+                    table[nk] = (lq, q)
                 elif lq >= old[0]:
-                    new[nk] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
+                    table[nk] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
                 else:
-                    new[nk] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
-        if len(new) > _STATE_LIMIT:
+                    table[nk] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
+        for _, a, w, table in weights:
+            if table is not new:
+                for nk, (lq, q) in table.items():
+                    lq, q = lq + a, q * w
+                    old = new.get(nk)
+                    if old is None:
+                        new[nk] = (lq, q)
+                    elif lq >= old[0]:
+                        new[nk] = (old[0], old[1] + (q << bits * ((lq - old[0]) >> 1)))
+                    else:
+                        new[nk] = (lq, q + (old[1] << bits * ((old[0] - lq) >> 1)))
+        if len(new) > _STATE_LIMIT or len(new) * bits * span > _BIT_LIMIT:
             raise TooLarge(
-                f"bracket state sum reaches {len(new)} states; limit is {_STATE_LIMIT}"
+                f"bracket state sum reaches {len(new)} states of at most {bits * span} "
+                f"packed bits each; limits are {_STATE_LIMIT} states and {_BIT_LIMIT} bits"
             )
         states = new
     return states, {i: e for e, i in where.items()}
@@ -596,6 +645,108 @@ def _unit_graph(d: PlanarDiagram, boxes: Sequence[tuple[list[int], list[int]]]) 
             nbrs[u].append(v)
             nbrs[v].append(u)
     return nbrs
+
+
+@cache
+def _compose(
+    mate_a: tuple[int, ...], mate_b: tuple[int, ...], code: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
+    """The pairing of the outer ends that smoothings mate_a of unit A and
+    mate_b of unit B make together, as a mate of the merged unit's slots,
+    and the loops they close. Slots 0-3 are A's, 4-7 B's; code[s] is the
+    slot that a shared edge joins s to, or ~i for the merged unit's slot i.
+    The one loop there can be runs through both shared edges, when both
+    smoothings pair their shared ends."""
+    mate = mate_a + tuple(4 + t for t in mate_b)
+    link = {s: c for s, c in enumerate(code) if c >= 0}
+    made, loops = _smooth(mate, link, {s: ~c for s, c in enumerate(code) if c < 0})
+    out = [0] * 4
+    for x, y in made:
+        out[x], out[y] = y, x
+    return tuple(out), loops
+
+
+def _joined(ua: _Unit, ub: _Unit) -> _Unit:
+    """Two four-slot units joined by two edges as one unit: its slots are
+    the four outer edges, A's and then B's, and each pair of smoothings
+    composes (_compose) to a pairing of them with weight W_A W_B delta^L.
+    Compositions with the same pairing are summed, as _box_unit sums them.
+
+    The sums are taken packed at B = width(bound_A bound_B), each weight
+    from the lowest power of A of its unit's smoothings. A unit's bound is
+    at least 2 sum ||W||_1 (_bound), and ||W_A W_B delta^L||_1 <=
+    2 ||W_A||_1 ||W_B||_1, so no sum has a coefficient as large as
+    2 sum ||W_A||_1 sum ||W_B||_1 <= bound_A bound_B / 2, and each unpacks
+    at B. A pairing whose compositions cancel is dropped; not all of them
+    can cancel, as the bracket of a link diagram is never 0 (V(1) =
+    (-2)^(components - 1))."""
+    code, outer = [], []  # the outer edges: A's, then B's
+    for slots, other, at in ((ua.slots, ub.slots, 4), (ub.slots, ua.slots, 0)):
+        for e in slots:
+            if e in other:
+                code.append(at + other.index(e))
+            else:
+                code.append(~len(outer))
+                outer.append(e)
+    code = tuple(code)
+    bits = width(ua.bound * ub.bound)
+    la = min([a for _, a, _ in ua.smoothings])
+    lb = min([a for _, a, _ in ub.smoothings])
+    wb = [(mate, pack(enumerate(cs, a - lb >> 1), bits)) for mate, a, cs in ub.smoothings]
+    sums: dict[tuple[int, ...], int] = {}  # pairing -> P, at A^(la + lb - 2)
+    for mate_a, a, cs in ua.smoothings:
+        pa = pack(enumerate(cs, a - la >> 1), bits)
+        for mate_b, pb in wb:
+            mate, loops = _compose(mate_a, mate_b, code)
+            p = pa * pb
+            # delta = -A^-2 (1 + A^4); a composition without a loop is a slot up
+            sums[mate] = sums.get(mate, 0) + (-(p + (p << 2 * bits)) if loops else p << bits)
+    smoothings, norms = [], []
+    for mate, p in sums.items():
+        if p:
+            low = ((p & -p).bit_length() - 1) // bits  # zero slots at the bottom
+            cs = unpack(p >> bits * low, bits)
+            smoothings.append((mate, la + lb - 2 + 2 * low, cs))
+            norms.append(sum(map(abs, cs)))
+    # _bound of four slots
+    return _Unit(tuple(outer), tuple(smoothings), 2 * (sum(norms) + max(norms)))
+
+
+def _merge_pairs(
+    units: list[_Unit], nbrs: list[list[int]], cancel: CancelToken | None
+) -> tuple[list[_Unit], list[list[int]]]:
+    """Merge every two four-slot units joined by exactly two edges into one
+    (_joined), as long as any are left, and return the units and their
+    graph (_unit_graph). Unit i, from the lowest, takes in its lowest such
+    partner while it has one. A merge changes only the merged unit's
+    edges, so every pair it makes includes it, and one pass finds them
+    all. The lists are updated in place; the units are renumbered once at
+    the end."""
+    dead = 0
+    for i, ni in enumerate(nbrs):
+        while len(ni) == 4 and len(set(ni)) < 4:
+            for j in sorted(ni):
+                if ni.count(j) == 2 and len(nbrs[j]) == 4:
+                    break
+            else:
+                break
+            _check(cancel)
+            units[i], units[j] = _joined(units[i], units[j]), None
+            far, nbrs[j] = nbrs[j], []
+            ni.remove(j)
+            ni.remove(j)
+            far.remove(i)
+            far.remove(i)
+            for x in far:
+                nx = nbrs[x]
+                nx[nx.index(j)] = i
+            ni += far
+            dead += 1
+    if not dead:
+        return units, nbrs
+    kept = [i for i, u in enumerate(units) if u is not None]
+    at = {i: k for k, i in enumerate(kept)}
+    return [units[i] for i in kept], [[at[x] for x in nbrs[i]] for i in kept]
 
 
 def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
@@ -621,7 +772,9 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
     path adds each step's width to the rest after the set before it, which
     fills memo and, at the start, gives the score the whole sweep would
     reach, so each start wins or loses as it would without memo, and the
-    winning order is read back from memo."""
+    winning order is read back from memo. A sweep whose width passes the
+    best peak so far cannot win, and stops there; it keeps nothing in
+    memo, as the rest after its sets is not known."""
     n = len(nbrs)
     base = [len(nbrs[j]) * n + j for j in range(n)]
     step = 2 * n
@@ -642,7 +795,7 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
             sets.append(swept)
             added.append(i)
             widths.append(width)
-            if swept in memo:
+            if swept in memo or width > best_score[0]:
                 break
             touching.discard(i)
             for j in nbrs[i]:
@@ -653,6 +806,8 @@ def _sweep_order(nbrs: Sequence[Sequence[int]]) -> list[int]:
                 touching or [j for j in range(n) if not swept >> j & 1],
                 key=key.__getitem__,
             )
+        if swept not in memo:  # stopped: its peak passed the best
+            continue
         # back along the path: each swept set, with the step that follows it
         _, peak, cost = memo[swept]
         for s, j, w in zip(sets[-2::-1], added[:0:-1], widths[:0:-1]):
@@ -677,8 +832,16 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
 
     The crossings are grouped into boxes (_boxes), each box's weights come
     from a two-term Temperley-Lieb recurrence over its crossings
-    (_box_unit), and one sweep runs over the boxes, each a step whose
-    smoothings are the pairings of its ends.
+    (_box_unit), every two four-ended units joined by two edges are merged
+    into one (_merge_pairs), and one sweep runs over the units, each a
+    step whose smoothings are the pairings of its ends. A 2-tangle's
+    bracket is a<0> + b<oo> (Kauffman 1987), and two twist columns side
+    by side, as in each kt box, are such a tangle with no bigon between
+    them: merged, its weights enter the states once, and the order search
+    and the sweep see one unit where there were two. A merged unit's
+    weights are read off at the width of the two units' bounds (_joined),
+    and its bound is the _bound of its smoothings, so _width holds over
+    the merged units as over the boxes.
 
     The sweep gives delta <D> = A^lo P(x), x = A^2 = 2^B, and
     delta = -A^-2 (1 + x^2), so <D> = -A^(lo + 2) Q(x) with P = (1 + x^2) Q,
@@ -693,9 +856,11 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
         raise NoCrossings("bracket of a crossing-free diagram is handled upstream")
     planar_faces(d)
     boxes = _boxes(d)
-    units = [_box_unit(d, box, corners, cancel) for box, corners in boxes]
+    units, nbrs = _merge_pairs(
+        [_box_unit(d, box, corners, cancel) for box, corners in boxes], _unit_graph(d, boxes), cancel
+    )
     bits = _width(units)
-    states, front = _sweep([units[i] for i in _sweep_order(_unit_graph(d, boxes))], bits, cancel)
+    states, front = _sweep([units[i] for i in _sweep_order(nbrs)], bits, cancel)
     if front or len(states) != 1:
         raise InvariantError("open strands left after processing all crossings")
     ((lo, p),) = states.values()

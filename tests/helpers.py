@@ -24,7 +24,8 @@ the Jones polynomial's values at the third and fourth roots of unity,
 the bracket sweep keyed by sorted edge pairs and the box walk by _smooth
 that the sweep over partner positions and the walk table replaced, the
 boxes grouped by bucketing face corners and their chain corners derived
-per box, as they were before _boxes walked the bigons, a
+per box, as they were before _boxes walked the bigons, the units the
+sweep runs over once its four-slot pairs are merged, a
 counter of the sweep's states, links on cylinder grids, and the torus
 knots T(p, p + 1) as braid closures with their Jones polynomials in
 closed form."""
@@ -976,6 +977,15 @@ def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
         cs = unpack(p >> bits * low, bits)
         smoothings.append((tuple(mate), 2 * low - 3 * len(box) - 4, cs))
     return inv._Unit(slots, tuple(smoothings), inv._bound(smoothings))
+
+
+def merged_units(d: PlanarDiagram) -> tuple[list, list[list[int]]]:
+    """The units invariant.kauffman_bracket sweeps and their graph: d's
+    boxes (_box_unit), with every two four-slot units joined by two edges
+    merged (_merge_pairs)."""
+    boxes = inv._boxes(d)
+    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
+    return inv._merge_pairs(units, inv._unit_graph(d, boxes), None)
 
 
 def sweep_by_pairs(units, bits: int):

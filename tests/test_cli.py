@@ -321,6 +321,16 @@ class TestInvariants:
         assert rc == 3
         assert "TooLarge" in err
 
+    def test_too_many_bits_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        from symunion import invariant
+
+        monkeypatch.setattr(invariant, "_BIT_LIMIT", 64)
+        p = tmp_path / "figure8.txt"
+        p.write_text("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
+        rc, _, err = run(capsys, "invariants", str(p), "--jones")
+        assert rc == 3
+        assert "TooLarge" in err and "limits are 50000 states and 64 bits" in err
+
     def test_cancelled_is_exit_3(self, tmp_path, capsys, monkeypatch):
         det = invariant.det_laurent
 

@@ -33,6 +33,7 @@ from helpers import (
     glued_pair,
     jones_at_roots_of_unity,
     kt_member,
+    merged_units,
     pairs_of,
     parse_poly,
     pool_variant,
@@ -853,32 +854,29 @@ unions = st.one_of(
 )
 
 
-# The largest union that gets a free random order of its boxes. Free
+# The largest union that gets a free random order of its units. Free
 # orders on the 68-crossing variants can pass the bracket's state limit.
 FREE_ORDER_CROSSINGS = 47
 
 
 @st.composite
 def diagrams_and_orders(draw):
-    """A union with a random order of its boxes. Free random orders sweep
-    parts of the diagram that do not touch, and close edges whose other
-    ends are paired with each other. Above FREE_ORDER_CROSSINGS the order
-    is a random connected sweep: a random start, then at each step a
-    random box that touches the boxes swept so far."""
+    """A union with a random order of its units (merged_units). Free
+    random orders sweep parts of the diagram that do not touch, and close
+    edges whose other ends are paired with each other. Above
+    FREE_ORDER_CROSSINGS the order is a random connected sweep: a random
+    start, then at each step a random unit that touches the units swept so
+    far."""
     d = draw(unions)
-    boxes = inv._boxes(d)
+    units, nbrs = merged_units(d)
     if len(d.crossings) <= FREE_ORDER_CROSSINGS:
-        return d, draw(st.permutations(range(len(boxes))))
-    box_of = {ci: i for i, (box, _) in enumerate(boxes) for ci in box}
-    nbrs: list[set[int]] = [set() for _ in boxes]
-    for k, m in enumerate(d.mates):
-        nbrs[box_of[k >> 2]].add(box_of[m >> 2])
-    order = [draw(st.integers(0, len(boxes) - 1))]
-    touching = nbrs[order[0]] - set(order)
+        return d, draw(st.permutations(range(len(units))))
+    order = [draw(st.integers(0, len(units) - 1))]
+    touching = set(nbrs[order[0]])
     while touching:
         order.append(draw(st.sampled_from(sorted(touching))))
-        touching = (touching | nbrs[order[-1]]) - set(order)
-    assert sorted(order) == list(range(len(boxes)))  # a union is connected
+        touching = (touching | set(nbrs[order[-1]])) - set(order)
+    assert sorted(order) == list(range(len(units)))  # a union is connected
     return d, order
 
 
@@ -1085,7 +1083,7 @@ def test_crossing_bound_is_six():
 def test_bound_matches_the_link_pattern_enumeration():
     """The closed form of _bound against the enumeration over the perfect
     matchings of a unit's slots, on every unit of the pool, the corpus and
-    chains of circles."""
+    chains of circles, box units and merged units (_joined) alike."""
     diagrams = [pool_variant(k) for k in sorted(FAMILY_POOL)]
     diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
     diagrams += list(corpus.DIAGRAM_FIXTURES.values())
@@ -1095,6 +1093,10 @@ def test_bound_matches_the_link_pattern_enumeration():
     assert inv._bound(inv._SMOOTHINGS) == bound_by_link_patterns(inv._SMOOTHINGS) == 6
     for u in units:
         assert u.bound == bound_by_link_patterns(u.smoothings)
+    merged = {u for d in diagrams for u in merged_units(d)[0]} - set(units)
+    assert len(merged) > 150
+    for u in merged:
+        assert u.bound == inv._bound(u.smoothings) == bound_by_link_patterns(u.smoothings)
 
 
 def test_box_bounds_match_the_brute_force_bound():
@@ -1156,15 +1158,15 @@ def peak_open(units) -> int:
 
 
 def assert_sweep_matches_the_pairs(d, order=None):
-    """_sweep against the pair-keyed sweep over d's boxes, in order or in
-    _sweep_order's order: the same final states, the same number of states
-    after every unit, and the same states halfway, read as edge pairs.
-    Every key is as long as the most edges open at once, never longer, as
-    new edges fill the holes that closed ones leave."""
-    boxes = inv._boxes(d)
+    """_sweep against the pair-keyed sweep over d's units (merged_units),
+    in order or in _sweep_order's order: the same final states, the same
+    number of states after every unit, and the same states halfway, read
+    as edge pairs. Every key is as long as the most edges open at once,
+    never longer, as new edges fill the holes that closed ones leave."""
+    units, nbrs = merged_units(d)
     if order is None:
-        order = inv._sweep_order(inv._unit_graph(d, boxes))
-    units = [inv._box_unit(d, *boxes[i], None) for i in order]
+        order = inv._sweep_order(nbrs)
+    units = [units[i] for i in order]
     bits = inv._width(units)
     tally = StateTally(inv._STATE_LIMIT)
     with pytest.MonkeyPatch.context() as mp:
@@ -1196,6 +1198,182 @@ def test_sweep_matches_the_pairs_on_fixed_diagrams():
 @settings(max_examples=15, deadline=None)
 def test_sweep_matches_the_pairs_in_random_orders(case):
     assert_sweep_matches_the_pairs(*case)
+
+
+def pairings_of_unit(u):
+    """A unit's smoothings as {sorted edge pairs: {exponent of A: coefficient}},
+    without the weights that are 0."""
+    out = {}
+    for mate, a, cs in u.smoothings:
+        ends = ((u.slots[s], u.slots[t]) for s, t in enumerate(mate) if s < t)
+        pairs = tuple(sorted((min(x, y), max(x, y)) for x, y in ends))
+        weight = {a + 2 * j: c for j, c in enumerate(cs) if c}
+        if weight:
+            out[pairs] = weight
+    return out
+
+
+def pairings_of_sweep(units):
+    """The states a sweep over units ends with, in the form of
+    pairings_of_unit."""
+    bits = inv._width(units)
+    states, front = inv._sweep(units, bits, None)
+    out = {}
+    for pairs, (lo, p) in pairs_of(states, front).items():
+        weight = {lo + 2 * j: c for j, c in enumerate(poly.unpack(p, bits)) if c}
+        if weight:
+            out[pairs] = weight
+    return out
+
+
+def joined_pairs(d):
+    """Every two four-slot box units of d joined by exactly two edges,
+    and every pair _merge_pairs joins in kauffman_bracket, merged units
+    among them."""
+    boxes = inv._boxes(d)
+    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
+    nbrs = inv._unit_graph(d, boxes)
+    pairs = [
+        (units[i], units[j])
+        for i in range(len(units))
+        for j in range(i + 1, len(units))
+        if len(nbrs[i]) == len(nbrs[j]) == 4 and nbrs[i].count(j) == 2
+    ]
+    joined = inv._joined
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_joined", lambda ua, ub: pairs.append((ua, ub)) or joined(ua, ub))
+        kauffman_bracket(d)
+    return pairs
+
+
+def assert_joined_matches_the_sweep(ua, ub):
+    """_joined against a sweep over the two units: the same pairings of
+    the four outer edges with the same weights, and the bound that
+    bound_by_link_patterns enumerates."""
+    u = inv._joined(ua, ub)
+    assert len(u.slots) == 4 and set(u.slots) == set(ua.slots) ^ set(ub.slots)
+    assert pairings_of_unit(u) == pairings_of_sweep([ua, ub])
+    assert all(cs and cs[0] and cs[-1] for _, _, cs in u.smoothings)
+    assert u.bound == inv._bound(u.smoothings) == bound_by_link_patterns(u.smoothings)
+
+
+def test_joined_matches_a_two_unit_sweep_on_fixed_diagrams():
+    """Every pair the merge may join, on the corpus unions and the 64 pool
+    variants; some are units merged before."""
+    diagrams = list(CORPUS_UNIONS.values()) + [pool_variant(k) for k in sorted(FAMILY_POOL)]
+    count = merged = 0
+    for d in diagrams:
+        boxed = {inv._box_unit(d, b, c, None) for b, c in inv._boxes(d)}
+        for ua, ub in joined_pairs(d):
+            assert_joined_matches_the_sweep(ua, ub)
+            count += 1
+            merged += ua not in boxed or ub not in boxed
+    assert count > 600 and merged > 20
+
+
+@given(unions)
+@settings(max_examples=25, deadline=None)
+def test_joined_matches_a_two_unit_sweep_on_unions(d):
+    for ua, ub in joined_pairs(d):
+        assert_joined_matches_the_sweep(ua, ub)
+
+
+def test_a_pairing_whose_compositions_cancel_is_dropped():
+    """Two crossings of opposite sign on a bigon, each a unit of its own:
+    the Reidemeister II move, whose bracket is one pairing with weight 1.
+    The other pairing's two compositions cancel."""
+    d = numerator(tangle_sum(tangle_sum(vertical_twists(1), vertical_twists(-1)), vertical_twists(3)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_boxes", lambda d: [([i], [0]) for i in range(len(d.crossings))])
+        (ua, ub), *_ = joined_pairs(d)
+        assert kauffman_bracket(d) == bracket_naive(d)
+    u = inv._joined(ua, ub)
+    assert len(u.smoothings) == 1 and u.smoothings[0][1:] == (0, (1,))
+    assert_joined_matches_the_sweep(ua, ub)
+    states, _ = inv._sweep([ua, ub], inv._width([ua, ub]), None)
+    assert sorted(p for _, p in states.values()) == [0, 1]  # the sweep keeps the 0
+
+
+def jones_unmerged(d):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_merge_pairs", lambda units, nbrs, cancel: (units, nbrs))
+        return jones(d)
+
+
+def merge_cases():
+    yield from ((name, d) for name, d in sorted(CORPUS_UNIONS.items()))
+    yield from ((key, pool_variant(key)) for key in sorted(FAMILY_POOL))
+    yield from ((f"random {seed}", random_union(seed)) for seed in range(20))
+    yield from ((f"kt({m})", kt_member(m)) for m in (3, 4, 5, 6, 8, 12, 20, 33, 50))
+    yield from ((f"T({p},{p + 1})", torus_closure(p)) for p in range(2, 8))
+
+
+def test_merged_jones_matches_the_sweep_over_box_units():
+    """The merged sweep against the one over the boxes' units on the
+    corpus, the pool (and its pin file), random unions, kt members up to
+    m = 50 (420 crossings) and the torus closures (and their closed form).
+    Each kt box, two twist columns, merges into one unit; the torus
+    closures have nothing to merge."""
+    merges = 0
+    for name, d in merge_cases():
+        want = jones_unmerged(d)
+        assert jones(d) == want, name
+        if name in JONES_PINS:
+            assert want.text() == JONES_PINS[name]
+        units, _ = merged_units(d)
+        merges += len(inv._boxes(d)) - len(units)
+        if name.startswith("T("):
+            assert len(units) == len(inv._boxes(d))
+            assert want == torus_jones(int(name[2:name.index(",")]))
+        if name.startswith("kt("):
+            assert len(units) <= len(inv._boxes(d)) - 4
+    assert merges > 500
+
+
+def test_merge_polls_cancel():
+    d = kt_member(3)
+    boxes = inv._boxes(d)
+    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
+    token = CancelToken()
+    token.cancel()
+    with pytest.raises(Cancelled):
+        inv._merge_pairs(units, inv._unit_graph(d, boxes), token)
+    d = torus_closure(4)  # nothing to merge, nothing polled
+    boxes = inv._boxes(d)
+    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
+    assert inv._merge_pairs(list(units), inv._unit_graph(d, boxes), token)[0] == units
+
+
+def test_sweep_bits_bound_the_live_packed_bits():
+    """The figure the sweep holds against _BIT_LIMIT after each unit,
+    states times B times the slots a state's P can have, is at least the
+    bits its states hold, each at most B times those slots."""
+    diagrams = [pool_variant("x68/v00"), kt_member(12), torus_closure(6), CORPUS_UNIONS["trefoil_union_2"]]
+    for d in diagrams:
+        units, nbrs = merged_units(d)
+        units = [units[i] for i in inv._sweep_order(nbrs)]
+        bits = inv._width(units)
+        tally = StateTally(inv._BIT_LIMIT)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inv, "_BIT_LIMIT", tally)
+            inv._sweep(units, bits, None)
+        assert len(tally.counts) == len(units)
+        for k, figure in enumerate(tally.counts, 1):
+            states, _ = inv._sweep(units[:k], bits, None)
+            lengths = [p.bit_length() for _, p in states.values()]
+            assert sum(lengths) <= figure
+            assert max(lengths) <= figure // len(states)
+
+
+def test_sweep_refuses_past_the_bit_limit(monkeypatch):
+    """TooLarge names the states and the bits each can hold, and both
+    limits."""
+    d = pool_variant("x30/v00")
+    jones(d)
+    monkeypatch.setattr(inv, "_BIT_LIMIT", 4096)
+    with pytest.raises(TooLarge, match=r"reaches \d+ states of at most \d+ packed bits each; "
+                       r"limits are 50000 states and 4096 bits"):
+        jones(d)
 
 
 @pytest.mark.parametrize("p", range(3, 8))

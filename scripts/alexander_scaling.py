@@ -26,6 +26,8 @@ product formula predicts, Delta(partial)^2 prod Delta(N(kt(m))), unless
 |V(-1)| = |Delta(-1)|, both the knot's determinant, and V(w) = 1 at the
 third root of unity w and V(i) = (-1)^Arf with Arf read off Delta(-1)
 mod 8, so that the bracket is checked at every size the script runs,
+unless jones(k) equals the Jones polynomial of the sweep over the
+unmerged box units (helpers.jones_unmerged, as the tests take it),
 unless the two ways give the same complement closures, unless every
 certificate's report passes, and unless the zero-replacement lemma's
 report, read off the union, gives the components of the zero
@@ -60,6 +62,7 @@ from helpers import (  # noqa: E402
     build_all_zero_replacement,
     complement_by_rebuild,
     jones_at_roots_of_unity,
+    jones_unmerged,
     kt_member,
     merged_units,
     torus_alexander,
@@ -173,7 +176,7 @@ def scaling_family(ms, repeat: int) -> int:
         boxes, units = len(invariant._boxes(k)), len(merged_units(k)[0])
         ok = normalize_alexander(d_region, knot=True) == normalize_alexander(d_fox, knot=True) == want
         ok = ok and abs(v.evaluate(-1)) == abs(want.evaluate(-1))
-        ok = ok and jones_at_roots_of_unity(v, want.evaluate(-1))
+        ok = ok and jones_at_roots_of_unity(v, want.evaluate(-1)) and v == jones_unmerged(k)
         t_one, t_two, same = complements(k)
         t_verify, passed = certificates(k)
         ok = ok and same and passed and same_as_the_reference(k)

@@ -18,13 +18,24 @@ that keeps the frontier at 2p open edges reaches, unless V(1) = 1,
 V(w) = 1 at the third root of unity w and V(i) = (-1)^Arf with Arf read
 off the determinant Delta(-1) (helpers.jones_at_roots_of_unity), and
 unless V is the mirror image of the closed form of V(T(p, p + 1))
-(helpers.torus_jones). There is no timing gate.
+(helpers.torus_jones).
+
+Then it runs the long boxes: the T(9, 10) partial with two kt(m) boxes
+(helpers.wide_union) at m = 3, 100 and 400, 170, 558 and 1,758
+crossings, whose long box weights every state of the mirror half
+carries. For each m it prints the crossings, the units before and after
+the merge, the peak states and the process seconds of one jones(d). It
+exits 1 unless m = 3 and m = 100 give V(1) = 1 and pass the checks at
+the roots of unity, and unless m = 400 is refused with TooLarge, whose
+message names the states and the packed bits each holds against both
+limits. There is no timing gate.
 
     python scripts/jones_wide.py --p 4 5 6 7 8
 """
 
 import argparse
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -37,9 +48,47 @@ from helpers import (  # noqa: E402
     merged_units,
     torus_closure,
     torus_jones,
+    wide_union,
 )
 from symunion import invariant  # noqa: E402
-from symunion.invariant import alexander_region, jones  # noqa: E402
+from symunion.invariant import TooLarge, alexander_region, jones  # noqa: E402
+
+# (m, whether jones(d) finishes) of each long-box union wide_union(9, m)
+LONG_BOXES = ((3, True), (100, True), (400, False))
+
+
+def long_boxes() -> int:
+    """Print one row per long-box union; the number of rows that fail."""
+    failures = 0
+    limit = invariant._STATE_LIMIT
+    refusal = re.compile(
+        rf"reaches \d+ states of at most \d+ packed bits each; "
+        rf"limits are {limit} states and {invariant._BIT_LIMIT} bits$"
+    )
+    print("  p      m  crossings  boxes/units  peak_states   jones_s  ok")
+    for m, finishes in LONG_BOXES:
+        d = wide_union(9, m)
+        boxes, units = len(invariant._boxes(d)), len(merged_units(d)[0])
+        invariant._STATE_LIMIT = tally = StateTally(limit)
+        t0 = time.process_time()
+        try:
+            v = jones(d)
+        except TooLarge as e:
+            v, refused = None, str(e)
+        finally:
+            invariant._STATE_LIMIT = limit
+        t_jones = time.process_time() - t0
+        if v is None:
+            ok = not finishes and refusal.search(refused) is not None
+            note = f"refused: {refused}"
+        else:
+            ok = finishes and v.evaluate(1) == 1
+            ok = ok and jones_at_roots_of_unity(v, alexander_region(d).evaluate(-1))
+            note = ""
+        failures += not ok
+        print(f"{9:3} {m:6} {len(d.crossings):10} {boxes:6}/{units:<5} {max(tally.counts):12} "
+              f"{t_jones:9.3f}  {'yes' if ok else 'NO'}  {note}".rstrip())
+    return failures
 
 
 def main() -> int:
@@ -73,6 +122,7 @@ def main() -> int:
         failures += not ok
         print(f"{p:3} {len(d.crossings):10} {boxes:6}/{units:<5} {peak:12} {steps:12} {t_jones:9.3f} "
               f"{1e6 * t_jones / steps:12.2f}  {'yes' if ok else 'NO'}")
+    failures += long_boxes()
     return 1 if failures else 0
 
 

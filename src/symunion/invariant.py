@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heappop, heappush
-from itertools import permutations
 import math
 import threading
 from typing import Callable, NamedTuple, Sequence
@@ -259,38 +258,40 @@ _Smoothing = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
 class _Unit(NamedTuple):
-    """One step of the bracket sweep: a box of crossings summed up in
-    closed form (_box_unit), or two units merged (_joined). slots are the
-    edge ids of its open ends. Each
+    """One step of the bracket sweep: a crossing, a box of crossings summed
+    up in closed form (_box_unit), or two units merged (_joined). slots are
+    the edge ids of its open ends, in the order its maker meets them. Each
     smoothing pairs the slots (mate[s] is the slot joined to s) with weight
-    sum cs[j] A^(a + 2j). bound is _bound of the smoothings."""
+    sum cs[j] A^(a + 2j), cs[0] and cs[-1] not 0. bound is _bound of the
+    smoothings."""
 
     slots: tuple[int, ...]
     smoothings: tuple[_Smoothing, ...]
     bound: int
 
 
+# The cache stays small: only the patterns of units of 0, 2 or 4 slots
+# (33) and those of _compose's 8 slots occur.
+@cache
 def _smooth(
-    mate: Sequence[int], link: dict[int, int], ends: dict[int, int]
+    mate: tuple[int, ...], link: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Walk a unit's slots along one smoothing. ends maps each slot that
-    holds an open end to that end's edge; link joins the other slots in
-    pairs. Returns the new pairs of open ends and the number of loops the
-    smoothing closes."""
+    """Walk a unit's slots along one smoothing. link[s] is the slot that
+    two closing edges paired with each other join s to, or s itself when s
+    holds an open end. Returns the pairs of open-end slots the smoothing
+    joins, (lower, upper) in order of the lower, and the loops it closes."""
     seen = [False] * len(mate)
     made = []
-    for s in ends:
-        if not seen[s]:
-            t = s
+    for s, t in enumerate(link):
+        if s == t and not seen[s]:
             while True:
                 seen[t] = True
                 u = mate[t]
                 seen[u] = True
-                if u in ends:
+                if link[u] == u:
                     break
                 t = link[u]
-            x, y = ends[s], ends[u]
-            made.append((x, y) if x < y else (y, x))
+            made.append((s, u))  # u is unseen, so above s
     loops = 0
     for s in range(len(mate)):
         if not seen[s]:
@@ -302,25 +303,6 @@ def _smooth(
                 seen[u] = True
                 t = link[u]
     return tuple(made), loops
-
-
-# _smooth of every smoothing against every link pattern, by (mate, link):
-# the pairs of end slots it makes and the loops it closes. A unit has 0, 2
-# or 4 slots; mate is a perfect matching of them and link an involution,
-# link[s] the slot s is linked to, or s when s holds an open end. 1 + 2 +
-# 3 * 10 = 33 entries.
-_WALKS = {
-    (mate, link): _smooth(
-        mate,
-        {s: t for s, t in enumerate(link) if s != t},
-        {s: s for s, t in enumerate(link) if s == t},
-    )
-    for n in (0, 2, 4)
-    for link in permutations(range(n))
-    if all(link[t] == s for s, t in enumerate(link))
-    for mate in permutations(range(n))
-    if all(mate[t] == s != t for s, t in enumerate(mate))
-}
 
 
 def _bound(smoothings: Sequence[_Smoothing]) -> int:
@@ -335,27 +317,31 @@ def _bound(smoothings: Sequence[_Smoothing]) -> int:
     the unit's 2k = 0, 2 or 4 slots (_boxes). A smoothing and such a
     pattern close k loops when they pair the slots alike, else one (two
     distinct matchings of at most four slots form one cycle). The
-    smoothings pair the slots in distinct ways (_box_unit merges them by
-    pairing), so a pattern matches at most one, and the most is reached at
-    the pattern of the smoothing with the largest ||W||_1:
+    smoothings pair the slots in distinct ways (_unit_of keeps one
+    smoothing per pairing), so a pattern matches at most one, and the most
+    is reached at the pattern of the smoothing with the largest ||W||_1:
     2 sum ||W||_1 + (2^k - 2) max ||W||_1."""
     norms = [sum(map(abs, cs)) for _, _, cs in smoothings]
     k = len(smoothings[0][0]) // 2
     return 2 * sum(norms) + ((1 << k) - 2) * max(norms)
 
 
+def _unit_of(slots: tuple[int, ...], sums: dict[tuple[int, ...], int], lo: int, bits: int) -> _Unit:
+    """The unit whose smoothings are sums, each pairing's weight packed at
+    width bits (P = sum c_j 2^(Bj) for sum c_j A^(lo + 2j)). A pairing whose
+    weight is 0 is dropped; the others are trimmed of the zero slots at the
+    bottom and unpacked."""
+    smoothings = []
+    for mate, p in sums.items():
+        if p:
+            low = ((p & -p).bit_length() - 1) // bits
+            smoothings.append((mate, lo + 2 * low, unpack(p >> bits * low, bits)))
+    return _Unit(slots, tuple(smoothings), _bound(smoothings))
+
+
 # A crossing's two smoothings, with weights A and A^-1, and their bound (6).
 _SMOOTHINGS = (((1, 0, 3, 2), 1, (1,)), ((3, 2, 1, 0), -1, (1,)))
 _CROSSING_BOUND = _bound(_SMOOTHINGS)
-
-# _SMOOTHINGS moved onto a crossing's four edges in sorted order, by the
-# unit slot of each crossing slot: at[j] is the rank of slot j's edge, and
-# order, its inverse, the crossing slot of each unit slot. 4! = 24 entries.
-_ONE = {
-    at: tuple((tuple(at[mate[j]] for j in order), a, cs) for mate, a, cs in _SMOOTHINGS)
-    for at in permutations(range(4))
-    for order in [tuple(sorted(range(4), key=at.__getitem__))]
-}
 
 
 def _width(units: Sequence[_Unit]) -> int:
@@ -429,20 +415,20 @@ def _box_unit(
     ends at c_1 and those at c_m. Ends joined to each other by an edge (a
     cycle, a kink, or more than two edges between two crossings) are closed
     as the sweep closes them (_smooth), so the unit's slots are the edges
-    left open and each pairing of them gets one smoothing.
+    left open, in dart order, and each pairing of them gets one smoothing
+    (_unit_of), or none when its weight cancels, as the pairing a
+    Reidemeister II bigon's two crossings would join the outer ends by.
 
     The weights are packed at B from the crossings' bound, as a sweep over
     the box's crossings would take them, at lo = -3m - 4: no term is lower.
 
-    A box of one crossing with no kink, four distinct edges, is the
-    crossing's own two smoothings (_SMOOTHINGS) moved onto its edges in
-    sorted order, read from _ONE by the rank of each crossing slot's edge."""
+    A box of one crossing with four distinct edges is the crossing's own
+    two smoothings (_SMOOTHINGS) on its edges."""
     _check(cancel)
     if len(box) == 1:
         edges = d.crossings[box[0]]
-        slots = sorted(edges)
-        if slots[0] < slots[1] < slots[2] < slots[3]:
-            return _Unit(tuple(slots), _ONE[tuple(map(slots.index, edges))], _CROSSING_BOUND)
+        if len(set(edges)) == 4:
+            return _Unit(tuple(edges), _SMOOTHINGS, _CROSSING_BOUND)
     mates = d.mates
     bits = width(_CROSSING_BOUND ** len(box))
     pa, pb = 1, 0  # after i crossings, a = A^(-3i) pa(A^2), and b likewise
@@ -464,30 +450,21 @@ def _box_unit(
         if x != box[-1]:
             end = mates[4 * x + end] & 3
     one = (2, 3, 0, 1) if end == corners[-1] else (3, 2, 1, 0)
-    link, ends = [], {}
-    for i, k in enumerate(darts):
-        if mates[k] in darts:
-            link.append(darts.index(mates[k]))
-        else:
-            link.append(i)
-            ends[i] = d.crossings[k >> 2][k & 3]
-    merged: dict[tuple[tuple[int, int], ...], int] = {}
+    link = tuple(darts.index(mates[k]) if mates[k] in darts else i for i, k in enumerate(darts))
+    opened = [i for i in range(4) if link[i] == i]  # unit slot -> dart
+    sums: dict[tuple[int, ...], int] = {}
     for mate, p in ((one, pa), ((1, 0, 3, 2), pb)):
-        made, loops = _WALKS[mate, tuple(link)]
+        made, loops = _smooth(mate, link)
         for _ in range(loops):
             p = -(p + (p << 2 * bits))
-        merged[made] = merged.get(made, 0) + (p << bits * (2 - loops))
-    slots = tuple(sorted(ends.values()))
-    at = {i: slots.index(e) for i, e in ends.items()}  # dart -> unit slot
-    smoothings = []
-    for pairs, p in merged.items():
-        mate = [0] * len(slots)
-        for x, y in pairs:
-            mate[at[x]], mate[at[y]] = at[y], at[x]
-        low = ((p & -p).bit_length() - 1) // bits if p else 0  # zero slots at the bottom
-        cs = unpack(p >> bits * low, bits)
-        smoothings.append((tuple(mate), 2 * low - 3 * len(box) - 4, cs))
-    return _Unit(slots, tuple(smoothings), _bound(smoothings))
+        out = [0] * len(opened)
+        for x, y in made:
+            x, y = opened.index(x), opened.index(y)
+            out[x], out[y] = y, x
+        key = tuple(out)
+        sums[key] = sums.get(key, 0) + (p << bits * (2 - loops))
+    slots = tuple(d.crossings[darts[i] >> 2][darts[i] & 3] for i in opened)
+    return _unit_of(slots, sums, -3 * len(box) - 4, bits)
 
 
 def _sweep(
@@ -503,7 +480,7 @@ def _sweep(
     key is as long as the most edges ever open at once. A unit changes
     only the pairs that end at it: each of its slots holds an open end, or
     is linked to another slot by two closing edges paired with each other.
-    _WALKS gives the new pairs and the loops closed for each smoothing and
+    _smooth gives the new pairs and the loops closed for each smoothing and
     link pattern. So a unit's set-up touches only its own slots, a state
     reads the partners at its at most four closing positions, and a next
     key is a copy of the old one, padded to the new length, with the
@@ -589,7 +566,7 @@ def _sweep(
             walks = steps.get(link)
             if walks is None:
                 walks = steps[link] = [
-                    (*_WALKS[mate, link], a if table is new else 0, table)
+                    (*_smooth(mate, link), a if table is new else 0, table)
                     for mate, a, _, table in weights
                 ]
             for made, loops, a, table in walks:
@@ -632,18 +609,18 @@ def _sweep(
     return states, {i: e for e, i in where.items()}
 
 
-def _unit_graph(d: PlanarDiagram, boxes: Sequence[tuple[list[int], list[int]]]) -> list[list[int]]:
-    """The graph _sweep_order takes: for each box (_boxes), the box at the
-    far end of each edge that leaves it. An edge inside a box never opens."""
-    unit_of = {ci: i for i, (box, _) in enumerate(boxes) for ci in box}
-    nbrs: list[list[int]] = [[] for _ in boxes]
-    for k, m in enumerate(d.mates):
-        if k > m:  # each edge once, from its first end
-            continue
-        u, v = unit_of[k >> 2], unit_of[m >> 2]
-        if u != v:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+def _unit_graph(units: Sequence[_Unit]) -> list[list[int]]:
+    """The graph _sweep_order takes: for each unit, the unit at the far end
+    of each of its slot edges. Each slot edge is held by two units; an edge
+    inside a unit is no slot."""
+    holder: dict[int, int] = {}  # slot edge -> the first unit that holds it
+    nbrs: list[list[int]] = [[] for _ in units]
+    for i, u in enumerate(units):
+        for e in u.slots:
+            j = holder.setdefault(e, i)
+            if j != i:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
     return nbrs
 
 
@@ -657,11 +634,12 @@ def _compose(
     slot that a shared edge joins s to, or ~i for the merged unit's slot i.
     The one loop there can be runs through both shared edges, when both
     smoothings pair their shared ends."""
-    mate = mate_a + tuple(4 + t for t in mate_b)
-    link = {s: c for s, c in enumerate(code) if c >= 0}
-    made, loops = _smooth(mate, link, {s: ~c for s, c in enumerate(code) if c < 0})
+    made, loops = _smooth(
+        mate_a + tuple(4 + t for t in mate_b), tuple(s if c < 0 else c for s, c in enumerate(code))
+    )
     out = [0] * 4
     for x, y in made:
+        x, y = ~code[x], ~code[y]
         out[x], out[y] = y, x
     return tuple(out), loops
 
@@ -670,16 +648,16 @@ def _joined(ua: _Unit, ub: _Unit) -> _Unit:
     """Two four-slot units joined by two edges as one unit: its slots are
     the four outer edges, A's and then B's, and each pair of smoothings
     composes (_compose) to a pairing of them with weight W_A W_B delta^L.
-    Compositions with the same pairing are summed, as _box_unit sums them.
+    Compositions with the same pairing are summed, and dropped when they
+    cancel (_unit_of).
 
     The sums are taken packed at B = width(bound_A bound_B), each weight
     from the lowest power of A of its unit's smoothings. A unit's bound is
     at least 2 sum ||W||_1 (_bound), and ||W_A W_B delta^L||_1 <=
     2 ||W_A||_1 ||W_B||_1, so no sum has a coefficient as large as
     2 sum ||W_A||_1 sum ||W_B||_1 <= bound_A bound_B / 2, and each unpacks
-    at B. A pairing whose compositions cancel is dropped; not all of them
-    can cancel, as the bracket of a link diagram is never 0 (V(1) =
-    (-2)^(components - 1))."""
+    at B. Not all the sums can cancel, as the bracket of a link diagram is
+    never 0 (V(1) = (-2)^(components - 1))."""
     code, outer = [], []  # the outer edges: A's, then B's
     for slots, other, at in ((ua.slots, ub.slots, 4), (ub.slots, ua.slots, 0)):
         for e in slots:
@@ -701,15 +679,7 @@ def _joined(ua: _Unit, ub: _Unit) -> _Unit:
             p = pa * pb
             # delta = -A^-2 (1 + A^4); a composition without a loop is a slot up
             sums[mate] = sums.get(mate, 0) + (-(p + (p << 2 * bits)) if loops else p << bits)
-    smoothings, norms = [], []
-    for mate, p in sums.items():
-        if p:
-            low = ((p & -p).bit_length() - 1) // bits  # zero slots at the bottom
-            cs = unpack(p >> bits * low, bits)
-            smoothings.append((mate, la + lb - 2 + 2 * low, cs))
-            norms.append(sum(map(abs, cs)))
-    # _bound of four slots
-    return _Unit(tuple(outer), tuple(smoothings), 2 * (sum(norms) + max(norms)))
+    return _unit_of(tuple(outer), sums, la + lb - 2, bits)
 
 
 def _merge_pairs(
@@ -832,13 +802,15 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
 
     The crossings are grouped into boxes (_boxes), each box's weights come
     from a two-term Temperley-Lieb recurrence over its crossings
-    (_box_unit), every two four-ended units joined by two edges are merged
-    into one (_merge_pairs), and one sweep runs over the units, each a
-    step whose smoothings are the pairings of its ends. A 2-tangle's
-    bracket is a<0> + b<oo> (Kauffman 1987), and two twist columns side
-    by side, as in each kt box, are such a tangle with no bigon between
-    them: merged, its weights enter the states once, and the order search
-    and the sweep see one unit where there were two. A merged unit's
+    (_box_unit), every two four-ended units joined by two edges in the
+    graph of their shared slot edges (_unit_graph) are merged into one
+    (_merge_pairs), and one sweep runs over the units, each a step whose
+    smoothings are the pairings of its ends, one per pairing with a weight
+    that is not 0 (_unit_of). A 2-tangle's bracket is a<0> + b<oo>
+    (Kauffman 1987), and two twist columns side by side, as in each kt
+    box, are such a tangle with no bigon between them: merged, its weights
+    enter the states once, and the order search and the sweep see one
+    unit where there were two. A merged unit's
     weights are read off at the width of the two units' bounds (_joined),
     and its bound is the _bound of its smoothings, so _width holds over
     the merged units as over the boxes.
@@ -855,10 +827,8 @@ def kauffman_bracket(d: PlanarDiagram, cancel: CancelToken | None = None) -> Lau
     if not d.crossings:
         raise NoCrossings("bracket of a crossing-free diagram is handled upstream")
     planar_faces(d)
-    boxes = _boxes(d)
-    units, nbrs = _merge_pairs(
-        [_box_unit(d, box, corners, cancel) for box, corners in boxes], _unit_graph(d, boxes), cancel
-    )
+    units = [_box_unit(d, box, corners, cancel) for box, corners in _boxes(d)]
+    units, nbrs = _merge_pairs(units, _unit_graph(units), cancel)
     bits = _width(units)
     states, front = _sweep([units[i] for i in _sweep_order(nbrs)], bits, cancel)
     if front or len(states) != 1:

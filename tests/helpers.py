@@ -21,14 +21,17 @@ into halves, the rebuild of a union with other tangles in its boxes
 the zero replacement and the fraction certificate's complement closures
 taken from rebuilds, as they were before they were read off the union,
 the Jones polynomial's values at the third and fourth roots of unity,
-the bracket sweep keyed by sorted edge pairs and the box walk by _smooth
-that the sweep over partner positions and the walk table replaced, the
+the bracket sweep keyed by sorted edge pairs and the box walk, both by
+the walk over dicts (smooth_reference) that the cached walk replaced, the
 boxes grouped by bucketing face corners and their chain corners derived
-per box, as they were before _boxes walked the bigons, the units the
-sweep runs over once its four-slot pairs are merged, a
-counter of the sweep's states, links on cylinder grids, and the torus
-knots T(p, p + 1) as braid closures with their Jones polynomials in
-closed form."""
+per box, as they were before _boxes walked the bigons, the unit graph
+read off the mates as it was before it was read off the units, the box
+units and the units the sweep runs over once its four-slot pairs are
+merged, the Jones polynomial of the sweep over the unmerged box units
+(jones_unmerged), a counter of the sweep's states, links on cylinder
+grids, the torus knots T(p, p + 1) as braid closures with their Jones
+polynomials in closed form, and their partials with two long kt boxes
+(wide_union)."""
 
 import itertools
 import json
@@ -45,7 +48,7 @@ from symunion.construct import _SIGMA, UnionMeta
 from symunion.diagram import Crossing, DiagramError, DisconnectedDiagram, PlanarDiagram, faces
 from symunion.group import GroupWord, WirtingerPresentation, wirtinger
 from symunion import invariant as inv
-from symunion.invariant import _smooth, alexander_region
+from symunion.invariant import alexander_region
 from symunion.poly import (
     ConwayPoly,
     LaurentPoly,
@@ -626,6 +629,39 @@ def sweep_order_unpruned(nbrs) -> list[int]:
     return min(runs)[2]
 
 
+def smooth_reference(mate, link, ends) -> tuple[tuple[tuple[int, int], ...], int]:
+    """invariant._smooth as it was before it took the link pattern as one
+    tuple and was cached: ends maps each slot that holds an open end to
+    that end's label, and link joins the other slots in pairs. Returns the
+    new pairs of open ends, by label, and the number of loops the smoothing
+    closes. The reference walk for the cached one and for the oracles."""
+    seen = [False] * len(mate)
+    made = []
+    for s in ends:
+        if not seen[s]:
+            t = s
+            while True:
+                seen[t] = True
+                u = mate[t]
+                seen[u] = True
+                if u in ends:
+                    break
+                t = link[u]
+            x, y = ends[s], ends[u]
+            made.append((x, y) if x < y else (y, x))
+    loops = 0
+    for s in range(len(mate)):
+        if not seen[s]:
+            loops += 1
+            t = s
+            while not seen[t]:
+                seen[t] = True
+                u = mate[t]
+                seen[u] = True
+                t = link[u]
+    return tuple(made), loops
+
+
 # The link patterns bound_by_link_patterns tries, by number of slots: every
 # perfect matching. A unit has at most four slots.
 LINKS = {0: ((),), 2: ((1, 0),), 4: ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
@@ -634,9 +670,9 @@ LINKS = {0: ((),), 2: ((1, 0),), 4: ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))}
 def bound_by_link_patterns(smoothings) -> int:
     """invariant._bound by enumeration: the most that the sum of
     ||W||_1 2^L over a unit's smoothings reaches over the perfect matchings
-    of its slots, with the L loops each closes counted by _smooth."""
+    of its slots, with the L loops each closes counted by smooth_reference."""
     return max(
-        sum(sum(map(abs, cs)) << _smooth(mate, m, {})[1] for mate, _, cs in smoothings)
+        sum(sum(map(abs, cs)) << smooth_reference(mate, m, {})[1] for mate, _, cs in smoothings)
         for m in LINKS[len(smoothings[0][0])]
     )
 
@@ -928,9 +964,10 @@ def chain_corners(d: PlanarDiagram, box: list[int]) -> list[int]:
 
 def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
     """invariant._box_unit as it was before a box of one crossing read
-    _SMOOTHINGS and the walks read _WALKS: every box goes through the
+    _SMOOTHINGS and the walks were cached: every box goes through the
     corner walk (chain_corners), the Temperley-Lieb recurrence and
-    _smooth. The oracle for both."""
+    smooth_reference, its slots sorted, and a pairing whose weight cancels
+    is kept with the weight 0. The oracle for both."""
     mates = d.mates
     corners = chain_corners(d, box)
     bits = width(inv._CROSSING_BOUND ** len(box))
@@ -961,7 +998,7 @@ def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
             ends[i] = d.crossings[k >> 2][k & 3]
     merged: dict = {}
     for mate, p in ((one, pa), ((1, 0, 3, 2), pb)):
-        made, loops = _smooth(mate, link, ends)
+        made, loops = smooth_reference(mate, link, ends)
         for _ in range(loops):
             p = -(p + (p << 2 * bits))
         key = tuple(sorted(made))
@@ -979,21 +1016,52 @@ def box_unit_by_chain(d: PlanarDiagram, box: list[int]) -> inv._Unit:
     return inv._Unit(slots, tuple(smoothings), inv._bound(smoothings))
 
 
+def box_units(d: PlanarDiagram) -> list:
+    """The units of d's boxes (invariant._boxes, _box_unit), unmerged."""
+    return [inv._box_unit(d, b, c, None) for b, c in inv._boxes(d)]
+
+
+def unit_graph_by_mates(d: PlanarDiagram, boxes) -> list[list[int]]:
+    """invariant._unit_graph as it was before it read the units' slots: for
+    each box (_boxes), the box at the far end of each edge of d.mates that
+    leaves it. The oracle for the graph read off the units."""
+    unit_of = {ci: i for i, (box, _) in enumerate(boxes) for ci in box}
+    nbrs: list[list[int]] = [[] for _ in boxes]
+    for k, m in enumerate(d.mates):
+        if k > m:  # each edge once, from its first end
+            continue
+        u, v = unit_of[k >> 2], unit_of[m >> 2]
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
+
+
 def merged_units(d: PlanarDiagram) -> tuple[list, list[list[int]]]:
     """The units invariant.kauffman_bracket sweeps and their graph: d's
     boxes (_box_unit), with every two four-slot units joined by two edges
     merged (_merge_pairs)."""
-    boxes = inv._boxes(d)
-    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
-    return inv._merge_pairs(units, inv._unit_graph(d, boxes), None)
+    units = box_units(d)
+    return inv._merge_pairs(units, inv._unit_graph(units), None)
+
+
+def jones_unmerged(d: PlanarDiagram) -> LaurentPoly:
+    """invariant.jones with _merge_pairs patched to merge nothing, so that
+    the sweep runs over the box units: the check on the merged sweep."""
+    merge = inv._merge_pairs
+    inv._merge_pairs = lambda units, nbrs, cancel: (units, nbrs)
+    try:
+        return inv.jones(d)
+    finally:
+        inv._merge_pairs = merge
 
 
 def sweep_by_pairs(units, bits: int):
     """invariant._sweep as it was: a state is a sorted tuple of edge pairs,
     each state scans its pairs for those that end at the unit, and each
-    smoothing walks the unit's slots with _smooth. Returns the states, the
-    edges left open, and the number of states after each unit; the oracle
-    for the sweep over partner tuples."""
+    smoothing walks the unit's slots with smooth_reference. Returns the
+    states, the edges left open, and the number of states after each unit;
+    the oracle for the sweep over partner tuples."""
     two = 2 * bits
     states: dict = {(): (0, 1)}
     frontier: set[int] = set()
@@ -1021,7 +1089,7 @@ def sweep_by_pairs(units, bits: int):
                 else:
                     link[sx], link[sy] = sy, sx
             for mate, a, w in weights:
-                made, loops = _smooth(mate, link, ends)
+                made, loops = smooth_reference(mate, link, ends)
                 q = p if w == 1 else p * w
                 for _ in range(loops):
                     q = -(q + (q << two))
@@ -1111,6 +1179,29 @@ def torus_jones(p: int) -> LaurentPoly:
     assert not any(rest.values()), "1 - t^2 does not divide the numerator"
     shift = (p - 1) * (q - 1) // 2
     return LaurentPoly({-(e + shift): c for e, c in quotient.items()})
+
+
+def wide_union(p: int, m: int) -> PlanarDiagram:
+    """The union of the T(p, p + 1) partial (torus_closure) with two kt(m)
+    boxes, 2(p - 1)(p + 1) + 2(2m - 1) crossings. The marked arcs are the
+    first draw that embeds under rejection sampling with random.Random(1)
+    of three edges on distinct over-arcs of the partial, as for
+    kt_member; for p = 9 they are (67, 66, 65), the 533rd draw. Raises
+    RuntimeError when none of RANDOM_SPEC_DRAWS draws embeds."""
+    partial = torus_closure(p)
+    arcs = wirtinger(partial).arc_of_edge
+    edges = sorted(arcs)
+    rng = random.Random(1)
+    tangles = (kt_tangle(m),) * 2
+    for _ in range(RANDOM_SPEC_DRAWS):
+        marked = tuple(rng.sample(edges, 3))
+        if len({arcs[e] for e in marked}) < 3:
+            continue
+        try:
+            return build_symmetric_union(SymUnionSpec(partial, marked, tangles))
+        except construct.NotPlanarInsertion:
+            continue
+    raise RuntimeError(f"wide_union: no marking of T({p}, {p + 1}) embeds in {RANDOM_SPEC_DRAWS} draws")
 
 
 def torus_alexander(p: int) -> LaurentPoly:

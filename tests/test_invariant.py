@@ -22,6 +22,7 @@ from helpers import (
     _rebuild,
     bound_by_link_patterns,
     box_unit_by_chain,
+    box_units,
     boxes_by_faces,
     build_all_zero_replacement,
     chain_corners,
@@ -32,6 +33,7 @@ from helpers import (
     display_form,
     glued_pair,
     jones_at_roots_of_unity,
+    jones_unmerged,
     kt_member,
     merged_units,
     pairs_of,
@@ -39,6 +41,7 @@ from helpers import (
     pool_variant,
     random_pool_union,
     random_spec,
+    smooth_reference,
     sparse,
     sweep_by_pairs,
     sweep_order_reference,
@@ -46,7 +49,9 @@ from helpers import (
     torus_alexander,
     torus_closure,
     torus_jones,
+    unit_graph_by_mates,
     unknot,
+    wide_union,
 )
 from symunion import corpus
 from symunion.construct import (
@@ -923,7 +928,7 @@ def test_sweep_order_matches_the_unpruned_search_on_fixed_graphs():
     diagrams += [circle_chain(k) for k in range(2, 9)]
     assert len(diagrams) == 64 + 7 + 7
     for d in diagrams:
-        nbrs = inv._unit_graph(d, inv._boxes(d))
+        nbrs = inv._unit_graph(box_units(d))
         assert inv._sweep_order(nbrs) == sweep_order_unpruned(nbrs)
 
 
@@ -942,7 +947,7 @@ def test_sweep_order_matches_the_reference_on_fixed_graphs():
     diagrams += [torus_closure(p) for p in range(2, 10)]
     diagrams += [random_union(seed) for seed in range(15)]
     for d in diagrams:
-        nbrs = inv._unit_graph(d, inv._boxes(d))
+        nbrs = inv._unit_graph(box_units(d))
         assert inv._sweep_order(nbrs) == sweep_order_reference(nbrs)
 
 
@@ -1063,11 +1068,11 @@ def link_patterns(slots):
 
 def bound_by_brute_force(unit):
     """_bound over every pattern of links and open ends, not only the
-    perfect matchings, with the loops counted by _smooth."""
+    perfect matchings, with the loops counted by smooth_reference."""
     slots = list(range(len(unit.slots)))
     return max(
         sum(
-            sum(map(abs, cs)) << inv._smooth(mate, link, {s: s for s in slots if s not in link})[1]
+            sum(map(abs, cs)) << smooth_reference(mate, link, {s: s for s in slots if s not in link})[1]
             for mate, _, cs in unit.smoothings
         )
         for link in link_patterns(slots)
@@ -1088,7 +1093,7 @@ def test_bound_matches_the_link_pattern_enumeration():
     diagrams += [build_symmetric_union(s) for _, s in sorted(corpus.SPEC_FIXTURES.items())]
     diagrams += list(corpus.DIAGRAM_FIXTURES.values())
     diagrams += [circle_chain(k) for k in range(2, 9)]
-    units = [inv._box_unit(d, b, c, None) for d in diagrams for b, c in inv._boxes(d)]
+    units = [u for d in diagrams for u in box_units(d)]
     assert {len(u.slots) for u in units} == {0, 2, 4}
     assert inv._bound(inv._SMOOTHINGS) == bound_by_link_patterns(inv._SMOOTHINGS) == 6
     for u in units:
@@ -1101,25 +1106,45 @@ def test_bound_matches_the_link_pattern_enumeration():
 
 def test_box_bounds_match_the_brute_force_bound():
     diagrams = [d for d, _ in BOX_CASES.values()] + [pool_variant(k) for k in sorted(FAMILY_POOL)]
-    units = [inv._box_unit(d, b, c, None) for d in diagrams for b, c in inv._boxes(d)]
+    units = [u for d in diagrams for u in box_units(d)]
     assert {len(u.slots) for u in units} == {0, 2, 4}
     for u in units:
         assert u.bound == bound_by_brute_force(u)
 
 
-def test_walk_table_matches_smooth():
-    """_WALKS holds _smooth of every perfect matching of 0, 2 or 4 slots
-    against every link pattern, an involution whose fixed points hold the
-    open ends, and nothing else."""
-    want = {}
+def test_cached_walk_matches_the_reference_walk():
+    """_smooth, cached and keyed by one link tuple, against the walk over
+    dicts it replaced (smooth_reference): every perfect matching of 0, 2
+    or 4 slots against every link pattern, an involution whose fixed
+    points hold the open ends, and every input _compose gets on the pool,
+    whose 8-slot walk _compose reads as it did with the reference."""
+    cases = 0
     for n, mates in LINKS.items():
         for link in link_patterns(list(range(n))):
             ends = {s: s for s in range(n) if s not in link}
             for mate in mates:
-                key = mate, tuple(link.get(s, s) for s in range(n))
-                want[key] = inv._smooth(mate, link, ends)
-    assert len(want) == 33
-    assert inv._WALKS == want
+                got = inv._smooth(mate, tuple(link.get(s, s) for s in range(n)))
+                assert got == smooth_reference(mate, link, ends)
+                cases += 1
+    assert cases == 33
+    inputs = set()
+    compose = inv._compose
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv, "_compose", lambda *args: inputs.add(args) or compose(*args))
+        for k in sorted(FAMILY_POOL):
+            kauffman_bracket(pool_variant(k))
+    assert len(inputs) > 50
+    for mate_a, mate_b, code in inputs:
+        mate = mate_a + tuple(4 + t for t in mate_b)
+        link = {s: c for s, c in enumerate(code) if c >= 0}
+        opened = {s: s for s, c in enumerate(code) if c < 0}
+        got = inv._smooth(mate, tuple(s if c < 0 else c for s, c in enumerate(code)))
+        assert got == smooth_reference(mate, link, opened)
+        made, loops = smooth_reference(mate, link, {s: ~c for s, c in enumerate(code) if c < 0})
+        out = [0] * 4
+        for x, y in made:
+            out[x], out[y] = y, x
+        assert compose(mate_a, mate_b, code) == (tuple(out), loops)
 
 
 def every_box_diagram():
@@ -1131,20 +1156,54 @@ def every_box_diagram():
     return diagrams
 
 
+def box_case_diagrams():
+    return every_box_diagram() + [d for d, _ in BOX_CASES.values()]
+
+
 def test_box_units_match_the_chain_walk():
     """Every box, one crossing or many, against _box_unit as it was: the
-    same slots, smoothings and bound. Most one-crossing boxes have no kink
-    and read _SMOOTHINGS."""
+    same slot edges, each once, the same pairings of them with the same
+    weights, one smoothing per pairing whose weight is not 0, and the same
+    bound. Most one-crossing boxes have no kink and are _SMOOTHINGS on the
+    crossing's edges."""
     single = 0
-    for d in every_box_diagram() + [d for d, _ in BOX_CASES.values()]:
+    for d in box_case_diagrams():
         for b, c in inv._boxes(d):
             got, want = inv._box_unit(d, b, c, None), box_unit_by_chain(d, b)
-            assert got.slots == want.slots
-            assert set(got.smoothings) == set(want.smoothings)
-            assert len(got.smoothings) == len(want.smoothings)
+            assert sorted(got.slots) == list(want.slots)
+            assert pairings_of_unit(got) == pairings_of_unit(want)
+            assert len(got.smoothings) == len(pairings_of_unit(got))
             assert got.bound == want.bound
-            single += len(b) == 1 and len(got.slots) == 4
+            single += len(b) == 1 and got.smoothings is inv._SMOOTHINGS
     assert single > 500
+
+
+def test_a_box_pairing_whose_weight_cancels_is_dropped():
+    """A Reidemeister II box, two crossings of opposite sign on a bigon, is
+    one pairing with weight 1: the other pairing's weight cancels, and its
+    smoothing is gone, not kept with weight 0. Every box unit's weight has
+    nonzero first and last coefficients, as _sweep's span and _joined's
+    alignment read them."""
+    d = numerator(tangle_sum(tangle_sum(vertical_twists(1), vertical_twists(-1)), vertical_twists(3)))
+    (box, corners), *_ = inv._boxes(d)
+    u = inv._box_unit(d, box, corners, None)
+    assert len(box) == 2 and len(u.smoothings) == 1 and u.smoothings[0][1:] == (0, (1,))
+    for d in box_case_diagrams():
+        for u in box_units(d):
+            assert all(cs and cs[0] and cs[-1] for _, _, cs in u.smoothings)
+
+
+def test_unit_graph_matches_the_mates():
+    """_unit_graph, read off the units' slot edges, against the graph read
+    off the diagram's mates as it was, as multisets of neighbours: the
+    pool, the corpus, the torus closures, chains of circles, the box cases
+    (kinks among them) and random unions."""
+    diagrams = box_case_diagrams() + [circle_chain(k) for k in range(2, 9)]
+    diagrams += [random_union(seed) for seed in range(20)]
+    for d in diagrams:
+        got = inv._unit_graph(box_units(d))
+        want = unit_graph_by_mates(d, inv._boxes(d))
+        assert [sorted(n) for n in got] == [sorted(n) for n in want]
 
 
 def peak_open(units) -> int:
@@ -1230,9 +1289,8 @@ def joined_pairs(d):
     """Every two four-slot box units of d joined by exactly two edges,
     and every pair _merge_pairs joins in kauffman_bracket, merged units
     among them."""
-    boxes = inv._boxes(d)
-    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
-    nbrs = inv._unit_graph(d, boxes)
+    units = box_units(d)
+    nbrs = inv._unit_graph(units)
     pairs = [
         (units[i], units[j])
         for i in range(len(units))
@@ -1263,7 +1321,7 @@ def test_joined_matches_a_two_unit_sweep_on_fixed_diagrams():
     diagrams = list(CORPUS_UNIONS.values()) + [pool_variant(k) for k in sorted(FAMILY_POOL)]
     count = merged = 0
     for d in diagrams:
-        boxed = {inv._box_unit(d, b, c, None) for b, c in inv._boxes(d)}
+        boxed = set(box_units(d))
         for ua, ub in joined_pairs(d):
             assert_joined_matches_the_sweep(ua, ub)
             count += 1
@@ -1292,12 +1350,6 @@ def test_a_pairing_whose_compositions_cancel_is_dropped():
     assert_joined_matches_the_sweep(ua, ub)
     states, _ = inv._sweep([ua, ub], inv._width([ua, ub]), None)
     assert sorted(p for _, p in states.values()) == [0, 1]  # the sweep keeps the 0
-
-
-def jones_unmerged(d):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inv, "_merge_pairs", lambda units, nbrs, cancel: (units, nbrs))
-        return jones(d)
 
 
 def merge_cases():
@@ -1331,17 +1383,13 @@ def test_merged_jones_matches_the_sweep_over_box_units():
 
 
 def test_merge_polls_cancel():
-    d = kt_member(3)
-    boxes = inv._boxes(d)
-    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
+    units = box_units(kt_member(3))
     token = CancelToken()
     token.cancel()
     with pytest.raises(Cancelled):
-        inv._merge_pairs(units, inv._unit_graph(d, boxes), token)
-    d = torus_closure(4)  # nothing to merge, nothing polled
-    boxes = inv._boxes(d)
-    units = [inv._box_unit(d, b, c, None) for b, c in boxes]
-    assert inv._merge_pairs(list(units), inv._unit_graph(d, boxes), token)[0] == units
+        inv._merge_pairs(units, inv._unit_graph(units), token)
+    units = box_units(torus_closure(4))  # nothing to merge, nothing polled
+    assert inv._merge_pairs(list(units), inv._unit_graph(units), token)[0] == units
 
 
 def test_sweep_bits_bound_the_live_packed_bits():
@@ -1374,6 +1422,15 @@ def test_sweep_refuses_past_the_bit_limit(monkeypatch):
     with pytest.raises(TooLarge, match=r"reaches \d+ states of at most \d+ packed bits each; "
                        r"limits are 50000 states and 4096 bits"):
         jones(d)
+
+
+def test_wide_union_is_the_first_draw_that_embeds():
+    """wide_union's marked arcs for T(9, 10) are those its docstring names,
+    and its size is two partials and two kt(m) boxes."""
+    for m in (3, 4):
+        d = wide_union(9, m)
+        assert d.meta.spec.marked_arcs == (67, 66, 65)
+        assert len(d.crossings) == 2 * 80 + 2 * (2 * m - 1)
 
 
 @pytest.mark.parametrize("p", range(3, 8))
